@@ -11,11 +11,11 @@ import time
 import numpy as np
 
 from scanfield import mcl
-from scanfield.cli import _planar_pose, _relative_deltas, trajectory_poses
+from scanfield.cli import trajectory_poses
 from scanfield.config import RunConfig
 from scanfield.encoding import default_encoding
 from scanfield.field import evaluate_batch, init_field
-from scanfield.geom import Aabb, normalize_scene, to_world
+from scanfield.geom import Aabb, Pose, normalize_scene, to_world
 from scanfield.scenes import ScannerConfig, parse_scene_text, simulate_scan
 from scanfield.training import train
 
@@ -37,12 +37,13 @@ def main():
     scanner = ScannerConfig(beams=cfg.beams, fov=cfg.fov, max_range=cfg.max_range)
 
     rng = np.random.default_rng(cfg.seed)
-    scans = [simulate_scan(scene, _planar_pose(x, y, th, 2), scanner, rng)
+    scans = [simulate_scan(scene, Pose.from_xytheta(x, y, th), scanner, rng)
              for x, y, th in traj]
-    rays = [r for s in scans for r in to_world(s)]
-    pts = np.concatenate([np.stack([r.origin for r in rays]),
-                          np.stack([r.endpoint for r in rays])])
-    canon, tf = normalize_scene(rays, Aabb(pts.min(0) - 1e-9, pts.max(0) + 1e-9))
+    endpoints = np.concatenate([to_world(s) for s in scans])
+    origins = np.concatenate([np.broadcast_to(s.pose.translation, s.points.shape) for s in scans])
+    pts = np.concatenate([origins, endpoints])
+    canon, tf = normalize_scene(origins, endpoints,
+                                Aabb(pts.min(0) - 1e-9, pts.max(0) + 1e-9))
 
     net = init_field(cfg.seed, 2, default_encoding(cfg.encoding_bands),
                      hidden=cfg.hidden_width, hidden_layers=cfg.hidden_layers,
@@ -57,7 +58,7 @@ def main():
     box = Aabb(tf.center - tf.scale, tf.center + tf.scale)
     grid = mcl.SampledField2D.from_field(world_field, box, cfg.field_grid_res)
 
-    deltas = _relative_deltas(traj)
+    deltas = mcl.relative_deltas(traj)
     scans_xy = [s.points for s in scans]
     t0 = time.time()
     result = mcl.localize_run(grid, box, deltas, scans_xy, cfg.mcl(),

@@ -10,8 +10,7 @@ away from the line of sight.
 """
 import numpy as np
 
-from scanfield.geom import Ray
-from scanfield.sampling import sample_ray
+from scanfield.sampling import sample_rays_batch
 from scanfield.scenes import AnalyticScene, Sphere, sphere_trace
 from scanfield.targets import SupervisionMode, compute_targets
 
@@ -30,12 +29,10 @@ def main():
     d = (aim - origin) / np.linalg.norm(aim - origin)
     hit, t = sphere_trace(scene, origin[None], d[None], 10.0)
     assert hit[0]
-    ray = Ray(origin, origin + t[0] * d)
+    endpoint = origin + t[0] * d
 
-    samples = sample_ray(ray, n=12)
-    positions = np.stack([s.position for s in samples])
-    dists = np.array([s.ray_distance for s in samples])
-    endpoints = np.broadcast_to(ray.endpoint, positions.shape)
+    positions, dists, _ = sample_rays_batch(origin[None], endpoint[None], n=12)
+    endpoints = np.broadcast_to(endpoint, positions.shape)
     truth = scene.sdf(positions)
 
     ray_b = run_mode(scene, positions, endpoints, SupervisionMode.RAY_DISTANCE)

@@ -47,14 +47,14 @@ def main():
     scanner = ScannerConfig(beams=cfg.beams, fov=cfg.fov, max_range=cfg.max_range)
 
     rng = np.random.default_rng(cfg.seed)
-    rays = []
-    for pose in aimed_poses(20, 1.5):
-        rays.extend(to_world(simulate_scan(scene, pose, scanner, rng)))
-    print(f"{len(rays)} rays from 20 poses")
+    scans = [simulate_scan(scene, pose, scanner, rng) for pose in aimed_poses(20, 1.5)]
+    endpoints = np.concatenate([to_world(s) for s in scans])
+    origins = np.concatenate([np.broadcast_to(s.pose.translation, s.points.shape) for s in scans])
+    print(f"{len(endpoints)} rays from 20 poses")
 
-    pts = np.concatenate([np.stack([r.origin for r in rays]),
-                          np.stack([r.endpoint for r in rays])])
-    canon, tf = normalize_scene(rays, Aabb(pts.min(0) - 1e-9, pts.max(0) + 1e-9))
+    pts = np.concatenate([origins, endpoints])
+    canon, tf = normalize_scene(origins, endpoints,
+                                Aabb(pts.min(0) - 1e-9, pts.max(0) + 1e-9))
 
     net = init_field(cfg.seed, 3, default_encoding(cfg.encoding_bands),
                      hidden=cfg.hidden_width, hidden_layers=cfg.hidden_layers,

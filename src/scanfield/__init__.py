@@ -6,95 +6,4 @@ sinusoidal field network with closed-form derivatives, from-scratch AdamW
 training, isosurface extraction, and 2D Monte Carlo localization.
 """
 
-from .config import RunConfig, load_config, parse_config
-from .encoding import EncodingConfig, default_encoding, encode, encode_batch, encode_jet
-from .field import (
-    FieldJet,
-    FieldNet,
-    ParamGrads,
-    evaluate,
-    evaluate_batch,
-    grad_batch,
-    init_field,
-    jet,
-    jet_batch,
-    param_count,
-)
-from .geom import (
-    Aabb,
-    Pose,
-    Ray,
-    Scan,
-    SceneTransform,
-    normalize_scene,
-    rays_from_arrays,
-    rays_to_arrays,
-    to_world,
-)
-from .mcl import (
-    Estimate,
-    MclConfig,
-    MclMetrics,
-    ParticleSet,
-    RunResult,
-    SampledField2D,
-    estimate,
-    init_uniform,
-    localize_run,
-    run_metrics,
-    step,
-)
-from .meshing import PolylineSet, TriangleMesh, marching_cubes, marching_squares, sample_grid
-from .sampling import RaySample, sample_ray, sample_rays_batch, schedule
-from .scenes import (
-    AnalyticScene,
-    Box,
-    ConvexPolygon2D,
-    Plane,
-    ScannerConfig,
-    Sphere,
-    beam_directions,
-    oracle_jet,
-    oracle_sdf,
-    parse_scene_file,
-    parse_scene_text,
-    scene_bounds,
-    simulate_scan,
-    sphere_trace,
-)
-from .storage import (
-    export_grid,
-    export_mesh_ply,
-    load_model,
-    load_scans,
-    load_transform,
-    read_grid,
-    read_mesh_ply,
-    save_model,
-    save_transform,
-)
-from .targets import (
-    DistanceEstimate,
-    SupervisionMode,
-    TargetBatch,
-    compute_targets,
-    curvature_distance,
-    dcn_distance,
-    estimate_sample,
-    iso_curvature,
-    mean_curvature,
-    normal_dir,
-    sample_weight,
-)
-from .training import (
-    AdamState,
-    LossBreakdown,
-    LossWeights,
-    OptimConfig,
-    adamw_step,
-    batch_loss,
-    train,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from . import field as field_mod
 from . import mcl as mcl_mod
 from . import meshing, scenes, storage
 from .config import RunConfig, load_config
-from .geom import Aabb, Pose, Ray, Scan, SceneTransform, normalize_scene, rays_to_arrays, to_world
+from .geom import Aabb, Pose, Scan, SceneTransform, normalize_scene, to_world
 from .targets import SupervisionMode
 from .training import train
 
@@ -191,7 +191,7 @@ def _scans_to_planar(scan3d: Scan) -> Scan:
     return Scan(pose2, scan3d.points[:, :2])
 
 
-def _dataset_rays(scans: list[Scan], dim: str) -> tuple[list[Ray], int]:
+def _dataset_scans(scans: list[Scan], dim: str) -> tuple[list[Scan], int]:
     if dim == "auto":
         planar = all(
             abs(s.pose.translation[2]) < 1e-12 and np.all(np.abs(s.points[:, 2]) < 1e-12)
@@ -201,18 +201,24 @@ def _dataset_rays(scans: list[Scan], dim: str) -> tuple[list[Ray], int]:
         dim = "2" if planar else "3"
     if dim == "2":
         scans = [_scans_to_planar(s) for s in scans]
-    rays: list[Ray] = []
-    for s in scans:
-        rays.extend(to_world(s))
-    return rays, int(dim)
+    return scans, int(dim)
 
 
-def _data_box(rays: list[Ray]) -> Aabb:
-    origins, endpoints = rays_to_arrays(rays)
+def _canonical_rays(scans: list[Scan]):
+    """Every scan's rays as canonical (origins, endpoints) arrays, plus the transform.
+
+    The normalization box just covers all origins and endpoints, so no ray is
+    dropped.
+    """
+    ends = [to_world(s) for s in scans]
+    origins = np.concatenate(
+        [np.broadcast_to(s.pose.translation, e.shape) for s, e in zip(scans, ends)]
+    )
+    endpoints = np.concatenate(ends)
     pts = np.concatenate([origins, endpoints], axis=0)
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     pad = 1e-9 * np.maximum(1.0, np.abs(np.stack([lo, hi])).max())
-    return Aabb(lo - pad, hi + pad)
+    return normalize_scene(origins, endpoints, Aabb(lo - pad, hi + pad))
 
 
 def _init_net(cfg: RunConfig, dim: int) -> field_mod.FieldNet:
@@ -226,20 +232,12 @@ def _init_net(cfg: RunConfig, dim: int) -> field_mod.FieldNet:
     )
 
 
-def _train_on_rays(cfg: RunConfig, rays: list[Ray], dim: int):
-    canon, tf = normalize_scene(rays, _data_box(rays))
-    if not canon:
-        raise ValueError("no rays left after scene normalization")
-    net = _init_net(cfg, dim)
-    net, history = train(net, canon, cfg.optim(), cfg.loss_weights(), cfg.supervision_mode())
-    return net, tf, history
-
-
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
-    scans = storage.load_scans(args.scans)
-    rays, dim = _dataset_rays(scans, args.dim)
-    net, tf, history = _train_on_rays(cfg, rays, dim)
+    scans, dim = _dataset_scans(storage.load_scans(args.scans), args.dim)
+    canon, tf = _canonical_rays(scans)
+    net, history = train(_init_net(cfg, dim), canon, cfg.optim(), cfg.loss_weights(),
+                         cfg.supervision_mode())
     out = Path(args.out)
     storage.save_model(out, net)
     storage.save_transform(out.with_suffix(out.suffix + ".transform"), tf)
@@ -300,8 +298,18 @@ def cmd_mesh(args) -> int:
 # eval-sdf
 
 
-def _band_samples(scene, band: float, count: int, rng) -> np.ndarray:
-    box = scenes.scene_bounds(scene, pad=2.0 * band)
+def _content_box(scene, pad: float = 0.0) -> Aabb:
+    box = scenes.scene_bounds(scene, pad)
+    if box is None:
+        raise ValueError("scene has no bounded primitive (only planes), so there is "
+                         "no region to sample or orbit; add a sphere, box or polygon")
+    return box
+
+
+def _band_samples(scene, band: float, count: int, seed: int) -> np.ndarray:
+    """Up to ``count`` points with |sdf| < band around the scene's bounded content."""
+    rng = np.random.default_rng(seed)
+    box = _content_box(scene, pad=2.0 * band)
     kept = []
     total = 0
     for _ in range(200):
@@ -318,9 +326,7 @@ def _band_samples(scene, band: float, count: int, rng) -> np.ndarray:
     return np.concatenate(kept, axis=0)[:count]
 
 
-def _eval_field_vs_oracle(field, grad_fn, scene, band: float, count: int, seed: int):
-    rng = np.random.default_rng(seed)
-    pts = _band_samples(scene, band, count, rng)
+def _eval_field_vs_oracle(field, grad_fn, scene, pts: np.ndarray):
     truth = scene.sdf(pts)
     pred = np.asarray(field(pts), dtype=np.float64)
     err = pred - truth
@@ -360,7 +366,8 @@ def cmd_eval_sdf(args) -> int:
         if net.dim != scene.dim:
             raise ValueError(f"model is {net.dim}D but scene is {scene.dim}D")
         field, grads = _model_eval_fns(net, tf)
-    mae, rmse, eik = _eval_field_vs_oracle(field, grads, scene, band, args.samples, cfg.seed)
+    pts = _band_samples(scene, band, args.samples, cfg.seed)
+    mae, rmse, eik = _eval_field_vs_oracle(field, grads, scene, pts)
     _write_csv(args.out, "metric,value",
                [f"mae,{mae!r}", f"rmse,{rmse!r}", f"eikonal_mean,{eik!r}"])
     return 0
@@ -383,19 +390,6 @@ def _read_trajectory(path) -> np.ndarray:
     if not rows:
         raise ValueError(f"{path}: empty trajectory")
     return np.asarray(rows)
-
-
-def _relative_deltas(traj: np.ndarray) -> np.ndarray:
-    """Robot-frame odometry between consecutive planar poses; row 0 is zero."""
-    deltas = np.zeros_like(traj)
-    for k in range(1, traj.shape[0]):
-        px, py, pth = traj[k - 1]
-        dxw, dyw = traj[k, 0] - px, traj[k, 1] - py
-        c, s = np.cos(-pth), np.sin(-pth)
-        deltas[k, 0] = c * dxw - s * dyw
-        deltas[k, 1] = s * dxw + c * dyw
-        deltas[k, 2] = float(mcl_mod.wrap_angle(traj[k, 2] - pth))
-    return deltas
 
 
 def _map_box(traj: np.ndarray, scans_xy) -> Aabb:
@@ -431,7 +425,7 @@ def _localization_field(args, cfg: RunConfig, data_box: Aabb):
 
 def _run_localization(field, box, traj, scans_xy, cfg: RunConfig):
     mcl_cfg = cfg.mcl()
-    deltas = _relative_deltas(traj)
+    deltas = mcl_mod.relative_deltas(traj)
     results = []
     for r in range(mcl_cfg.runs):
         rng = np.random.default_rng([cfg.seed, r])
@@ -465,7 +459,7 @@ def cmd_localize(args) -> int:
 
 def _auto_orbit(scene, steps: int) -> str:
     """Pick a free-space circular trajectory around the scene's content."""
-    bounds = scenes.scene_bounds(scene)
+    bounds = _content_box(scene)
     c = bounds.center
     reach = float(np.max(bounds.half_extent))
     for frac in (1.8, 1.5, 1.25, 1.0, 0.8, 0.6, 0.45, 0.3):
@@ -497,25 +491,18 @@ def cmd_compare(args) -> int:
     scene = scenes.parse_scene_file(args.scene)
     traj_spec = args.traj if args.traj is not None else _auto_orbit(scene, args.poses)
     traj = trajectory_poses(traj_spec)
+    pts = _band_samples(scene, cfg.trunc_band, args.samples, cfg.seed)
     scans = _synthesize_dataset(scene, traj, cfg)
-    rays: list[Ray] = []
-    for s in scans:
-        rays.extend(to_world(s))
-    canon, tf = normalize_scene(rays, _data_box(rays))
-    if not canon:
-        raise ValueError("no rays left after scene normalization")
-    arrays = rays_to_arrays(canon)
+    canon, tf = _canonical_rays(scans)
     scans_xy = [s.points for s in scans] if scene.dim == 2 else None
 
     rows = []
     for mode in (SupervisionMode.RAY_DISTANCE, SupervisionMode.CLOSEST_NORMAL,
                  SupervisionMode.CURVATURE_CONSTRAINED):
         net = _init_net(cfg, scene.dim)
-        net, _ = train(net, arrays, cfg.optim(), cfg.loss_weights(), mode)
+        net, _ = train(net, canon, cfg.optim(), cfg.loss_weights(), mode)
         field, grads = _model_eval_fns(net, tf)
-        mae, rmse, _ = _eval_field_vs_oracle(
-            field, grads, scene, cfg.trunc_band, args.samples, cfg.seed
-        )
+        mae, rmse, _ = _eval_field_vs_oracle(field, grads, scene, pts)
         mcl_rmse = mcl_mae = None
         if scene.dim == 2:
             grid = mcl_mod.SampledField2D.from_field(field, _world_box(tf), cfg.field_grid_res)

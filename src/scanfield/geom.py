@@ -6,6 +6,12 @@ World units are meters by convention; the canonical frame produced by
 ``normalize_scene`` maps the working box onto the cube [-1, 1]^m with a single
 uniform scale so that distances (and the eikonal property) survive the change
 of coordinates up to that scale factor.
+
+Rays are an (origins, endpoints) pair of (R, m) arrays: row i is the segment
+from a sensor position to the surface point it measured.  ``to_world`` gives
+a scan's endpoints (its origin is the pose translation), ``normalize_scene``
+validates a pair and maps it into the canonical frame, and ``train`` consumes
+the result.
 """
 
 from __future__ import annotations
@@ -81,33 +87,6 @@ def rot2d(theta: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Ray:
-    """Directed segment from a sensor origin to a measured surface point."""
-
-    origin: np.ndarray
-    endpoint: np.ndarray
-
-    def __post_init__(self):
-        o = _as_float_array(self.origin, "origin")
-        e = _as_float_array(self.endpoint, "endpoint")
-        if o.shape != e.shape or o.ndim != 1:
-            raise ValueError(f"origin/endpoint shapes {o.shape}/{e.shape} are incompatible")
-        if float(np.linalg.norm(e - o)) <= 0.0:
-            raise ValueError("ray has zero length")
-        object.__setattr__(self, "origin", o)
-        object.__setattr__(self, "endpoint", e)
-
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.endpoint - self.origin))
-
-    @property
-    def direction(self) -> np.ndarray:
-        d = self.endpoint - self.origin
-        return d / np.linalg.norm(d)
-
-
-@dataclass(frozen=True)
 class Scan:
     """One range scan: sensor pose plus hit points in the sensor frame."""
 
@@ -167,37 +146,21 @@ class Aabb:
         return Aabb(c - half, c + half)
 
 
-def to_world(scan: Scan) -> list[Ray]:
-    """Turn a scan into world-frame rays, one per hit point.
+def to_world(scan: Scan) -> np.ndarray:
+    """World-frame hit points of a scan, (N, m), one row per ray.
 
-    Every ray starts at the sensor position and ends at the transformed hit.
-    Raises if any point is non-finite or coincides with the origin.
+    Each ray runs from the sensor position ``scan.pose.translation`` to its
+    row.  Raises if any point is non-finite or coincides with the origin.
     """
     pts = scan.points
     bad = ~np.all(np.isfinite(pts), axis=1)
     if np.any(bad):
         raise ValueError(f"scan point {int(np.argmax(bad))} is non-finite")
     world = scan.pose.apply(pts)
-    origin = scan.pose.translation
-    lengths = np.linalg.norm(world - origin, axis=1)
+    lengths = np.linalg.norm(world - scan.pose.translation, axis=1)
     if np.any(lengths <= 0.0):
         raise ValueError(f"scan point {int(np.argmax(lengths <= 0.0))} coincides with the sensor origin")
-    return [Ray(origin, world[i]) for i in range(world.shape[0])]
-
-
-def rays_to_arrays(rays) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a ray sequence into (origins, endpoints) arrays of shape (R, m)."""
-    if len(rays) == 0:
-        raise ValueError("empty ray sequence")
-    o = np.stack([r.origin for r in rays])
-    e = np.stack([r.endpoint for r in rays])
-    return o, e
-
-
-def rays_from_arrays(origins: _F, endpoints: _F) -> list[Ray]:
-    o = np.asarray(origins, dtype=np.float64)
-    e = np.asarray(endpoints, dtype=np.float64)
-    return [Ray(o[i], e[i]) for i in range(o.shape[0])]
+    return world
 
 
 @dataclass(frozen=True)
@@ -232,24 +195,33 @@ class SceneTransform:
         return np.asarray(points, dtype=np.float64) * self.scale + self.center
 
 
-def normalize_scene(rays, box: Aabb) -> tuple[list[Ray], SceneTransform]:
-    """Map rays from world coordinates into the canonical cube [-1, 1]^m.
+def normalize_scene(
+    origins: _F, endpoints: _F, box: Aabb
+) -> tuple[tuple[np.ndarray, np.ndarray], SceneTransform]:
+    """Map (R, m) ray arrays from world coordinates into the canonical cube.
 
-    Rays whose endpoint or origin falls outside ``box`` are dropped (and
-    counted on the returned transform); every surviving sample position,
-    origin through endpoint, then lies inside the cube.  The scale is the
-    largest half-extent of the box, applied uniformly so the distance metric
-    is preserved up to that single factor.
+    Row i is the ray from ``origins[i]`` to ``endpoints[i]``; the arrays must
+    share one (R, m) shape with finite entries and no zero-length ray.  Rays
+    whose endpoint or origin falls outside ``box`` are dropped (and counted on
+    the returned transform); every surviving sample position, origin through
+    endpoint, then lies inside [-1, 1]^m.  The scale is the largest
+    half-extent of the box, applied uniformly so the distance metric is
+    preserved up to that single factor.  Returns the canonical
+    (origins, endpoints) pair and the transform.
     """
-    if len(rays) == 0:
-        raise ValueError("empty ray sequence")
-    o, e = rays_to_arrays(rays)
+    o = _as_float_array(origins, "origins")
+    e = _as_float_array(endpoints, "endpoints")
+    if o.shape != e.shape or o.ndim != 2:
+        raise ValueError(f"origins/endpoints must share shape (R, m), got {o.shape}/{e.shape}")
+    if o.shape[0] == 0:
+        raise ValueError("empty ray arrays")
+    short = np.linalg.norm(e - o, axis=1) <= 0.0
+    if np.any(short):
+        raise ValueError(f"ray {int(np.argmax(short))} has zero length")
     keep = box.contains(e) & box.contains(o)
     dropped = int(np.sum(~keep))
     if not np.any(keep):
         raise ValueError("no rays remain inside the box after filtering")
     scale = float(np.max(box.half_extent))
     tf = SceneTransform(center=box.center, scale=scale, dropped=dropped)
-    oc = tf.to_canonical(o[keep])
-    ec = tf.to_canonical(e[keep])
-    return rays_from_arrays(oc, ec), tf
+    return (tf.to_canonical(o[keep]), tf.to_canonical(e[keep])), tf

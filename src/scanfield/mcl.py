@@ -33,6 +33,19 @@ def wrap_angle(theta):
     return np.mod(np.asarray(theta) + np.pi, 2.0 * np.pi) - np.pi
 
 
+def relative_deltas(traj: np.ndarray) -> np.ndarray:
+    """Robot-frame odometry between consecutive (x, y, heading) rows; row 0 is zero."""
+    deltas = np.zeros_like(traj)
+    for k in range(1, traj.shape[0]):
+        px, py, pth = traj[k - 1]
+        dxw, dyw = traj[k, 0] - px, traj[k, 1] - py
+        c, s = np.cos(-pth), np.sin(-pth)
+        deltas[k, 0] = c * dxw - s * dyw
+        deltas[k, 1] = s * dxw + c * dyw
+        deltas[k, 2] = float(wrap_angle(traj[k, 2] - pth))
+    return deltas
+
+
 @dataclass(frozen=True)
 class MclConfig:
     n_particles: int = DEFAULT_PARTICLES

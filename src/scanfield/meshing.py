@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._mc_tables import CUBE_EDGE_FLAGS, CUBE_TRIANGLES
+from ._mc_tables import CUBE_TRIANGLES
 from .geom import Aabb
 
 MIN_TRI_AREA = 1e-12

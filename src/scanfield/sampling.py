@@ -17,12 +17,8 @@ batch helper returns precomputed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import numpy.typing as npt
-
-from .geom import Ray
 
 _F = npt.NDArray[np.floating]
 
@@ -35,36 +31,6 @@ def schedule(n: int) -> np.ndarray:
         raise ValueError(f"need at least 2 samples per ray, got {n}")
     ell = np.arange(1, n + 1, dtype=np.float64)
     return (1.0 - 10.0 ** (ell / (n - 1) - 1.0)) / 0.9
-
-
-@dataclass(frozen=True)
-class RaySample:
-    """One training sample on a ray."""
-
-    position: np.ndarray
-    t: float
-    ray_distance: float
-    ray: Ray
-
-
-def sample_ray(ray: Ray, n: int = DEFAULT_SAMPLES, drop_behind_origin: bool = False) -> list[RaySample]:
-    """Place n schedule samples on one ray."""
-    t = schedule(n)
-    if drop_behind_origin:
-        t = t[t >= 0.0]
-    length = ray.length
-    seg = ray.endpoint - ray.origin
-    out = []
-    for ti in t:
-        out.append(
-            RaySample(
-                position=ray.origin + ti * seg,
-                t=float(ti),
-                ray_distance=float((1.0 - ti) * length),
-                ray=ray,
-            )
-        )
-    return out
 
 
 def sample_rays_batch(

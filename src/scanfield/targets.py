@@ -39,8 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .geom import Ray
-
 _F = npt.NDArray[np.floating]
 
 GRAD_EPS = 1e-8
@@ -54,144 +52,6 @@ class SupervisionMode(enum.Enum):
     RAY_DISTANCE = "ray"
     CLOSEST_NORMAL = "dcn"
     CURVATURE_CONSTRAINED = "curvature"
-
-
-class DegenerateGradient(ValueError):
-    """Gradient too small to define a surface direction."""
-
-
-def normal_dir(gradient: _F, eps: float = GRAD_EPS) -> np.ndarray:
-    """Unit direction toward the closest surface: the negated, normalized gradient."""
-    g = np.asarray(gradient, dtype=np.float64)
-    n = float(np.linalg.norm(g))
-    if n < eps:
-        raise DegenerateGradient(f"gradient norm {n:.3e} below {eps:.1e}")
-    return -g / n
-
-
-def principal_curvature_sum(gradient: _F, hessian: _F, eps: float = GRAD_EPS) -> float:
-    """Divergence of the unit gradient: sum of the level set's principal curvatures."""
-    g = np.asarray(gradient, dtype=np.float64)
-    h = np.asarray(hessian, dtype=np.float64)
-    n = float(np.linalg.norm(g))
-    if n < eps:
-        raise DegenerateGradient(f"gradient norm {n:.3e} below {eps:.1e}")
-    return float(np.trace(h) / n - g @ h @ g / n**3)
-
-
-def mean_curvature(gradient: _F, hessian: _F, eps: float = GRAD_EPS) -> float:
-    """Half the principal-curvature sum (the 3D mean-curvature convention)."""
-    return 0.5 * principal_curvature_sum(gradient, hessian, eps)
-
-
-def iso_curvature(
-    gradient: _F,
-    hessian: _F,
-    r_min: float = ROC_MIN,
-    r_max: float = ROC_MAX,
-    eps: float = GRAD_EPS,
-) -> tuple[float, float]:
-    """Isotropic curvature of the level set and its radius.
-
-    kappa = |div(grad/|grad|)| / (m - 1), which recovers 1/R on circles and
-    spheres alike (the principal-curvature sum counts m - 1 identical
-    sections).  The radius 1/kappa is clamped to [r_min, r_max]; flat regions
-    (kappa = 0) return r_max.
-    """
-    m = np.asarray(gradient).shape[0]
-    kappa = abs(principal_curvature_sum(gradient, hessian, eps)) / (m - 1)
-    if kappa <= 1.0 / r_max:
-        return kappa, r_max
-    return kappa, float(np.clip(1.0 / kappa, r_min, r_max))
-
-
-def dcn_distance(n_unit: _F, ray: Ray, x: _F) -> float:
-    """Ray distance projected onto the surface-normal direction."""
-    n = np.asarray(n_unit, dtype=np.float64)
-    return float(n @ (ray.endpoint - np.asarray(x, dtype=np.float64)))
-
-
-def curvature_distance(r: float, ray: Ray, x: _F, n_unit: _F) -> float:
-    """Signed distance to the curvature-matched sphere through the endpoint.
-
-    With center c = x + r * n_unit, returns |x - c| - |e - c|, expanded so the
-    radicand d^2 + r^2 - 2 r p (p the normal projection) is clamped at zero to
-    absorb rounding; with a unit normal it is analytically >= d^2 - p^2 >= 0.
-    """
-    xq = np.asarray(x, dtype=np.float64)
-    n = np.asarray(n_unit, dtype=np.float64)
-    delta = ray.endpoint - xq
-    d2 = float(delta @ delta)
-    p = float(n @ delta)
-    radicand = d2 + r * r - 2.0 * r * p
-    return float(r - np.sqrt(max(radicand, 0.0)))
-
-
-def sample_weight(d_pred_abs: float, d_max: float, gamma: float) -> float:
-    """Emphasis weight (d_max - |D|)^gamma, zero at the batch's largest |D|.
-
-    Treated as a constant during optimization; no derivative flows through it.
-    """
-    return float(max(d_max - d_pred_abs, 0.0) ** gamma)
-
-
-@dataclass(frozen=True)
-class DistanceEstimate:
-    """One sample's frozen supervision record."""
-
-    d_hat: float
-    weight: float
-    roc_query: float
-    roc_surface: float
-    normal_unit: np.ndarray
-
-
-def estimate_sample(
-    mode: SupervisionMode,
-    value: float,
-    gradient: _F,
-    hessian: _F,
-    ray: Ray,
-    x: _F,
-    d_max: float,
-    tau: float = DEFAULT_TAU,
-    gamma: float = DEFAULT_GAMMA,
-    r_min: float = ROC_MIN,
-    r_max: float = ROC_MAX,
-) -> DistanceEstimate:
-    """Assemble one sample's target.
-
-    Degenerate gradients and negative raw estimates both fall back to the ray
-    distance (see the module note on why negatives must not clamp to zero).
-    """
-    xq = np.asarray(x, dtype=np.float64)
-    delta = ray.endpoint - xq
-    d = float(np.linalg.norm(delta))
-    weight = sample_weight(abs(value), d_max, gamma)
-    ray_fallback = mode is SupervisionMode.RAY_DISTANCE
-    if not ray_fallback:
-        try:
-            n = normal_dir(gradient)
-            if mode is SupervisionMode.CLOSEST_NORMAL:
-                d_raw, roc_q, roc_s = dcn_distance(n, ray, xq), r_max, d
-            else:
-                _, r = iso_curvature(gradient, hessian, r_min, r_max)
-                d_raw = curvature_distance(r, ray, xq, n)
-                roc_q, roc_s = r, r - d_raw
-            if d_raw < 0.0:
-                ray_fallback = True
-        except DegenerateGradient:
-            ray_fallback = True
-    if ray_fallback:
-        n = delta / d if d > 0.0 else np.zeros_like(xq)
-        d_raw, roc_q, roc_s = d, r_max, d
-    return DistanceEstimate(
-        d_hat=float(np.clip(d_raw, 0.0, tau)),
-        weight=weight,
-        roc_query=roc_q,
-        roc_surface=roc_s,
-        normal_unit=n,
-    )
 
 
 @dataclass

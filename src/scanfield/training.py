@@ -32,7 +32,6 @@ from scipy.spatial import cKDTree
 from . import field as field_mod
 from . import sampling
 from .field import FieldNet, ParamGrads
-from .geom import Ray, rays_to_arrays
 from .targets import GRAD_EPS, ROC_MAX, ROC_MIN, SupervisionMode, TargetBatch, compute_targets
 
 _F = npt.NDArray[np.floating]
@@ -118,11 +117,6 @@ def make_batch(
         ray_index=ray_index,
         sample_endpoints=e[ray_index],
     )
-
-
-def residual(d_pred: float, d_hat: float) -> float:
-    """Absolute prediction error against the frozen target."""
-    return abs(d_pred - d_hat)
 
 
 def neighbor_pairs(positions: _F, k: int) -> np.ndarray:
@@ -315,7 +309,7 @@ def adamw_step(net: FieldNet, grads: ParamGrads, cfg: OptimConfig, state: AdamSt
 
 def train(
     net: FieldNet,
-    rays,
+    rays: tuple[_F, _F],
     optim: OptimConfig,
     weights: LossWeights,
     mode: SupervisionMode,
@@ -323,15 +317,13 @@ def train(
 ) -> tuple[FieldNet, list[LossBreakdown]]:
     """Optimize the field over canonical-frame rays.
 
-    ``rays`` is a sequence of Ray or an (origins, endpoints) array pair.
-    Epochs reshuffle rays with the seeded generator; each batch recomputes
-    targets under ``mode`` (or the projection mode during warm-up steps),
-    takes one optimizer step, and the per-epoch mean breakdown is recorded.
+    ``rays`` is the (origins, endpoints) pair of (R, m) arrays that
+    ``geom.normalize_scene`` returns.  Epochs reshuffle rays with the seeded
+    generator; each batch recomputes targets under ``mode`` (or the
+    projection mode during warm-up steps), takes one optimizer step, and the
+    per-epoch mean breakdown is recorded.
     """
-    if isinstance(rays, tuple):
-        origins, endpoints = (np.asarray(a, dtype=np.float64) for a in rays)
-    else:
-        origins, endpoints = rays_to_arrays(rays)
+    origins, endpoints = (np.asarray(a, dtype=np.float64) for a in rays)
     rng = np.random.default_rng(optim.seed)
     state = AdamState.zeros_like(net)
     history: list[LossBreakdown] = []

@@ -253,3 +253,10 @@ def test_exit_codes(tiny, tmp_path):
                "--config", cfg) == 1
     assert run("synth", "--scene", scene2, "--traj", "orbit:radius=2,steps=2",
                "--out", tmp_path / "x", "--threads", "0") == 2
+    # planes alone bound no region to sample the band in or to orbit
+    planes = tmp_path / "planes.txt"
+    planes.write_text("\n".join(ROOM_SCENE.strip().splitlines()[:4]) + "\n")
+    assert run("eval-sdf", "--model", "oracle", "--scene", planes, "--config", cfg) == 2
+    assert run("compare", "--scene", planes, "--config", cfg) == 2
+    assert run("compare", "--scene", planes, "--traj", "orbit:radius=2,steps=2",
+               "--config", cfg) == 2

@@ -1,17 +1,7 @@
 import numpy as np
 import pytest
 
-from scanfield.geom import (
-    Aabb,
-    Pose,
-    Ray,
-    Scan,
-    SceneTransform,
-    normalize_scene,
-    rays_from_arrays,
-    rays_to_arrays,
-    to_world,
-)
+from scanfield.geom import Aabb, Pose, Scan, SceneTransform, normalize_scene, to_world
 
 
 def test_pose_identity_roundtrip():
@@ -46,13 +36,23 @@ def test_from_xytheta_matches_manual_rotation():
 
 
 def test_ray_validation():
-    with pytest.raises(ValueError):
-        Ray(np.zeros(3), np.zeros(3))  # zero length
-    with pytest.raises(ValueError):
-        Ray(np.zeros(3), np.array([np.inf, 0.0, 0.0]))
-    r = Ray(np.zeros(3), np.array([0.0, 3.0, 4.0]))
-    assert r.length == 5.0
-    np.testing.assert_allclose(r.direction, [0.0, 0.6, 0.8])
+    box = Aabb.cube(np.zeros(3), 10.0)
+    o = np.zeros((2, 3))
+    e = np.array([[0.0, 3.0, 4.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="ray 1 has zero length"):
+        normalize_scene(o, np.array([[0.0, 3.0, 4.0], [0.0, 0.0, 0.0]]), box)
+    with pytest.raises(ValueError, match="non-finite"):
+        normalize_scene(o, np.array([[np.inf, 0.0, 0.0], [1.0, 0.0, 0.0]]), box)
+    with pytest.raises(ValueError, match="non-finite"):
+        normalize_scene(np.full((2, 3), np.nan), e, box)
+    with pytest.raises(ValueError, match="shape"):
+        normalize_scene(o[:1], e, box)
+    with pytest.raises(ValueError, match="shape"):
+        normalize_scene(o[0], e[0], box)
+    with pytest.raises(ValueError, match="empty"):
+        normalize_scene(np.zeros((0, 3)), np.zeros((0, 3)), box)
+    (oc, ec), _ = normalize_scene(o, e, box)
+    np.testing.assert_allclose(np.linalg.norm(ec - oc, axis=1) * 10.0, [5.0, 1.0])
 
 
 def test_scan_dim_mismatch():
@@ -77,25 +77,14 @@ def test_aabb_cube():
 def test_to_world_transforms_sensor_points():
     pose = Pose.from_xytheta(1.0, 0.0, np.pi / 2)
     scan = Scan(pose, np.array([[2.0, 0.0]]))  # ahead of the sensor
-    (ray,) = to_world(scan)
-    np.testing.assert_allclose(ray.origin, [1.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(ray.endpoint, [1.0, 2.0], atol=1e-12)
+    # one row per ray: its world endpoint; the origin is the pose translation
+    np.testing.assert_allclose(to_world(scan), [[1.0, 2.0]], atol=1e-12)
 
 
 def test_to_world_rejects_zero_range_point():
     scan = Scan(Pose.identity(2), np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="1"):
         to_world(scan)
-
-
-def test_ray_array_roundtrip():
-    rays = [Ray(np.zeros(2), np.array([1.0, float(i + 1)])) for i in range(3)]
-    o, e = rays_to_arrays(rays)
-    back = rays_from_arrays(o, e)
-    assert len(back) == 3
-    for a, b in zip(rays, back):
-        np.testing.assert_array_equal(a.origin, b.origin)
-        np.testing.assert_array_equal(a.endpoint, b.endpoint)
 
 
 def test_scene_transform_roundtrip():
@@ -108,20 +97,20 @@ def test_scene_transform_roundtrip():
 
 def test_normalize_scene_scale_is_max_half_extent():
     box = Aabb(np.array([-1.0, -4.0]), np.array([3.0, 2.0]))
-    rays = [Ray(np.array([0.0, 0.0]), np.array([1.0, 1.0]))]
-    canon, tf = normalize_scene(rays, box)
+    (o, _), tf = normalize_scene(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]), box)
     assert tf.scale == 3.0  # half extents (2, 3)
     np.testing.assert_array_equal(tf.center, [1.0, -1.0])
-    np.testing.assert_allclose(canon[0].origin, (np.array([0.0, 0.0]) - tf.center) / 3.0)
+    np.testing.assert_allclose(o[0], (np.array([0.0, 0.0]) - tf.center) / 3.0)
 
 
 def test_normalize_scene_drops_rays_leaving_box():
     box = Aabb(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    keep = Ray(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
-    endpoint_out = Ray(np.array([0.0, 0.0]), np.array([2.0, 0.0]))
-    origin_out = Ray(np.array([-3.0, 0.0]), np.array([0.5, 0.0]))
-    canon, tf = normalize_scene([keep, endpoint_out, origin_out], box)
-    assert len(canon) == 1
+    # rows: kept, endpoint outside, origin outside
+    origins = np.array([[0.0, 0.0], [0.0, 0.0], [-3.0, 0.0]])
+    endpoints = np.array([[0.5, 0.5], [2.0, 0.0], [0.5, 0.0]])
+    (o, e), tf = normalize_scene(origins, endpoints, box)
+    assert o.shape == e.shape == (1, 2)
+    np.testing.assert_array_equal(e[0], [0.5, 0.5])
     assert tf.dropped == 2
 
 
@@ -129,9 +118,7 @@ def test_normalized_rays_fit_unit_cube():
     rng = np.random.default_rng(0)
     origins = rng.uniform(-5, 5, size=(40, 3))
     endpoints = rng.uniform(-5, 5, size=(40, 3))
-    rays = rays_from_arrays(origins, endpoints)
     box = Aabb(-5 * np.ones(3), 5 * np.ones(3))
-    canon, _ = normalize_scene(rays, box)
-    o, e = rays_to_arrays(canon)
+    (o, e), _ = normalize_scene(origins, endpoints, box)
     assert np.all(np.abs(o) <= 1.0 + 1e-12)
     assert np.all(np.abs(e) <= 1.0 + 1e-12)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from scanfield.geom import Ray
-from scanfield.sampling import sample_ray, sample_rays_batch, schedule
+from scanfield.sampling import sample_rays_batch, schedule
 
 
 def test_schedule_hits_zero_exactly():
@@ -33,25 +32,34 @@ def test_schedule_rejects_tiny_counts():
 
 
 def test_sample_ray_positions_and_distances():
-    ray = Ray(np.array([1.0, 0.0]), np.array([3.0, 0.0]))
-    samples = sample_ray(ray, 10)
-    assert len(samples) == 10
-    for s in samples:
-        np.testing.assert_allclose(s.position, ray.origin + s.t * (ray.endpoint - ray.origin))
-        assert abs(s.ray_distance - (1.0 - s.t) * 2.0) < 1e-15
+    origin, endpoint = np.array([1.0, 0.0]), np.array([3.0, 0.0])
+    pos, dist, idx = sample_rays_batch(origin[None], endpoint[None], 10)
+    t = schedule(10)
+    assert pos.shape == (10, 2) and dist.shape == (10,)
+    np.testing.assert_array_equal(idx, 0)
+    for k in range(10):
+        np.testing.assert_allclose(pos[k], origin + t[k] * (endpoint - origin))
+        assert abs(dist[k] - (1.0 - t[k]) * 2.0) < 1e-15
     # the schedule's zero lands on the sensor: full ray length to the endpoint
-    assert samples[8].t == 0.0
-    assert samples[8].ray_distance == 2.0
-    np.testing.assert_allclose(samples[8].position, [1.0, 0.0])
+    assert t[8] == 0.0
+    assert dist[8] == 2.0
+    np.testing.assert_allclose(pos[8], [1.0, 0.0])
     # first sample is the closest to the surface
-    assert samples[0].ray_distance == min(s.ray_distance for s in samples)
+    assert dist[0] == dist.min()
 
 
 def test_drop_behind_origin():
-    ray = Ray(np.zeros(2), np.array([1.0, 0.0]))
-    kept = sample_ray(ray, 40, drop_behind_origin=True)
-    assert len(kept) == 39
-    assert all(s.t >= 0.0 for s in kept)
+    pos, dist, _ = sample_rays_batch(np.zeros((1, 2)), np.array([[1.0, 0.0]]), 40,
+                                     drop_behind_origin=True)
+    assert pos.shape == (39, 2)
+    assert np.all(pos[:, 0] >= 0.0)  # t >= 0: nothing behind the sensor
+    assert np.all(dist <= 1.0)
+
+
+def _sample_one_ray(origin, endpoint, n):
+    """Scalar reference: (position, distance to endpoint) per schedule parameter."""
+    length = float(np.linalg.norm(endpoint - origin))
+    return [(origin + ti * (endpoint - origin), (1.0 - ti) * length) for ti in schedule(n)]
 
 
 def test_batch_matches_scalar_path():
@@ -62,9 +70,9 @@ def test_batch_matches_scalar_path():
     assert pos.shape == (42, 3)
     k = 0
     for i in range(6):
-        for s in sample_ray(Ray(origins[i], endpoints[i]), 7):
-            np.testing.assert_allclose(pos[k], s.position, atol=1e-12)
-            assert abs(dist[k] - s.ray_distance) < 1e-12
+        for position, ray_distance in _sample_one_ray(origins[i], endpoints[i], 7):
+            np.testing.assert_allclose(pos[k], position, atol=1e-12)
+            assert abs(dist[k] - ray_distance) < 1e-12
             assert idx[k] == i
             k += 1
 

@@ -1,21 +1,96 @@
 import numpy as np
 import pytest
 
-from scanfield.geom import Ray
-from scanfield.scenes import AnalyticScene, Sphere, oracle_jet
-from scanfield.targets import (
-    DegenerateGradient,
-    SupervisionMode,
-    compute_targets,
-    curvature_distance,
-    dcn_distance,
-    estimate_sample,
-    iso_curvature,
-    mean_curvature,
-    normal_dir,
-    principal_curvature_sum,
-    sample_weight,
-)
+from scanfield.scenes import AnalyticScene, Sphere
+from scanfield.targets import GRAD_EPS, ROC_MAX, ROC_MIN, SupervisionMode, compute_targets
+
+# ---------------------------------------------------------------------------
+# Scalar reference: one sample at a time, the reference that the batched
+# compute_targets is checked against.
+
+
+class DegenerateGradient(ValueError):
+    """Gradient too small to define a surface direction."""
+
+
+def normal_dir(gradient, eps=GRAD_EPS):
+    """Unit direction toward the closest surface: the negated, normalized gradient."""
+    g = np.asarray(gradient, dtype=np.float64)
+    n = float(np.linalg.norm(g))
+    if n < eps:
+        raise DegenerateGradient(f"gradient norm {n:.3e} below {eps:.1e}")
+    return -g / n
+
+
+def principal_curvature_sum(gradient, hessian, eps=GRAD_EPS):
+    """Divergence of the unit gradient: sum of the level set's principal curvatures."""
+    g = np.asarray(gradient, dtype=np.float64)
+    h = np.asarray(hessian, dtype=np.float64)
+    n = float(np.linalg.norm(g))
+    if n < eps:
+        raise DegenerateGradient(f"gradient norm {n:.3e} below {eps:.1e}")
+    return float(np.trace(h) / n - g @ h @ g / n**3)
+
+
+def iso_curvature(gradient, hessian, r_min=ROC_MIN, r_max=ROC_MAX, eps=GRAD_EPS):
+    """kappa = |principal sum| / (m - 1) and its radius, clamped to [r_min, r_max]."""
+    m = np.asarray(gradient).shape[0]
+    kappa = abs(principal_curvature_sum(gradient, hessian, eps)) / (m - 1)
+    if kappa <= 1.0 / r_max:
+        return kappa, r_max
+    return kappa, float(np.clip(1.0 / kappa, r_min, r_max))
+
+
+def dcn_distance(n_unit, endpoint, x):
+    """Ray distance projected onto the surface-normal direction."""
+    return float(np.asarray(n_unit) @ (endpoint - np.asarray(x, dtype=np.float64)))
+
+
+def curvature_distance(r, endpoint, x, n_unit):
+    """Signed distance to the curvature-matched sphere through the endpoint."""
+    delta = endpoint - np.asarray(x, dtype=np.float64)
+    d2 = float(delta @ delta)
+    p = float(np.asarray(n_unit) @ delta)
+    radicand = d2 + r * r - 2.0 * r * p
+    return float(r - np.sqrt(max(radicand, 0.0)))
+
+
+def sample_weight(d_pred_abs, d_max, gamma):
+    """Emphasis weight (d_max - |D|)^gamma, zero at the batch's largest |D|."""
+    return float(max(d_max - d_pred_abs, 0.0) ** gamma)
+
+
+def estimate_sample(mode, value, gradient, hessian, endpoint, x, d_max,
+                    tau=0.2, gamma=3.0, r_min=ROC_MIN, r_max=ROC_MAX):
+    """One sample's (d_hat, weight, roc_query, normal_unit).
+
+    Degenerate gradients and negative raw estimates both fall back to the ray
+    distance.
+    """
+    xq = np.asarray(x, dtype=np.float64)
+    delta = endpoint - xq
+    d = float(np.linalg.norm(delta))
+    weight = sample_weight(abs(value), d_max, gamma)
+    ray_fallback = mode is SupervisionMode.RAY_DISTANCE
+    if not ray_fallback:
+        try:
+            n = normal_dir(gradient)
+            if mode is SupervisionMode.CLOSEST_NORMAL:
+                d_raw, roc_q = dcn_distance(n, endpoint, xq), r_max
+            else:
+                _, r = iso_curvature(gradient, hessian, r_min, r_max)
+                d_raw, roc_q = curvature_distance(r, endpoint, xq, n), r
+            if d_raw < 0.0:
+                ray_fallback = True
+        except DegenerateGradient:
+            ray_fallback = True
+    if ray_fallback:
+        n = delta / d if d > 0.0 else np.zeros_like(xq)
+        d_raw, roc_q = d, r_max
+    return float(np.clip(d_raw, 0.0, tau)), weight, roc_q, n
+
+
+# ---------------------------------------------------------------------------
 
 
 def _sphere_level_jet(dist, m):
@@ -27,9 +102,20 @@ def _sphere_level_jet(dist, m):
     return g, h
 
 
+def _one(mode, g, h, x, e, value=0.0, **kw):
+    """compute_targets on a one-row batch."""
+    return compute_targets(mode, np.array([value]), np.asarray(g)[None], np.asarray(h)[None],
+                           np.asarray(x, dtype=np.float64)[None], np.asarray(e)[None], **kw)
+
+
 def test_normal_dir_points_against_gradient():
-    n = normal_dir(np.array([0.0, 3.0]))
-    np.testing.assert_allclose(n, [0.0, -1.0])
+    x, e = np.zeros(2), np.array([0.0, -0.1])
+    tb = _one(SupervisionMode.CLOSEST_NORMAL, [0.0, 3.0], np.zeros((2, 2)), x, e)
+    assert not tb.degenerate[0]
+    np.testing.assert_allclose(tb.normal_unit[0], [0.0, -1.0])
+    tb = _one(SupervisionMode.CLOSEST_NORMAL, np.zeros(2), np.zeros((2, 2)), x, e)
+    assert tb.degenerate[0]  # vanishing gradient: fall back to the ray direction
+    np.testing.assert_allclose(tb.normal_unit[0], [0.0, -1.0])
     with pytest.raises(DegenerateGradient):
         normal_dir(np.zeros(3))
 
@@ -38,15 +124,27 @@ def test_curvature_at_distance_two_from_sphere_center():
     # Level set through a point 2 away from the center is a radius-2 sphere.
     for m in (2, 3):
         g, h = _sphere_level_jet(2.0, m)
+        x = 2.0 * g
+        tb = _one(SupervisionMode.CURVATURE_CONSTRAINED, g, h, x, x - 0.5 * g)
+        assert not tb.degenerate[0]
+        assert abs(tb.roc_query[0] - 2.0) < 1e-12
         kappa, r = iso_curvature(g, h)
         assert abs(kappa - 0.5) < 1e-12
         assert abs(r - 2.0) < 1e-12
 
 
 def test_principal_sum_and_mean():
+    # A 3D sphere of radius 2 bends in both sections (principal sum 1); a
+    # cylinder of radius 2 in one (sum 0.5).  The isotropic radius is the
+    # reciprocal of the sum's mean over the m - 1 = 2 sections.
     g, h = _sphere_level_jet(2.0, 3)
     assert abs(principal_curvature_sum(g, h) - 1.0) < 1e-12
-    assert abs(mean_curvature(g, h) - 0.5) < 1e-12
+    h_cyl = np.diag([0.0, 0.5, 0.0])
+    assert abs(principal_curvature_sum(g, h_cyl) - 0.5) < 1e-12
+    x = 2.0 * g
+    for hess, radius in ((h, 2.0), (h_cyl, 4.0)):
+        tb = _one(SupervisionMode.CURVATURE_CONSTRAINED, g, hess, x, x - 0.5 * g)
+        assert abs(tb.roc_query[0] - radius) < 1e-12
 
 
 def test_flat_region_radius_saturates():
@@ -55,19 +153,27 @@ def test_flat_region_radius_saturates():
     kappa, r = iso_curvature(g, h)
     assert kappa == 0.0
     assert r == 1e6
+    tb = _one(SupervisionMode.CURVATURE_CONSTRAINED, g, h, np.zeros(2), np.array([0.0, -0.1]))
+    assert not tb.degenerate[0]
+    assert tb.roc_query[0] == 1e6
 
 
 def test_radius_clamped_below():
     g, h = _sphere_level_jet(1e-5, 3)  # curvature 1e5 -> radius 1e-5 < floor
     _, r = iso_curvature(g, h)
     assert r == 1e-3
+    tb = _one(SupervisionMode.CURVATURE_CONSTRAINED, g, h, np.zeros(3), -5e-4 * g)
+    assert not tb.degenerate[0]
+    assert tb.roc_query[0] == 1e-3
 
 
 def test_dcn_projection():
-    ray = Ray(np.zeros(2), np.array([2.0, 1.0]))
+    e = np.array([2.0, 1.0])
     x = np.array([1.0, 0.5])
     n = np.array([1.0, 0.0])
-    assert abs(dcn_distance(n, ray, x) - 1.0) < 1e-15
+    assert abs(dcn_distance(n, e, x) - 1.0) < 1e-15
+    tb = _one(SupervisionMode.CLOSEST_NORMAL, -n, np.zeros((2, 2)), x, e, tau=np.inf)
+    assert abs(tb.d_hat[0] - 1.0) < 1e-15
 
 
 def test_curvature_distance_radicand_anchor():
@@ -75,8 +181,11 @@ def test_curvature_distance_radicand_anchor():
     x = np.zeros(2)
     n = np.array([1.0, 0.0])
     e = np.array([1.25, np.sqrt(2.0 - 1.25**2)])
-    ray = Ray(np.array([-1.0, 0.0]), e)
-    assert abs(curvature_distance(2.0, ray, x, n) - 1.0) < 1e-12
+    assert abs(curvature_distance(2.0, e, x, n) - 1.0) < 1e-12
+    h = np.diag([0.0, 0.5])  # level-set curvature 1/2 across the normal
+    tb = _one(SupervisionMode.CURVATURE_CONSTRAINED, -n, h, x, e, tau=np.inf)
+    assert abs(tb.roc_query[0] - 2.0) < 1e-12
+    assert abs(tb.d_hat[0] - 1.0) < 1e-12
 
 
 def test_curvature_distance_exact_on_concentric_levels():
@@ -87,37 +196,33 @@ def test_curvature_distance_exact_on_concentric_levels():
     for m in (2, 3):
         center = rng.normal(size=m)
         scene = AnalyticScene((Sphere(center, 1.0),))
-        for _ in range(200):
-            u = rng.normal(size=m)
-            u /= np.linalg.norm(u)
-            rho = rng.uniform(1.2, 3.0)
-            x = center + rho * u
-            v = rng.normal(size=m)
-            v /= np.linalg.norm(v)
-            e = center + v  # any surface point
-            if np.linalg.norm(e - x) < 1e-6:
-                continue
-            jet = oracle_jet(scene, x)
-            n = normal_dir(jet.gradient)
-            _, r = iso_curvature(jet.gradient, jet.hessian)
-            ray = Ray(x + 2.0 * u, e)
-            d_hat = curvature_distance(r, ray, x, n)
-            assert abs(d_hat - (rho - 1.0)) < 1e-9
+        u = rng.normal(size=(200, m))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        rho = rng.uniform(1.2, 3.0, size=200)
+        x = center + rho[:, None] * u
+        v = rng.normal(size=(200, m))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        e = center + v  # any surface point
+        vals, g, h = scene.jet(x)
+        tb = compute_targets(SupervisionMode.CURVATURE_CONSTRAINED, vals, g, h, x, e, tau=np.inf)
+        assert not np.any(tb.degenerate)
+        np.testing.assert_allclose(tb.d_hat, rho - 1.0, rtol=0.0, atol=1e-9)
 
 
 def test_curvature_matches_projection_in_flat_limit():
     # With the radius saturated at 1e6 the curvature target collapses to the
     # normal projection up to d^2 / (2 r).
     rng = np.random.default_rng(7)
-    n = np.array([0.0, 0.0, 1.0])
-    for _ in range(200):
-        x = rng.normal(size=3)
-        e = x + rng.uniform(0.1, 1.0) * rng.normal(size=3)
-        ray = Ray(x - np.array([0.0, 0.0, 3.0]), e)
-        d = float(np.linalg.norm(e - x))
-        cd = curvature_distance(1e6, ray, x, n)
-        dcn = dcn_distance(n, ray, x)
-        assert abs(cd - dcn) < 1e-3 * d
+    x = rng.normal(size=(200, 3))
+    e = x + rng.uniform(0.1, 1.0, size=(200, 1)) * rng.normal(size=(200, 3))
+    g = np.tile([0.0, 0.0, -1.0], (200, 1))  # normal +z
+    h = np.zeros((200, 3, 3))
+    vals = np.zeros(200)
+    d = np.linalg.norm(e - x, axis=1)
+    cd = compute_targets(SupervisionMode.CURVATURE_CONSTRAINED, vals, g, h, x, e, tau=np.inf)
+    dcn = compute_targets(SupervisionMode.CLOSEST_NORMAL, vals, g, h, x, e, tau=np.inf)
+    np.testing.assert_array_equal(cd.degenerate, dcn.degenerate)
+    assert np.all(np.abs(cd.d_hat - dcn.d_hat) < 1e-3 * d)
 
 
 def test_sample_weight_anchor():
@@ -128,35 +233,35 @@ def test_sample_weight_anchor():
 
 def test_estimate_sample_clamps_to_band():
     x = np.zeros(2)
-    ray = Ray(np.array([-1.0, 0.0]), np.array([1.0, 0.0]))
+    e = np.array([1.0, 0.0])
     g = np.array([-1.0, 0.0])  # surface ahead along +x
     h = np.zeros((2, 2))
-    est = estimate_sample(
-        SupervisionMode.RAY_DISTANCE, 0.0, g, h, ray, x, d_max=1.0, tau=0.2
+    d_hat, _, _, _ = estimate_sample(
+        SupervisionMode.RAY_DISTANCE, 0.0, g, h, e, x, d_max=1.0, tau=0.2
     )
-    assert est.d_hat == 0.2  # raw distance 1.0 clipped to the band
+    assert d_hat == 0.2  # raw distance 1.0 clipped to the band
     # A normal pointing away from the endpoint would give a negative raw
     # target; the sample falls back to ray distance (1.0) and band-clamps.
-    est2 = estimate_sample(
-        SupervisionMode.CLOSEST_NORMAL, 0.0, np.array([1.0, 0.0]), h, ray, x, d_max=1.0
+    d_hat2, _, _, _ = estimate_sample(
+        SupervisionMode.CLOSEST_NORMAL, 0.0, np.array([1.0, 0.0]), h, e, x, d_max=1.0
     )
-    assert est2.d_hat == 0.2
+    assert d_hat2 == 0.2
+    for mode, grad in ((SupervisionMode.RAY_DISTANCE, g), (SupervisionMode.CLOSEST_NORMAL, -g)):
+        tb = _one(mode, grad, h, x, e, tau=0.2)
+        assert tb.d_hat[0] == 0.2
 
 
 def test_estimate_sample_degenerate_falls_back_to_ray():
     x = np.zeros(2)
-    ray = Ray(np.array([-1.0, 0.0]), np.array([0.1, 0.0]))
-    est = estimate_sample(
-        SupervisionMode.CURVATURE_CONSTRAINED,
-        0.0,
-        np.zeros(2),
-        np.zeros((2, 2)),
-        ray,
-        x,
-        d_max=1.0,
-    )
-    assert abs(est.d_hat - 0.1) < 1e-15
-    np.testing.assert_allclose(est.normal_unit, [1.0, 0.0])
+    e = np.array([0.1, 0.0])
+    mode = SupervisionMode.CURVATURE_CONSTRAINED
+    d_hat, _, _, normal = estimate_sample(mode, 0.0, np.zeros(2), np.zeros((2, 2)), e, x, d_max=1.0)
+    assert abs(d_hat - 0.1) < 1e-15
+    np.testing.assert_allclose(normal, [1.0, 0.0])
+    tb = _one(mode, np.zeros(2), np.zeros((2, 2)), x, e)
+    assert tb.degenerate[0]
+    assert abs(tb.d_hat[0] - 0.1) < 1e-15
+    np.testing.assert_allclose(tb.normal_unit[0], [1.0, 0.0])
 
 
 def test_compute_targets_matches_scalar_loop():
@@ -175,12 +280,13 @@ def test_compute_targets_matches_scalar_loop():
     for mode in SupervisionMode:
         batch = compute_targets(mode, vals, g, h, x, e)
         for i in range(s):
-            ray = Ray(x[i] - (e[i] - x[i]), e[i])
-            est = estimate_sample(mode, vals[i], g[i], h[i], ray, x[i], d_max)
-            assert abs(batch.d_hat[i] - est.d_hat) < 1e-12, (mode, i)
-            assert abs(batch.weight[i] - est.weight) < 1e-9
-            assert abs(batch.roc_query[i] - est.roc_query) < 1e-6 * est.roc_query
-            np.testing.assert_allclose(batch.normal_unit[i], est.normal_unit, atol=1e-12)
+            d_hat, weight, roc_query, normal = estimate_sample(
+                mode, vals[i], g[i], h[i], e[i], x[i], d_max
+            )
+            assert abs(batch.d_hat[i] - d_hat) < 1e-12, (mode, i)
+            assert abs(batch.weight[i] - weight) < 1e-9
+            assert abs(batch.roc_query[i] - roc_query) < 1e-6 * roc_query
+            np.testing.assert_allclose(batch.normal_unit[i], normal, atol=1e-12)
         if mode is not SupervisionMode.RAY_DISTANCE:
             assert batch.degenerate[3]
             # fallback rows carry the band-clamped ray distance

@@ -3,7 +3,7 @@ import pytest
 
 from scanfield.encoding import default_encoding
 from scanfield.field import FieldNet, evaluate_batch, grad_batch, init_field
-from scanfield.geom import Aabb, Pose, normalize_scene
+from scanfield.geom import Aabb, Pose, normalize_scene, to_world
 from scanfield.scenes import AnalyticScene, ScannerConfig, Sphere, simulate_scan
 from scanfield.targets import SupervisionMode
 from scanfield.training import (
@@ -15,7 +15,6 @@ from scanfield.training import (
     batch_loss,
     make_batch,
     neighbor_pairs,
-    residual,
     train,
 )
 
@@ -30,11 +29,6 @@ def toy_rays(n=16, seed=0, dim=2):
     endpoints = np.stack([np.cos(ang), np.sin(ang)], axis=1)[:, :dim]
     origins = np.zeros((n, dim))
     return origins * 0.0, endpoints * 0.9  # keep everything inside the canonical cube
-
-
-def test_residual_is_absolute_error():
-    assert residual(0.3, 0.5) == pytest.approx(0.2)
-    assert residual(0.5, 0.3) == pytest.approx(0.2)
 
 
 def test_neighbor_pairs_shape_and_content():
@@ -203,19 +197,17 @@ def test_train_history_and_determinism():
         assert np.array_equal(wa, wb)
 
 
-def test_train_accepts_ray_objects_and_reduces_loss():
-    from scanfield.geom import Ray
-
+def test_train_reduces_loss():
     scene = AnalyticScene((Sphere(np.array([0.0, 0.0]), 1.0),))
     cfg = ScannerConfig(beams=24, fov=2 * np.pi, max_range=10.0)
-    rays = []
+    origins, endpoints = [], []
     for ang in np.linspace(0, 2 * np.pi, 8, endpoint=False):
         pose = Pose.from_xytheta(2.0 * np.cos(ang), 2.0 * np.sin(ang), 0.0)
-        scan = simulate_scan(scene, pose, cfg)
-        world = pose.apply(scan.points)
-        rays.extend(Ray(pose.translation.copy(), w.copy()) for w in world)
+        world = to_world(simulate_scan(scene, pose, cfg))
+        origins.append(np.broadcast_to(pose.translation, world.shape))
+        endpoints.append(world)
     box = Aabb.cube(np.zeros(2), 3.0)
-    canon, tf = normalize_scene(rays, box)
+    canon, tf = normalize_scene(np.concatenate(origins), np.concatenate(endpoints), box)
     optim = OptimConfig(epochs=2, batch_rays=64, samples_per_ray=8, seed=0)
     w = LossWeights()
     net = init_field(seed=3, dim=2, hidden=16, hidden_layers=2, encoding=default_encoding(6))
