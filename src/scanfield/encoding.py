@@ -51,57 +51,42 @@ def default_encoding(bands: int = DEFAULT_BANDS, base: float = math.pi) -> Encod
     return EncodingConfig(base * np.arange(1, bands + 1, dtype=np.float64))
 
 
-def encode(x: _F, cfg: EncodingConfig) -> np.ndarray:
-    """Encode a single point (m,) to a feature vector ((2h+1)*m,)."""
-    return encode_batch(np.asarray(x, dtype=np.float64)[None, :], cfg)[0]
-
-
-def encode_batch(points: _F, cfg: EncodingConfig) -> np.ndarray:
-    """Encode (N, m) points to (N, (2h+1)*m) features.
-
-    Layout is blockwise: the m raw coordinates first, then for each frequency
-    the m sine features followed by the m cosine features.
-    """
-    x = np.asarray(points, dtype=np.float64)
-    n, m = x.shape
-    h = cfg.bands
-    out = np.empty((n, (2 * h + 1) * m), dtype=np.float64)
-    out[:, :m] = x
-    for k in range(h):
-        arg = cfg.frequencies[k] * x
-        lo = (1 + 2 * k) * m
-        out[:, lo : lo + m] = np.sin(arg)
-        out[:, lo + m : lo + 2 * m] = np.cos(arg)
-    return out
-
-
 @dataclass(frozen=True)
 class EncodedJet:
     """Features with their sparse first and second derivatives.
 
     ``values``/``d1``/``d2`` all have shape (N, F).  Feature f depends only on
     input coordinate ``coord[f]``; d1 and d2 hold that single partial and its
-    second derivative.
+    second derivative, or are None when the derivative was not requested.
+
+    Layout is blockwise: the m raw coordinates first, then for each frequency
+    the m sine features followed by the m cosine features.
     """
 
     values: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
+    d1: np.ndarray | None
+    d2: np.ndarray | None
     coord: np.ndarray
 
 
-def encode_jet(points: _F, cfg: EncodingConfig) -> EncodedJet:
-    """Features plus exact per-feature derivatives for (N, m) points."""
+def encode_jet(points: _F, cfg: EncodingConfig, order: int = 2) -> EncodedJet:
+    """Features plus exact per-feature derivatives for (N, m) points.
+
+    ``order`` 0 builds only ``values``, 1 adds ``d1`` and 2 adds ``d2``;
+    ``values`` and ``d1`` are bitwise the same at every order that builds them.
+    """
     x = np.asarray(points, dtype=np.float64)
     n, m = x.shape
     h = cfg.bands
     f = (2 * h + 1) * m
     values = np.empty((n, f), dtype=np.float64)
-    d1 = np.empty((n, f), dtype=np.float64)
-    d2 = np.empty((n, f), dtype=np.float64)
+    d1 = np.empty((n, f), dtype=np.float64) if order >= 1 else None
+    d2 = np.empty((n, f), dtype=np.float64) if order >= 2 else None
     values[:, :m] = x
-    d1[:, :m] = 1.0
-    d2[:, :m] = 0.0
+    if d1 is not None:
+        d1[:, :m] = 1.0
+    if d2 is not None:
+        d2[:, :m] = 0.0
     for k in range(h):
         w = cfg.frequencies[k]
         arg = w * x
@@ -110,17 +95,19 @@ def encode_jet(points: _F, cfg: EncodingConfig) -> EncodedJet:
         lo = (1 + 2 * k) * m
         values[:, lo : lo + m] = s
         values[:, lo + m : lo + 2 * m] = c
-        d1[:, lo : lo + m] = w * c
-        d1[:, lo + m : lo + 2 * m] = -w * s
-        d2[:, lo : lo + m] = -(w * w) * s
-        d2[:, lo + m : lo + 2 * m] = -(w * w) * c
+        if d1 is not None:
+            d1[:, lo : lo + m] = w * c
+            d1[:, lo + m : lo + 2 * m] = -w * s
+        if d2 is not None:
+            d2[:, lo : lo + m] = -(w * w) * s
+            d2[:, lo + m : lo + 2 * m] = -(w * w) * c
     coord = np.tile(np.arange(m, dtype=np.intp), 2 * h + 1)
     return EncodedJet(values=values, d1=d1, d2=d2, coord=coord)
 
 
 def encode_jacobian(x: _F, cfg: EncodingConfig) -> np.ndarray:
     """Dense (F, m) Jacobian of the encoding at one point, for checking."""
-    jet = encode_jet(np.asarray(x, dtype=np.float64)[None, :], cfg)
+    jet = encode_jet(np.asarray(x, dtype=np.float64)[None, :], cfg, 1)
     f = jet.values.shape[1]
     m = np.asarray(x).shape[0]
     jac = np.zeros((f, m), dtype=np.float64)

@@ -11,10 +11,15 @@ accumulates parameter gradients for losses of the form
 
 with ``vbar``/``gbar`` supplied by the loss layer, evaluated at fixed inputs.
 
-Derivative layout: gradients travel as (N, m, width) slabs with the network
-width last, so each layer transition is a single reshaped matmul.  The
-encoding's one-nonzero-per-row Jacobian makes the first layer a handful of
-per-coordinate matmuls instead of a dense (F, m) contraction.
+Derivative layout: gradients travel as (N, m, width) slabs and Hessians as
+upper-triangle (N, m(m+1)/2, width) slabs over the ``np.triu_indices(m)``
+pairs, mirrored to (N, m, m) only at the output.  The network width is last,
+so each layer transition is a single reshaped matmul.  The encoding's
+one-nonzero-per-row Jacobian makes the first layer a handful of
+per-coordinate matmuls instead of a dense (F, m) contraction.  The reverse
+sweep runs one forward pass per chunk and reads the activations, their
+cosines and the pre-activation gradients from that pass's record instead of
+recomputing them.
 """
 
 from __future__ import annotations
@@ -156,21 +161,30 @@ def _coord_columns(net: FieldNet) -> list[np.ndarray]:
     return [np.arange(blocks) * m + j for j in range(m)]
 
 
-def _forward(net: FieldNet, x: np.ndarray, order: int):
+def _forward(net: FieldNet, x: np.ndarray, order: int, record: list | None = None):
     """One chunk forward pass.  Returns (val, grad, hess) with Nones padded.
 
     The value track runs through identical operations at every order, so the
     scalar output is bitwise independent of whether derivatives were asked for.
+    With a ``record`` list, each layer appends ``(a_in, da_in, fac_cos, dz)``:
+    its input and the input's spatial derivative (for layer 0 the encoder's
+    sparse ``d1``), ``fac * cos(fac * z)`` (None for the affine layer) and
+    ``dz`` (None at order 0).  A sine layer's ``sin(fac * z)`` is the next
+    layer's ``a_in``.
     """
     n, m = x.shape
-    jet = encode_jet(x, net.encoding)
+    jet = encode_jet(x, net.encoding, order)
     cols = _coord_columns(net)
+    iu, ju = np.triu_indices(m)
+    diag = np.flatnonzero(iu == ju)
     a = jet.values
-    da = None
+    da = jet.d1
     d2a = None
     for li in range(net.layer_count):
         w, b, fac = net.weights[li], net.biases[li], net.sine_factors[li]
+        a_in, da_in = a, da
         z = a @ w.T + b
+        dz = d2z = fac_cos = None
         if order >= 1:
             if li == 0:
                 dz = np.empty((n, m, w.shape[0]), dtype=np.float64)
@@ -180,31 +194,40 @@ def _forward(net: FieldNet, x: np.ndarray, order: int):
                 dz = (da.reshape(n * m, -1) @ w.T).reshape(n, m, w.shape[0])
         if order >= 2:
             if li == 0:
-                d2z = np.zeros((n, m, m, w.shape[0]), dtype=np.float64)
+                d2z = np.zeros((n, iu.size, w.shape[0]), dtype=np.float64)
                 for j in range(m):
-                    d2z[:, j, j, :] = jet.d2[:, cols[j]] @ w[:, cols[j]].T
+                    d2z[:, diag[j], :] = jet.d2[:, cols[j]] @ w[:, cols[j]].T
             else:
-                d2z = (d2a.reshape(n * m * m, -1) @ w.T).reshape(n, m, m, w.shape[0])
+                d2z = (d2a.reshape(n * iu.size, -1) @ w.T).reshape(n, iu.size, w.shape[0])
         if fac == 0.0:
-            a = z
-            if order >= 1:
-                da = dz
-            if order >= 2:
-                d2a = d2z
+            a, da, d2a = z, dz, d2z
         else:
             arg = fac * z
             s = np.sin(arg)
             a = s
+            if order >= 1 or record is not None:
+                fac_cos = fac * np.cos(arg)
             if order >= 1:
-                c1 = fac * np.cos(arg)
-                da = c1[:, None, :] * dz
+                da = fac_cos[:, None, :] * dz
             if order >= 2:
+                # fac_cos * d2z + c2 * dz_j * dz_k, in place, one row j of
+                # pairs (j, j..m-1) at a time; these start at diag[j].
                 c2 = -(fac * fac) * s
-                d2a = c1[:, None, None, :] * d2z
-                d2a += c2[:, None, None, :] * (dz[:, :, None, :] * dz[:, None, :, :])
+                d2a = d2z
+                d2a *= fac_cos[:, None, :]
+                for j in range(m):
+                    prod = dz[:, j, None, :] * dz[:, j:, :]
+                    prod *= c2[:, None, :]
+                    d2a[:, diag[j] : diag[j] + m - j, :] += prod
+        if record is not None:
+            record.append((a_in, da_in, fac_cos, dz))
     val = a[:, 0]
     grad = da[:, :, 0] if order >= 1 else None
-    hess = d2a[:, :, :, 0] if order >= 2 else None
+    hess = None
+    if order >= 2:
+        hess = np.empty((n, m, m), dtype=np.float64)
+        hess[:, iu, ju] = d2a[:, :, 0]
+        hess[:, ju, iu] = d2a[:, :, 0]
     return val, grad, hess
 
 
@@ -220,10 +243,6 @@ def evaluate_batch(net: FieldNet, points: _F, chunk: int = VALUE_CHUNK) -> np.nd
     for lo, hi in _chunks(x.shape[0], chunk):
         out[lo:hi] = _forward(net, x[lo:hi], order=0)[0]
     return out
-
-
-def evaluate(net: FieldNet, point: _F) -> float:
-    return float(_forward(net, np.asarray(point, dtype=np.float64)[None, :], order=0)[0][0])
 
 
 def grad_batch(net: FieldNet, points: _F, chunk: int = JET_CHUNK) -> tuple[np.ndarray, np.ndarray]:
@@ -256,40 +275,6 @@ def jet_batch(
     return vals, grads, hess
 
 
-def jet(net: FieldNet, point: _F) -> FieldJet:
-    v, g, h = _forward(net, np.asarray(point, dtype=np.float64)[None, :], order=2)
-    return FieldJet(value=float(v[0]), gradient=g[0], hessian=h[0])
-
-
-def _forward_cached(net: FieldNet, x: np.ndarray, with_grad: bool):
-    """Forward pass keeping per-layer pre-activations for the reverse sweep."""
-    n, m = x.shape
-    jet_ = encode_jet(x, net.encoding)
-    cols = _coord_columns(net)
-    pre: list[tuple[np.ndarray, np.ndarray | None]] = []
-    a = jet_.values
-    da = None
-    for li in range(net.layer_count):
-        w, b, fac = net.weights[li], net.biases[li], net.sine_factors[li]
-        z = a @ w.T + b
-        dz = None
-        if with_grad:
-            if li == 0:
-                dz = np.empty((n, m, w.shape[0]), dtype=np.float64)
-                for j in range(m):
-                    dz[:, j, :] = jet_.d1[:, cols[j]] @ w[:, cols[j]].T
-            else:
-                dz = (da.reshape(n * m, -1) @ w.T).reshape(n, m, w.shape[0])
-        pre.append((z, dz))
-        if fac == 0.0:
-            a, da = z, dz
-        else:
-            a = np.sin(fac * z)
-            if with_grad:
-                da = (fac * np.cos(fac * z))[:, None, :] * dz
-    return jet_, pre
-
-
 def _backward_chunk(
     net: FieldNet,
     x: np.ndarray,
@@ -299,44 +284,37 @@ def _backward_chunk(
 ) -> None:
     n, m = x.shape
     with_grad = gbar is not None
-    jet_, pre = _forward_cached(net, x, with_grad)
+    record: list = []
+    _forward(net, x, 1 if with_grad else 0, record)
     cols = _coord_columns(net)
     # Adjoints of the final layer's affine output (width 1).
     zbar = vbar[:, None].copy()
     dzbar = gbar[:, :, None].copy() if with_grad else None
     for li in range(net.layer_count - 1, -1, -1):
         w = net.weights[li]
-        if li == 0:
-            a_prev, da_prev = jet_.values, None
-        else:
-            zp, dzp = pre[li - 1]
-            facp = net.sine_factors[li - 1]
-            a_prev = np.sin(facp * zp)
-            da_prev = (facp * np.cos(facp * zp))[:, None, :] * dzp if with_grad else None
+        a_in, da_in = record[li][:2]
         out.biases[li] += zbar.sum(axis=0)
-        out.weights[li] += zbar.T @ a_prev
+        out.weights[li] += zbar.T @ a_in
         if with_grad:
             n_out = w.shape[0]
             flat_dzbar = dzbar.reshape(n * m, n_out)
             if li == 0:
                 for j in range(m):
-                    out.weights[li][:, cols[j]] += dzbar[:, j, :].T @ jet_.d1[:, cols[j]]
+                    out.weights[li][:, cols[j]] += dzbar[:, j, :].T @ da_in[:, cols[j]]
             else:
-                out.weights[li] += flat_dzbar.T @ da_prev.reshape(n * m, -1)
+                out.weights[li] += flat_dzbar.T @ da_in.reshape(n * m, -1)
         if li == 0:
             break
         abar = zbar @ w
         dabar = flat_dzbar @ w if with_grad else None
-        # Through the previous sine: a_prev = sin(f z), da_prev = f cos(f z) dz.
+        # Through the previous sine: a_in = sin(f z), da_in = f cos(f z) dz.
         facp = net.sine_factors[li - 1]
-        zp, dzp = pre[li - 1]
-        c = np.cos(facp * zp)
-        zbar = (facp * c) * abar
+        _, _, fac_cos, dzp = record[li - 1]
+        zbar = fac_cos * abar
         if with_grad:
             dabar = dabar.reshape(n, m, -1)
-            s = np.sin(facp * zp)
-            zbar += np.sum(dabar * dzp, axis=1) * (-(facp * facp) * s)
-            dzbar = (facp * c)[:, None, :] * dabar
+            zbar += np.sum(dabar * dzp, axis=1) * (-(facp * facp) * a_in)
+            dzbar = fac_cos[:, None, :] * dabar
 
 
 def backprop(

@@ -150,13 +150,10 @@ def to_world(scan: Scan) -> np.ndarray:
     """World-frame hit points of a scan, (N, m), one row per ray.
 
     Each ray runs from the sensor position ``scan.pose.translation`` to its
-    row.  Raises if any point is non-finite or coincides with the origin.
+    row.  Raises if any point coincides with the origin; non-finite points
+    are rejected when the ``Scan`` is constructed.
     """
-    pts = scan.points
-    bad = ~np.all(np.isfinite(pts), axis=1)
-    if np.any(bad):
-        raise ValueError(f"scan point {int(np.argmax(bad))} is non-finite")
-    world = scan.pose.apply(pts)
+    world = scan.pose.apply(scan.points)
     lengths = np.linalg.norm(world - scan.pose.translation, axis=1)
     if np.any(lengths <= 0.0):
         raise ValueError(f"scan point {int(np.argmax(lengths <= 0.0))} coincides with the sensor origin")

@@ -4,8 +4,6 @@ import pytest
 from scanfield.encoding import (
     EncodingConfig,
     default_encoding,
-    encode,
-    encode_batch,
     encode_jacobian,
     encode_jet,
 )
@@ -35,7 +33,7 @@ def test_frequencies_must_increase():
 def test_encode_layout_blocks():
     cfg = EncodingConfig(np.array([2.0, 5.0]))
     x = np.array([0.3, -0.7, 0.1])
-    f = encode(x, cfg)
+    f = encode_jet(x[None, :], cfg, 0).values[0]
     assert f.shape == (15,)
     np.testing.assert_array_equal(f[:3], x)
     np.testing.assert_allclose(f[3:6], np.sin(2.0 * x))
@@ -48,9 +46,20 @@ def test_encode_batch_matches_single():
     cfg = default_encoding(7)
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(11, 3))
-    batch = encode_batch(pts, cfg)
+    batch = encode_jet(pts, cfg, 0).values
     for i in range(11):
-        np.testing.assert_array_equal(batch[i], encode(pts[i], cfg))
+        np.testing.assert_array_equal(batch[i], encode_jet(pts[i : i + 1], cfg, 0).values[0])
+
+
+def test_jet_orders_share_values():
+    cfg = default_encoding(7)
+    pts = np.random.default_rng(6).normal(size=(9, 3))
+    j0, j1, j2 = (encode_jet(pts, cfg, order) for order in (0, 1, 2))
+    np.testing.assert_array_equal(j0.values, j2.values)
+    np.testing.assert_array_equal(j1.values, j2.values)
+    np.testing.assert_array_equal(j1.d1, j2.d1)
+    assert j0.d1 is None and j0.d2 is None and j1.d2 is None
+    assert j2.d2 is not None
 
 
 def test_jet_coord_mapping():
@@ -70,10 +79,10 @@ def test_jet_derivatives_match_finite_differences():
     for j in range(3):
         step = np.zeros(3)
         step[j] = 1.0
-        fp1 = encode_batch(pts + h1 * step, cfg)
-        fm1 = encode_batch(pts - h1 * step, cfg)
-        fp2 = encode_batch(pts + h2 * step, cfg)
-        fm2 = encode_batch(pts - h2 * step, cfg)
+        fp1 = encode_jet(pts + h1 * step, cfg, 0).values
+        fm1 = encode_jet(pts - h1 * step, cfg, 0).values
+        fp2 = encode_jet(pts + h2 * step, cfg, 0).values
+        fm2 = encode_jet(pts - h2 * step, cfg, 0).values
         d1_fd = (fp1 - fm1) / (2 * h1)
         d2_fd = (fp2 - 2 * jet.values + fm2) / h2**2
         mask = jet.coord == j

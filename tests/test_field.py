@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from scanfield.encoding import default_encoding
+from scanfield.encoding import default_encoding, encode_jet
 from scanfield.field import (
     FieldNet,
     backprop,
-    evaluate,
     evaluate_batch,
     grad_batch,
     init_field,
-    jet,
     jet_batch,
     param_count,
 )
@@ -70,7 +68,7 @@ def test_scalar_and_batch_agree():
     pts = rng.uniform(-1, 1, size=(10, 3))
     vals = evaluate_batch(net, pts)
     for i in range(10):
-        assert abs(evaluate(net, pts[i]) - vals[i]) < 1e-12
+        assert abs(evaluate_batch(net, pts[i : i + 1])[0] - vals[i]) < 1e-12
     assert np.array_equal(vals, evaluate_batch(net, pts))
 
 
@@ -99,6 +97,15 @@ def test_chunking_is_invisible():
     np.testing.assert_allclose(va, vb, rtol=1e-13, atol=1e-14)
     np.testing.assert_allclose(ga, gb, rtol=1e-12, atol=1e-13)
     np.testing.assert_allclose(ha, hb, rtol=1e-11, atol=1e-12)
+    # backprop keeps its forward record for one chunk only; the sum over
+    # chunks must not depend on where the chunks end.
+    vbar = rng.normal(size=33)
+    gbar = rng.normal(size=(33, 2))
+    for g in (gbar, None):
+        pa = backprop(net, pts, vbar, g, chunk=5)
+        pb = backprop(net, pts, vbar, g)
+        for x, y in zip(pa.weights + pa.biases, pb.weights + pb.biases):
+            np.testing.assert_allclose(x, y, rtol=1e-12)
 
 
 def test_jet_matches_finite_differences():
@@ -202,11 +209,60 @@ def test_backprop_value_only():
     assert abs(grads.weights[0][0, 0] - fd) < 1e-6 * max(1.0, abs(fd))
 
 
-def test_jet_scalar_wrapper():
+def test_jet_one_row_matches_batch():
+    # One row and a batch reach BLAS with different matrix shapes, so they
+    # agree to rounding (tolerances of test_chunking_is_invisible).
     net = init_field(seed=4, dim=2, hidden=8, hidden_layers=2, encoding=default_encoding(3))
-    p = np.array([0.25, -0.5])
-    j = jet(net, p)
-    v, g, h = jet_batch(net, p[None, :])
-    assert j.value == v[0]
-    assert np.array_equal(j.gradient, g[0])
-    assert np.array_equal(j.hessian, h[0])
+    pts = np.array([[0.25, -0.5], [0.1, 0.7], [-0.3, 0.2]])
+    v, g, h = jet_batch(net, pts)
+    for i in range(pts.shape[0]):
+        vi, gi, hi = jet_batch(net, pts[i : i + 1])
+        np.testing.assert_allclose(vi[0], v[i], rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(gi[0], g[i], rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(hi[0], h[i], rtol=1e-11, atol=1e-12)
+
+
+def _full_square_forward(net, x):
+    """Reference jet that carries all m*m Hessian entries through every layer."""
+    n, m = x.shape
+    jet = encode_jet(x, net.encoding)
+    blocks = 2 * net.encoding.bands + 1
+    cols = [np.arange(blocks) * m + j for j in range(m)]
+    a, da, d2a = jet.values, None, None
+    for w, b, fac in zip(net.weights, net.biases, net.sine_factors):
+        z = a @ w.T + b
+        if da is None:
+            dz = np.empty((n, m, w.shape[0]))
+            d2z = np.zeros((n, m, m, w.shape[0]))
+            for j in range(m):
+                dz[:, j, :] = jet.d1[:, cols[j]] @ w[:, cols[j]].T
+                d2z[:, j, j, :] = jet.d2[:, cols[j]] @ w[:, cols[j]].T
+        else:
+            dz = (da.reshape(n * m, -1) @ w.T).reshape(n, m, w.shape[0])
+            d2z = (d2a.reshape(n * m * m, -1) @ w.T).reshape(n, m, m, w.shape[0])
+        if fac == 0.0:
+            a, da, d2a = z, dz, d2z
+        else:
+            arg = fac * z
+            a = np.sin(arg)
+            c1 = fac * np.cos(arg)
+            c2 = -(fac * fac) * a
+            da = c1[:, None, :] * dz
+            d2a = c1[:, None, None, :] * d2z
+            d2a += c2[:, None, None, :] * (dz[:, :, None, :] * dz[:, None, :, :])
+    return a[:, 0], da[:, :, 0], d2a[:, :, :, 0]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_upper_triangle_hessian_matches_full_square(dim):
+    # 64 rows keep every BLAS row count (64 * m(m+1)/2 and 64 * m * m) a
+    # multiple of the kernel unroll, so no row lands in an edge kernel and
+    # the two layouts round identically.
+    net = init_field(seed=6, dim=dim, hidden=32, hidden_layers=3, encoding=default_encoding(5))
+    pts = np.random.default_rng(7).uniform(-1, 1, size=(64, dim))
+    vals, grads, hess = jet_batch(net, pts)
+    v_ref, g_ref, h_ref = _full_square_forward(net, pts)
+    assert np.array_equal(vals, v_ref)
+    assert np.array_equal(grads, g_ref)
+    assert np.array_equal(hess, h_ref)
+    assert np.array_equal(hess, np.swapaxes(hess, 1, 2))

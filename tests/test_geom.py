@@ -60,6 +60,14 @@ def test_scan_dim_mismatch():
         Scan(Pose.identity(3), np.zeros((4, 2)))
 
 
+def test_scan_rejects_non_finite_points():
+    # to_world relies on this check and does not repeat it.
+    with pytest.raises(ValueError, match="points contains non-finite entries"):
+        Scan(Pose.identity(3), np.array([[np.nan, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="points contains non-finite entries"):
+        Scan(Pose.identity(2), np.array([[1.0, 0.0], [np.inf, 0.0]]))
+
+
 def test_aabb_contains_boundary():
     box = Aabb(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
     inside = box.contains(np.array([[0.0, 0.0], [1.0, 2.0], [0.5, 1.0], [1.1, 1.0]]))
