@@ -2,16 +2,14 @@
 
 The field is evaluated on a regular grid over an axis-aligned box; cells whose
 corner signs differ emit geometry, with crossing positions linearly
-interpolated along cell edges.  Shared edges are deduplicated through global
-edge ids so the output is indexed and watertight, and cells are visited in
-index order, making the vertex numbering deterministic.
+interpolated along cell edges.  Both run one vectorized table walk: each
+active cell's table row is gathered at once, a grid edge shared by several
+cells maps to one global edge id so the output is indexed and watertight, and
+vertices are numbered in order of first use over the cells in index order,
+making the numbering deterministic.
 
-Ambiguous saddle faces (alternating corner signs) are resolved by sampling
-the field at the face center: cells with exactly one ambiguous face switch to
-the complementary case (winding reversed) when the classic table disagrees
-with the sample.  Both cells sharing such a face see the same center sample,
-so they agree and no crack opens.  Cells with several ambiguous faces keep
-the classic table.
+Cubes use the classic 256-case table, ambiguous faces included.  Squares
+resolve their two saddle cases by sampling the field at the cell center.
 """
 
 from __future__ import annotations
@@ -25,61 +23,43 @@ from .geom import Aabb
 
 MIN_TRI_AREA = 1e-12
 
-# Cube corner offsets and the edges between them; see _mc_tables for numbering.
+
+def _padded(rows) -> np.ndarray:
+    """One int8 row per table entry, -1 past the entry's end."""
+    out = np.full((len(rows), max(len(r) for r in rows)), -1, dtype=np.int8)
+    for c, r in enumerate(rows):
+        out[c, : len(r)] = r
+    return out
+
+
+# Cube corner offsets; see _mc_tables for the corner and edge numbering.
 _CORNERS = (
     (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
     (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
 )
-_EDGE_VERTS = ((0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
-               (0, 4), (1, 5), (2, 6), (3, 7))
-# Faces as corner cycles (consecutive corners share an edge).
-_FACES = ((0, 1, 2, 3), (4, 5, 6, 7), (0, 1, 5, 4), (3, 2, 6, 7), (0, 3, 7, 4), (1, 2, 6, 5))
-
-_EDGE_OF = {frozenset(v): i for i, v in enumerate(_EDGE_VERTS)}
-
-
-def _face_edge_ring(face):
-    return tuple(_EDGE_OF[frozenset((face[i], face[(i + 1) % 4]))] for i in range(4))
-
-
-_FACE_EDGES = tuple(_face_edge_ring(f) for f in _FACES)
-_FACE_CENTERS = tuple(
-    tuple(sum(_CORNERS[c][a] for c in f) / 4.0 for a in range(3)) for f in _FACES
+# Local edge -> (axis, di, dj, dk) of the grid edge's low corner.
+_CUBE_EDGES = (
+    (0, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0),
+    (0, 0, 0, 1), (1, 1, 0, 1), (0, 0, 1, 1), (1, 0, 0, 1),
+    (2, 0, 0, 0), (2, 1, 0, 0), (2, 1, 1, 0), (2, 0, 1, 0),
+)
+# The classic table winds for inward normals; swapping each triangle's last
+# two edges makes normals point where the field increases.
+_CUBE_TABLE = _padded(
+    [sum(((a, c, b) for a, b, c in zip(r[0::3], r[1::3], r[2::3])), ()) for r in CUBE_TRIANGLES]
 )
 
-
-def _triangle_sides(case: int) -> set[frozenset]:
-    tris = CUBE_TRIANGLES[case]
-    sides = set()
-    for t in range(0, len(tris), 3):
-        a, b, c = tris[t : t + 3]
-        sides |= {frozenset((a, b)), frozenset((b, c)), frozenset((c, a))}
-    return sides
-
-
-def _ambiguity_info():
-    """Per case: list of (face index, True if the table keeps the inside
-    corners of that face connected across it)."""
-    info: list[list[tuple[int, bool]]] = [[] for _ in range(256)]
-    for case in range(256):
-        sides = _triangle_sides(case)
-        for fi, face in enumerate(_FACES):
-            bits = [(case >> c) & 1 for c in face]
-            if not (bits[0] == bits[2] and bits[1] == bits[3] and bits[0] != bits[1]):
-                continue
-            e01, e12, e23, e30 = _FACE_EDGES[fi]
-            # Pairing A joins the crossings around corners face[0]/face[2];
-            # it cuts off face[1] and face[3].  Pairing B is the transpose.
-            pair_a = frozenset((e01, e12)) in sides or frozenset((e23, e30)) in sides
-            pair_b = frozenset((e01, e30)) in sides or frozenset((e12, e23)) in sides
-            if pair_a == pair_b:
-                continue
-            inside_02 = bits[0] == 1
-            info[case].append((fi, pair_a == inside_02))
-    return info
-
-
-_AMB_INFO = _ambiguity_info()
+# Marching squares: corners c0=(i,j) c1=(i+1,j) c2=(i+1,j+1) c3=(i,j+1);
+# edges 0 bottom, 1 right, 2 top, 3 left.  Cases 5 and 10 are the saddles:
+# their rows here hold the pairing for a center outside the level set, rows
+# 16 and 17 the pairing for a center inside.
+_SQ_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+_SQ_EDGES = ((0, 0, 0), (1, 1, 0), (0, 0, 1), (1, 0, 0))
+_SQ_TABLE = _padded([
+    (), (3, 0), (0, 1), (3, 1), (1, 2), (3, 0, 1, 2), (0, 2), (3, 2),
+    (2, 3), (2, 0), (0, 1, 2, 3), (2, 1), (1, 3), (1, 0), (0, 3), (),
+    (3, 2, 1, 0), (0, 3, 2, 1),
+])
 
 
 @dataclass(frozen=True)
@@ -137,11 +117,59 @@ def sample_grid(field, box: Aabb, res: int) -> np.ndarray:
     return vals
 
 
-def _cell_cases_3d(inside: np.ndarray, res: int) -> np.ndarray:
-    case = np.zeros((res, res, res), dtype=np.int32)
-    for c, (dx, dy, dz) in enumerate(_CORNERS):
-        case |= inside[dx : dx + res, dy : dy + res, dz : dz + res].astype(np.int32) << c
-    return case
+def _active_cells(vals: np.ndarray, res: int, corners) -> tuple[np.ndarray, tuple]:
+    """Case codes (bit c set when corner c is inside) of the cells whose
+    corners straddle the level set, and their index arrays in index order."""
+    inside = vals < 0.0
+    case = np.zeros((res,) * vals.ndim, dtype=np.uint8)
+    for c, off in enumerate(corners):
+        case |= inside[tuple(slice(d, d + res) for d in off)].astype(np.uint8) << c
+    cells = np.nonzero((case != 0) & (case != (1 << len(corners)) - 1))
+    return case[cells], cells
+
+
+def _walk(vals, box: Aabb, res: int, active, rows, table, edges):
+    """Vertices and flat vertex indices of the active cells' table rows.
+
+    ``active`` holds the cells' index arrays, ``rows`` each cell's row of the
+    padded ``table``, and ``edges`` maps a local edge to its axis and the
+    offset of its low corner from the cell's.  The indices follow the rows in
+    cell order; a grid edge's vertex is interpolated once.
+    """
+    n = res + 1
+    m = vals.ndim
+    edges = np.asarray(edges, dtype=np.intp)
+    strides = n ** np.arange(m)
+    # Global edge id: the axis, then the flat grid index of the low corner.
+    edge_off = edges[:, 0] * n**m + edges[:, 1:] @ strides
+    cell_off = sum(a * s for a, s in zip(active, strides))
+    local = table[rows]
+    cell, slot = np.nonzero(local >= 0)
+    edge = local[cell, slot]
+    del local, slot
+    gid = cell_off[cell] + edge_off[edge]
+    del cell_off
+    # Number the distinct grid edges in order of first use.
+    _, first, inverse = np.unique(gid, return_index=True, return_inverse=True)
+    del gid
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    ids = rank[inverse]
+    del inverse, rank
+    head = first[order]
+    cell, edge = cell[head], edges[edge[head]]
+    corner = tuple(active[a][cell] + edge[:, 1 + a] for a in range(m))
+    step = [edge[:, 0] == a for a in range(m)]
+    va = vals[corner]
+    vb = vals[tuple(c + s for c, s in zip(corner, step))]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(va == vb, 0.5, va / (va - vb))
+    spacing = (box.hi - box.lo) / res
+    verts = np.stack(
+        [box.lo[a] + (corner[a] + t * step[a]) * spacing[a] for a in range(m)], axis=1
+    )
+    return verts, ids
 
 
 def marching_cubes(field, box: Aabb, res: int) -> TriangleMesh:
@@ -149,115 +177,19 @@ def marching_cubes(field, box: Aabb, res: int) -> TriangleMesh:
     if box.dim != 3:
         raise ValueError("marching_cubes needs a 3D box")
     vals = sample_grid(field, box, res)
-    inside = vals < 0.0
-    case = _cell_cases_3d(inside, res)
-    active = np.argwhere((case != 0) & (case != 255))
-    if active.shape[0] == 0:
+    case, active = _active_cells(vals, res, _CORNERS)
+    if case.size == 0:
         return TriangleMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.intp))
-
-    lo = box.lo
-    spacing = (box.hi - box.lo) / res
-    n = res + 1
-
-    # Face-center samples for cells with exactly one ambiguous face.
-    pending: list[tuple[int, int, bool]] = []  # (active row, face idx, table verdict)
-    centers = []
-    for row, (i, j, k) in enumerate(active):
-        amb = _AMB_INFO[case[i, j, k]]
-        if len(amb) == 1:
-            fi, verdict = amb[0]
-            cx, cy, cz = _FACE_CENTERS[fi]
-            pending.append((row, fi, verdict))
-            centers.append((lo[0] + (i + cx) * spacing[0],
-                            lo[1] + (j + cy) * spacing[1],
-                            lo[2] + (k + cz) * spacing[2]))
-    flip_rows: dict[int, int] = {}
-    if pending:
-        center_vals = np.asarray(field(np.asarray(centers)), dtype=np.float64)
-        for (row, fi, verdict), cv in zip(pending, center_vals):
-            want_connected = bool(cv < 0.0)
-            if want_connected != verdict:
-                i, j, k = active[row]
-                comp = 255 ^ case[i, j, k]
-                comp_amb = dict(_AMB_INFO[comp])
-                if comp_amb.get(fi) == want_connected:
-                    flip_rows[row] = comp
-
-    def edge_id(axis: int, i: int, j: int, k: int) -> int:
-        return ((axis * n + k) * n + j) * n + i
-
-    # Local edge -> (axis, di, dj, dk) of the grid edge's low corner.
-    edge_map = (
-        (0, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0),
-        (0, 0, 0, 1), (1, 1, 0, 1), (0, 0, 1, 1), (1, 0, 0, 1),
-        (2, 0, 0, 0), (2, 1, 0, 0), (2, 1, 1, 0), (2, 0, 1, 0),
-    )
-    axis_step = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-    vert_of_edge: dict[int, int] = {}
-    verts: list[tuple[float, float, float]] = []
-    tris: list[tuple[int, int, int]] = []
-
-    def vertex_on(e: int, i: int, j: int, k: int) -> int:
-        axis, di, dj, dk = edge_map[e]
-        ia, ja, ka = i + di, j + dj, k + dk
-        gid = edge_id(axis, ia, ja, ka)
-        found = vert_of_edge.get(gid)
-        if found is not None:
-            return found
-        sx, sy, sz = axis_step[axis]
-        va = float(vals[ia, ja, ka])
-        vb = float(vals[ia + sx, ja + sy, ka + sz])
-        t = 0.5 if va == vb else va / (va - vb)
-        px = lo[0] + (ia + t * sx) * spacing[0]
-        py = lo[1] + (ja + t * sy) * spacing[1]
-        pz = lo[2] + (ka + t * sz) * spacing[2]
-        idx = len(verts)
-        verts.append((px, py, pz))
-        vert_of_edge[gid] = idx
-        return idx
-
-    for row, (i, j, k) in enumerate(active):
-        comp = flip_rows.get(row)
-        table = CUBE_TRIANGLES[comp if comp is not None else case[i, j, k]]
-        for t0 in range(0, len(table), 3):
-            ea, eb, ec = table[t0 : t0 + 3]
-            if comp is None:
-                # The classic tables wind for inward normals; we want normals
-                # pointing where the field increases.  Complement-table cells
-                # stay as-is: the case inversion flips them once already.
-                eb, ec = ec, eb
-            va = vertex_on(ea, i, j, k)
-            vb = vertex_on(eb, i, j, k)
-            vc = vertex_on(ec, i, j, k)
-            tris.append((va, vb, vc))
-
-    v = np.asarray(verts, dtype=np.float64)
-    t = np.asarray(tris, dtype=np.intp).reshape(-1, 3)
+    v, t = _walk(vals, box, res, active, case, _CUBE_TABLE, _CUBE_EDGES)
+    t = t.reshape(-1, 3)
     # Drop degenerate triangles, then unused vertices.
-    if t.shape[0]:
-        e1 = v[t[:, 1]] - v[t[:, 0]]
-        e2 = v[t[:, 2]] - v[t[:, 0]]
-        area2 = np.linalg.norm(np.cross(e1, e2), axis=1)
-        t = t[area2 > 2.0 * MIN_TRI_AREA]
-    used = np.unique(t) if t.size else np.empty(0, dtype=np.intp)
+    e1 = v[t[:, 1]] - v[t[:, 0]]
+    e2 = v[t[:, 2]] - v[t[:, 0]]
+    t = t[np.linalg.norm(np.cross(e1, e2), axis=1) > 2.0 * MIN_TRI_AREA]
+    used = np.unique(t)
     remap = np.full(v.shape[0], -1, dtype=np.intp)
     remap[used] = np.arange(used.size)
-    return TriangleMesh(v[used], remap[t] if t.size else t)
-
-
-# Marching squares: corners c0=(i,j) c1=(i+1,j) c2=(i+1,j+1) c3=(i,j+1);
-# edges 0 bottom, 1 right, 2 top, 3 left.  Cases 5 and 10 are the saddles.
-_SQ_SEGMENTS = {
-    0: (), 15: (),
-    1: ((3, 0),), 2: ((0, 1),), 3: ((3, 1),), 4: ((1, 2),),
-    6: ((0, 2),), 7: ((3, 2),), 8: ((2, 3),), 9: ((2, 0),),
-    11: ((2, 1),), 12: ((1, 3),), 13: ((1, 0),), 14: ((0, 3),),
-}
-_SQ_SADDLE = {
-    5: {True: ((3, 2), (1, 0)), False: ((3, 0), (1, 2))},
-    10: {True: ((0, 3), (2, 1)), False: ((0, 1), (2, 3))},
-}
+    return TriangleMesh(v[used], remap[t])
 
 
 def marching_squares(field, box: Aabb, res: int) -> PolylineSet:
@@ -265,61 +197,17 @@ def marching_squares(field, box: Aabb, res: int) -> PolylineSet:
     if box.dim != 2:
         raise ValueError("marching_squares needs a 2D box")
     vals = sample_grid(field, box, res)
-    inside = vals < 0.0
-    case = np.zeros((res, res), dtype=np.int32)
-    for c, (dx, dy) in enumerate(((0, 0), (1, 0), (1, 1), (0, 1))):
-        case |= inside[dx : dx + res, dy : dy + res].astype(np.int32) << c
-    active = np.argwhere((case != 0) & (case != 15))
-    if active.shape[0] == 0:
+    case, active = _active_cells(vals, res, _SQ_CORNERS)
+    if case.size == 0:
         return PolylineSet(np.empty((0, 2)), np.empty((0, 2), dtype=np.intp))
-
-    lo = box.lo
-    spacing = (box.hi - box.lo) / res
-    n = res + 1
-
-    saddles = [row for row, (i, j) in enumerate(active) if case[i, j] in _SQ_SADDLE]
-    saddle_inside: dict[int, bool] = {}
-    if saddles:
-        pts = np.asarray(
-            [(lo[0] + (active[r][0] + 0.5) * spacing[0], lo[1] + (active[r][1] + 0.5) * spacing[1])
-             for r in saddles]
+    rows = case.astype(np.intp)
+    saddle = (case == 5) | (case == 10)
+    if saddle.any():
+        spacing = (box.hi - box.lo) / res
+        centers = np.stack(
+            [box.lo[a] + (active[a][saddle] + 0.5) * spacing[a] for a in range(2)], axis=1
         )
-        cv = np.asarray(field(pts), dtype=np.float64)
-        saddle_inside = {r: bool(c < 0.0) for r, c in zip(saddles, cv)}
-
-    # Local edge -> (axis, di, dj); axis 0 horizontal, 1 vertical.
-    edge_map = ((0, 0, 0), (1, 1, 0), (0, 0, 1), (1, 0, 0))
-    axis_step = ((1, 0), (0, 1))
-
-    vert_of_edge: dict[int, int] = {}
-    verts: list[tuple[float, float]] = []
-    segs: list[tuple[int, int]] = []
-
-    def vertex_on(e: int, i: int, j: int) -> int:
-        axis, di, dj = edge_map[e]
-        ia, ja = i + di, j + dj
-        gid = (axis * n + ja) * n + ia
-        found = vert_of_edge.get(gid)
-        if found is not None:
-            return found
-        sx, sy = axis_step[axis]
-        va = float(vals[ia, ja])
-        vb = float(vals[ia + sx, ja + sy])
-        t = 0.5 if va == vb else va / (va - vb)
-        idx = len(verts)
-        verts.append((lo[0] + (ia + t * sx) * spacing[0], lo[1] + (ja + t * sy) * spacing[1]))
-        vert_of_edge[gid] = idx
-        return idx
-
-    for row, (i, j) in enumerate(active):
-        c = case[i, j]
-        pieces = _SQ_SADDLE[c][saddle_inside[row]] if c in _SQ_SADDLE else _SQ_SEGMENTS[c]
-        for ea, eb in pieces:
-            a = vertex_on(ea, i, j)
-            b = vertex_on(eb, i, j)
-            if a != b:
-                segs.append((a, b))
-
-    v = np.asarray(verts, dtype=np.float64).reshape(-1, 2)
-    s = np.asarray(segs, dtype=np.intp).reshape(-1, 2)
-    return PolylineSet(v, s)
+        inside = np.asarray(field(centers), dtype=np.float64) < 0.0
+        rows[saddle] = np.where(inside, 16 + (case[saddle] == 10), case[saddle])
+    v, s = _walk(vals, box, res, active, rows, _SQ_TABLE, _SQ_EDGES)
+    return PolylineSet(v, s.reshape(-1, 2))

@@ -1,8 +1,8 @@
-"""File formats: scan/pose ingestion, model checkpoints, SDF grids, meshes.
+"""File formats: scan/pose ingestion, model checkpoints, meshes.
 
 All binary payloads are little-endian regardless of host.  Checkpoints keep
-64-bit floats (training precision); grids and meshes are 32-bit artifacts
-meant for visualization.
+64-bit floats (training precision); meshes are 32-bit artifacts meant for
+visualization.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .encoding import EncodingConfig
 from .field import FieldNet
-from .geom import Aabb, Pose, Scan, SceneTransform
+from .geom import Pose, Scan, SceneTransform
 from .meshing import TriangleMesh
 
 MODEL_MAGIC = b"CCNDF\0"  # opaque format tag; see save_model for the layout
@@ -203,14 +203,18 @@ def load_transform(path) -> SceneTransform:
 # meshes (ASCII PLY)
 
 
-def _f32_repr(x: float) -> str:
-    return repr(float(np.float32(x)))
+_PLY_CHUNK = 16384  # rows formatted at once; bounds the Python objects alive
+
+
+def _write_rows(fh, rows: np.ndarray, fmt) -> None:
+    for lo in range(0, rows.shape[0], _PLY_CHUNK):
+        fh.write("".join(fmt(r) + "\n" for r in rows[lo : lo + _PLY_CHUNK].tolist()))
 
 
 def export_mesh_ply(path, mesh: TriangleMesh) -> None:
     v = mesh.vertices
     t = mesh.triangles
-    lines = [
+    header = [
         "ply",
         "format ascii 1.0",
         f"element vertex {v.shape[0]}",
@@ -221,11 +225,12 @@ def export_mesh_ply(path, mesh: TriangleMesh) -> None:
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    for p in v:
-        lines.append(" ".join(_f32_repr(c) for c in p))
-    for tri in t:
-        lines.append("3 " + " ".join(str(int(i)) for i in tri))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write("\n".join(header) + "\n")
+        # repr of the f32 value widened to f64 is the shortest text that
+        # reads back to the same f32.
+        _write_rows(fh, v.astype(np.float32).astype(np.float64), lambda p: " ".join(map(repr, p)))
+        _write_rows(fh, t, lambda tri: "3 " + " ".join(map(str, tri)))
 
 
 def read_mesh_ply(path) -> TriangleMesh:
@@ -260,52 +265,3 @@ def read_mesh_ply(path) -> TriangleMesh:
             raise ValueError(f"{path}: face {i} is not a triangle")
         tris[i] = [int(tok[1]), int(tok[2]), int(tok[3])]
     return TriangleMesh(verts, tris)
-
-
-# ---------------------------------------------------------------------------
-# value grids: text header, then f32 little-endian payload, x varying fastest
-
-
-def export_grid(path, values: np.ndarray, box: Aabb, res: int) -> None:
-    vals = np.asarray(values, dtype=np.float64)
-    m = box.dim
-    if vals.shape != (res,) * m:
-        raise ValueError(f"values shape {vals.shape} does not match res {res}^{m}")
-    header = "\n".join(
-        [
-            "grid 1",
-            f"dim {m}",
-            "lo " + " ".join(repr(float(v)) for v in box.lo),
-            "hi " + " ".join(repr(float(v)) for v in box.hi),
-            "res " + " ".join([str(res)] * m),
-            "end_header",
-        ]
-    )
-    payload = vals.astype("<f4").flatten(order="F").tobytes()
-    Path(path).write_bytes(header.encode("ascii") + b"\n" + payload)
-
-
-def read_grid(path) -> tuple[np.ndarray, Aabb, int]:
-    raw = Path(path).read_bytes()
-    marker = b"end_header\n"
-    pos = raw.find(marker)
-    if pos < 0:
-        raise ValueError(f"{path}: missing end_header")
-    head = raw[:pos].decode("ascii").splitlines()
-    kv = {line.split()[0]: line.split()[1:] for line in head if line.strip()}
-    if kv.get("grid") != ["1"]:
-        raise ValueError(f"{path}: not a value-grid file")
-    m = int(kv["dim"][0])
-    lo = np.array([float(v) for v in kv["lo"]], dtype=np.float64)
-    hi = np.array([float(v) for v in kv["hi"]], dtype=np.float64)
-    res_list = [int(v) for v in kv["res"]]
-    if len(set(res_list)) != 1 or len(res_list) != m:
-        raise ValueError(f"{path}: malformed res line")
-    res = res_list[0]
-    payload = raw[pos + len(marker) :]
-    count = res**m
-    if len(payload) != 4 * count:
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {4 * count}")
-    vals = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    vals = vals.reshape((res,) * m, order="F")
-    return vals, Aabb(lo, hi), res

@@ -1,14 +1,240 @@
 import numpy as np
 import pytest
 
+from scanfield._mc_tables import CUBE_TRIANGLES
+from scanfield.encoding import default_encoding
+from scanfield.field import evaluate_batch, init_field
 from scanfield.geom import Aabb
 from scanfield.meshing import (
+    MIN_TRI_AREA,
     PolylineSet,
     TriangleMesh,
     marching_cubes,
     marching_squares,
     sample_grid,
 )
+
+# ---------------------------------------------------------------------------
+# Per-cell reference: one cell at a time with an edge-id dict, the reference
+# that the vectorized table walk is checked against.  The cube walk also
+# samples the field at the center of a cell's single ambiguous face and would
+# switch to the complementary case when the table disagrees with the sample;
+# test_face_center_sample_can_never_flip shows that switch never happens.
+
+_CORNERS = (
+    (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
+    (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
+)
+_EDGE_VERTS = ((0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
+               (0, 4), (1, 5), (2, 6), (3, 7))
+# Faces as corner cycles (consecutive corners share an edge).
+_FACES = ((0, 1, 2, 3), (4, 5, 6, 7), (0, 1, 5, 4), (3, 2, 6, 7), (0, 3, 7, 4), (1, 2, 6, 5))
+_EDGE_OF = {frozenset(v): i for i, v in enumerate(_EDGE_VERTS)}
+_FACE_EDGES = tuple(
+    tuple(_EDGE_OF[frozenset((f[i], f[(i + 1) % 4]))] for i in range(4)) for f in _FACES
+)
+_FACE_CENTERS = tuple(
+    tuple(sum(_CORNERS[c][a] for c in f) / 4.0 for a in range(3)) for f in _FACES
+)
+
+
+def _triangle_sides(case):
+    tris = CUBE_TRIANGLES[case]
+    sides = set()
+    for t in range(0, len(tris), 3):
+        a, b, c = tris[t : t + 3]
+        sides |= {frozenset((a, b)), frozenset((b, c)), frozenset((c, a))}
+    return sides
+
+
+def _ambiguity_info():
+    """Per case: list of (face index, True if the table keeps the inside
+    corners of that face connected across it)."""
+    info = [[] for _ in range(256)]
+    for case in range(256):
+        sides = _triangle_sides(case)
+        for fi, face in enumerate(_FACES):
+            bits = [(case >> c) & 1 for c in face]
+            if not (bits[0] == bits[2] and bits[1] == bits[3] and bits[0] != bits[1]):
+                continue
+            e01, e12, e23, e30 = _FACE_EDGES[fi]
+            # Pairing A joins the crossings around corners face[0]/face[2];
+            # it cuts off face[1] and face[3].  Pairing B is the transpose.
+            pair_a = frozenset((e01, e12)) in sides or frozenset((e23, e30)) in sides
+            pair_b = frozenset((e01, e30)) in sides or frozenset((e12, e23)) in sides
+            if pair_a == pair_b:
+                continue
+            inside_02 = bits[0] == 1
+            info[case].append((fi, pair_a == inside_02))
+    return info
+
+
+_AMB_INFO = _ambiguity_info()
+
+
+def _flips(case, fi, verdict, center_inside):
+    """The complementary case the reference switches to, or None."""
+    if center_inside == verdict:
+        return None
+    comp = 255 ^ case
+    return comp if dict(_AMB_INFO[comp]).get(fi) == center_inside else None
+
+
+def reference_cubes(field, box, res):
+    """Per-cell marching cubes; returns the mesh and the face-center count."""
+    vals = sample_grid(field, box, res)
+    inside = vals < 0.0
+    case = np.zeros((res, res, res), dtype=np.int32)
+    for c, (dx, dy, dz) in enumerate(_CORNERS):
+        case |= inside[dx : dx + res, dy : dy + res, dz : dz + res].astype(np.int32) << c
+    active = np.argwhere((case != 0) & (case != 255))
+    if active.shape[0] == 0:
+        return TriangleMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.intp)), 0
+    lo = box.lo
+    spacing = (box.hi - box.lo) / res
+    n = res + 1
+
+    pending, centers = [], []
+    for row, (i, j, k) in enumerate(active):
+        amb = _AMB_INFO[case[i, j, k]]
+        if len(amb) == 1:
+            fi, verdict = amb[0]
+            cx, cy, cz = _FACE_CENTERS[fi]
+            pending.append((row, fi, verdict))
+            centers.append((lo[0] + (i + cx) * spacing[0],
+                            lo[1] + (j + cy) * spacing[1],
+                            lo[2] + (k + cz) * spacing[2]))
+    flip_rows = {}
+    if pending:
+        center_vals = np.asarray(field(np.asarray(centers)), dtype=np.float64)
+        for (row, fi, verdict), cv in zip(pending, center_vals):
+            i, j, k = active[row]
+            comp = _flips(case[i, j, k], fi, verdict, bool(cv < 0.0))
+            if comp is not None:
+                flip_rows[row] = comp
+
+    # Local edge -> (axis, di, dj, dk) of the grid edge's low corner.
+    edge_map = (
+        (0, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0),
+        (0, 0, 0, 1), (1, 1, 0, 1), (0, 0, 1, 1), (1, 0, 0, 1),
+        (2, 0, 0, 0), (2, 1, 0, 0), (2, 1, 1, 0), (2, 0, 1, 0),
+    )
+    axis_step = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    vert_of_edge, verts, tris = {}, [], []
+
+    def vertex_on(e, i, j, k):
+        axis, di, dj, dk = edge_map[e]
+        ia, ja, ka = i + di, j + dj, k + dk
+        gid = ((axis * n + ka) * n + ja) * n + ia
+        found = vert_of_edge.get(gid)
+        if found is not None:
+            return found
+        sx, sy, sz = axis_step[axis]
+        va = float(vals[ia, ja, ka])
+        vb = float(vals[ia + sx, ja + sy, ka + sz])
+        t = 0.5 if va == vb else va / (va - vb)
+        verts.append((lo[0] + (ia + t * sx) * spacing[0],
+                      lo[1] + (ja + t * sy) * spacing[1],
+                      lo[2] + (ka + t * sz) * spacing[2]))
+        vert_of_edge[gid] = len(verts) - 1
+        return len(verts) - 1
+
+    for row, (i, j, k) in enumerate(active):
+        comp = flip_rows.get(row)
+        table = CUBE_TRIANGLES[comp if comp is not None else case[i, j, k]]
+        for t0 in range(0, len(table), 3):
+            ea, eb, ec = table[t0 : t0 + 3]
+            if comp is None:
+                # Outward winding; a complement-table cell is flipped already.
+                eb, ec = ec, eb
+            tris.append((vertex_on(ea, i, j, k), vertex_on(eb, i, j, k), vertex_on(ec, i, j, k)))
+
+    v = np.asarray(verts, dtype=np.float64)
+    t = np.asarray(tris, dtype=np.intp).reshape(-1, 3)
+    if t.shape[0]:
+        e1 = v[t[:, 1]] - v[t[:, 0]]
+        e2 = v[t[:, 2]] - v[t[:, 0]]
+        t = t[np.linalg.norm(np.cross(e1, e2), axis=1) > 2.0 * MIN_TRI_AREA]
+    used = np.unique(t) if t.size else np.empty(0, dtype=np.intp)
+    remap = np.full(v.shape[0], -1, dtype=np.intp)
+    remap[used] = np.arange(used.size)
+    return TriangleMesh(v[used], remap[t] if t.size else t), len(pending)
+
+
+# Corners c0=(i,j) c1=(i+1,j) c2=(i+1,j+1) c3=(i,j+1); edges 0 bottom,
+# 1 right, 2 top, 3 left.  Cases 5 and 10 are the saddles.
+_SQ_SEGMENTS = {
+    0: (), 15: (),
+    1: ((3, 0),), 2: ((0, 1),), 3: ((3, 1),), 4: ((1, 2),),
+    6: ((0, 2),), 7: ((3, 2),), 8: ((2, 3),), 9: ((2, 0),),
+    11: ((2, 1),), 12: ((1, 3),), 13: ((1, 0),), 14: ((0, 3),),
+}
+_SQ_SADDLE = {
+    5: {True: ((3, 2), (1, 0)), False: ((3, 0), (1, 2))},
+    10: {True: ((0, 3), (2, 1)), False: ((0, 1), (2, 3))},
+}
+
+
+def reference_squares(field, box, res):
+    """Per-cell marching squares with a center sample per saddle cell."""
+    vals = sample_grid(field, box, res)
+    inside = vals < 0.0
+    case = np.zeros((res, res), dtype=np.int32)
+    for c, (dx, dy) in enumerate(((0, 0), (1, 0), (1, 1), (0, 1))):
+        case |= inside[dx : dx + res, dy : dy + res].astype(np.int32) << c
+    active = np.argwhere((case != 0) & (case != 15))
+    if active.shape[0] == 0:
+        return PolylineSet(np.empty((0, 2)), np.empty((0, 2), dtype=np.intp))
+    lo = box.lo
+    spacing = (box.hi - box.lo) / res
+    n = res + 1
+
+    saddles = [row for row, (i, j) in enumerate(active) if case[i, j] in _SQ_SADDLE]
+    saddle_inside = {}
+    if saddles:
+        pts = np.asarray(
+            [(lo[0] + (active[r][0] + 0.5) * spacing[0], lo[1] + (active[r][1] + 0.5) * spacing[1])
+             for r in saddles]
+        )
+        cv = np.asarray(field(pts), dtype=np.float64)
+        saddle_inside = {r: bool(c < 0.0) for r, c in zip(saddles, cv)}
+
+    edge_map = ((0, 0, 0), (1, 1, 0), (0, 0, 1), (1, 0, 0))
+    axis_step = ((1, 0), (0, 1))
+    vert_of_edge, verts, segs = {}, [], []
+
+    def vertex_on(e, i, j):
+        axis, di, dj = edge_map[e]
+        ia, ja = i + di, j + dj
+        gid = (axis * n + ja) * n + ia
+        found = vert_of_edge.get(gid)
+        if found is not None:
+            return found
+        sx, sy = axis_step[axis]
+        va = float(vals[ia, ja])
+        vb = float(vals[ia + sx, ja + sy])
+        t = 0.5 if va == vb else va / (va - vb)
+        verts.append((lo[0] + (ia + t * sx) * spacing[0], lo[1] + (ja + t * sy) * spacing[1]))
+        vert_of_edge[gid] = len(verts) - 1
+        return len(verts) - 1
+
+    for row, (i, j) in enumerate(active):
+        c = case[i, j]
+        pieces = _SQ_SADDLE[c][saddle_inside[row]] if c in _SQ_SADDLE else _SQ_SEGMENTS[c]
+        for ea, eb in pieces:
+            a = vertex_on(ea, i, j)
+            b = vertex_on(eb, i, j)
+            if a != b:
+                segs.append((a, b))
+
+    v = np.asarray(verts, dtype=np.float64).reshape(-1, 2)
+    return PolylineSet(v, np.asarray(segs, dtype=np.intp).reshape(-1, 2))
+
+
+def assert_bitwise(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
 
 
 def sphere_field(pts):
@@ -107,14 +333,15 @@ def test_triangles_wind_outward():
     assert np.all(np.sum(n * centers, axis=1) > 0.0)
 
 
-def test_two_blob_mesh_is_manifold():
-    # Coarse two-sphere union exercises ambiguous-face cells; the face-center
-    # decision keeps the surface watertight.
-    def blobs(p):
-        d1 = np.linalg.norm(p - np.array([0.55, 0.0, 0.0]), axis=1) - 0.5
-        d2 = np.linalg.norm(p + np.array([0.55, 0.0, 0.0]), axis=1) - 0.5
-        return np.minimum(d1, d2)
+def blobs(p):
+    d1 = np.linalg.norm(p - np.array([0.55, 0.0, 0.0]), axis=1) - 0.5
+    d2 = np.linalg.norm(p + np.array([0.55, 0.0, 0.0]), axis=1) - 0.5
+    return np.minimum(d1, d2)
 
+
+def test_two_blob_mesh_is_manifold():
+    # Two nearly touching spheres on coarse grids; at these resolutions no
+    # cell has an ambiguous face, so this checks stitching, not saddles.
     box = Aabb.cube(np.zeros(3), 1.5)
     for res in (6, 7, 9, 11):
         mesh = marching_cubes(blobs, box, res)
@@ -140,28 +367,110 @@ def test_circle_polyline_closed_and_accurate():
     assert np.all(degree == 2)
 
 
-def test_squares_saddle_resolved_by_center_sample():
-    # The hyperbolic field -x*y is negative in two opposite quadrants; at the
-    # origin cell the corner signs alone are ambiguous.  Center sampling picks
-    # the topology consistent with the actual field.
-    def saddle(p):
-        return -(p[:, 0] * p[:, 1])
+@pytest.mark.parametrize(
+    "c, pairs",
+    [
+        (0.01, {("bottom", "left"), ("right", "top")}),  # center inside
+        (-0.01, {("bottom", "right"), ("left", "top")}),  # center outside
+    ],
+)
+def test_squares_saddle_resolved_by_center_sample(c, pairs):
+    # x*y - c at odd res: the origin cell's corners alternate in sign, so
+    # they alone are ambiguous.  The center value -c decides which opposite
+    # corners the contour cuts off, matching the hyperbola xy = c.
+    lines = marching_squares(lambda p: p[:, 0] * p[:, 1] - c, Aabb.cube(np.zeros(2), 1.0), 5)
+    v = lines.vertices
+    # interpolation along a lattice edge is exact for a bilinear field
+    np.testing.assert_allclose(v[:, 0] * v[:, 1], c, atol=1e-12)
+    h = 0.2  # the origin cell is [-h, h]^2
 
-    box = Aabb.cube(np.zeros(2), 1.0)
-    lines = marching_squares(saddle, box, 5)  # odd res: cells straddle the axes
-    # segments exist and no vertex dangles more than the 4 hyperbola branch ends
-    degree = np.zeros(lines.vertices.shape[0], dtype=int)
-    for a, b in lines.segments:
-        degree[a] += 1
-        degree[b] += 1
-    assert np.all(degree >= 1)
-    assert lines.segments.shape[0] > 0
-    # all vertices lie near the zero set xy = 0
-    prods = np.abs(lines.vertices[:, 0] * lines.vertices[:, 1])
-    assert np.max(prods) < 0.05
+    def side(p):
+        if abs(abs(p[0]) - h) < 1e-9:
+            return "right" if p[0] > 0 else "left"
+        return "top" if p[1] > 0 else "bottom"
+
+    in_cell = np.all(np.abs(v[lines.segments]) < h + 1e-9, axis=(1, 2))
+    got = {tuple(sorted(side(v[i]) for i in seg)) for seg in lines.segments[in_cell]}
+    assert got == pairs
 
 
 def test_squares_empty():
     box = Aabb.cube(np.zeros(2), 1.0)
     lines = marching_squares(lambda p: np.full(p.shape[0], -1.0), box, 8)
     assert lines.segments.shape[0] == 0
+
+
+def quadric(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(3, 3))
+    a = a + a.T
+    b = rng.normal(size=3)
+    c = 0.3 * rng.normal()
+    return lambda p: np.einsum("ni,ij,nj->n", p, a, p) + p @ b + c
+
+
+@pytest.mark.parametrize(
+    "field, half, res",
+    [(sphere_field, 2.0, 8), (sphere_field, 2.0, 24)]
+    + [(blobs, 1.5, res) for res in (6, 7, 9, 11)],
+)
+def test_cubes_match_per_cell_reference(field, half, res):
+    box = Aabb.cube(np.zeros(3), half)
+    want, _ = reference_cubes(field, box, res)
+    got = marching_cubes(field, box, res)
+    assert_bitwise(got.vertices, want.vertices)
+    assert_bitwise(got.triangles, want.triangles)
+
+
+def test_cubes_match_reference_on_ambiguous_faces():
+    box = Aabb.cube(np.zeros(3), 1.0)
+    face_samples = 0
+    for seed in range(20):
+        want, samples = reference_cubes(quadric(seed), box, 7)
+        face_samples += samples
+        got = marching_cubes(quadric(seed), box, 7)
+        assert_bitwise(got.vertices, want.vertices)
+        assert_bitwise(got.triangles, want.triangles)
+    assert face_samples > 0
+
+
+def test_cubes_match_reference_on_a_network():
+    net = init_field(seed=0, dim=3, hidden=16, hidden_layers=2, encoding=default_encoding(4))
+    box = Aabb.cube(np.zeros(3), 1.0)
+    field = lambda p: evaluate_batch(net, p)  # noqa: E731
+    want, _ = reference_cubes(field, box, 16)
+    got = marching_cubes(field, box, 16)
+    assert got.triangles.shape[0] > 0
+    assert_bitwise(got.vertices, want.vertices)
+    assert_bitwise(got.triangles, want.triangles)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        lambda p: np.linalg.norm(p, axis=1) - 1.0,
+        lambda p: p[:, 0] * p[:, 1] - 0.01,
+        lambda p: p[:, 0] * p[:, 1] + 0.01,
+        lambda p: p[:, 0] * p[:, 1],
+    ],
+    ids=["circle", "saddle-inside", "saddle-outside", "saddle-zero"],
+)
+def test_squares_match_per_cell_reference(field):
+    box = Aabb.cube(np.zeros(2), 1.5)
+    for res in (5, 7, 32):
+        want = reference_squares(field, box, res)
+        got = marching_squares(field, box, res)
+        assert_bitwise(got.vertices, want.vertices)
+        assert_bitwise(got.segments, want.segments)
+
+
+def test_face_center_sample_can_never_flip():
+    # Every case with one ambiguous face separates that face's inside corners,
+    # and for neither sign of the face-center sample does the complementary
+    # case offer the other pairing, so the reference never switches tables.
+    single = [(case, amb[0]) for case, amb in enumerate(_AMB_INFO) if len(amb) == 1]
+    assert len(single) == 72
+    for case, (fi, verdict) in single:
+        assert verdict is False
+        for center_inside in (False, True):
+            assert _flips(case, fi, verdict, center_inside) is None

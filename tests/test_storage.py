@@ -9,14 +9,12 @@ from scanfield.geom import Aabb, SceneTransform
 from scanfield.meshing import TriangleMesh, marching_cubes
 from scanfield.storage import (
     MODEL_MAGIC,
-    export_grid,
     export_mesh_ply,
     load_model,
     load_poses,
     load_scan_points,
     load_scans,
     load_transform,
-    read_grid,
     read_mesh_ply,
     save_model,
     save_transform,
@@ -197,37 +195,3 @@ def test_ply_rejects_garbage(tmp_path):
     with pytest.raises(ValueError, match="not a PLY"):
         read_mesh_ply(path)
 
-
-def test_grid_round_trip_and_layout(tmp_path):
-    # 4 samples per axis in 3D: exactly 64 payload floats
-    res = 4
-    vals = np.arange(64, dtype=np.float64).reshape(4, 4, 4)
-    box = Aabb.cube(np.zeros(3), 1.0)
-    path = tmp_path / "field.grid"
-    export_grid(path, vals, box, res)
-    raw = path.read_bytes()
-    payload = raw.split(b"end_header\n", 1)[1]
-    assert len(payload) == 64 * 4
-    # x varies fastest: the second f32 is vals[1, 0, 0]
-    flat = np.frombuffer(payload, dtype="<f4")
-    assert flat[0] == vals[0, 0, 0]
-    assert flat[1] == vals[1, 0, 0]
-    assert flat[4] == vals[0, 1, 0]
-    assert flat[16] == vals[0, 0, 1]
-    back, bbox, bres = read_grid(path)
-    assert bres == res
-    np.testing.assert_allclose(back, vals)  # integers survive f32 exactly
-    np.testing.assert_array_equal(bbox.lo, box.lo)
-    np.testing.assert_array_equal(bbox.hi, box.hi)
-
-
-def test_grid_shape_validation(tmp_path):
-    box = Aabb.cube(np.zeros(2), 1.0)
-    with pytest.raises(ValueError, match="shape"):
-        export_grid(tmp_path / "g", np.zeros((3, 4)), box, 4)
-    good = tmp_path / "g2"
-    export_grid(good, np.zeros((4, 4)), box, 4)
-    raw = good.read_bytes()
-    (tmp_path / "trunc").write_bytes(raw[:-4])
-    with pytest.raises(ValueError, match="payload"):
-        read_grid(tmp_path / "trunc")
