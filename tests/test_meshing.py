@@ -367,6 +367,27 @@ def test_circle_polyline_closed_and_accurate():
     assert np.all(degree == 2)
 
 
+def test_squares_saddle_resolved_by_center_sample():
+    # The hyperbolic field -x*y is negative in two opposite quadrants; at the
+    # origin cell the corner signs alone are ambiguous.  Center sampling picks
+    # the topology consistent with the actual field.
+    def saddle(p):
+        return -(p[:, 0] * p[:, 1])
+
+    box = Aabb.cube(np.zeros(2), 1.0)
+    lines = marching_squares(saddle, box, 5)  # odd res: cells straddle the axes
+    # segments exist and no vertex dangles more than the 4 hyperbola branch ends
+    degree = np.zeros(lines.vertices.shape[0], dtype=int)
+    for a, b in lines.segments:
+        degree[a] += 1
+        degree[b] += 1
+    assert np.all(degree >= 1)
+    assert lines.segments.shape[0] > 0
+    # all vertices lie near the zero set xy = 0
+    prods = np.abs(lines.vertices[:, 0] * lines.vertices[:, 1])
+    assert np.max(prods) < 0.05
+
+
 @pytest.mark.parametrize(
     "c, pairs",
     [
@@ -374,7 +395,7 @@ def test_circle_polyline_closed_and_accurate():
         (-0.01, {("bottom", "right"), ("left", "top")}),  # center outside
     ],
 )
-def test_squares_saddle_resolved_by_center_sample(c, pairs):
+def test_squares_saddle_topology_follows_center_sample(c, pairs):
     # x*y - c at odd res: the origin cell's corners alternate in sign, so
     # they alone are ambiguous.  The center value -c decides which opposite
     # corners the contour cuts off, matching the hyperbola xy = c.
