@@ -16,7 +16,7 @@ from scanfield.config import RunConfig
 from scanfield.encoding import default_encoding
 from scanfield.field import evaluate_batch, init_field
 from scanfield.geom import Aabb, Pose, normalize_scene, to_world
-from scanfield.scenes import ScannerConfig, parse_scene_text, simulate_scan
+from scanfield.scenes import parse_scene_text, simulate_scan
 from scanfield.training import train
 
 ROOM = """
@@ -34,16 +34,14 @@ def main():
                     samples_per_ray=16, beams=48)
     scene = parse_scene_text(ROOM)
     traj = trajectory_poses("orbit:radius=2.2,steps=20")
-    scanner = ScannerConfig(beams=cfg.beams, fov=cfg.fov, max_range=cfg.max_range)
+    scanner = cfg.scanner()
 
     rng = np.random.default_rng(cfg.seed)
     scans = [simulate_scan(scene, Pose.from_xytheta(x, y, th), scanner, rng)
              for x, y, th in traj]
     endpoints = np.concatenate([to_world(s) for s in scans])
     origins = np.concatenate([np.broadcast_to(s.pose.translation, s.points.shape) for s in scans])
-    pts = np.concatenate([origins, endpoints])
-    canon, tf = normalize_scene(origins, endpoints,
-                                Aabb(pts.min(0) - 1e-9, pts.max(0) + 1e-9))
+    canon, tf = normalize_scene(origins, endpoints)
 
     net = init_field(cfg.seed, 2, default_encoding(cfg.encoding_bands),
                      hidden=cfg.hidden_width, hidden_layers=cfg.hidden_layers,

@@ -8,8 +8,7 @@ import numpy as np
 
 from scanfield.geom import Pose
 from scanfield.scenes import (
-    AnalyticScene, Box, Plane, ScannerConfig, Sphere,
-    oracle_jet, parse_scene_text, simulate_scan,
+    AnalyticScene, Box, Plane, ScannerConfig, Sphere, parse_scene_text, simulate_scan,
 )
 
 
@@ -23,15 +22,15 @@ def main():
         [0.0, 0.0, 1.0],   # sphere center (distance -1)
     ])
     print("point                      sdf     |grad|")
-    for q in queries:
-        jet = oracle_jet(scene, q)
-        print(f"{np.array2string(q, precision=1):26s} {jet.value:+.4f}  "
-              f"{np.linalg.norm(jet.gradient):.6f}")
+    values, grads, _ = scene.jet(queries)
+    for q, v, g in zip(queries, values, grads):
+        print(f"{np.array2string(q, precision=1):26s} {v:+.4f}  "
+              f"{np.linalg.norm(g):.6f}")
 
     # The gradient is unit-norm wherever the oracle is smooth; the Hessian
     # carries the surface curvature (1/r for a sphere at distance 0).
-    jet = oracle_jet(scene, np.array([0.0, 0.0, 2.5]))
-    curv = np.trace(jet.hessian) / 2.0  # mean curvature of the level set
+    _, _, hess = scene.jet(np.array([[0.0, 0.0, 2.5]]))
+    curv = np.trace(hess[0]) / 2.0  # mean curvature of the level set
     print(f"\nmean curvature 0.5 above the sphere: {curv:.4f} "
           f"(analytic 1/1.5 = {1/1.5:.4f})")
 
@@ -41,7 +40,8 @@ def main():
         "circle 0.8 -0.4 0.7\n"
     )
     pose = Pose.from_xytheta(-1.5, 1.0, -0.4)
-    scan = simulate_scan(room, pose, ScannerConfig(beams=12, fov=2 * np.pi))
+    scan = simulate_scan(room, pose, ScannerConfig(beams=12, fov=2 * np.pi),
+                         np.random.default_rng(0))
     ranges = np.linalg.norm(scan.points, axis=1)
     print(f"\n2D room scan from {pose.translation}: {len(ranges)} returns")
     print("ranges:", np.array2string(ranges, precision=3))

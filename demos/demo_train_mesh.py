@@ -16,7 +16,7 @@ from scanfield.config import RunConfig
 from scanfield.encoding import default_encoding
 from scanfield.field import evaluate_batch, init_field
 from scanfield.geom import Aabb, Pose, normalize_scene, to_world
-from scanfield.scenes import AnalyticScene, ScannerConfig, Sphere, simulate_scan
+from scanfield.scenes import AnalyticScene, Sphere, simulate_scan
 from scanfield.training import train
 
 
@@ -44,7 +44,7 @@ def main():
     cfg = RunConfig(encoding_bands=12, hidden_width=64, hidden_layers=3,
                     samples_per_ray=20, beams=32, fov=1.45)
     scene = AnalyticScene([Sphere(np.zeros(3), 1.0)])
-    scanner = ScannerConfig(beams=cfg.beams, fov=cfg.fov, max_range=cfg.max_range)
+    scanner = cfg.scanner()
 
     rng = np.random.default_rng(cfg.seed)
     scans = [simulate_scan(scene, pose, scanner, rng) for pose in aimed_poses(20, 1.5)]
@@ -52,9 +52,7 @@ def main():
     origins = np.concatenate([np.broadcast_to(s.pose.translation, s.points.shape) for s in scans])
     print(f"{len(endpoints)} rays from 20 poses")
 
-    pts = np.concatenate([origins, endpoints])
-    canon, tf = normalize_scene(origins, endpoints,
-                                Aabb(pts.min(0) - 1e-9, pts.max(0) + 1e-9))
+    canon, tf = normalize_scene(origins, endpoints)
 
     net = init_field(cfg.seed, 3, default_encoding(cfg.encoding_bands),
                      hidden=cfg.hidden_width, hidden_layers=cfg.hidden_layers,

@@ -22,6 +22,10 @@ from .geom import Aabb, Pose, Scan, SceneTransform, normalize_scene, to_world
 from .targets import SupervisionMode
 from .training import train
 
+# Half-width of the near-surface band that eval-sdf and compare score, in
+# world metres.
+EVAL_BAND = 0.2
+
 MODE_LABELS = {
     SupervisionMode.RAY_DISTANCE: "RayDistance",
     SupervisionMode.CLOSEST_NORMAL: "ClosestNormal",
@@ -151,26 +155,30 @@ def _embed_pose_row(pose: Pose) -> np.ndarray:
 # synth
 
 
+def _synthesize_dataset(scene, traj: np.ndarray, cfg: RunConfig) -> list[Scan]:
+    """One scan per (x, y, heading) row; scan noise draws from one seeded generator."""
+    scanner = cfg.scanner()
+    rng = np.random.default_rng(cfg.seed)
+    scans = []
+    for x, y, th in traj:
+        pose = _planar_pose(x, y, th, scene.dim)
+        scans.append(scenes.simulate_scan(scene, pose, scanner, rng))
+    return scans
+
+
 def cmd_synth(args) -> int:
     cfg = _load_run_config(args)
     scene = scenes.parse_scene_file(args.scene)
     traj = trajectory_poses(args.traj)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scanner = scenes.ScannerConfig(
-        beams=cfg.beams, fov=cfg.fov, max_range=cfg.max_range,
-        noise_sigma=cfg.scan_noise, seed=cfg.seed,
-    )
-    rng = np.random.default_rng(cfg.seed)
     pose_rows = []
-    for k, (x, y, th) in enumerate(traj):
-        pose = _planar_pose(x, y, th, scene.dim)
-        scan = scenes.simulate_scan(scene, pose, scanner, rng)
+    for k, scan in enumerate(_synthesize_dataset(scene, traj, cfg)):
         pts = scan.points
         if pts.shape[1] == 2:
             pts = np.concatenate([pts, np.zeros((pts.shape[0], 1))], axis=1)
         (out / f"scan_{k:06d}.bin").write_bytes(pts.astype("<f4").tobytes())
-        pose_rows.append(" ".join(repr(float(v)) for v in _embed_pose_row(pose)))
+        pose_rows.append(" ".join(repr(float(v)) for v in _embed_pose_row(scan.pose)))
     (out / "poses.txt").write_text("\n".join(pose_rows) + "\n")
     traj_lines = [
         f"{float(k)!r} {float(x)!r} {float(y)!r} {float(th)!r}"
@@ -205,20 +213,12 @@ def _dataset_scans(scans: list[Scan], dim: str) -> tuple[list[Scan], int]:
 
 
 def _canonical_rays(scans: list[Scan]):
-    """Every scan's rays as canonical (origins, endpoints) arrays, plus the transform.
-
-    The normalization box just covers all origins and endpoints, so no ray is
-    dropped.
-    """
+    """Every scan's rays as canonical (origins, endpoints) arrays, plus the transform."""
     ends = [to_world(s) for s in scans]
     origins = np.concatenate(
         [np.broadcast_to(s.pose.translation, e.shape) for s, e in zip(scans, ends)]
     )
-    endpoints = np.concatenate(ends)
-    pts = np.concatenate([origins, endpoints], axis=0)
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    pad = 1e-9 * np.maximum(1.0, np.abs(np.stack([lo, hi])).max())
-    return normalize_scene(origins, endpoints, Aabb(lo - pad, hi + pad))
+    return normalize_scene(origins, np.concatenate(ends))
 
 
 def _init_net(cfg: RunConfig, dim: int) -> field_mod.FieldNet:
@@ -261,7 +261,7 @@ def _load_field(model_path):
     if tf_path.exists():
         tf = storage.load_transform(tf_path)
     else:
-        tf = SceneTransform(np.zeros(net.dim), 1.0, 0)
+        tf = SceneTransform(np.zeros(net.dim), 1.0)
     return net, tf
 
 
@@ -358,7 +358,7 @@ def _oracle_eval_fns(scene):
 def cmd_eval_sdf(args) -> int:
     cfg = _load_run_config(args)
     scene = scenes.parse_scene_file(args.scene)
-    band = args.band if args.band is not None else cfg.trunc_band
+    band = args.band if args.band is not None else EVAL_BAND
     if args.model == "oracle":
         field, grads = _oracle_eval_fns(scene)
     else:
@@ -473,25 +473,12 @@ def _auto_orbit(scene, steps: int) -> str:
     raise ValueError("no free-space orbit found; pass --traj explicitly")
 
 
-def _synthesize_dataset(scene, traj: np.ndarray, cfg: RunConfig):
-    scanner = scenes.ScannerConfig(
-        beams=cfg.beams, fov=cfg.fov, max_range=cfg.max_range,
-        noise_sigma=cfg.scan_noise, seed=cfg.seed,
-    )
-    rng = np.random.default_rng(cfg.seed)
-    scans = []
-    for x, y, th in traj:
-        pose = _planar_pose(x, y, th, scene.dim)
-        scans.append(scenes.simulate_scan(scene, pose, scanner, rng))
-    return scans
-
-
 def cmd_compare(args) -> int:
     cfg = _load_run_config(args)
     scene = scenes.parse_scene_file(args.scene)
     traj_spec = args.traj if args.traj is not None else _auto_orbit(scene, args.poses)
     traj = trajectory_poses(traj_spec)
-    pts = _band_samples(scene, cfg.trunc_band, args.samples, cfg.seed)
+    pts = _band_samples(scene, EVAL_BAND, args.samples, cfg.seed)
     scans = _synthesize_dataset(scene, traj, cfg)
     canon, tf = _canonical_rays(scans)
     scans_xy = [s.points for s in scans] if scene.dim == 2 else None
@@ -560,7 +547,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--model", required=True, help="checkpoint path, or 'oracle'")
     p.add_argument("--scene", required=True)
-    p.add_argument("--band", type=float, default=None, help="near-surface band half-width")
+    p.add_argument("--band", type=float, default=None,
+                   help="half-width of the scored near-surface band, world metres "
+                        f"(default {EVAL_BAND})")
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--out", default=None, help="CSV path (also printed)")
     p.set_defaults(func=cmd_eval_sdf)

@@ -3,16 +3,24 @@
 One flat namespace covers every tunable the pipeline exposes; unknown keys
 are rejected so typos fail loudly instead of silently running defaults.
 Lines are `key = value`, blank, or `#` comments.
+
+A key's default and range check live in the module config that uses it
+(``LossWeights``, ``OptimConfig``, ``MclConfig``, ``ScannerConfig``).  The
+adapters below build those configs, and ``RunConfig`` builds each of them
+once on construction so their checks run.  Only the keys no module config
+owns (mode, encoding, network and the grid resolutions) are checked here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from . import mcl as mcl_mod
-from .targets import DEFAULT_GAMMA, DEFAULT_TAU, SupervisionMode
+from .encoding import DEFAULT_BANDS, DEFAULT_BASE_FREQ
+from .field import DEFAULT_FIRST_FACTOR, DEFAULT_HIDDEN, DEFAULT_LAYERS
+from .mcl import MclConfig
+from .scenes import ScannerConfig
+from .targets import SupervisionMode
 from .training import LossWeights, OptimConfig
 
 _MODES = {m.value for m in SupervisionMode}
@@ -20,81 +28,67 @@ _MODES = {m.value for m in SupervisionMode}
 
 @dataclass(frozen=True)
 class RunConfig:
-    # positional encoding
-    encoding_bands: int = 30
-    encoding_base_freq: float = math.pi
-    # network
-    hidden_width: int = 128
-    hidden_layers: int = 4
-    first_layer_factor: float = 30.0
-    # ray sampling
-    samples_per_ray: int = 40
-    drop_behind_origin: bool = False
-    # supervision
+    # positional encoding: band count; base frequency in rad per canonical unit
+    encoding_bands: int = DEFAULT_BANDS
+    encoding_base_freq: float = DEFAULT_BASE_FREQ
+    # network: hidden width and depth; first-layer sine factor (unitless)
+    hidden_width: int = DEFAULT_HIDDEN
+    hidden_layers: int = DEFAULT_LAYERS
+    first_layer_factor: float = DEFAULT_FIRST_FACTOR
+    # ray sampling: samples per ray; drop the probe behind the sensor origin
+    samples_per_ray: int = OptimConfig.samples_per_ray
+    drop_behind_origin: bool = OptimConfig.drop_behind_origin
+    # supervision: target mode; trunc_band is the target clamp tau in canonical
+    # units, read only by training; weight_gamma is unitless
     mode: str = "curvature"
-    trunc_band: float = DEFAULT_TAU
-    weight_gamma: float = DEFAULT_GAMMA
-    # loss
-    endpoint_weight: float = 1e-1
-    eikonal_weight: float = 1e-4
-    smoothness_weight: float = 1e-3
-    smooth_neighbors: int = 4
-    smoothness_literal: bool = False
-    # optimizer
-    learn_rate: float = 1e-4
-    weight_decay: float = 1e-2
-    epochs: int = 10
-    batch_rays: int = 512
-    curvature_warmup: int = 0
-    seed: int = 0
-    # scanner synthesis
-    beams: int = 64
-    fov: float = 2.0 * math.pi
-    max_range: float = 100.0
-    scan_noise: float = 0.0
-    # resolutions
+    trunc_band: float = LossWeights.tau
+    weight_gamma: float = LossWeights.gamma
+    # loss: unitless term weights; neighbours per sample for smoothness
+    endpoint_weight: float = LossWeights.endpoint
+    eikonal_weight: float = LossWeights.eikonal
+    smoothness_weight: float = LossWeights.smooth
+    smooth_neighbors: int = LossWeights.knn
+    # optimizer: curvature_warmup counts optimizer steps; the seed also drives
+    # network init, scan noise and particle draws
+    learn_rate: float = OptimConfig.lr
+    weight_decay: float = OptimConfig.weight_decay
+    epochs: int = OptimConfig.epochs
+    batch_rays: int = OptimConfig.batch_rays
+    curvature_warmup: int = OptimConfig.warmup_steps
+    seed: int = OptimConfig.seed
+    # scanner synthesis: fov in radians; max_range and scan_noise in world metres
+    beams: int = ScannerConfig.beams
+    fov: float = ScannerConfig.fov
+    max_range: float = ScannerConfig.max_range
+    scan_noise: float = ScannerConfig.noise_sigma
+    # resolutions: cells per axis of the mesh grid (canonical cube) and of the
+    # 2D localization field grid (world map box)
     mesh_res: int = 256
     field_grid_res: int = 256
-    # localization
-    mcl_particles: int = mcl_mod.DEFAULT_PARTICLES
-    mcl_conv_std: float = mcl_mod.DEFAULT_CONV_STD
-    mcl_gate_trans: float = mcl_mod.DEFAULT_GATE_TRANS
-    mcl_gate_rot: float = mcl_mod.DEFAULT_GATE_ROT
-    mcl_sigma_z: float = mcl_mod.DEFAULT_SIGMA_Z
-    mcl_runs: int = mcl_mod.DEFAULT_RUNS
-    mcl_odom_trans_base: float = 0.01
-    mcl_odom_trans_frac: float = 0.01
-    mcl_odom_rot_base: float = 0.002
-    mcl_odom_rot_frac: float = 0.01
+    # localization: conv_std, the translation gate, sigma_z and the translation
+    # odometry noise in world metres; the rotation gate and noise in radians
+    mcl_particles: int = MclConfig.n_particles
+    mcl_conv_std: float = MclConfig.conv_std
+    mcl_gate_trans: float = MclConfig.gate_trans
+    mcl_gate_rot: float = MclConfig.gate_rot
+    mcl_sigma_z: float = MclConfig.sigma_z
+    mcl_runs: int = MclConfig.runs
+    mcl_odom_trans_base: float = MclConfig.odom_trans_base
+    mcl_odom_trans_frac: float = MclConfig.odom_trans_frac
+    mcl_odom_rot_base: float = MclConfig.odom_rot_base
+    mcl_odom_rot_frac: float = MclConfig.odom_rot_frac
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {sorted(_MODES)}, got {self.mode!r}")
-        positive = (
-            "encoding_bands", "encoding_base_freq", "hidden_width", "hidden_layers",
-            "first_layer_factor", "samples_per_ray", "trunc_band", "weight_gamma",
-            "learn_rate", "epochs", "batch_rays", "beams", "max_range",
-            "mesh_res", "field_grid_res", "mcl_particles", "mcl_conv_std",
-            "mcl_gate_trans", "mcl_gate_rot", "mcl_sigma_z", "mcl_runs",
-        )
-        for name in positive:
+        for name in ("encoding_bands", "encoding_base_freq", "hidden_width",
+                     "hidden_layers", "first_layer_factor"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        nonneg = (
-            "endpoint_weight", "eikonal_weight", "smoothness_weight", "smooth_neighbors",
-            "weight_decay", "curvature_warmup", "scan_noise", "seed",
-            "mcl_odom_trans_base", "mcl_odom_trans_frac",
-            "mcl_odom_rot_base", "mcl_odom_rot_frac",
-        )
-        for name in nonneg:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.samples_per_ray < 2:
-            raise ValueError("samples_per_ray must be at least 2")
-        if not 0.0 < self.fov <= 2.0 * math.pi:
-            raise ValueError("fov must be in (0, 2*pi]")
         if self.mesh_res < 2 or self.field_grid_res < 2:
             raise ValueError("grid resolutions must be at least 2")
+        for adapter in (self.loss_weights, self.optim, self.mcl, self.scanner):
+            adapter()
 
     # --- adapters into the per-module config types -------------------------
 
@@ -109,7 +103,6 @@ class RunConfig:
             gamma=self.weight_gamma,
             tau=self.trunc_band,
             knn=self.smooth_neighbors,
-            smoothness_literal=self.smoothness_literal,
         )
 
     def optim(self) -> OptimConfig:
@@ -124,8 +117,8 @@ class RunConfig:
             warmup_steps=self.curvature_warmup,
         )
 
-    def mcl(self) -> mcl_mod.MclConfig:
-        return mcl_mod.MclConfig(
+    def mcl(self) -> MclConfig:
+        return MclConfig(
             n_particles=self.mcl_particles,
             conv_std=self.mcl_conv_std,
             gate_trans=self.mcl_gate_trans,
@@ -135,8 +128,15 @@ class RunConfig:
             odom_trans_frac=self.mcl_odom_trans_frac,
             odom_rot_base=self.mcl_odom_rot_base,
             odom_rot_frac=self.mcl_odom_rot_frac,
-            seed=self.seed,
             runs=self.mcl_runs,
+        )
+
+    def scanner(self) -> ScannerConfig:
+        return ScannerConfig(
+            beams=self.beams,
+            fov=self.fov,
+            max_range=self.max_range,
+            noise_sigma=self.scan_noise,
         )
 
 

@@ -22,6 +22,7 @@ import numpy.typing as npt
 _F = npt.NDArray[np.floating]
 
 DEFAULT_BANDS = 30
+DEFAULT_BASE_FREQ = math.pi
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class EncodingConfig:
         return (2 * self.bands + 1) * dim
 
 
-def default_encoding(bands: int = DEFAULT_BANDS, base: float = math.pi) -> EncodingConfig:
+def default_encoding(bands: int = DEFAULT_BANDS, base: float = DEFAULT_BASE_FREQ) -> EncodingConfig:
     """Linear ladder w_k = k * base for k = 1..bands."""
     return EncodingConfig(base * np.arange(1, bands + 1, dtype=np.float64))
 

@@ -75,15 +75,6 @@ class FieldNet:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
-class FieldJet:
-    """Value, gradient, and Hessian of the field at one point."""
-
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-
-
 @dataclass
 class ParamGrads:
     """Per-parameter gradient arrays, mirroring FieldNet's layout."""

@@ -3,9 +3,9 @@
 Points are float64 arrays of shape (m,) with m in {2, 3}; batches are (N, m).
 The dimension is fixed per run and everything here works for both values.
 World units are meters by convention; the canonical frame produced by
-``normalize_scene`` maps the working box onto the cube [-1, 1]^m with a single
-uniform scale so that distances (and the eikonal property) survive the change
-of coordinates up to that scale factor.
+``normalize_scene`` maps the rays' bounding box onto the cube [-1, 1]^m with a
+single uniform scale so that distances (and the eikonal property) survive the
+change of coordinates up to that scale factor.
 
 Rays are an (origins, endpoints) pair of (R, m) arrays: row i is the segment
 from a sensor position to the surface point it measured.  ``to_world`` gives
@@ -135,11 +135,6 @@ class Aabb:
     def half_extent(self) -> np.ndarray:
         return 0.5 * (self.hi - self.lo)
 
-    def contains(self, points: _F) -> np.ndarray:
-        """Boolean mask over (..., m) points, boundary inclusive."""
-        p = np.asarray(points, dtype=np.float64)
-        return np.all((p >= self.lo) & (p <= self.hi), axis=-1)
-
     @staticmethod
     def cube(center, half: float) -> "Aabb":
         c = np.asarray(center, dtype=np.float64)
@@ -166,12 +161,10 @@ class SceneTransform:
 
     canonical = (world - center) / scale.  ``scale`` is the world length of one
     canonical unit, so world distances are canonical distances times scale.
-    ``dropped`` records how many rays normalization discarded.
     """
 
     center: np.ndarray
     scale: float
-    dropped: int = 0
 
     def __post_init__(self):
         c = _as_float_array(self.center, "center")
@@ -179,7 +172,6 @@ class SceneTransform:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(self, "dropped", int(self.dropped))
 
     @property
     def dim(self) -> int:
@@ -193,17 +185,17 @@ class SceneTransform:
 
 
 def normalize_scene(
-    origins: _F, endpoints: _F, box: Aabb
+    origins: _F, endpoints: _F
 ) -> tuple[tuple[np.ndarray, np.ndarray], SceneTransform]:
     """Map (R, m) ray arrays from world coordinates into the canonical cube.
 
     Row i is the ray from ``origins[i]`` to ``endpoints[i]``; the arrays must
-    share one (R, m) shape with finite entries and no zero-length ray.  Rays
-    whose endpoint or origin falls outside ``box`` are dropped (and counted on
-    the returned transform); every surviving sample position, origin through
-    endpoint, then lies inside [-1, 1]^m.  The scale is the largest
-    half-extent of the box, applied uniformly so the distance metric is
-    preserved up to that single factor.  Returns the canonical
+    share one (R, m) shape with finite entries and no zero-length ray.  The
+    box is the bounding box of every origin and endpoint, padded by 1e-9 of
+    its largest coordinate magnitude (at least 1e-9), so every sample
+    position from origin through endpoint lies inside [-1, 1]^m.  The scale
+    is the largest half-extent of the box, applied uniformly so the distance
+    metric is preserved up to that single factor.  Returns the canonical
     (origins, endpoints) pair and the transform.
     """
     o = _as_float_array(origins, "origins")
@@ -215,10 +207,9 @@ def normalize_scene(
     short = np.linalg.norm(e - o, axis=1) <= 0.0
     if np.any(short):
         raise ValueError(f"ray {int(np.argmax(short))} has zero length")
-    keep = box.contains(e) & box.contains(o)
-    dropped = int(np.sum(~keep))
-    if not np.any(keep):
-        raise ValueError("no rays remain inside the box after filtering")
-    scale = float(np.max(box.half_extent))
-    tf = SceneTransform(center=box.center, scale=scale, dropped=dropped)
-    return (tf.to_canonical(o[keep]), tf.to_canonical(e[keep])), tf
+    pts = np.concatenate([o, e], axis=0)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    pad = 1e-9 * np.maximum(1.0, np.abs(np.stack([lo, hi])).max())
+    box = Aabb(lo - pad, hi + pad)
+    tf = SceneTransform(center=box.center, scale=float(np.max(box.half_extent)))
+    return (tf.to_canonical(o), tf.to_canonical(e)), tf

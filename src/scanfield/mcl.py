@@ -48,6 +48,10 @@ def relative_deltas(traj: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MclConfig:
+    """Filter settings.  ``conv_std``, ``gate_trans``, ``sigma_z`` and the
+    translation odometry noise are world metres; ``gate_rot`` and the rotation
+    odometry noise are radians."""
+
     n_particles: int = DEFAULT_PARTICLES
     conv_std: float = DEFAULT_CONV_STD
     gate_trans: float = DEFAULT_GATE_TRANS
@@ -58,7 +62,6 @@ class MclConfig:
     odom_trans_frac: float = 0.01
     odom_rot_base: float = 0.002
     odom_rot_frac: float = 0.01
-    seed: int = 0
     runs: int = DEFAULT_RUNS
 
     def __post_init__(self):
@@ -117,12 +120,10 @@ class Estimate:
         return np.array([self.x, self.y])
 
 
-def init_uniform(box: Aabb, cfg: MclConfig, rng=None) -> ParticleSet:
+def init_uniform(box: Aabb, cfg: MclConfig, rng) -> ParticleSet:
     """Equal-weight particles uniform over the box with heading in [-pi, pi)."""
     if box.dim != 2:
         raise ValueError("localization map must be 2D")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     n = cfg.n_particles
     xy = rng.uniform(box.lo, box.hi, size=(n, 2))
     th = rng.uniform(-np.pi, np.pi, size=n)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .field import FieldJet
 from .geom import Pose, Scan
 
 _F = npt.NDArray[np.floating]
@@ -335,24 +334,15 @@ class AnalyticScene:
         return mask
 
 
-def oracle_sdf(scene: AnalyticScene, x: _F) -> float:
-    return float(scene.sdf(np.asarray(x, dtype=np.float64)[None, :])[0])
-
-
-def oracle_jet(scene: AnalyticScene, x: _F) -> FieldJet:
-    v, g, h = scene.jet(np.asarray(x, dtype=np.float64)[None, :])
-    return FieldJet(value=float(v[0]), gradient=g[0], hessian=h[0])
-
-
 @dataclass(frozen=True)
 class ScannerConfig:
-    """Virtual range scanner parameters; fov is the full angular spread."""
+    """Virtual range scanner parameters: ``fov`` is the full angular spread in
+    radians; ``max_range`` and the range noise ``noise_sigma`` are world metres."""
 
     beams: int = 64
     fov: float = 2.0 * math.pi
     max_range: float = 100.0
     noise_sigma: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.beams < 1:
@@ -361,6 +351,8 @@ class ScannerConfig:
             raise ValueError("max range must be positive")
         if not 0.0 < self.fov <= 2.0 * math.pi:
             raise ValueError("fov must be in (0, 2*pi]")
+        if self.noise_sigma < 0.0:
+            raise ValueError("noise_sigma must be nonnegative")
 
 
 def beam_directions(cfg: ScannerConfig, dim: int) -> np.ndarray:
@@ -411,15 +403,14 @@ def sphere_trace(scene: AnalyticScene, origins: _F, directions: _F, max_range: f
     return hit, t
 
 
-def simulate_scan(scene: AnalyticScene, pose: Pose, cfg: ScannerConfig, rng=None) -> Scan:
+def simulate_scan(scene: AnalyticScene, pose: Pose, cfg: ScannerConfig, rng) -> Scan:
     """Synthesize one scan by tracing the scanner's beams from the pose.
 
     Misses (beam escapes past max range) are dropped; optional Gaussian range
-    noise perturbs hit distances.  The pose origin must be in free space.
-    Passing an external generator chains noise across scans; by default a
-    fresh seeded generator makes the scan self-deterministic.
+    noise, drawn from ``rng``, perturbs hit distances.  The pose origin must
+    be in free space.
     """
-    if oracle_sdf(scene, pose.translation) <= 0.0:
+    if scene.sdf(pose.translation[None, :])[0] <= 0.0:
         raise ValueError("scanner pose is not in free space")
     dirs = beam_directions(cfg, scene.dim) @ pose.rotation.T
     origins = np.broadcast_to(pose.translation, dirs.shape)
@@ -428,8 +419,6 @@ def simulate_scan(scene: AnalyticScene, pose: Pose, cfg: ScannerConfig, rng=None
         raise ValueError("all beams missed the scene")
     ranges = t[hit]
     if cfg.noise_sigma > 0.0:
-        if rng is None:
-            rng = np.random.default_rng(cfg.seed)
         ranges = ranges + cfg.noise_sigma * rng.standard_normal(ranges.shape)
     endpoints = pose.translation + ranges[:, None] * dirs[hit]
     return Scan(pose=pose, points=pose.inverse_apply(endpoints))

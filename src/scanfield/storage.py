@@ -178,7 +178,6 @@ def save_transform(path, tf: SceneTransform) -> None:
     lines = [
         "center " + " ".join(repr(float(c)) for c in tf.center),
         f"scale {tf.scale!r}",
-        f"dropped {tf.dropped}",
     ]
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -193,10 +192,9 @@ def load_transform(path) -> SceneTransform:
     try:
         center = np.array([float(v) for v in kv["center"]], dtype=np.float64)
         scale = float(kv["scale"][0])
-        dropped = int(kv["dropped"][0])
     except (KeyError, IndexError, ValueError) as exc:
         raise ValueError(f"{path}: malformed transform file ({exc})") from None
-    return SceneTransform(center=center, scale=scale, dropped=dropped)
+    return SceneTransform(center=center, scale=scale)
 
 
 # ---------------------------------------------------------------------------

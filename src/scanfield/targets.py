@@ -61,7 +61,6 @@ class TargetBatch:
     d_hat: np.ndarray
     weight: np.ndarray
     roc_query: np.ndarray
-    roc_surface: np.ndarray
     normal_unit: np.ndarray
     degenerate: np.ndarray
 
@@ -75,9 +74,6 @@ def compute_targets(
     endpoints: _F,
     tau: float = DEFAULT_TAU,
     gamma: float = DEFAULT_GAMMA,
-    grad_eps: float = GRAD_EPS,
-    r_min: float = ROC_MIN,
-    r_max: float = ROC_MAX,
 ) -> TargetBatch:
     """Batched target assembly over (S,) values, (S, m) grads, (S, m, m) Hessians.
 
@@ -96,13 +92,12 @@ def compute_targets(
     delta = e - x
     d = np.linalg.norm(delta, axis=1)
     gnorm = np.linalg.norm(g, axis=1)
-    degenerate = gnorm < grad_eps
-    safe_g = np.maximum(gnorm, grad_eps)
+    degenerate = gnorm < GRAD_EPS
+    safe_g = np.maximum(gnorm, GRAD_EPS)
     normal = -g / safe_g[:, None]
     safe_d = np.maximum(d, 1e-300)
     fallback_n = delta / safe_d[:, None]
-    roc_query = np.full(s, r_max, dtype=np.float64)
-    roc_surface = d.copy()
+    roc_query = np.full(s, ROC_MAX, dtype=np.float64)
     if mode is SupervisionMode.RAY_DISTANCE:
         d_raw = d.copy()
         normal = fallback_n
@@ -118,15 +113,14 @@ def compute_targets(
         ghg = np.einsum("si,sij,sj->s", g, h, g)
         div = tr / safe_g - ghg / safe_g**3
         kappa = np.abs(div) / (m - 1)
-        r = np.where(kappa > 1.0 / r_max, 1.0 / np.maximum(kappa, 1.0 / r_max), r_max)
-        r = np.clip(r, r_min, r_max)
+        r = np.where(kappa > 1.0 / ROC_MAX, 1.0 / np.maximum(kappa, 1.0 / ROC_MAX), ROC_MAX)
+        r = np.clip(r, ROC_MIN, ROC_MAX)
         p = np.sum(normal * delta, axis=1)
         radicand = np.maximum(d * d + r * r - 2.0 * r * p, 0.0)
         root = np.sqrt(radicand)
         degenerate = degenerate | (r - root < 0.0)
         d_raw = np.where(degenerate, d, r - root)
-        roc_query = np.where(degenerate, r_max, r)
-        roc_surface = np.where(degenerate, d, root)
+        roc_query = np.where(degenerate, ROC_MAX, r)
         normal = np.where(degenerate[:, None], fallback_n, normal)
     d_hat = np.clip(d_raw, 0.0, tau)
     d_pred_abs = np.abs(vals)
@@ -136,7 +130,6 @@ def compute_targets(
         d_hat=d_hat,
         weight=weight,
         roc_query=roc_query,
-        roc_surface=roc_surface,
         normal_unit=normal,
         degenerate=degenerate,
     )

@@ -12,7 +12,14 @@ with n the unit negated gradient and (l, j) running over each sample's k
 nearest neighbors inside the batch.  Targets and weights never receive
 gradient; the field's value and spatial gradient do, and the hand-derived
 adjoints are pushed through ``field.backprop``.  The optimizer is AdamW with
-decoupled weight decay, written out array by array.
+decoupled weight decay and the fixed moment decays ``ADAM_BETAS``, written
+out array by array.
+
+Positions, distances and the target clamp tau are in the canonical frame
+that ``geom.normalize_scene`` maps the scene into.  ``LossWeights`` and
+``OptimConfig`` hold the only defaults and range checks of these settings;
+``config.RunConfig`` takes its defaults from them and builds them to check
+its keys.
 
 The field argument of ``batch_loss`` may be a FieldNet or any object with
 ``sdf``/``jet`` batch methods (an analytic scene oracle); the latter gets an
@@ -32,38 +39,41 @@ from scipy.spatial import cKDTree
 from . import field as field_mod
 from . import sampling
 from .field import FieldNet, ParamGrads
-from .targets import GRAD_EPS, ROC_MAX, ROC_MIN, SupervisionMode, TargetBatch, compute_targets
+from .targets import DEFAULT_GAMMA, DEFAULT_TAU, GRAD_EPS, SupervisionMode, TargetBatch, compute_targets
 
 _F = npt.NDArray[np.floating]
 
+ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Loss term coefficients and target parameters."""
+    """Loss term coefficients and target parameters; the clamp ``tau`` is in canonical units."""
 
     endpoint: float = 1e-1
     eikonal: float = 1e-4
     smooth: float = 1e-3
-    gamma: float = 3.0
-    tau: float = 0.2
+    gamma: float = DEFAULT_GAMMA
+    tau: float = DEFAULT_TAU
     knn: int = 4
-    smoothness_literal: bool = False
 
     def __post_init__(self):
-        if min(self.endpoint, self.eikonal, self.smooth, self.gamma) < 0.0:
+        if min(self.endpoint, self.eikonal, self.smooth) < 0.0:
             raise ValueError("loss coefficients must be nonnegative")
+        if self.gamma <= 0.0:
+            raise ValueError("weight exponent gamma must be positive")
         if self.tau <= 0.0:
             raise ValueError("truncation must be positive (inf allowed)")
+        if self.knn < 0:
+            raise ValueError("knn must be nonnegative")
 
 
 @dataclass(frozen=True)
 class OptimConfig:
-    """Optimizer and schedule settings."""
+    """Optimizer, schedule and ray-sampling settings."""
 
     lr: float = 1e-4
-    betas: tuple[float, float] = (0.9, 0.999)
     weight_decay: float = 1e-2
     epochs: int = 10
     batch_rays: int = 512
@@ -75,8 +85,13 @@ class OptimConfig:
     def __post_init__(self):
         if self.lr <= 0.0:
             raise ValueError("learning rate must be positive")
-        if self.epochs < 0 or self.batch_rays < 1:
-            raise ValueError("bad schedule")
+        if self.epochs < 1 or self.batch_rays < 1:
+            raise ValueError("epochs and batch_rays must be positive")
+        if self.samples_per_ray < 2:
+            raise ValueError("samples_per_ray must be at least 2")
+        for name in ("weight_decay", "warmup_steps", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -154,7 +169,6 @@ def loss_terms(
     targets: TargetBatch,
     pairs: np.ndarray,
     w: LossWeights,
-    grad_eps: float = GRAD_EPS,
 ):
     """Loss breakdown plus adjoints (dL/dvalue, dL/dgrad, dL/dendpoint_value).
 
@@ -179,8 +193,8 @@ def loss_terms(
 
     gnorm = np.linalg.norm(g, axis=1)
     eik = float(np.mean(np.abs(gnorm - 1.0)))
-    ok = gnorm > grad_eps
-    safe = np.maximum(gnorm, grad_eps)
+    ok = gnorm > GRAD_EPS
+    safe = np.maximum(gnorm, GRAD_EPS)
     unit = g / safe[:, None]
     grad_bar = np.where(ok[:, None], (w.eikonal / s) * np.sign(gnorm - 1.0)[:, None] * unit, 0.0)
 
@@ -189,9 +203,9 @@ def loss_terms(
         valid = ok[li] & ok[lj]
         dots = np.sum(unit[li] * unit[lj], axis=1)
         # Unit normals are negated unit gradients; the sign cancels in the dot.
-        per_pair = np.where(valid, np.abs(dots) if w.smoothness_literal else 1.0 - dots, 0.0)
+        per_pair = np.where(valid, 1.0 - dots, 0.0)
         smooth = float(np.sum(per_pair) / pairs.shape[0])
-        coef = (np.sign(dots) if w.smoothness_literal else -1.0) * valid / pairs.shape[0]
+        coef = -1.0 * valid / pairs.shape[0]
         contrib_i = coef[:, None] * (unit[lj] - dots[:, None] * unit[li]) / safe[li][:, None]
         contrib_j = coef[:, None] * (unit[li] - dots[:, None] * unit[lj]) / safe[lj][:, None]
         scatter = np.zeros_like(g)
@@ -216,9 +230,6 @@ def batch_loss(
     batch: RayBatch,
     w: LossWeights,
     mode: SupervisionMode,
-    grad_eps: float = GRAD_EPS,
-    r_min: float = ROC_MIN,
-    r_max: float = ROC_MAX,
 ) -> tuple[LossBreakdown, ParamGrads]:
     """Loss and exact parameter gradient for one batch, targets held constant."""
     if batch.positions.shape[0] == 0:
@@ -234,13 +245,10 @@ def batch_loss(
         batch.sample_endpoints,
         tau=w.tau,
         gamma=w.gamma,
-        grad_eps=grad_eps,
-        r_min=r_min,
-        r_max=r_max,
     )
     ev, _, _ = _eval_field(net, batch.endpoints, 0)
     pairs = neighbor_pairs(batch.positions, w.knn)
-    breakdown, val_bar, grad_bar, end_bar = loss_terms(vals, grads, ev, targets, pairs, w, grad_eps)
+    breakdown, val_bar, grad_bar, end_bar = loss_terms(vals, grads, ev, targets, pairs, w)
     if isinstance(net, FieldNet):
         pg = field_mod.backprop(net, batch.positions, val_bar, grad_bar)
         pg.add(field_mod.backprop(net, batch.endpoints, end_bar))
@@ -270,7 +278,7 @@ class AdamState:
 
 
 def _adamw_update(theta, grad, m, v, t, cfg: OptimConfig):
-    b1, b2 = cfg.betas
+    b1, b2 = ADAM_BETAS
     m_new = b1 * m + (1.0 - b1) * grad
     v_new = b2 * v + (1.0 - b2) * grad * grad
     m_hat = m_new / (1.0 - b1**t)

@@ -1,9 +1,13 @@
 import math
+from dataclasses import fields, replace
 
 import pytest
 
 from scanfield.config import RunConfig, config_text, load_config, parse_config
+from scanfield.mcl import MclConfig
+from scanfield.scenes import ScannerConfig
 from scanfield.targets import SupervisionMode
+from scanfield.training import LossWeights, OptimConfig
 
 
 def test_defaults_mirror_training_formulas():
@@ -73,15 +77,57 @@ def test_load_config(tmp_path):
     assert cfg.beams == 48 and cfg.scan_noise == 0.02
 
 
+# Keys that cli reads itself (network init, mesh and MCL grids) instead of
+# passing them through an adapter.
+CLI_KEYS = {
+    "encoding_bands", "encoding_base_freq", "hidden_width", "hidden_layers",
+    "first_layer_factor", "mesh_res", "field_grid_res",
+}
+
+
+def _adapters(cfg):
+    return {
+        "supervision_mode": cfg.supervision_mode(),
+        "loss_weights": cfg.loss_weights(),
+        "optim": cfg.optim(),
+        "mcl": cfg.mcl(),
+        "scanner": cfg.scanner(),
+    }
+
+
+def _other_valid_value(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, str):
+        return "ray"
+    if isinstance(value, int):
+        return value + 1
+    return value / 2.0 if value > 0.0 else 0.5
+
+
 def test_adapters_carry_values():
     cfg = RunConfig(
         trunc_band=0.5, weight_gamma=2.0, smooth_neighbors=6,
         learn_rate=2e-4, epochs=4, curvature_warmup=7,
-        mcl_particles=123, mcl_sigma_z=0.25, seed=3,
+        mcl_particles=123, mcl_sigma_z=0.25, seed=3, scan_noise=0.05,
     )
     w = cfg.loss_weights()
     assert w.tau == 0.5 and w.gamma == 2.0 and w.knn == 6
     o = cfg.optim()
     assert o.lr == 2e-4 and o.epochs == 4 and o.warmup_steps == 7 and o.seed == 3
     m = cfg.mcl()
-    assert m.n_particles == 123 and m.sigma_z == 0.25 and m.seed == 3
+    assert m.n_particles == 123 and m.sigma_z == 0.25
+    assert cfg.scanner().noise_sigma == 0.05
+
+    # One home per setting: the defaults are the module configs' own ...
+    base = RunConfig()
+    assert base.loss_weights() == LossWeights()
+    assert base.optim() == OptimConfig()
+    assert base.mcl() == MclConfig()
+    assert base.scanner() == ScannerConfig()
+    # ... and every key reaches exactly one adapter, or none if cli reads it.
+    before = _adapters(base)
+    for f in fields(RunConfig):
+        after = _adapters(replace(base, **{f.name: _other_valid_value(getattr(base, f.name))}))
+        changed = [name for name in before if after[name] != before[name]]
+        assert len(changed) == (0 if f.name in CLI_KEYS else 1), f"{f.name} reaches {changed}"

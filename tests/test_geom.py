@@ -36,23 +36,22 @@ def test_from_xytheta_matches_manual_rotation():
 
 
 def test_ray_validation():
-    box = Aabb.cube(np.zeros(3), 10.0)
     o = np.zeros((2, 3))
     e = np.array([[0.0, 3.0, 4.0], [1.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="ray 1 has zero length"):
-        normalize_scene(o, np.array([[0.0, 3.0, 4.0], [0.0, 0.0, 0.0]]), box)
+        normalize_scene(o, np.array([[0.0, 3.0, 4.0], [0.0, 0.0, 0.0]]))
     with pytest.raises(ValueError, match="non-finite"):
-        normalize_scene(o, np.array([[np.inf, 0.0, 0.0], [1.0, 0.0, 0.0]]), box)
+        normalize_scene(o, np.array([[np.inf, 0.0, 0.0], [1.0, 0.0, 0.0]]))
     with pytest.raises(ValueError, match="non-finite"):
-        normalize_scene(np.full((2, 3), np.nan), e, box)
+        normalize_scene(np.full((2, 3), np.nan), e)
     with pytest.raises(ValueError, match="shape"):
-        normalize_scene(o[:1], e, box)
+        normalize_scene(o[:1], e)
     with pytest.raises(ValueError, match="shape"):
-        normalize_scene(o[0], e[0], box)
+        normalize_scene(o[0], e[0])
     with pytest.raises(ValueError, match="empty"):
-        normalize_scene(np.zeros((0, 3)), np.zeros((0, 3)), box)
-    (oc, ec), _ = normalize_scene(o, e, box)
-    np.testing.assert_allclose(np.linalg.norm(ec - oc, axis=1) * 10.0, [5.0, 1.0])
+        normalize_scene(np.zeros((0, 3)), np.zeros((0, 3)))
+    (oc, ec), tf = normalize_scene(o, e)
+    np.testing.assert_allclose(np.linalg.norm(ec - oc, axis=1) * tf.scale, [5.0, 1.0])
 
 
 def test_scan_dim_mismatch():
@@ -68,18 +67,12 @@ def test_scan_rejects_non_finite_points():
         Scan(Pose.identity(2), np.array([[1.0, 0.0], [np.inf, 0.0]]))
 
 
-def test_aabb_contains_boundary():
-    box = Aabb(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
-    inside = box.contains(np.array([[0.0, 0.0], [1.0, 2.0], [0.5, 1.0], [1.1, 1.0]]))
-    np.testing.assert_array_equal(inside, [True, True, True, False])
-    with pytest.raises(ValueError):
-        Aabb(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
-
-
 def test_aabb_cube():
     box = Aabb.cube(np.array([1.0, 1.0, 1.0]), 2.0)
     np.testing.assert_array_equal(box.lo, [-1.0, -1.0, -1.0])
     np.testing.assert_array_equal(box.hi, [3.0, 3.0, 3.0])
+    with pytest.raises(ValueError):
+        Aabb(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
 
 
 def test_to_world_transforms_sensor_points():
@@ -96,7 +89,7 @@ def test_to_world_rejects_zero_range_point():
 
 
 def test_scene_transform_roundtrip():
-    tf = SceneTransform(np.array([1.0, -2.0]), 4.0, 0)
+    tf = SceneTransform(np.array([1.0, -2.0]), 4.0)
     pts = np.array([[1.0, -2.0], [5.0, 2.0]])
     canon = tf.to_canonical(pts)
     np.testing.assert_allclose(canon, [[0.0, 0.0], [1.0, 1.0]])
@@ -104,29 +97,19 @@ def test_scene_transform_roundtrip():
 
 
 def test_normalize_scene_scale_is_max_half_extent():
-    box = Aabb(np.array([-1.0, -4.0]), np.array([3.0, 2.0]))
-    (o, _), tf = normalize_scene(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]), box)
-    assert tf.scale == 3.0  # half extents (2, 3)
-    np.testing.assert_array_equal(tf.center, [1.0, -1.0])
-    np.testing.assert_allclose(o[0], (np.array([0.0, 0.0]) - tf.center) / 3.0)
-
-
-def test_normalize_scene_drops_rays_leaving_box():
-    box = Aabb(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    # rows: kept, endpoint outside, origin outside
-    origins = np.array([[0.0, 0.0], [0.0, 0.0], [-3.0, 0.0]])
-    endpoints = np.array([[0.5, 0.5], [2.0, 0.0], [0.5, 0.0]])
-    (o, e), tf = normalize_scene(origins, endpoints, box)
-    assert o.shape == e.shape == (1, 2)
-    np.testing.assert_array_equal(e[0], [0.5, 0.5])
-    assert tf.dropped == 2
+    # The ray spans the box [0, 3] x [-4, 2]: half extents (1.5, 3), padded
+    # by 1e-9 of the largest coordinate magnitude (4).
+    (o, _), tf = normalize_scene(np.array([[0.0, -4.0]]), np.array([[3.0, 2.0]]))
+    assert tf.scale == pytest.approx(3.0 + 4e-9, rel=1e-15)
+    np.testing.assert_allclose(tf.center, [1.5, -1.0], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(o[0], (np.array([0.0, -4.0]) - tf.center) / tf.scale)
+    assert np.all(np.abs(o) < 1.0)
 
 
 def test_normalized_rays_fit_unit_cube():
     rng = np.random.default_rng(0)
     origins = rng.uniform(-5, 5, size=(40, 3))
     endpoints = rng.uniform(-5, 5, size=(40, 3))
-    box = Aabb(-5 * np.ones(3), 5 * np.ones(3))
-    (o, e), _ = normalize_scene(origins, endpoints, box)
+    (o, e), _ = normalize_scene(origins, endpoints)
     assert np.all(np.abs(o) <= 1.0 + 1e-12)
     assert np.all(np.abs(e) <= 1.0 + 1e-12)

@@ -73,16 +73,16 @@ def test_wrap_angle():
 
 def test_init_uniform_single_particle():
     box = Aabb.cube(np.zeros(2), 4.0)
-    pset = init_uniform(box, MclConfig(n_particles=1))
+    pset = init_uniform(box, MclConfig(n_particles=1), np.random.default_rng(0))
     assert pset.size == 1
     assert pset.weights[0] == 1.0
 
 
 def test_init_uniform_seeded_and_unbiased():
     box = Aabb(np.array([-2.0, 1.0]), np.array([6.0, 3.0]))
-    cfg = MclConfig(n_particles=100_000, seed=3)
-    a = init_uniform(box, cfg)
-    b = init_uniform(box, cfg)
+    cfg = MclConfig(n_particles=100_000)
+    a = init_uniform(box, cfg, np.random.default_rng(3))
+    b = init_uniform(box, cfg, np.random.default_rng(3))
     assert np.array_equal(a.poses, b.poses)
     # law of large numbers: the sample mean sits within 1% of the box center
     mean = a.poses[:, :2].mean(axis=0)
@@ -118,7 +118,8 @@ def test_likelihood_prefers_true_pose():
     field = room_field()
     scene = room_scene()
     true_pose = Pose.from_xytheta(0.5, -0.5, 0.3)
-    scan = simulate_scan(scene, true_pose, ScannerConfig(beams=32, max_range=20.0))
+    scan = simulate_scan(scene, true_pose, ScannerConfig(beams=32, max_range=20.0),
+                         np.random.default_rng(0))
     at_truth = ParticleSet(np.array([[0.5, -0.5, 0.3]]), np.array([1.0]))
     displaced = ParticleSet(np.array([[1.7, 0.8, 0.9]]), np.array([1.0]))
     ll_true = log_likelihoods(at_truth, scan.points, field, sigma_z=0.1)
@@ -131,7 +132,8 @@ def test_likelihood_sigma_scales_scores():
     field = room_field()
     scene = room_scene()
     pose = Pose.from_xytheta(0.0, 0.0, 0.0)
-    scan = simulate_scan(scene, pose, ScannerConfig(beams=16, max_range=20.0))
+    scan = simulate_scan(scene, pose, ScannerConfig(beams=16, max_range=20.0),
+                         np.random.default_rng(0))
     off = ParticleSet(np.array([[0.4, 0.2, 0.1]]), np.array([1.0]))
     ll_tight = log_likelihoods(off, scan.points, field, sigma_z=0.05)
     ll_loose = log_likelihoods(off, scan.points, field, sigma_z=0.5)
@@ -154,14 +156,14 @@ def test_systematic_resample_tracks_weights():
 def test_step_gates_measurement_updates():
     field = room_field()
     scene = room_scene()
-    scan = simulate_scan(scene, Pose.identity(2), ScannerConfig(beams=16, max_range=20.0))
+    scan = simulate_scan(scene, Pose.identity(2), ScannerConfig(beams=16, max_range=20.0),
+                         np.random.default_rng(0))
     cfg = MclConfig(
         n_particles=64,
         odom_trans_base=0.0, odom_trans_frac=0.0, odom_rot_base=0.0, odom_rot_frac=0.0,
-        seed=1,
     )
     box = Aabb.cube(np.zeros(2), 4.0)
-    pset = init_uniform(box, cfg)
+    pset = init_uniform(box, cfg, np.random.default_rng(1))
     # zero the accumulators to model a set mid-trajectory
     pset = ParticleSet(pset.poses, pset.weights, accum_trans=0.0, accum_rot=0.0)
     rng = np.random.default_rng(5)
@@ -250,7 +252,7 @@ def test_localization_converges_on_room(tmp_path):
     scene = room_scene()
     field = room_field()
     box = Aabb.cube(np.zeros(2), 4.2)
-    scan_cfg = ScannerConfig(beams=32, max_range=20.0, noise_sigma=0.05, seed=0)
+    scan_cfg = ScannerConfig(beams=32, max_range=20.0, noise_sigma=0.05)
     steps = 24
     radius = 3.2
     angs = np.linspace(0.0, 1.2 * np.pi, steps)
@@ -263,10 +265,10 @@ def test_localization_converges_on_room(tmp_path):
     for i in range(1, steps):
         rel = poses[i - 1].inverse_apply(poses[i].translation[None, :])[0]
         deltas.append([rel[0], rel[1], wrap_angle(headings[i] - headings[i - 1])])
-    cfg = MclConfig(n_particles=4000, sigma_z=0.1, seed=0)
+    cfg = MclConfig(n_particles=4000, sigma_z=0.1)
     results = []
     for r in range(5):
-        rng = np.random.default_rng([cfg.seed, r])
+        rng = np.random.default_rng([0, r])
         results.append(localize_run(field, box, np.asarray(deltas), scans, cfg, rng))
     m = run_metrics(truth, results)
     assert m is not None

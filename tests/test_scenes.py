@@ -12,8 +12,6 @@ from scanfield.scenes import (
     ScannerConfig,
     Sphere,
     beam_directions,
-    oracle_jet,
-    oracle_sdf,
     parse_scene_text,
     scene_bounds,
     simulate_scan,
@@ -26,16 +24,16 @@ def unit_sphere():
 
 
 def test_sphere_jet_anchor():
-    jet = oracle_jet(unit_sphere(), np.array([2.0, 0.0, 0.0]))
-    assert jet.value == 1.0
-    np.testing.assert_allclose(jet.gradient, [1.0, 0.0, 0.0])
-    np.testing.assert_allclose(jet.hessian, np.diag([0.0, 0.5, 0.5]))
+    v, g, h = unit_sphere().jet(np.array([[2.0, 0.0, 0.0]]))
+    assert v[0] == 1.0
+    np.testing.assert_allclose(g[0], [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(h[0], np.diag([0.0, 0.5, 0.5]))
 
 
 def test_union_takes_min():
     scene = AnalyticScene((Sphere(np.zeros(2), 1.0), Sphere(np.array([4.0, 0.0]), 1.0)))
-    assert oracle_sdf(scene, np.array([3.5, 0.0])) == -0.5
-    assert oracle_sdf(scene, np.array([2.0, 0.0])) == 1.0
+    assert scene.sdf(np.array([[3.5, 0.0]]))[0] == -0.5
+    assert scene.sdf(np.array([[2.0, 0.0]]))[0] == 1.0
     # tie at the midpoint: lowest primitive index wins
     assert scene.active_index(np.array([[2.0, 0.0]]))[0] == 0
 
@@ -76,15 +74,16 @@ def test_polygon_orientation_and_regions():
     tri_cw = ConvexPolygon2D(np.array([[0.0, 0.0], [0.0, 2.0], [2.0, 0.0]]))
     for tri in (tri_ccw, tri_cw):
         # interior: signed distance to the nearest edge line
-        assert abs(oracle_sdf(AnalyticScene((tri,)), np.array([0.5, 0.5])) + 0.5) < 1e-12
+        scene = AnalyticScene((tri,))
+        assert abs(scene.sdf(np.array([[0.5, 0.5]]))[0] + 0.5) < 1e-12
         # vertex region: diagonal from the corner at (2, 0)
-        jet = oracle_jet(AnalyticScene((tri,)), np.array([3.0, -1.0]))
-        assert abs(jet.value - math.sqrt(2.0)) < 1e-12
-        np.testing.assert_allclose(jet.gradient, [1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)])
+        v, g, _ = scene.jet(np.array([[3.0, -1.0]]))
+        assert abs(v[0] - math.sqrt(2.0)) < 1e-12
+        np.testing.assert_allclose(g[0], [1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)])
         # edge region: flat, unit normal gradient
-        jet2 = oracle_jet(AnalyticScene((tri,)), np.array([1.0, -0.5]))
-        assert abs(jet2.value - 0.5) < 1e-12
-        np.testing.assert_allclose(jet2.hessian, np.zeros((2, 2)), atol=1e-15)
+        v, _, h = scene.jet(np.array([[1.0, -0.5]]))
+        assert abs(v[0] - 0.5) < 1e-12
+        np.testing.assert_allclose(h[0], np.zeros((2, 2)), atol=1e-15)
     with pytest.raises(ValueError):
         ConvexPolygon2D(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))  # collinear
 
@@ -176,7 +175,7 @@ def test_beam_directions_3d_cap():
 def test_head_on_beam_range():
     scene = AnalyticScene((Sphere(np.array([3.0, 0.0]), 1.0),))
     cfg = ScannerConfig(beams=1, fov=0.1, max_range=10.0)
-    scan = simulate_scan(scene, Pose.identity(2), cfg)
+    scan = simulate_scan(scene, Pose.identity(2), cfg, np.random.default_rng(0))
     assert scan.points.shape == (1, 2)
     np.testing.assert_allclose(scan.points[0], [2.0, 0.0], atol=1e-5)
 
@@ -184,30 +183,30 @@ def test_head_on_beam_range():
 def test_scan_drops_misses():
     scene = AnalyticScene((Sphere(np.array([3.0, 0.0]), 1.0),))
     cfg = ScannerConfig(beams=16, fov=2.0 * math.pi, max_range=10.0)
-    scan = simulate_scan(scene, Pose.identity(2), cfg)
+    scan = simulate_scan(scene, Pose.identity(2), cfg, np.random.default_rng(0))
     assert 0 < scan.points.shape[0] < 16  # rear beams escape
 
 
 def test_scan_requires_free_space_pose():
     scene = unit_sphere()
     with pytest.raises(ValueError, match="free space"):
-        simulate_scan(scene, Pose.identity(3), ScannerConfig(beams=4))
+        simulate_scan(scene, Pose.identity(3), ScannerConfig(beams=4), np.random.default_rng(0))
 
 
 def test_scan_errors_when_nothing_hit():
     scene = AnalyticScene((Sphere(np.array([50.0, 0.0]), 1.0),))
     cfg = ScannerConfig(beams=8, fov=0.5, max_range=5.0)
     with pytest.raises(ValueError, match="missed"):
-        simulate_scan(scene, Pose.from_xytheta(0.0, 0.0, math.pi), cfg)
+        simulate_scan(scene, Pose.from_xytheta(0.0, 0.0, math.pi), cfg, np.random.default_rng(0))
 
 
 def test_scan_noise_is_seed_deterministic():
     scene = AnalyticScene((Sphere(np.array([3.0, 0.0]), 1.0),))
-    cfg = ScannerConfig(beams=8, fov=1.0, max_range=10.0, noise_sigma=0.05, seed=4)
-    a = simulate_scan(scene, Pose.identity(2), cfg)
-    b = simulate_scan(scene, Pose.identity(2), cfg)
+    cfg = ScannerConfig(beams=8, fov=1.0, max_range=10.0, noise_sigma=0.05)
+    a = simulate_scan(scene, Pose.identity(2), cfg, np.random.default_rng(4))
+    b = simulate_scan(scene, Pose.identity(2), cfg, np.random.default_rng(4))
     assert np.array_equal(a.points, b.points)
-    c = simulate_scan(scene, Pose.identity(2), ScannerConfig(beams=8, fov=1.0, max_range=10.0, noise_sigma=0.05, seed=5))
+    c = simulate_scan(scene, Pose.identity(2), cfg, np.random.default_rng(5))
     assert not np.array_equal(a.points, c.points)
 
 

@@ -150,15 +150,14 @@ def test_model_rejects_corruption(tmp_path):
 
 
 def test_transform_round_trip(tmp_path):
-    tf = SceneTransform(center=np.array([0.5, -1.25, 3.0]), scale=2.75, dropped=4)
+    tf = SceneTransform(center=np.array([0.5, -1.25, 3.0]), scale=2.75)
     path = tmp_path / "net.transform"
     save_transform(path, tf)
     back = load_transform(path)
     assert back.scale == tf.scale
-    assert back.dropped == 4
     np.testing.assert_array_equal(back.center, tf.center)
     broken = tmp_path / "nope.transform"
-    broken.write_text("center 1 2\n")  # missing scale/dropped
+    broken.write_text("center 1 2\n")  # missing scale
     with pytest.raises(ValueError, match="malformed"):
         load_transform(broken)
 

@@ -3,7 +3,7 @@ import pytest
 
 from scanfield.encoding import default_encoding
 from scanfield.field import FieldNet, evaluate_batch, grad_batch, init_field
-from scanfield.geom import Aabb, Pose, normalize_scene, to_world
+from scanfield.geom import Pose, normalize_scene, to_world
 from scanfield.scenes import AnalyticScene, ScannerConfig, Sphere, simulate_scan
 from scanfield.targets import SupervisionMode
 from scanfield.training import (
@@ -203,11 +203,10 @@ def test_train_reduces_loss():
     origins, endpoints = [], []
     for ang in np.linspace(0, 2 * np.pi, 8, endpoint=False):
         pose = Pose.from_xytheta(2.0 * np.cos(ang), 2.0 * np.sin(ang), 0.0)
-        world = to_world(simulate_scan(scene, pose, cfg))
+        world = to_world(simulate_scan(scene, pose, cfg, np.random.default_rng(0)))
         origins.append(np.broadcast_to(pose.translation, world.shape))
         endpoints.append(world)
-    box = Aabb.cube(np.zeros(2), 3.0)
-    canon, tf = normalize_scene(np.concatenate(origins), np.concatenate(endpoints), box)
+    canon, tf = normalize_scene(np.concatenate(origins), np.concatenate(endpoints))
     optim = OptimConfig(epochs=2, batch_rays=64, samples_per_ray=8, seed=0)
     w = LossWeights()
     net = init_field(seed=3, dim=2, hidden=16, hidden_layers=2, encoding=default_encoding(6))
@@ -243,10 +242,17 @@ def test_make_batch_aligns_sample_endpoints():
     np.testing.assert_array_equal(batch.sample_endpoints, endpoints[batch.ray_index])
 
 
-def test_config_validation():
+@pytest.mark.parametrize("make, kwargs", [
+    (OptimConfig, {"lr": 0.0}),
+    (OptimConfig, {"epochs": 0}),
+    (OptimConfig, {"samples_per_ray": 1}),
+    (OptimConfig, {"weight_decay": -1.0}),
+    (OptimConfig, {"warmup_steps": -3}),
+    (LossWeights, {"tau": 0.0}),
+    (LossWeights, {"eikonal": -1.0}),
+    (LossWeights, {"knn": -1}),
+    (ScannerConfig, {"noise_sigma": -0.1}),
+], ids=lambda v: next(iter(v)) if isinstance(v, dict) else v.__name__)
+def test_config_validation(make, kwargs):
     with pytest.raises(ValueError):
-        OptimConfig(lr=0.0)
-    with pytest.raises(ValueError):
-        LossWeights(tau=0.0)
-    with pytest.raises(ValueError):
-        LossWeights(eikonal=-1.0)
+        make(**kwargs)
