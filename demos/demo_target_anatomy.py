@@ -13,11 +13,13 @@ import numpy as np
 from scanfield.sampling import sample_rays_batch
 from scanfield.scenes import AnalyticScene, Sphere, sphere_trace
 from scanfield.targets import SupervisionMode, compute_targets
+from scanfield.training import LossWeights
 
 
 def run_mode(scene, positions, endpoints, mode):
     vals, grads, hess = scene.jet(positions)
-    return compute_targets(mode, vals, grads, hess, positions, endpoints)
+    return compute_targets(mode, vals, grads, hess, positions, endpoints,
+                           tau=LossWeights.tau, gamma=LossWeights.gamma)
 
 
 def main():

@@ -326,7 +326,7 @@ def _band_samples(scene, band: float, count: int, seed: int) -> np.ndarray:
     return np.concatenate(kept, axis=0)[:count]
 
 
-def _eval_field_vs_oracle(field, grad_fn, scene, pts: np.ndarray):
+def _score_vs_oracle(field, grad_fn, scene, pts: np.ndarray):
     truth = scene.sdf(pts)
     pred = np.asarray(field(pts), dtype=np.float64)
     err = pred - truth
@@ -367,7 +367,7 @@ def cmd_eval_sdf(args) -> int:
             raise ValueError(f"model is {net.dim}D but scene is {scene.dim}D")
         field, grads = _model_eval_fns(net, tf)
     pts = _band_samples(scene, band, args.samples, cfg.seed)
-    mae, rmse, eik = _eval_field_vs_oracle(field, grads, scene, pts)
+    mae, rmse, eik = _score_vs_oracle(field, grads, scene, pts)
     _write_csv(args.out, "metric,value",
                [f"mae,{mae!r}", f"rmse,{rmse!r}", f"eikonal_mean,{eik!r}"])
     return 0
@@ -489,7 +489,7 @@ def cmd_compare(args) -> int:
         net = _init_net(cfg, scene.dim)
         net, _ = train(net, canon, cfg.optim(), cfg.loss_weights(), mode)
         field, grads = _model_eval_fns(net, tf)
-        mae, rmse, _ = _eval_field_vs_oracle(field, grads, scene, pts)
+        mae, rmse, _ = _score_vs_oracle(field, grads, scene, pts)
         mcl_rmse = mcl_mae = None
         if scene.dim == 2:
             grid = mcl_mod.SampledField2D.from_field(field, _world_box(tf), cfg.field_grid_res)

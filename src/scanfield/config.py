@@ -8,7 +8,9 @@ A key's default and range check live in the module config that uses it
 (``LossWeights``, ``OptimConfig``, ``MclConfig``, ``ScannerConfig``).  The
 adapters below build those configs, and ``RunConfig`` builds each of them
 once on construction so their checks run.  Only the keys no module config
-owns (mode, encoding, network and the grid resolutions) are checked here.
+owns (mode, encoding, network and the grid resolutions) are checked here,
+together with every key's type: int keys take ints, float keys ints or floats
+and ``mode`` a string, whether they come from text or from overrides.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .targets import SupervisionMode
 from .training import LossWeights, OptimConfig
 
 _MODES = {m.value for m in SupervisionMode}
+# Python types each declared key type accepts (bool is rejected everywhere).
+_ACCEPTS = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 @dataclass(frozen=True)
@@ -35,9 +39,8 @@ class RunConfig:
     hidden_width: int = DEFAULT_HIDDEN
     hidden_layers: int = DEFAULT_LAYERS
     first_layer_factor: float = DEFAULT_FIRST_FACTOR
-    # ray sampling: samples per ray; drop the probe behind the sensor origin
+    # ray sampling: samples per ray
     samples_per_ray: int = OptimConfig.samples_per_ray
-    drop_behind_origin: bool = OptimConfig.drop_behind_origin
     # supervision: target mode; trunc_band is the target clamp tau in canonical
     # units, read only by training; weight_gamma is unitless
     mode: str = "curvature"
@@ -48,13 +51,11 @@ class RunConfig:
     eikonal_weight: float = LossWeights.eikonal
     smoothness_weight: float = LossWeights.smooth
     smooth_neighbors: int = LossWeights.knn
-    # optimizer: curvature_warmup counts optimizer steps; the seed also drives
-    # network init, scan noise and particle draws
+    # optimizer: the seed also drives network init, scan noise and particle draws
     learn_rate: float = OptimConfig.lr
     weight_decay: float = OptimConfig.weight_decay
     epochs: int = OptimConfig.epochs
     batch_rays: int = OptimConfig.batch_rays
-    curvature_warmup: int = OptimConfig.warmup_steps
     seed: int = OptimConfig.seed
     # scanner synthesis: fov in radians; max_range and scan_noise in world metres
     beams: int = ScannerConfig.beams
@@ -79,6 +80,10 @@ class RunConfig:
     mcl_odom_rot_frac: float = MclConfig.odom_rot_frac
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _ACCEPTS[f.type]):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {sorted(_MODES)}, got {self.mode!r}")
         for name in ("encoding_bands", "encoding_base_freq", "hidden_width",
@@ -113,8 +118,6 @@ class RunConfig:
             batch_rays=self.batch_rays,
             seed=self.seed,
             samples_per_ray=self.samples_per_ray,
-            drop_behind_origin=self.drop_behind_origin,
-            warmup_steps=self.curvature_warmup,
         )
 
     def mcl(self) -> MclConfig:
@@ -141,20 +144,11 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_TRUE = {"true", "1", "yes", "on"}
-_FALSE = {"false", "0", "no", "off"}
 
 
 def _coerce(key: str, raw: str):
     kind = _FIELD_TYPES[key]
     try:
-        if kind == "bool":
-            low = raw.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if kind == "int":
             return int(raw)
         if kind == "float":
@@ -189,15 +183,3 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     return parse_config(Path(path).read_text(), overrides)
 
-
-def config_text(cfg: RunConfig) -> str:
-    """Serialize back to the key=value format (round-trips through parse)."""
-    lines = []
-    for f in fields(RunConfig):
-        v = getattr(cfg, f.name)
-        if isinstance(v, bool):
-            v = "true" if v else "false"
-        elif isinstance(v, float):
-            v = repr(v)
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"

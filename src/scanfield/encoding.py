@@ -104,13 +104,3 @@ def encode_jet(points: _F, cfg: EncodingConfig, order: int = 2) -> EncodedJet:
             d2[:, lo + m : lo + 2 * m] = -(w * w) * c
     coord = np.tile(np.arange(m, dtype=np.intp), 2 * h + 1)
     return EncodedJet(values=values, d1=d1, d2=d2, coord=coord)
-
-
-def encode_jacobian(x: _F, cfg: EncodingConfig) -> np.ndarray:
-    """Dense (F, m) Jacobian of the encoding at one point, for checking."""
-    jet = encode_jet(np.asarray(x, dtype=np.float64)[None, :], cfg, 1)
-    f = jet.values.shape[1]
-    m = np.asarray(x).shape[0]
-    jac = np.zeros((f, m), dtype=np.float64)
-    jac[np.arange(f), jet.coord] = jet.d1[0]
-    return jac

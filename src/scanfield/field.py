@@ -141,10 +141,6 @@ def init_field(
     )
 
 
-def param_count(net: FieldNet) -> int:
-    return sum(w.size for w in net.weights) + sum(b.size for b in net.biases)
-
-
 def _coord_columns(net: FieldNet) -> list[np.ndarray]:
     # Feature columns that depend on input coordinate j, per the block layout.
     m = net.dim

@@ -72,10 +72,6 @@ class Pose:
         return (p - self.translation) @ self.rotation
 
     @staticmethod
-    def identity(dim: int) -> "Pose":
-        return Pose(np.eye(dim), np.zeros(dim))
-
-    @staticmethod
     def from_xytheta(x: float, y: float, theta: float) -> "Pose":
         return Pose(rot2d(theta), np.array([x, y], dtype=np.float64))
 
@@ -100,10 +96,6 @@ class Scan:
         if p.shape[1] != self.pose.dim:
             raise ValueError(f"points dim {p.shape[1]} does not match pose dim {self.pose.dim}")
         object.__setattr__(self, "points", p)
-
-    @property
-    def dim(self) -> int:
-        return self.pose.dim
 
 
 @dataclass(frozen=True)
@@ -172,10 +164,6 @@ class SceneTransform:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "scale", float(self.scale))
-
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]
 
     def to_canonical(self, points: _F) -> np.ndarray:
         return (np.asarray(points, dtype=np.float64) - self.center) / self.scale

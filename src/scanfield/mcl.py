@@ -20,13 +20,6 @@ import numpy as np
 
 from .geom import Aabb
 
-DEFAULT_PARTICLES = 10_000
-DEFAULT_CONV_STD = 0.30
-DEFAULT_GATE_TRANS = 0.05
-DEFAULT_GATE_ROT = 0.1
-DEFAULT_SIGMA_Z = 0.1
-DEFAULT_RUNS = 5
-
 
 def wrap_angle(theta):
     """Wrap to [-pi, pi)."""
@@ -52,17 +45,17 @@ class MclConfig:
     translation odometry noise are world metres; ``gate_rot`` and the rotation
     odometry noise are radians."""
 
-    n_particles: int = DEFAULT_PARTICLES
-    conv_std: float = DEFAULT_CONV_STD
-    gate_trans: float = DEFAULT_GATE_TRANS
-    gate_rot: float = DEFAULT_GATE_ROT
-    sigma_z: float = DEFAULT_SIGMA_Z
+    n_particles: int = 10_000
+    conv_std: float = 0.30
+    gate_trans: float = 0.05
+    gate_rot: float = 0.1
+    sigma_z: float = 0.1
     # odometry noise: sigma = base + frac * |motion|
     odom_trans_base: float = 0.01
     odom_trans_frac: float = 0.01
     odom_rot_base: float = 0.002
     odom_rot_frac: float = 0.01
-    runs: int = DEFAULT_RUNS
+    runs: int = 5
 
     def __post_init__(self):
         if self.n_particles < 1:
@@ -114,10 +107,6 @@ class Estimate:
     heading: float
     std: float
     converged: bool
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
 
 
 def init_uniform(box: Aabb, cfg: MclConfig, rng) -> ParticleSet:
@@ -200,7 +189,7 @@ def step(pset: ParticleSet, delta, scan_points, field, cfg: MclConfig, rng) -> P
     return systematic_resample(pset, rng)
 
 
-def estimate(pset: ParticleSet, conv_std: float = DEFAULT_CONV_STD) -> Estimate:
+def estimate(pset: ParticleSet, conv_std: float) -> Estimate:
     """Weighted mean position, circular-mean heading, scalar positional std."""
     w = pset.weights
     xy = pset.poses[:, :2]

@@ -37,7 +37,6 @@ def sample_rays_batch(
     origins: _F,
     endpoints: _F,
     n: int = DEFAULT_SAMPLES,
-    drop_behind_origin: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized sampling over (R, m) ray arrays.
 
@@ -49,8 +48,6 @@ def sample_rays_batch(
     if o.shape != e.shape or o.ndim != 2:
         raise ValueError(f"origin/endpoint arrays must share shape (R, m), got {o.shape}/{e.shape}")
     t = schedule(n)
-    if drop_behind_origin:
-        t = t[t >= 0.0]
     r, m = o.shape
     el = t.size
     seg = e - o

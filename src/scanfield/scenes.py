@@ -3,8 +3,7 @@
 Every primitive returns its exact signed distance (negative inside) together
 with exact gradient and Hessian where the distance is smooth.  At non-smooth
 loci (box edges and corners, interior creases, union seams) the jet comes
-from the active feature, ties broken by lowest index, and ``nonsmooth_mask``
-reports proximity to those loci so callers can exclude them.
+from the active feature, ties broken by lowest index.
 
 The scanner sphere-traces beams through a scene to synthesize range scans:
 the input modality for field training, with exact geometry as ground truth.
@@ -72,10 +71,6 @@ class Sphere:
         hess[at_center] = 0.0
         return vals, grads, hess
 
-    def nonsmooth_mask(self, points: _F, tol: float) -> np.ndarray:
-        p = _pts(points)
-        return np.linalg.norm(p - self.center, axis=1) < tol
-
 
 @dataclass(frozen=True)
 class Plane:
@@ -106,9 +101,6 @@ class Plane:
         grads = np.broadcast_to(self.normal, (n, m)).copy()
         hess = np.zeros((n, m, m), dtype=np.float64)
         return vals, grads, hess
-
-    def nonsmooth_mask(self, points: _F, tol: float) -> np.ndarray:
-        return np.zeros(_pts(points).shape[0], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -177,16 +169,6 @@ class Box:
             g_in[rows, face] = s
             grads[ins] = g_in
         return vals, grads, hess
-
-    def nonsmooth_mask(self, points: _F, tol: float) -> np.ndarray:
-        q, _ = self._q(points)
-        out_dist = np.linalg.norm(np.maximum(q, 0.0), axis=1)
-        # Outside: near a face-extension boundary (feature set changes there).
-        near_boundary = np.any(np.abs(q) < tol, axis=1) & (out_dist > 0.0)
-        # Inside: two face deficits within tol of each other (crease).
-        srt = np.sort(q, axis=1)
-        crease = (out_dist == 0.0) & (srt[:, -1] - srt[:, -2] < tol)
-        return near_boundary | crease
 
 
 @dataclass(frozen=True)
@@ -266,16 +248,6 @@ class ConvexPolygon2D:
                 hess[vi] = (np.eye(2)[None] - u[:, :, None] * u[:, None, :]) / d[:, None, None]
         return vals, grads, hess
 
-    def nonsmooth_mask(self, points: _F, tol: float) -> np.ndarray:
-        p, v, nrm, tang, line, t, elen = self._features(points)
-        inside = np.all(line <= 0.0, axis=1)
-        # Inside creases: two edge lines nearly tied.
-        srt = np.sort(line, axis=1)
-        crease = inside & (srt[:, -1] - srt[:, -2] < tol)
-        # Outside: near an edge/vertex feature boundary.
-        near_split = np.any((np.abs(t) < tol) | (np.abs(t - elen[None, :]) < tol), axis=1) & ~inside
-        return crease | near_split
-
 
 @dataclass(frozen=True)
 class AnalyticScene:
@@ -321,17 +293,6 @@ class AnalyticScene:
                 grads[sel] = g
                 hess[sel] = h
         return vals, grads, hess
-
-    def nonsmooth_mask(self, points: _F, tol: float = 1e-6) -> np.ndarray:
-        p = _pts(points)
-        all_d = self._all_sdf(p)
-        mask = np.zeros(p.shape[0], dtype=bool)
-        for i, prim in enumerate(self.primitives):
-            mask |= prim.nonsmooth_mask(p, tol)
-        if len(self.primitives) > 1:
-            srt = np.sort(all_d, axis=1)
-            mask |= srt[:, 1] - srt[:, 0] < tol  # union seam
-        return mask
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,6 @@ _F = npt.NDArray[np.floating]
 GRAD_EPS = 1e-8
 ROC_MIN = 1e-3
 ROC_MAX = 1e6
-DEFAULT_TAU = 0.2
-DEFAULT_GAMMA = 3.0
 
 
 class SupervisionMode(enum.Enum):
@@ -61,7 +59,6 @@ class TargetBatch:
     d_hat: np.ndarray
     weight: np.ndarray
     roc_query: np.ndarray
-    normal_unit: np.ndarray
     degenerate: np.ndarray
 
 
@@ -72,8 +69,8 @@ def compute_targets(
     hessians: _F,
     positions: _F,
     endpoints: _F,
-    tau: float = DEFAULT_TAU,
-    gamma: float = DEFAULT_GAMMA,
+    tau: float,
+    gamma: float,
 ) -> TargetBatch:
     """Batched target assembly over (S,) values, (S, m) grads, (S, m, m) Hessians.
 
@@ -95,18 +92,14 @@ def compute_targets(
     degenerate = gnorm < GRAD_EPS
     safe_g = np.maximum(gnorm, GRAD_EPS)
     normal = -g / safe_g[:, None]
-    safe_d = np.maximum(d, 1e-300)
-    fallback_n = delta / safe_d[:, None]
     roc_query = np.full(s, ROC_MAX, dtype=np.float64)
     if mode is SupervisionMode.RAY_DISTANCE:
         d_raw = d.copy()
-        normal = fallback_n
         degenerate = np.zeros(s, dtype=bool)
     elif mode is SupervisionMode.CLOSEST_NORMAL:
         p = np.sum(normal * delta, axis=1)
         degenerate = degenerate | (p < 0.0)
         d_raw = np.where(degenerate, d, p)
-        normal = np.where(degenerate[:, None], fallback_n, normal)
     else:
         h = np.asarray(hessians, dtype=np.float64)
         tr = np.einsum("sii->s", h)
@@ -121,7 +114,6 @@ def compute_targets(
         degenerate = degenerate | (r - root < 0.0)
         d_raw = np.where(degenerate, d, r - root)
         roc_query = np.where(degenerate, ROC_MAX, r)
-        normal = np.where(degenerate[:, None], fallback_n, normal)
     d_hat = np.clip(d_raw, 0.0, tau)
     d_pred_abs = np.abs(vals)
     d_top = float(np.max(d_pred_abs))
@@ -130,6 +122,5 @@ def compute_targets(
         d_hat=d_hat,
         weight=weight,
         roc_query=roc_query,
-        normal_unit=normal,
         degenerate=degenerate,
     )

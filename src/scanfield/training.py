@@ -20,11 +20,6 @@ that ``geom.normalize_scene`` maps the scene into.  ``LossWeights`` and
 ``OptimConfig`` hold the only defaults and range checks of these settings;
 ``config.RunConfig`` takes its defaults from them and builds them to check
 its keys.
-
-The field argument of ``batch_loss`` may be a FieldNet or any object with
-``sdf``/``jet`` batch methods (an analytic scene oracle); the latter gets an
-empty parameter gradient, which is how the loss terms themselves are verified
-against exact fields.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from scipy.spatial import cKDTree
 from . import field as field_mod
 from . import sampling
 from .field import FieldNet, ParamGrads
-from .targets import DEFAULT_GAMMA, DEFAULT_TAU, GRAD_EPS, SupervisionMode, TargetBatch, compute_targets
+from .targets import GRAD_EPS, SupervisionMode, TargetBatch, compute_targets
 
 _F = npt.NDArray[np.floating]
 
@@ -54,8 +49,8 @@ class LossWeights:
     endpoint: float = 1e-1
     eikonal: float = 1e-4
     smooth: float = 1e-3
-    gamma: float = DEFAULT_GAMMA
-    tau: float = DEFAULT_TAU
+    gamma: float = 3.0
+    tau: float = 0.2
     knn: int = 4
 
     def __post_init__(self):
@@ -79,8 +74,6 @@ class OptimConfig:
     batch_rays: int = 512
     seed: int = 0
     samples_per_ray: int = sampling.DEFAULT_SAMPLES
-    drop_behind_origin: bool = False
-    warmup_steps: int = 0
 
     def __post_init__(self):
         if self.lr <= 0.0:
@@ -89,7 +82,7 @@ class OptimConfig:
             raise ValueError("epochs and batch_rays must be positive")
         if self.samples_per_ray < 2:
             raise ValueError("samples_per_ray must be at least 2")
-        for name in ("weight_decay", "warmup_steps", "seed"):
+        for name in ("weight_decay", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -109,7 +102,6 @@ class LossBreakdown:
 class RayBatch:
     """One batch of rays with their placed samples, row-aligned arrays."""
 
-    origins: np.ndarray
     endpoints: np.ndarray
     positions: np.ndarray
     ray_index: np.ndarray
@@ -120,13 +112,10 @@ def make_batch(
     origins: _F,
     endpoints: _F,
     samples_per_ray: int = sampling.DEFAULT_SAMPLES,
-    drop_behind_origin: bool = False,
 ) -> RayBatch:
-    o = np.asarray(origins, dtype=np.float64)
     e = np.asarray(endpoints, dtype=np.float64)
-    pos, _, ray_index = sampling.sample_rays_batch(o, e, samples_per_ray, drop_behind_origin)
+    pos, _, ray_index = sampling.sample_rays_batch(origins, e, samples_per_ray)
     return RayBatch(
-        origins=o,
         endpoints=e,
         positions=pos,
         ray_index=ray_index,
@@ -145,21 +134,6 @@ def neighbor_pairs(positions: _F, k: int) -> np.ndarray:
     idx = np.atleast_2d(idx)[:, 1:]
     src = np.repeat(np.arange(s, dtype=np.intp), k_eff)
     return np.stack([src, idx.reshape(-1).astype(np.intp)], axis=1)
-
-
-def _eval_field(net, positions: np.ndarray, order: int):
-    """Values plus optional derivatives from a FieldNet or a scene-like oracle."""
-    if isinstance(net, FieldNet):
-        if order == 2:
-            return field_mod.jet_batch(net, positions)
-        if order == 1:
-            v, g = field_mod.grad_batch(net, positions)
-            return v, g, None
-        return field_mod.evaluate_batch(net, positions), None, None
-    if order >= 1:
-        v, g, h = net.jet(positions)
-        return v, g, (h if order == 2 else None)
-    return net.sdf(positions), None, None
 
 
 def loss_terms(
@@ -226,7 +200,7 @@ def loss_terms(
 
 
 def batch_loss(
-    net,
+    net: FieldNet,
     batch: RayBatch,
     w: LossWeights,
     mode: SupervisionMode,
@@ -234,8 +208,11 @@ def batch_loss(
     """Loss and exact parameter gradient for one batch, targets held constant."""
     if batch.positions.shape[0] == 0:
         raise ValueError("empty batch")
-    order = 2 if mode is SupervisionMode.CURVATURE_CONSTRAINED else 1
-    vals, grads, hess = _eval_field(net, batch.positions, order)
+    if mode is SupervisionMode.CURVATURE_CONSTRAINED:
+        vals, grads, hess = field_mod.jet_batch(net, batch.positions)
+    else:
+        vals, grads = field_mod.grad_batch(net, batch.positions)
+        hess = None
     targets = compute_targets(
         mode,
         vals,
@@ -246,14 +223,11 @@ def batch_loss(
         tau=w.tau,
         gamma=w.gamma,
     )
-    ev, _, _ = _eval_field(net, batch.endpoints, 0)
+    ev = field_mod.evaluate_batch(net, batch.endpoints)
     pairs = neighbor_pairs(batch.positions, w.knn)
     breakdown, val_bar, grad_bar, end_bar = loss_terms(vals, grads, ev, targets, pairs, w)
-    if isinstance(net, FieldNet):
-        pg = field_mod.backprop(net, batch.positions, val_bar, grad_bar)
-        pg.add(field_mod.backprop(net, batch.endpoints, end_bar))
-    else:
-        pg = ParamGrads(weights=[], biases=[])
+    pg = field_mod.backprop(net, batch.positions, val_bar, grad_bar)
+    pg.add(field_mod.backprop(net, batch.endpoints, end_bar))
     return breakdown, pg
 
 
@@ -327,33 +301,25 @@ def train(
 
     ``rays`` is the (origins, endpoints) pair of (R, m) arrays that
     ``geom.normalize_scene`` returns.  Epochs reshuffle rays with the seeded
-    generator; each batch recomputes targets under ``mode`` (or the
-    projection mode during warm-up steps), takes one optimizer step, and the
-    per-epoch mean breakdown is recorded.
+    generator; each batch recomputes targets under ``mode``, takes one
+    optimizer step, and the per-epoch mean breakdown is recorded.
     """
     origins, endpoints = (np.asarray(a, dtype=np.float64) for a in rays)
     rng = np.random.default_rng(optim.seed)
     state = AdamState.zeros_like(net)
     history: list[LossBreakdown] = []
     n_rays = origins.shape[0]
-    step = 0
     for epoch in range(optim.epochs):
         perm = rng.permutation(n_rays)
         parts = np.zeros(4)
         n_batches = 0
         for lo in range(0, n_rays, optim.batch_rays):
             idx = perm[lo : lo + optim.batch_rays]
-            batch = make_batch(
-                origins[idx], endpoints[idx], optim.samples_per_ray, optim.drop_behind_origin
-            )
-            eff_mode = mode
-            if mode is SupervisionMode.CURVATURE_CONSTRAINED and step < optim.warmup_steps:
-                eff_mode = SupervisionMode.CLOSEST_NORMAL
-            bd, grads = batch_loss(net, batch, weights, eff_mode)
+            batch = make_batch(origins[idx], endpoints[idx], optim.samples_per_ray)
+            bd, grads = batch_loss(net, batch, weights, mode)
             net, state = adamw_step(net, grads, optim, state)
             parts += (bd.data, bd.endpoint, bd.eikonal, bd.smoothness)
             n_batches += 1
-            step += 1
         parts /= max(n_batches, 1)
         epoch_bd = LossBreakdown(
             data=parts[0],

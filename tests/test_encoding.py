@@ -4,7 +4,6 @@ import pytest
 from scanfield.encoding import (
     EncodingConfig,
     default_encoding,
-    encode_jacobian,
     encode_jet,
 )
 
@@ -93,15 +92,21 @@ def test_jet_derivatives_match_finite_differences():
 
 
 def test_dense_jacobian_scatter():
+    # Scattering d1 through coord gives the dense (F, m) Jacobian, which must
+    # match central differences of the features, zeros included.
     cfg = default_encoding(3)
     rng = np.random.default_rng(2)
     x = rng.normal(size=2)
-    jac = encode_jacobian(x, cfg)
-    jet = encode_jet(x[None, :], cfg)
-    assert jac.shape == (14, 2)
-    dense = np.zeros_like(jac)
+    jet = encode_jet(x[None, :], cfg, 1)
+    dense = np.zeros((14, 2))
     dense[np.arange(14), jet.coord] = jet.d1[0]
-    np.testing.assert_array_equal(jac, dense)
+    h = 1e-6
+    fd = np.stack([
+        (encode_jet((x + h * e)[None, :], cfg, 0).values[0]
+         - encode_jet((x - h * e)[None, :], cfg, 0).values[0]) / (2 * h)
+        for e in np.eye(2)
+    ], axis=1)
+    np.testing.assert_allclose(dense, fd, atol=1e-6)
 
 
 def test_raw_coordinate_passthrough_derivatives():

@@ -9,14 +9,13 @@ from scanfield.field import (
     grad_batch,
     init_field,
     jet_batch,
-    param_count,
 )
 
 
 def test_default_parameter_count():
     net = init_field(seed=0, dim=3)
     # 183 features -> 128 -> 128 -> 128 -> 128 -> 1
-    assert param_count(net) == 73_217
+    assert sum(w.size + b.size for w, b in zip(net.weights, net.biases)) == 73_217
 
 
 def test_layer_factors():

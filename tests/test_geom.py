@@ -5,7 +5,7 @@ from scanfield.geom import Aabb, Pose, Scan, SceneTransform, normalize_scene, to
 
 
 def test_pose_identity_roundtrip():
-    p = Pose.identity(3)
+    p = Pose(np.eye(3), np.zeros(3))
     pts = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
     np.testing.assert_array_equal(p.apply(pts), pts)
     np.testing.assert_array_equal(p.inverse_apply(pts), pts)
@@ -56,15 +56,15 @@ def test_ray_validation():
 
 def test_scan_dim_mismatch():
     with pytest.raises(ValueError):
-        Scan(Pose.identity(3), np.zeros((4, 2)))
+        Scan(Pose(np.eye(3), np.zeros(3)), np.zeros((4, 2)))
 
 
 def test_scan_rejects_non_finite_points():
     # to_world relies on this check and does not repeat it.
     with pytest.raises(ValueError, match="points contains non-finite entries"):
-        Scan(Pose.identity(3), np.array([[np.nan, 0.0, 0.0]]))
+        Scan(Pose(np.eye(3), np.zeros(3)), np.array([[np.nan, 0.0, 0.0]]))
     with pytest.raises(ValueError, match="points contains non-finite entries"):
-        Scan(Pose.identity(2), np.array([[1.0, 0.0], [np.inf, 0.0]]))
+        Scan(Pose(np.eye(2), np.zeros(2)), np.array([[1.0, 0.0], [np.inf, 0.0]]))
 
 
 def test_aabb_cube():
@@ -83,7 +83,7 @@ def test_to_world_transforms_sensor_points():
 
 
 def test_to_world_rejects_zero_range_point():
-    scan = Scan(Pose.identity(2), np.array([[1.0, 0.0], [0.0, 0.0]]))
+    scan = Scan(Pose(np.eye(2), np.zeros(2)), np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="1"):
         to_world(scan)
 

@@ -48,14 +48,6 @@ def test_sample_ray_positions_and_distances():
     assert dist[0] == dist.min()
 
 
-def test_drop_behind_origin():
-    pos, dist, _ = sample_rays_batch(np.zeros((1, 2)), np.array([[1.0, 0.0]]), 40,
-                                     drop_behind_origin=True)
-    assert pos.shape == (39, 2)
-    assert np.all(pos[:, 0] >= 0.0)  # t >= 0: nothing behind the sensor
-    assert np.all(dist <= 1.0)
-
-
 def _sample_one_ray(origin, endpoint, n):
     """Scalar reference: (position, distance to endpoint) per schedule parameter."""
     length = float(np.linalg.norm(endpoint - origin))

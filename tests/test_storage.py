@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scanfield.encoding import default_encoding
-from scanfield.field import init_field, param_count
+from scanfield.field import init_field
 from scanfield.geom import Aabb, SceneTransform
 from scanfield.meshing import TriangleMesh, marching_cubes
 from scanfield.storage import (
@@ -120,7 +120,8 @@ def test_model_file_size_is_header_plus_params(tmp_path):
     save_model(path, net)
     layers = net.layer_count
     header = len(MODEL_MAGIC) + 5 + 2 + 8 * layers + 8 * layers + 8 * net.encoding.bands
-    assert path.stat().st_size == header + 8 * param_count(net)
+    params = sum(w.size + b.size for w, b in zip(net.weights, net.biases))
+    assert path.stat().st_size == header + 8 * params
 
 
 def test_model_rejects_corruption(tmp_path):

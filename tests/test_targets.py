@@ -62,7 +62,7 @@ def sample_weight(d_pred_abs, d_max, gamma):
 
 def estimate_sample(mode, value, gradient, hessian, endpoint, x, d_max,
                     tau=0.2, gamma=3.0, r_min=ROC_MIN, r_max=ROC_MAX):
-    """One sample's (d_hat, weight, roc_query, normal_unit).
+    """One sample's (d_hat, weight, roc_query).
 
     Degenerate gradients and negative raw estimates both fall back to the ray
     distance.
@@ -85,9 +85,8 @@ def estimate_sample(mode, value, gradient, hessian, endpoint, x, d_max,
         except DegenerateGradient:
             ray_fallback = True
     if ray_fallback:
-        n = delta / d if d > 0.0 else np.zeros_like(xq)
         d_raw, roc_q = d, r_max
-    return float(np.clip(d_raw, 0.0, tau)), weight, roc_q, n
+    return float(np.clip(d_raw, 0.0, tau)), weight, roc_q
 
 
 # ---------------------------------------------------------------------------
@@ -102,20 +101,21 @@ def _sphere_level_jet(dist, m):
     return g, h
 
 
-def _one(mode, g, h, x, e, value=0.0, **kw):
+def _one(mode, g, h, x, e, value=0.0, tau=0.2):
     """compute_targets on a one-row batch."""
     return compute_targets(mode, np.array([value]), np.asarray(g)[None], np.asarray(h)[None],
-                           np.asarray(x, dtype=np.float64)[None], np.asarray(e)[None], **kw)
+                           np.asarray(x, dtype=np.float64)[None], np.asarray(e)[None],
+                           tau=tau, gamma=3.0)
 
 
 def test_normal_dir_points_against_gradient():
     x, e = np.zeros(2), np.array([0.0, -0.1])
     tb = _one(SupervisionMode.CLOSEST_NORMAL, [0.0, 3.0], np.zeros((2, 2)), x, e)
-    assert not tb.degenerate[0]
-    np.testing.assert_allclose(tb.normal_unit[0], [0.0, -1.0])
+    assert not tb.degenerate[0]  # the projection onto -grad is positive
+    assert abs(tb.d_hat[0] - 0.1) < 1e-15
     tb = _one(SupervisionMode.CLOSEST_NORMAL, np.zeros(2), np.zeros((2, 2)), x, e)
-    assert tb.degenerate[0]  # vanishing gradient: fall back to the ray direction
-    np.testing.assert_allclose(tb.normal_unit[0], [0.0, -1.0])
+    assert tb.degenerate[0]  # vanishing gradient: fall back to the ray distance
+    assert abs(tb.d_hat[0] - 0.1) < 1e-15
     with pytest.raises(DegenerateGradient):
         normal_dir(np.zeros(3))
 
@@ -204,7 +204,7 @@ def test_curvature_distance_exact_on_concentric_levels():
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         e = center + v  # any surface point
         vals, g, h = scene.jet(x)
-        tb = compute_targets(SupervisionMode.CURVATURE_CONSTRAINED, vals, g, h, x, e, tau=np.inf)
+        tb = compute_targets(SupervisionMode.CURVATURE_CONSTRAINED, vals, g, h, x, e, tau=np.inf, gamma=3.0)
         assert not np.any(tb.degenerate)
         np.testing.assert_allclose(tb.d_hat, rho - 1.0, rtol=0.0, atol=1e-9)
 
@@ -219,8 +219,8 @@ def test_curvature_matches_projection_in_flat_limit():
     h = np.zeros((200, 3, 3))
     vals = np.zeros(200)
     d = np.linalg.norm(e - x, axis=1)
-    cd = compute_targets(SupervisionMode.CURVATURE_CONSTRAINED, vals, g, h, x, e, tau=np.inf)
-    dcn = compute_targets(SupervisionMode.CLOSEST_NORMAL, vals, g, h, x, e, tau=np.inf)
+    cd = compute_targets(SupervisionMode.CURVATURE_CONSTRAINED, vals, g, h, x, e, tau=np.inf, gamma=3.0)
+    dcn = compute_targets(SupervisionMode.CLOSEST_NORMAL, vals, g, h, x, e, tau=np.inf, gamma=3.0)
     np.testing.assert_array_equal(cd.degenerate, dcn.degenerate)
     assert np.all(np.abs(cd.d_hat - dcn.d_hat) < 1e-3 * d)
 
@@ -236,13 +236,13 @@ def test_estimate_sample_clamps_to_band():
     e = np.array([1.0, 0.0])
     g = np.array([-1.0, 0.0])  # surface ahead along +x
     h = np.zeros((2, 2))
-    d_hat, _, _, _ = estimate_sample(
+    d_hat, _, _ = estimate_sample(
         SupervisionMode.RAY_DISTANCE, 0.0, g, h, e, x, d_max=1.0, tau=0.2
     )
     assert d_hat == 0.2  # raw distance 1.0 clipped to the band
     # A normal pointing away from the endpoint would give a negative raw
     # target; the sample falls back to ray distance (1.0) and band-clamps.
-    d_hat2, _, _, _ = estimate_sample(
+    d_hat2, _, _ = estimate_sample(
         SupervisionMode.CLOSEST_NORMAL, 0.0, np.array([1.0, 0.0]), h, e, x, d_max=1.0
     )
     assert d_hat2 == 0.2
@@ -255,13 +255,11 @@ def test_estimate_sample_degenerate_falls_back_to_ray():
     x = np.zeros(2)
     e = np.array([0.1, 0.0])
     mode = SupervisionMode.CURVATURE_CONSTRAINED
-    d_hat, _, _, normal = estimate_sample(mode, 0.0, np.zeros(2), np.zeros((2, 2)), e, x, d_max=1.0)
+    d_hat, _, _ = estimate_sample(mode, 0.0, np.zeros(2), np.zeros((2, 2)), e, x, d_max=1.0)
     assert abs(d_hat - 0.1) < 1e-15
-    np.testing.assert_allclose(normal, [1.0, 0.0])
     tb = _one(mode, np.zeros(2), np.zeros((2, 2)), x, e)
     assert tb.degenerate[0]
     assert abs(tb.d_hat[0] - 0.1) < 1e-15
-    np.testing.assert_allclose(tb.normal_unit[0], [1.0, 0.0])
 
 
 def test_compute_targets_matches_scalar_loop():
@@ -278,15 +276,14 @@ def test_compute_targets_matches_scalar_loop():
     h = a + np.swapaxes(a, 1, 2)
     d_max = float(np.max(np.abs(vals)))
     for mode in SupervisionMode:
-        batch = compute_targets(mode, vals, g, h, x, e)
+        batch = compute_targets(mode, vals, g, h, x, e, tau=0.2, gamma=3.0)
         for i in range(s):
-            d_hat, weight, roc_query, normal = estimate_sample(
+            d_hat, weight, roc_query = estimate_sample(
                 mode, vals[i], g[i], h[i], e[i], x[i], d_max
             )
             assert abs(batch.d_hat[i] - d_hat) < 1e-12, (mode, i)
             assert abs(batch.weight[i] - weight) < 1e-9
             assert abs(batch.roc_query[i] - roc_query) < 1e-6 * roc_query
-            np.testing.assert_allclose(batch.normal_unit[i], normal, atol=1e-12)
         if mode is not SupervisionMode.RAY_DISTANCE:
             assert batch.degenerate[3]
             # fallback rows carry the band-clamped ray distance
@@ -310,7 +307,7 @@ def test_negative_estimates_fall_back_to_ray():
     h = a + np.swapaxes(a, 1, 2)
     ray_d = np.linalg.norm(e - x, axis=1)
     for mode in (SupervisionMode.CLOSEST_NORMAL, SupervisionMode.CURVATURE_CONSTRAINED):
-        batch = compute_targets(mode, vals, g, h, x, e, tau=0.2)
+        batch = compute_targets(mode, vals, g, h, x, e, tau=0.2, gamma=3.0)
         assert np.any(batch.degenerate)
         np.testing.assert_allclose(
             batch.d_hat[batch.degenerate], np.clip(ray_d[batch.degenerate], 0.0, 0.2)
@@ -324,7 +321,7 @@ def test_compute_targets_weights_use_batch_max():
     vals = np.array([0.0, 1.0, 2.0])
     g = np.tile([-1.0, 0.0], (3, 1))
     h = np.zeros((3, 2, 2))
-    batch = compute_targets(SupervisionMode.RAY_DISTANCE, vals, g, h, x, e, gamma=3.0)
+    batch = compute_targets(SupervisionMode.RAY_DISTANCE, vals, g, h, x, e, tau=0.2, gamma=3.0)
     np.testing.assert_allclose(batch.weight, [8.0, 1.0, 0.0])
 
 
@@ -337,4 +334,6 @@ def test_compute_targets_rejects_empty():
             np.zeros((0, 2, 2)),
             np.zeros((0, 2)),
             np.zeros((0, 2)),
+            tau=0.2,
+            gamma=3.0,
         )

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from scanfield.config import RunConfig, parse_config
 from scanfield.encoding import default_encoding
 from scanfield.field import FieldNet, evaluate_batch, grad_batch, init_field
 from scanfield.geom import Pose, normalize_scene, to_world
 from scanfield.scenes import AnalyticScene, ScannerConfig, Sphere, simulate_scan
-from scanfield.targets import SupervisionMode
+from scanfield.targets import SupervisionMode, compute_targets
 from scanfield.training import (
     AdamState,
     LossWeights,
@@ -13,6 +14,7 @@ from scanfield.training import (
     _adamw_update,
     adamw_step,
     batch_loss,
+    loss_terms,
     make_batch,
     neighbor_pairs,
     train,
@@ -43,17 +45,15 @@ def test_neighbor_pairs_shape_and_content():
     assert neighbor_pairs(pts[:3], 99).shape == (6, 2)
 
 
-class _OracleField:
-    """Exact analytic SDF standing in for a trained net."""
-
-    def __init__(self, scene):
-        self.scene = scene
-
-    def sdf(self, pts):
-        return self.scene.sdf(pts)
-
-    def jet(self, pts):
-        return self.scene.jet(pts)
+def exact_loss(scene, batch, w, mode):
+    """Loss breakdown with the scene's exact jet standing in for a trained net."""
+    vals, grads, hess = scene.jet(batch.positions)
+    targets = compute_targets(
+        mode, vals, grads, hess, batch.positions, batch.sample_endpoints, tau=w.tau, gamma=w.gamma
+    )
+    pairs = neighbor_pairs(batch.positions, w.knn)
+    bd, _, _, _ = loss_terms(vals, grads, scene.sdf(batch.endpoints), targets, pairs, w)
+    return bd
 
 
 def test_loss_vanishes_on_exact_planar_field():
@@ -61,18 +61,17 @@ def test_loss_vanishes_on_exact_planar_field():
     # every term (including neighbor smoothness) is exactly at its optimum.
     from scanfield.scenes import Plane
 
-    oracle = _OracleField(AnalyticScene((Plane(np.array([0.0, 1.0]), 0.0),)))
+    scene = AnalyticScene((Plane(np.array([0.0, 1.0]), 0.0),))
     xs = np.linspace(-1.0, 1.0, 12)
     origins = np.stack([xs, np.full(12, 2.0)], axis=1)
     endpoints = np.stack([xs, np.zeros(12)], axis=1)
-    batch = make_batch(origins, endpoints, samples_per_ray=6, drop_behind_origin=True)
+    batch = make_batch(origins, endpoints, samples_per_ray=6)
     w = LossWeights(tau=np.inf)
-    bd, pg = batch_loss(oracle, batch, w, SupervisionMode.CURVATURE_CONSTRAINED)
+    bd = exact_loss(scene, batch, w, SupervisionMode.CURVATURE_CONSTRAINED)
     assert bd.data < 1e-9
     assert bd.endpoint < 1e-9
     assert bd.eikonal < 1e-9
     assert bd.smoothness < 1e-9
-    assert pg.weights == [] and pg.biases == []
 
 
 def test_loss_data_term_vanishes_on_exact_circle():
@@ -84,10 +83,10 @@ def test_loss_data_term_vanishes_on_exact_circle():
     ang = rng.uniform(0, 2 * np.pi, size=n)
     endpoints = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     origins = endpoints * 2.5  # outside, shooting inward
-    batch = make_batch(origins, endpoints, samples_per_ray=8, drop_behind_origin=True)
+    batch = make_batch(origins, endpoints, samples_per_ray=8)
     w = LossWeights(tau=np.inf)
-    oracle = _OracleField(AnalyticScene((Sphere(np.zeros(2), 1.0),)))
-    bd, _ = batch_loss(oracle, batch, w, SupervisionMode.CURVATURE_CONSTRAINED)
+    scene = AnalyticScene((Sphere(np.zeros(2), 1.0),))
+    bd = exact_loss(scene, batch, w, SupervisionMode.CURVATURE_CONSTRAINED)
     assert bd.data < 1e-9
     assert bd.endpoint < 1e-9
     assert bd.eikonal < 1e-9
@@ -104,9 +103,7 @@ def test_loss_gradients_match_finite_differences():
     # batch_loss recomputes targets from whatever net it is handed, which
     # would contaminate a perturbed-parameter objective.  Freeze the targets
     # from the unperturbed net and differentiate only the loss pieces.
-    from scanfield.field import backprop, jet_batch
-    from scanfield.targets import compute_targets
-    from scanfield.training import loss_terms
+    from scanfield.field import jet_batch
 
     vals0, grads0, hess0 = jet_batch(net, batch.positions)
     tg = compute_targets(
@@ -120,11 +117,8 @@ def test_loss_gradients_match_finite_differences():
         bd, _, _, _ = loss_terms(v, g, ev, tg, pairs, w)
         return bd.total
 
-    v, g = grad_batch(net, batch.positions)
-    ev = evaluate_batch(net, batch.endpoints)
-    _, val_bar, grad_bar, end_bar = loss_terms(v, g, ev, tg, pairs, w)
-    pg = backprop(net, batch.positions, val_bar, grad_bar)
-    pg.add(backprop(net, batch.endpoints, end_bar))
+    bd, pg = batch_loss(net, batch, w, mode)
+    assert bd.total == frozen_loss(net)
 
     rng = np.random.default_rng(11)
     h = 1e-6
@@ -214,22 +208,13 @@ def test_train_reduces_loss():
     assert hist[-1].data < hist[0].data
 
 
-def test_warmup_switches_supervision():
-    # With warm-up covering every step, curvature mode must reproduce the
-    # projection-mode run exactly.
+def test_curvature_targets_engage_in_training():
+    # The L1 data gradient only sees residual signs, so compare loss values
+    # (which see the targets themselves) rather than parameters: untruncated
+    # targets differ wherever the net's level sets have finite curvature.
     origins, endpoints = toy_rays(8, seed=13)
-    optim = OptimConfig(epochs=2, batch_rays=4, samples_per_ray=5, seed=1, warmup_steps=10_000)
-    w = LossWeights()
-    a, _ = train(small_net(2), (origins, endpoints), optim, w, SupervisionMode.CURVATURE_CONSTRAINED)
-    b, _ = train(small_net(2), (origins, endpoints), optim, w, SupervisionMode.CLOSEST_NORMAL)
-    for wa, wb in zip(a.weights, b.weights):
-        assert np.array_equal(wa, wb)
-    # With zero warm-up the curvature targets actually engage.  The L1 data
-    # gradient only sees residual signs, so compare loss values (which see the
-    # targets themselves) rather than parameters: untruncated targets differ
-    # wherever the net's level sets have finite curvature.
     w_inf = LossWeights(tau=np.inf)
-    optim0 = OptimConfig(epochs=1, batch_rays=8, samples_per_ray=5, seed=1, warmup_steps=0)
+    optim0 = OptimConfig(epochs=1, batch_rays=8, samples_per_ray=5, seed=1)
     _, hist_curv = train(small_net(2), (origins, endpoints), optim0, w_inf, SupervisionMode.CURVATURE_CONSTRAINED)
     _, hist_dcn = train(small_net(2), (origins, endpoints), optim0, w_inf, SupervisionMode.CLOSEST_NORMAL)
     assert hist_curv[0].data != hist_dcn[0].data
@@ -242,16 +227,25 @@ def test_make_batch_aligns_sample_endpoints():
     np.testing.assert_array_equal(batch.sample_endpoints, endpoints[batch.ray_index])
 
 
+def parse_overrides(**overrides):
+    return parse_config("", overrides)
+
+
 @pytest.mark.parametrize("make, kwargs", [
     (OptimConfig, {"lr": 0.0}),
     (OptimConfig, {"epochs": 0}),
     (OptimConfig, {"samples_per_ray": 1}),
     (OptimConfig, {"weight_decay": -1.0}),
-    (OptimConfig, {"warmup_steps": -3}),
     (LossWeights, {"tau": 0.0}),
     (LossWeights, {"eikonal": -1.0}),
     (LossWeights, {"knn": -1}),
     (ScannerConfig, {"noise_sigma": -0.1}),
+    (RunConfig, {"hidden_width": 3.5}),
+    (RunConfig, {"epochs": True}),
+    (RunConfig, {"learn_rate": True}),
+    (RunConfig, {"learn_rate": "1e-3"}),
+    (parse_overrides, {"epochs": 2.5, "mcl_particles": 10.5}),
+    (parse_overrides, {"mcl_particles": 10.5}),
 ], ids=lambda v: next(iter(v)) if isinstance(v, dict) else v.__name__)
 def test_config_validation(make, kwargs):
     with pytest.raises(ValueError):
