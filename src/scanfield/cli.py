@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 validation/usage error, 1 other failures.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -34,8 +33,9 @@ MODE_LABELS = {
 
 
 def _limit_threads(n: int) -> None:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
+    # BLAS and OpenMP pools start when numpy is imported, which this module
+    # has done; ``python -m scanfield`` caps them through the environment
+    # before that (see __main__).  Here, only threadpoolctl can still act.
     try:
         import threadpoolctl
 

@@ -9,6 +9,11 @@ feature depends on exactly one input coordinate, which keeps the chain rule
 through the encoding sparse: the Jacobian has one nonzero per row, and the
 feature Hessians are diagonal.  ``encode_jet`` exposes that structure so the
 network's derivative propagation never materializes dense encoder Jacobians.
+
+The features keep the blockwise layout above, feature ``b * m + j`` being
+block b of coordinate j.  Their derivatives are coordinate-major: ``d1[j]``
+and ``d2[j]`` are (N, 2h + 1) arrays over the blocks of coordinate j, so the
+first network layer's per-coordinate matmuls read contiguous memory.
 """
 
 from __future__ import annotations
@@ -56,18 +61,17 @@ def default_encoding(bands: int = DEFAULT_BANDS, base: float = DEFAULT_BASE_FREQ
 class EncodedJet:
     """Features with their sparse first and second derivatives.
 
-    ``values``/``d1``/``d2`` all have shape (N, F).  Feature f depends only on
-    input coordinate ``coord[f]``; d1 and d2 hold that single partial and its
-    second derivative, or are None when the derivative was not requested.
-
-    Layout is blockwise: the m raw coordinates first, then for each frequency
-    the m sine features followed by the m cosine features.
+    ``values`` has shape (N, F) in the blockwise layout: the m raw coordinates
+    first, then for each frequency the m sine features followed by the m
+    cosine features.  ``d1``/``d2`` have shape (m, N, 2h + 1): ``d1[j][:, b]``
+    is the one nonzero partial of feature ``b * m + j``, along x_j, and
+    ``d2[j][:, b]`` its second derivative.  Either is None when it was not
+    requested.
     """
 
     values: np.ndarray
     d1: np.ndarray | None
     d2: np.ndarray | None
-    coord: np.ndarray
 
 
 def encode_jet(points: _F, cfg: EncodingConfig, order: int = 2) -> EncodedJet:
@@ -78,29 +82,25 @@ def encode_jet(points: _F, cfg: EncodingConfig, order: int = 2) -> EncodedJet:
     """
     x = np.asarray(points, dtype=np.float64)
     n, m = x.shape
-    h = cfg.bands
-    f = (2 * h + 1) * m
-    values = np.empty((n, f), dtype=np.float64)
-    d1 = np.empty((n, f), dtype=np.float64) if order >= 1 else None
-    d2 = np.empty((n, f), dtype=np.float64) if order >= 2 else None
-    values[:, :m] = x
-    if d1 is not None:
-        d1[:, :m] = 1.0
-    if d2 is not None:
-        d2[:, :m] = 0.0
-    for k in range(h):
-        w = cfg.frequencies[k]
-        arg = w * x
-        s = np.sin(arg)
-        c = np.cos(arg)
-        lo = (1 + 2 * k) * m
-        values[:, lo : lo + m] = s
-        values[:, lo + m : lo + 2 * m] = c
-        if d1 is not None:
-            d1[:, lo : lo + m] = w * c
-            d1[:, lo + m : lo + 2 * m] = -w * s
-        if d2 is not None:
-            d2[:, lo : lo + m] = -(w * w) * s
-            d2[:, lo + m : lo + 2 * m] = -(w * w) * c
-    coord = np.tile(np.arange(m, dtype=np.intp), 2 * h + 1)
-    return EncodedJet(values=values, d1=d1, d2=d2, coord=coord)
+    w = cfg.frequencies
+    blocks = 2 * w.size + 1
+    # All bands at once, coordinate-major: arg[j, i, k] = w_k * x_ij.
+    arg = x.T[:, :, None] * w
+    s = np.sin(arg)
+    c = np.cos(arg)
+    values = np.empty((n, blocks, m), dtype=np.float64)
+    values[:, 0, :] = x
+    values[:, 1::2, :] = s.transpose(1, 2, 0)
+    values[:, 2::2, :] = c.transpose(1, 2, 0)
+    d1 = d2 = None
+    if order >= 1:
+        d1 = np.empty((m, n, blocks), dtype=np.float64)
+        d1[:, :, 0] = 1.0
+        d1[:, :, 1::2] = w * c
+        d1[:, :, 2::2] = -w * s
+    if order >= 2:
+        d2 = np.empty((m, n, blocks), dtype=np.float64)
+        d2[:, :, 0] = 0.0
+        d2[:, :, 1::2] = -(w * w) * s
+        d2[:, :, 2::2] = -(w * w) * c
+    return EncodedJet(values=values.reshape(n, -1), d1=d1, d2=d2)

@@ -16,10 +16,20 @@ upper-triangle (N, m(m+1)/2, width) slabs over the ``np.triu_indices(m)``
 pairs, mirrored to (N, m, m) only at the output.  The network width is last,
 so each layer transition is a single reshaped matmul.  The encoding's
 one-nonzero-per-row Jacobian makes the first layer a handful of
-per-coordinate matmuls instead of a dense (F, m) contraction.  The reverse
-sweep runs one forward pass per chunk and reads the activations, their
-cosines and the pre-activation gradients from that pass's record instead of
-recomputing them.
+per-coordinate matmuls, over the encoder's coordinate-major derivatives and
+weight column blocks gathered once per batch call, instead of a dense (F, m)
+contraction.
+
+Every pass walks the points in blocks of ``BLOCK`` rows, so that one
+block's derivative slabs stay in a core's L2 cache instead of streaming
+through memory (the default 3D net's Hessian slab is 1.5 MB per 256-row
+block); the last block also takes the remainder.  Each output row depends on
+its own input row alone, so values, gradients and Hessians do not depend on
+where the blocks end.  The reverse sweep runs one forward pass per block and
+reads the activations, their cosines and the pre-activation gradients from
+that pass's record instead of recomputing them; the record lives for one
+block.  The parameter gradient is summed per block and then over blocks, so
+its rounding, and only its rounding, depends on ``BLOCK``.
 """
 
 from __future__ import annotations
@@ -33,8 +43,8 @@ from .encoding import EncodingConfig, default_encoding, encode_jet
 
 _F = npt.NDArray[np.floating]
 
-VALUE_CHUNK = 8192
-JET_CHUNK = 2048
+# Rows per block in every pass; see the module docstring.
+BLOCK = 256
 
 DEFAULT_HIDDEN = 128
 DEFAULT_LAYERS = 4
@@ -148,20 +158,28 @@ def _coord_columns(net: FieldNet) -> list[np.ndarray]:
     return [np.arange(blocks) * m + j for j in range(m)]
 
 
-def _forward(net: FieldNet, x: np.ndarray, order: int, record: list | None = None):
-    """One chunk forward pass.  Returns (val, grad, hess) with Nones padded.
+def _first_layer_blocks(net: FieldNet) -> list[np.ndarray]:
+    """Layer 0's weight columns for each input coordinate, (width, 2h+1) each;
+    gathered once per batch call and shared by its blocks."""
+    return [net.weights[0][:, cols] for cols in _coord_columns(net)]
 
-    The value track runs through identical operations at every order, so the
-    scalar output is bitwise independent of whether derivatives were asked for.
-    With a ``record`` list, each layer appends ``(a_in, da_in, fac_cos, dz)``:
-    its input and the input's spatial derivative (for layer 0 the encoder's
-    sparse ``d1``), ``fac * cos(fac * z)`` (None for the affine layer) and
-    ``dz`` (None at order 0).  A sine layer's ``sin(fac * z)`` is the next
-    layer's ``a_in``.
+
+def _forward(
+    net: FieldNet, x: np.ndarray, order: int, w0: list[np.ndarray], record: list | None = None
+):
+    """One block's forward pass.  Returns (val, grad, hess) with Nones padded.
+
+    ``w0`` is ``_first_layer_blocks(net)``.  The value track runs through
+    identical operations at every order, so the scalar output is bitwise
+    independent of whether derivatives were asked for.  With a ``record``
+    list, each layer appends ``(a_in, da_in, fac_cos, dz)``: its input and the
+    input's spatial derivative (for layer 0 the encoder's coordinate-major
+    ``d1``), ``fac * cos(fac * z)`` (None for the affine layer) and ``dz``
+    (None at order 0).  A sine layer's ``sin(fac * z)`` is the next layer's
+    ``a_in``.
     """
     n, m = x.shape
     jet = encode_jet(x, net.encoding, order)
-    cols = _coord_columns(net)
     iu, ju = np.triu_indices(m)
     diag = np.flatnonzero(iu == ju)
     a = jet.values
@@ -169,23 +187,24 @@ def _forward(net: FieldNet, x: np.ndarray, order: int, record: list | None = Non
     d2a = None
     for li in range(net.layer_count):
         w, b, fac = net.weights[li], net.biases[li], net.sine_factors[li]
+        width = w.shape[0]
         a_in, da_in = a, da
         z = a @ w.T + b
         dz = d2z = fac_cos = None
         if order >= 1:
             if li == 0:
-                dz = np.empty((n, m, w.shape[0]), dtype=np.float64)
+                dz = np.empty((n, m, width), dtype=np.float64)
                 for j in range(m):
-                    dz[:, j, :] = jet.d1[:, cols[j]] @ w[:, cols[j]].T
+                    dz[:, j, :] = jet.d1[j] @ w0[j].T
             else:
-                dz = (da.reshape(n * m, -1) @ w.T).reshape(n, m, w.shape[0])
+                dz = (da.reshape(n * m, -1) @ w.T).reshape(n, m, width)
         if order >= 2:
             if li == 0:
-                d2z = np.zeros((n, iu.size, w.shape[0]), dtype=np.float64)
+                d2z = np.zeros((n, iu.size, width), dtype=np.float64)
                 for j in range(m):
-                    d2z[:, diag[j], :] = jet.d2[:, cols[j]] @ w[:, cols[j]].T
+                    d2z[:, diag[j], :] = jet.d2[j] @ w0[j].T
             else:
-                d2z = (d2a.reshape(n * iu.size, -1) @ w.T).reshape(n, iu.size, w.shape[0])
+                d2z = (d2a.reshape(n * iu.size, -1) @ w.T).reshape(n, iu.size, width)
         if fac == 0.0:
             a, da, d2a = z, dz, d2z
         else:
@@ -202,10 +221,12 @@ def _forward(net: FieldNet, x: np.ndarray, order: int, record: list | None = Non
                 c2 = -(fac * fac) * s
                 d2a = d2z
                 d2a *= fac_cos[:, None, :]
+                prod = np.empty((n, m, width), dtype=np.float64)
                 for j in range(m):
-                    prod = dz[:, j, None, :] * dz[:, j:, :]
-                    prod *= c2[:, None, :]
-                    d2a[:, diag[j] : diag[j] + m - j, :] += prod
+                    p = prod[:, : m - j, :]
+                    np.multiply(dz[:, j, None, :], dz[:, j:, :], out=p)
+                    p *= c2[:, None, :]
+                    d2a[:, diag[j] : diag[j] + m - j, :] += p
         if record is not None:
             record.append((a_in, da_in, fac_cos, dz))
     val = a[:, 0]
@@ -218,61 +239,64 @@ def _forward(net: FieldNet, x: np.ndarray, order: int, record: list | None = Non
     return val, grad, hess
 
 
-def _chunks(n: int, chunk: int):
-    for lo in range(0, n, chunk):
-        yield lo, min(lo + chunk, n)
+def _blocks(n: int):
+    # The last block takes the remainder (up to 2 * BLOCK - 1 rows): BLAS
+    # rounds a matmul of only a few rows differently from a longer one, so a
+    # short tail block would change those rows' values.
+    lo = 0
+    while lo < n:
+        hi = n if n - lo < 2 * BLOCK else lo + BLOCK
+        yield lo, hi
+        lo = hi
 
 
-def evaluate_batch(net: FieldNet, points: _F, chunk: int = VALUE_CHUNK) -> np.ndarray:
+def evaluate_batch(net: FieldNet, points: _F) -> np.ndarray:
     """Field values at (N, m) points."""
     x = np.asarray(points, dtype=np.float64)
+    w0 = _first_layer_blocks(net)
     out = np.empty(x.shape[0], dtype=np.float64)
-    for lo, hi in _chunks(x.shape[0], chunk):
-        out[lo:hi] = _forward(net, x[lo:hi], order=0)[0]
+    for lo, hi in _blocks(x.shape[0]):
+        out[lo:hi] = _forward(net, x[lo:hi], 0, w0)[0]
     return out
 
 
-def grad_batch(net: FieldNet, points: _F, chunk: int = JET_CHUNK) -> tuple[np.ndarray, np.ndarray]:
+def grad_batch(net: FieldNet, points: _F) -> tuple[np.ndarray, np.ndarray]:
     """Values (N,) and spatial gradients (N, m), skipping the Hessian track."""
     x = np.asarray(points, dtype=np.float64)
     n, m = x.shape
+    w0 = _first_layer_blocks(net)
     vals = np.empty(n, dtype=np.float64)
     grads = np.empty((n, m), dtype=np.float64)
-    for lo, hi in _chunks(n, chunk):
-        v, g, _ = _forward(net, x[lo:hi], order=1)
-        vals[lo:hi] = v
-        grads[lo:hi] = g
+    for lo, hi in _blocks(n):
+        vals[lo:hi], grads[lo:hi], _ = _forward(net, x[lo:hi], 1, w0)
     return vals, grads
 
 
-def jet_batch(
-    net: FieldNet, points: _F, chunk: int = JET_CHUNK
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def jet_batch(net: FieldNet, points: _F) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values (N,), gradients (N, m), Hessians (N, m, m) at the given points."""
     x = np.asarray(points, dtype=np.float64)
     n, m = x.shape
+    w0 = _first_layer_blocks(net)
     vals = np.empty(n, dtype=np.float64)
     grads = np.empty((n, m), dtype=np.float64)
     hess = np.empty((n, m, m), dtype=np.float64)
-    for lo, hi in _chunks(n, chunk):
-        v, g, h = _forward(net, x[lo:hi], order=2)
-        vals[lo:hi] = v
-        grads[lo:hi] = g
-        hess[lo:hi] = h
+    for lo, hi in _blocks(n):
+        vals[lo:hi], grads[lo:hi], hess[lo:hi] = _forward(net, x[lo:hi], 2, w0)
     return vals, grads, hess
 
 
-def _backward_chunk(
+def _backward_block(
     net: FieldNet,
     x: np.ndarray,
     vbar: np.ndarray,
     gbar: np.ndarray | None,
+    w0: list[np.ndarray],
     out: ParamGrads,
 ) -> None:
     n, m = x.shape
     with_grad = gbar is not None
     record: list = []
-    _forward(net, x, 1 if with_grad else 0, record)
+    _forward(net, x, 1 if with_grad else 0, w0, record)
     cols = _coord_columns(net)
     # Adjoints of the final layer's affine output (width 1).
     zbar = vbar[:, None].copy()
@@ -287,7 +311,7 @@ def _backward_chunk(
             flat_dzbar = dzbar.reshape(n * m, n_out)
             if li == 0:
                 for j in range(m):
-                    out.weights[li][:, cols[j]] += dzbar[:, j, :].T @ da_in[:, cols[j]]
+                    out.weights[li][:, cols[j]] += dzbar[:, j, :].T @ da_in[j]
             else:
                 out.weights[li] += flat_dzbar.T @ da_in.reshape(n * m, -1)
         if li == 0:
@@ -300,7 +324,7 @@ def _backward_chunk(
         zbar = fac_cos * abar
         if with_grad:
             dabar = dabar.reshape(n, m, -1)
-            zbar += np.sum(dabar * dzp, axis=1) * (-(facp * facp) * a_in)
+            zbar += np.einsum("njk,njk->nk", dabar, dzp) * (-(facp * facp) * a_in)
             dzbar = fac_cos[:, None, :] * dabar
 
 
@@ -309,7 +333,6 @@ def backprop(
     points: _F,
     value_bar: _F,
     grad_bar: _F | None = None,
-    chunk: int = JET_CHUNK,
 ) -> ParamGrads:
     """Parameter gradients of sum(vbar * D) + sum(gbar . grad D).
 
@@ -320,7 +343,8 @@ def backprop(
     x = np.asarray(points, dtype=np.float64)
     vbar = np.asarray(value_bar, dtype=np.float64)
     gbar = None if grad_bar is None else np.asarray(grad_bar, dtype=np.float64)
+    w0 = _first_layer_blocks(net)
     out = ParamGrads.zeros_like(net)
-    for lo, hi in _chunks(x.shape[0], chunk):
-        _backward_chunk(net, x[lo:hi], vbar[lo:hi], None if gbar is None else gbar[lo:hi], out)
+    for lo, hi in _blocks(x.shape[0]):
+        _backward_block(net, x[lo:hi], vbar[lo:hi], None if gbar is None else gbar[lo:hi], w0, out)
     return out

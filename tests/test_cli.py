@@ -5,6 +5,11 @@ compare) through main() with configs small enough for CI; full-scale runs
 live in the acceptance suite.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -260,3 +265,36 @@ def test_exit_codes(tiny, tmp_path):
     assert run("compare", "--scene", planes, "--config", cfg) == 2
     assert run("compare", "--scene", planes, "--traj", "orbit:radius=2,steps=2",
                "--config", cfg) == 2
+
+
+THREAD_PROBE = """
+import os, runpy, sys
+sys.argv = ["scanfield"] + sys.argv[1:]
+try:
+    runpy.run_module("scanfield", run_name="__main__")
+except SystemExit as exc:
+    if exc.code:
+        raise
+print(len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs /proc and at least two CPUs",
+)
+def test_threads_flag_caps_blas_threads(tiny):
+    # BLAS starts one thread per CPU when numpy loads unless the environment
+    # caps it first, which only the launcher can do.
+    tmp, cfg, scene2 = tiny
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", THREAD_PROBE, "synth", "--scene", str(scene2),
+         "--traj", "orbit:radius=2,steps=2", "--out", str(tmp / "d"),
+         "--config", str(cfg), "--threads", "1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1"

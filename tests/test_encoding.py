@@ -62,9 +62,15 @@ def test_jet_orders_share_values():
 
 
 def test_jet_coord_mapping():
+    # d1[j][:, b] is the partial of feature b * m + j along x_j.  At x = 0 the
+    # raw coordinate's is 1, sin(w x)'s is w and cos(w x)'s is 0.
     cfg = default_encoding(2)
     jet = encode_jet(np.zeros((1, 3)), cfg)
-    np.testing.assert_array_equal(jet.coord, np.tile([0, 1, 2], 5))
+    assert jet.d1.shape == jet.d2.shape == (3, 1, 5)
+    w1, w2 = cfg.frequencies
+    for j in range(3):
+        np.testing.assert_array_equal(jet.d1[j, 0], [1.0, w1, 0.0, w2, 0.0])
+        np.testing.assert_array_equal(jet.d2[j, 0], [0.0, 0.0, -w1 * w1, 0.0, -w2 * w2])
 
 
 def test_jet_derivatives_match_finite_differences():
@@ -84,22 +90,24 @@ def test_jet_derivatives_match_finite_differences():
         fm2 = encode_jet(pts - h2 * step, cfg, 0).values
         d1_fd = (fp1 - fm1) / (2 * h1)
         d2_fd = (fp2 - 2 * jet.values + fm2) / h2**2
-        mask = jet.coord == j
-        np.testing.assert_allclose(jet.d1[:, mask], d1_fd[:, mask], atol=1e-5)
-        np.testing.assert_allclose(jet.d2[:, mask], d2_fd[:, mask], atol=2e-3)
+        own = np.arange(d1_fd.shape[1]) % 3 == j  # features b * 3 + j
+        np.testing.assert_allclose(jet.d1[j], d1_fd[:, own], atol=1e-5)
+        np.testing.assert_allclose(jet.d2[j], d2_fd[:, own], atol=2e-3)
         # features owned by other coordinates are flat along x_j
-        np.testing.assert_allclose(d1_fd[:, ~mask], 0.0, atol=1e-9)
+        np.testing.assert_allclose(d1_fd[:, ~own], 0.0, atol=1e-9)
 
 
 def test_dense_jacobian_scatter():
-    # Scattering d1 through coord gives the dense (F, m) Jacobian, which must
-    # match central differences of the features, zeros included.
+    # Scattering d1[j] into column j of the feature rows b * m + j gives the
+    # dense (F, m) Jacobian, which must match central differences of the
+    # features, zeros included.
     cfg = default_encoding(3)
     rng = np.random.default_rng(2)
     x = rng.normal(size=2)
     jet = encode_jet(x[None, :], cfg, 1)
     dense = np.zeros((14, 2))
-    dense[np.arange(14), jet.coord] = jet.d1[0]
+    for j in range(2):
+        dense[j::2, j] = jet.d1[j, 0]
     h = 1e-6
     fd = np.stack([
         (encode_jet((x + h * e)[None, :], cfg, 0).values[0]
@@ -112,5 +120,5 @@ def test_dense_jacobian_scatter():
 def test_raw_coordinate_passthrough_derivatives():
     cfg = default_encoding(1)
     jet = encode_jet(np.array([[0.4, -0.2]]), cfg)
-    np.testing.assert_array_equal(jet.d1[0, :2], [1.0, 1.0])
-    np.testing.assert_array_equal(jet.d2[0, :2], [0.0, 0.0])
+    np.testing.assert_array_equal(jet.d1[:, 0, 0], [1.0, 1.0])
+    np.testing.assert_array_equal(jet.d2[:, 0, 0], [0.0, 0.0])

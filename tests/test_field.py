@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from scanfield import field
 from scanfield.encoding import default_encoding, encode_jet
 from scanfield.field import (
     FieldNet,
+    ParamGrads,
     backprop,
     evaluate_batch,
     grad_batch,
@@ -84,27 +86,28 @@ def test_value_track_independent_of_order():
     assert np.array_equal(g1, g2)
 
 
-def test_chunking_is_invisible():
+def test_chunking_is_invisible(monkeypatch):
     net = init_field(seed=2, dim=2, hidden=8, hidden_layers=2, encoding=default_encoding(3))
     rng = np.random.default_rng(4)
     pts = rng.uniform(-1, 1, size=(33, 2))
-    np.testing.assert_allclose(
-        evaluate_batch(net, pts, chunk=7), evaluate_batch(net, pts), rtol=1e-13, atol=1e-14
-    )
-    va, ga, ha = jet_batch(net, pts, chunk=5)
-    vb, gb, hb = jet_batch(net, pts)
-    np.testing.assert_allclose(va, vb, rtol=1e-13, atol=1e-14)
-    np.testing.assert_allclose(ga, gb, rtol=1e-12, atol=1e-13)
-    np.testing.assert_allclose(ha, hb, rtol=1e-11, atol=1e-12)
-    # backprop keeps its forward record for one chunk only; the sum over
-    # chunks must not depend on where the chunks end.
     vbar = rng.normal(size=33)
     gbar = rng.normal(size=(33, 2))
-    for g in (gbar, None):
-        pa = backprop(net, pts, vbar, g, chunk=5)
-        pb = backprop(net, pts, vbar, g)
-        for x, y in zip(pa.weights + pa.biases, pb.weights + pb.biases):
-            np.testing.assert_allclose(x, y, rtol=1e-12)
+    ref_v = evaluate_batch(net, pts)
+    vb, gb, hb = jet_batch(net, pts)
+    ref_p = [backprop(net, pts, vbar, g) for g in (gbar, None)]
+    for block in (5, 7):
+        monkeypatch.setattr(field, "BLOCK", block)
+        np.testing.assert_allclose(evaluate_batch(net, pts), ref_v, rtol=1e-13, atol=1e-14)
+        va, ga, ha = jet_batch(net, pts)
+        np.testing.assert_allclose(va, vb, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(ga, gb, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(ha, hb, rtol=1e-11, atol=1e-12)
+        # backprop keeps its forward record and gradient sum for one block
+        # only; the sum over blocks must not depend on where the blocks end.
+        for g, pb in zip((gbar, None), ref_p):
+            pa = backprop(net, pts, vbar, g)
+            for x, y in zip(pa.weights + pa.biases, pb.weights + pb.biases):
+                np.testing.assert_allclose(x, y, rtol=1e-12)
 
 
 def test_jet_matches_finite_differences():
@@ -227,6 +230,7 @@ def _full_square_forward(net, x):
     jet = encode_jet(x, net.encoding)
     blocks = 2 * net.encoding.bands + 1
     cols = [np.arange(blocks) * m + j for j in range(m)]
+    w0 = [net.weights[0][:, c] for c in cols]
     a, da, d2a = jet.values, None, None
     for w, b, fac in zip(net.weights, net.biases, net.sine_factors):
         z = a @ w.T + b
@@ -234,8 +238,8 @@ def _full_square_forward(net, x):
             dz = np.empty((n, m, w.shape[0]))
             d2z = np.zeros((n, m, m, w.shape[0]))
             for j in range(m):
-                dz[:, j, :] = jet.d1[:, cols[j]] @ w[:, cols[j]].T
-                d2z[:, j, j, :] = jet.d2[:, cols[j]] @ w[:, cols[j]].T
+                dz[:, j, :] = jet.d1[j] @ w0[j].T
+                d2z[:, j, j, :] = jet.d2[j] @ w0[j].T
         else:
             dz = (da.reshape(n * m, -1) @ w.T).reshape(n, m, w.shape[0])
             d2z = (d2a.reshape(n * m * m, -1) @ w.T).reshape(n, m, m, w.shape[0])
@@ -265,3 +269,179 @@ def test_upper_triangle_hessian_matches_full_square(dim):
     assert np.array_equal(grads, g_ref)
     assert np.array_equal(hess, h_ref)
     assert np.array_equal(hess, np.swapaxes(hess, 1, 2))
+
+
+# The field passes as they were with 2,048-row chunks (8,192 for values) and a
+# feature-major encoder, kept as the reference for the row-block passes.
+_OLD_JET_CHUNK = 2048
+_OLD_VALUE_CHUNK = 8192
+
+
+def _old_encode(x, cfg, order):
+    n, m = x.shape
+    f = (2 * cfg.bands + 1) * m
+    values = np.empty((n, f))
+    d1 = np.empty((n, f)) if order >= 1 else None
+    d2 = np.empty((n, f)) if order >= 2 else None
+    values[:, :m] = x
+    if d1 is not None:
+        d1[:, :m] = 1.0
+    if d2 is not None:
+        d2[:, :m] = 0.0
+    for k, w in enumerate(cfg.frequencies):
+        arg = w * x
+        s = np.sin(arg)
+        c = np.cos(arg)
+        lo = (1 + 2 * k) * m
+        values[:, lo : lo + m] = s
+        values[:, lo + m : lo + 2 * m] = c
+        if d1 is not None:
+            d1[:, lo : lo + m] = w * c
+            d1[:, lo + m : lo + 2 * m] = -w * s
+        if d2 is not None:
+            d2[:, lo : lo + m] = -(w * w) * s
+            d2[:, lo + m : lo + 2 * m] = -(w * w) * c
+    return values, d1, d2
+
+
+def _old_cols(net):
+    blocks = 2 * net.encoding.bands + 1
+    return [np.arange(blocks) * net.dim + j for j in range(net.dim)]
+
+
+def _old_forward(net, x, order, record=None):
+    n, m = x.shape
+    values, d1, d2 = _old_encode(x, net.encoding, order)
+    cols = _old_cols(net)
+    iu, ju = np.triu_indices(m)
+    diag = np.flatnonzero(iu == ju)
+    a, da, d2a = values, d1, None
+    for li in range(net.layer_count):
+        w, b, fac = net.weights[li], net.biases[li], net.sine_factors[li]
+        a_in, da_in = a, da
+        z = a @ w.T + b
+        dz = d2z = fac_cos = None
+        if order >= 1:
+            if li == 0:
+                dz = np.empty((n, m, w.shape[0]))
+                for j in range(m):
+                    dz[:, j, :] = d1[:, cols[j]] @ w[:, cols[j]].T
+            else:
+                dz = (da.reshape(n * m, -1) @ w.T).reshape(n, m, w.shape[0])
+        if order >= 2:
+            if li == 0:
+                d2z = np.zeros((n, iu.size, w.shape[0]))
+                for j in range(m):
+                    d2z[:, diag[j], :] = d2[:, cols[j]] @ w[:, cols[j]].T
+            else:
+                d2z = (d2a.reshape(n * iu.size, -1) @ w.T).reshape(n, iu.size, w.shape[0])
+        if fac == 0.0:
+            a, da, d2a = z, dz, d2z
+        else:
+            arg = fac * z
+            s = np.sin(arg)
+            a = s
+            if order >= 1 or record is not None:
+                fac_cos = fac * np.cos(arg)
+            if order >= 1:
+                da = fac_cos[:, None, :] * dz
+            if order >= 2:
+                c2 = -(fac * fac) * s
+                d2a = d2z
+                d2a *= fac_cos[:, None, :]
+                for j in range(m):
+                    prod = dz[:, j, None, :] * dz[:, j:, :]
+                    prod *= c2[:, None, :]
+                    d2a[:, diag[j] : diag[j] + m - j, :] += prod
+        if record is not None:
+            record.append((a_in, da_in, fac_cos, dz))
+    val = a[:, 0]
+    grad = da[:, :, 0] if order >= 1 else None
+    hess = None
+    if order >= 2:
+        hess = np.empty((n, m, m))
+        hess[:, iu, ju] = d2a[:, :, 0]
+        hess[:, ju, iu] = d2a[:, :, 0]
+    return val, grad, hess
+
+
+def _old_backward_chunk(net, x, vbar, gbar, out):
+    n, m = x.shape
+    with_grad = gbar is not None
+    record = []
+    _old_forward(net, x, 1 if with_grad else 0, record)
+    cols = _old_cols(net)
+    zbar = vbar[:, None].copy()
+    dzbar = gbar[:, :, None].copy() if with_grad else None
+    for li in range(net.layer_count - 1, -1, -1):
+        w = net.weights[li]
+        a_in, da_in = record[li][:2]
+        out.biases[li] += zbar.sum(axis=0)
+        out.weights[li] += zbar.T @ a_in
+        if with_grad:
+            flat_dzbar = dzbar.reshape(n * m, w.shape[0])
+            if li == 0:
+                for j in range(m):
+                    out.weights[li][:, cols[j]] += dzbar[:, j, :].T @ da_in[:, cols[j]]
+            else:
+                out.weights[li] += flat_dzbar.T @ da_in.reshape(n * m, -1)
+        if li == 0:
+            break
+        abar = zbar @ w
+        dabar = flat_dzbar @ w if with_grad else None
+        facp = net.sine_factors[li - 1]
+        _, _, fac_cos, dzp = record[li - 1]
+        zbar = fac_cos * abar
+        if with_grad:
+            dabar = dabar.reshape(n, m, -1)
+            zbar += np.sum(dabar * dzp, axis=1) * (-(facp * facp) * a_in)
+            dzbar = fac_cos[:, None, :] * dabar
+
+
+def _old_passes(net, x, vbar, gbar):
+    n = x.shape[0]
+    value = np.concatenate([
+        _old_forward(net, x[lo : lo + _OLD_VALUE_CHUNK], 0)[0]
+        for lo in range(0, n, _OLD_VALUE_CHUNK)
+    ])
+    chunks = [slice(lo, lo + _OLD_JET_CHUNK) for lo in range(0, n, _OLD_JET_CHUNK)]
+    grad = [np.concatenate(t) for t in zip(*(_old_forward(net, x[c], 1)[:2] for c in chunks))]
+    jet = [np.concatenate(t) for t in zip(*(_old_forward(net, x[c], 2) for c in chunks))]
+    grads = []
+    for g in (gbar, None):
+        out = ParamGrads.zeros_like(net)
+        for c in chunks:
+            _old_backward_chunk(net, x[c], vbar[c], None if g is None else g[c], out)
+        grads.append(out)
+    return value, grad, jet, grads
+
+
+@pytest.mark.parametrize(
+    "dim, rows, kwargs",
+    [
+        (3, 2085, {}),  # default 3D net
+        (2, 2597, {"encoding": default_encoding(8), "hidden": 64, "hidden_layers": 3}),
+        # 5 rows past a whole block: BLAS rounds a few-row matmul differently
+        (2, 2309, {"encoding": default_encoding(8), "hidden": 64, "hidden_layers": 3}),
+    ],
+)
+def test_row_blocks_match_old_chunking(dim, rows, kwargs):
+    # Every pass is row-independent, so the row blocks must reproduce the
+    # old chunks bitwise; only backprop's gradient sum is grouped per block.
+    net = init_field(seed=21, dim=dim, **kwargs)
+    rng = np.random.default_rng(22)
+    pts = rng.uniform(-1, 1, size=(rows, dim))
+    vbar = rng.normal(size=rows)
+    gbar = rng.normal(size=(rows, dim))
+    value, grad, jet, grads = _old_passes(net, pts, vbar, gbar)
+    assert np.array_equal(evaluate_batch(net, pts), value)
+    for new, old in zip(grad_batch(net, pts), grad):
+        assert np.array_equal(new, old)
+    for new, old in zip(jet_batch(net, pts), jet):
+        assert np.array_equal(new, old)
+    for g, old in zip((gbar, None), grads):
+        new = backprop(net, pts, vbar, g)
+        for x, y in zip(new.weights + new.biases, old.weights + old.biases):
+            # Entries that are sums of cancelling terms keep an absolute error
+            # of the order of the terms, so the bound is relative to the array.
+            np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12 * np.abs(y).max())
