@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 validation/usage error, 1 other failures.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import numpy as np
 from . import field as field_mod
 from . import mcl as mcl_mod
 from . import meshing, scenes, storage
+from .__main__ import THREAD_VARS
 from .config import RunConfig, load_config
 from .geom import Aabb, Pose, Scan, SceneTransform, normalize_scene, to_world
 from .targets import SupervisionMode
@@ -38,10 +40,13 @@ def _limit_threads(n: int) -> None:
     # before that (see __main__).  Here, only threadpoolctl can still act.
     try:
         import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
     except ImportError:
-        pass
+        if any(os.environ.get(var) != str(n) for var in THREAD_VARS):
+            print(f"warning: --threads {n} not applied: numpy was imported before the thread "
+                  "variables were set and threadpoolctl is not installed; "
+                  "run through 'python -m scanfield' instead", file=sys.stderr)
+        return
+    threadpoolctl.threadpool_limits(n)
 
 
 def _load_run_config(args) -> RunConfig:

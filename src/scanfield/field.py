@@ -20,6 +20,10 @@ per-coordinate matmuls, over the encoder's coordinate-major derivatives and
 weight column blocks gathered once per batch call, instead of a dense (F, m)
 contraction.
 
+Every sine and cosine, in the encoder and in the sine layers, comes from
+``encoding.sincos``: one table-driven kernel for both functions, the same at
+every order, so the value track stays bitwise independent of the order.
+
 Every pass walks the points in blocks of ``BLOCK`` rows, so that one
 block's derivative slabs stay in a core's L2 cache instead of streaming
 through memory (the default 3D net's Hessian slab is 1.5 MB per 256-row
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .encoding import EncodingConfig, default_encoding, encode_jet
+from .encoding import EncodingConfig, default_encoding, encode_jet, sincos
 
 _F = npt.NDArray[np.floating]
 
@@ -208,11 +212,11 @@ def _forward(
         if fac == 0.0:
             a, da, d2a = z, dz, d2z
         else:
-            arg = fac * z
-            s = np.sin(arg)
+            s, cos = sincos(fac * z)
             a = s
             if order >= 1 or record is not None:
-                fac_cos = fac * np.cos(arg)
+                fac_cos = cos
+                fac_cos *= fac
             if order >= 1:
                 da = fac_cos[:, None, :] * dz
             if order >= 2:

@@ -8,6 +8,7 @@ visualization.
 from __future__ import annotations
 
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -231,35 +232,49 @@ def export_mesh_ply(path, mesh: TriangleMesh) -> None:
         _write_rows(fh, t, lambda tri: "3 " + " ".join(map(str, tri)))
 
 
-def read_mesh_ply(path) -> TriangleMesh:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].strip() != "ply":
-        raise ValueError(f"{path}: not a PLY file")
-    n_vertex = n_face = None
-    body = 0
-    for i, line in enumerate(lines[1:], start=1):
-        tok = line.split()
-        if tok[:2] == ["element", "vertex"]:
-            n_vertex = int(tok[2])
-        elif tok[:2] == ["element", "face"]:
-            n_face = int(tok[2])
-        elif tok[:1] == ["end_header"]:
-            body = i + 1
-            break
-    else:
-        raise ValueError(f"{path}: missing end_header")
-    if n_vertex is None or n_face is None:
-        raise ValueError(f"{path}: missing vertex/face elements")
-    if len(lines) < body + n_vertex + n_face:
+def _read_body_rows(fh, path, rows: int, dtype, usecols) -> np.ndarray:
+    # The next ``rows`` lines as an array, parsed in numpy, which leaves ``fh``
+    # at the line after them.  A body that ends early reads as truncated.
+    if rows == 0:
+        return np.empty((0, len(usecols)), dtype=dtype)
+    with warnings.catch_warnings():
+        # loadtxt warns on an empty remainder, which is reported below.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            out = np.loadtxt(fh, dtype=dtype, comments=None, max_rows=rows,
+                             usecols=usecols, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed body ({exc})") from None
+    if out.shape[0] < rows:
         raise ValueError(f"{path}: truncated body")
-    verts = np.array(
-        [[float(c) for c in lines[body + i].split()] for i in range(n_vertex)],
-        dtype=np.float64,
-    ).reshape(n_vertex, 3)
-    tris = np.empty((n_face, 3), dtype=np.intp)
-    for i in range(n_face):
-        tok = lines[body + n_vertex + i].split()
-        if tok[0] != "3":
-            raise ValueError(f"{path}: face {i} is not a triangle")
-        tris[i] = [int(tok[1]), int(tok[2]), int(tok[3])]
-    return TriangleMesh(verts, tris)
+    return out
+
+
+def read_mesh_ply(path) -> TriangleMesh:
+    """Read an ASCII triangle-mesh PLY as written by ``export_mesh_ply``.
+
+    The body is parsed straight from the file, so memory stays near the size
+    of the arrays rather than of the text.
+    """
+    with open(path) as fh:
+        if fh.readline().strip() != "ply":
+            raise ValueError(f"{path}: not a PLY file")
+        n_vertex = n_face = None
+        for line in fh:
+            tok = line.split()
+            if tok[:2] == ["element", "vertex"]:
+                n_vertex = int(tok[2])
+            elif tok[:2] == ["element", "face"]:
+                n_face = int(tok[2])
+            elif tok[:1] == ["end_header"]:
+                break
+        else:
+            raise ValueError(f"{path}: missing end_header")
+        if n_vertex is None or n_face is None:
+            raise ValueError(f"{path}: missing vertex/face elements")
+        verts = _read_body_rows(fh, path, n_vertex, np.float64, (0, 1, 2))
+        faces = _read_body_rows(fh, path, n_face, np.intp, (0, 1, 2, 3))
+    bad = np.flatnonzero(faces[:, 0] != 3)
+    if bad.size:
+        raise ValueError(f"{path}: face {bad[0]} is not a triangle")
+    return TriangleMesh(verts, faces[:, 1:].copy())

@@ -182,9 +182,13 @@ def loss_terms(
         coef = -1.0 * valid / pairs.shape[0]
         contrib_i = coef[:, None] * (unit[lj] - dots[:, None] * unit[li]) / safe[li][:, None]
         contrib_j = coef[:, None] * (unit[li] - dots[:, None] * unit[lj]) / safe[lj][:, None]
-        scatter = np.zeros_like(g)
-        np.add.at(scatter, li, contrib_i)
-        np.add.at(scatter, lj, contrib_j)
+        # Each pair's two contributions summed per point, in pair order for
+        # the li side and then the lj side.
+        ends = np.concatenate([li, lj])
+        contrib = np.concatenate([contrib_i, contrib_j])
+        scatter = np.stack(
+            [np.bincount(ends, weights=contrib[:, k], minlength=s) for k in range(g.shape[1])], axis=1
+        )
         grad_bar = grad_bar + w.smooth * scatter
     else:
         smooth = 0.0

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scanfield.__main__ import THREAD_VARS
 from scanfield.cli import main, trajectory_poses
 from scanfield.storage import load_model, load_scan_points, load_scans, read_mesh_ply
 
@@ -298,3 +299,24 @@ def test_threads_flag_caps_blas_threads(tiny):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "1"
+
+
+def test_threads_flag_warns_when_it_cannot_act(tiny, monkeypatch, capsys):
+    # In-process, numpy is loaded before the flag is read; without the thread
+    # variables and without threadpoolctl, the flag says it was not applied.
+    tmp, cfg, scene2 = tiny
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    argv = ["synth", "--scene", scene2, "--traj", "orbit:radius=2,steps=2", "--config", cfg,
+            "--threads", "1"]
+    assert run(*argv, "--out", tmp / "warn") == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("warning:")] == [
+        "warning: --threads 1 not applied: numpy was imported before the thread variables "
+        "were set and threadpoolctl is not installed; run through 'python -m scanfield' instead"
+    ]
+    for var in THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    assert run(*argv, "--out", tmp / "quiet") == 0
+    assert "warning:" not in capsys.readouterr().err

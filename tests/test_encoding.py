@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from scanfield.encoding import (
+    SINCOS_LIMIT,
     EncodingConfig,
     default_encoding,
     encode_jet,
+    sincos,
 )
 
 
@@ -122,3 +126,66 @@ def test_raw_coordinate_passthrough_derivatives():
     jet = encode_jet(np.array([[0.4, -0.2]]), cfg)
     np.testing.assert_array_equal(jet.d1[:, 0, 0], [1.0, 1.0])
     np.testing.assert_array_equal(jet.d2[:, 0, 0], [0.0, 0.0])
+
+
+def _ulps(got, ref, floor=0.0):
+    return np.abs(got - ref) / np.spacing(np.maximum(np.abs(ref), floor))
+
+
+@pytest.mark.parametrize("bound", [1.0, 100.0, 3000.0])
+def test_sincos_matches_libm(bound):
+    x = np.random.default_rng(int(bound)).uniform(-bound, bound, 10**6)
+    s, c = sincos(x)
+    for got, ref in ((s, np.sin(x)), (c, np.cos(x))):
+        assert _ulps(got, ref).max() <= 4.0
+        assert np.abs(got - ref).max() <= 2.0**-52
+
+
+def test_sincos_near_quadrants_and_table_nodes():
+    # Near a zero of sin or cos only the absolute error stays small, so ulps
+    # are counted against a floor of 1e-12.
+    rng = np.random.default_rng(5)
+    quadrants = np.arange(-1909, 1910) * (np.pi / 2)
+    nodes = rng.integers(-(2**19), 2**19, 20_000) * (np.pi / 512)
+    for centers in (quadrants, nodes[np.abs(nodes) <= 3000.0]):
+        x = (centers[:, None] + rng.uniform(-1e-12, 1e-12, (centers.size, 20))).ravel()
+        s, c = sincos(x)
+        for got, ref in ((s, np.sin(x)), (c, np.cos(x))):
+            assert np.abs(got - ref).max() <= 2.0**-52
+            assert _ulps(got, ref, floor=1e-12).max() <= 4.0
+
+
+def test_sincos_fallback_is_libm_exactly():
+    edge = np.nextafter(SINCOS_LIMIT, np.inf)
+    x = np.array([SINCOS_LIMIT, -SINCOS_LIMIT, edge, -edge, 1e4, -3e5, 1e300,
+                  np.inf, -np.inf, np.nan, 0.5])
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        s, c = sincos(x)
+    with warnings.catch_warnings(record=True) as ref_warnings:
+        warnings.simplefilter("always")
+        rs, rc = np.sin(x), np.cos(x)
+    far = ~(np.abs(x) <= SINCOS_LIMIT)
+    assert np.array_equal(s[far], rs[far], equal_nan=True)
+    assert np.array_equal(c[far], rc[far], equal_nan=True)
+    assert _ulps(s[~far], rs[~far]).max() <= 4.0
+    assert [str(w.message) for w in got_warnings] == [str(w.message) for w in ref_warnings]
+
+
+def test_sincos_rows_do_not_depend_on_their_block():
+    rng = np.random.default_rng(6)
+    block = rng.uniform(-60.0, 60.0, (256, 64))
+    s, c = sincos(block)
+    with np.errstate(invalid="ignore"):
+        for row in (0, 117, 255):
+            for other in (block[row], block[row : row + 1].T,
+                          np.concatenate([[np.inf, 1e6], block[row]])):
+                so, co = sincos(other)
+                assert np.array_equal(so.ravel()[-64:], s[row])
+                assert np.array_equal(co.ravel()[-64:], c[row])
+        # A far or non-finite entry elsewhere in the block changes no other entry.
+        mixed = block.copy()
+        mixed[3, 5], mixed[200, 0] = np.nan, -1e9
+        sm, cm = sincos(mixed)
+    keep = np.isfinite(mixed) & (np.abs(mixed) <= SINCOS_LIMIT)
+    assert np.array_equal(sm[keep], s[keep]) and np.array_equal(cm[keep], c[keep])

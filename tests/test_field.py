@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scanfield import field
-from scanfield.encoding import default_encoding, encode_jet
+from scanfield.encoding import default_encoding, encode_jet, sincos
 from scanfield.field import (
     FieldNet,
     ParamGrads,
@@ -246,9 +246,8 @@ def _full_square_forward(net, x):
         if fac == 0.0:
             a, da, d2a = z, dz, d2z
         else:
-            arg = fac * z
-            a = np.sin(arg)
-            c1 = fac * np.cos(arg)
+            a, c1 = sincos(fac * z)
+            c1 = fac * c1
             c2 = -(fac * fac) * a
             da = c1[:, None, :] * dz
             d2a = c1[:, None, None, :] * d2z
@@ -272,7 +271,9 @@ def test_upper_triangle_hessian_matches_full_square(dim):
 
 
 # The field passes as they were with 2,048-row chunks (8,192 for values) and a
-# feature-major encoder, kept as the reference for the row-block passes.
+# feature-major encoder, kept as the reference for the row-block passes.  Like
+# _full_square_forward they take their sines from the shared ``sincos``
+# kernel: they pin layout and blocking, not the trig routine.
 _OLD_JET_CHUNK = 2048
 _OLD_VALUE_CHUNK = 8192
 
@@ -289,9 +290,7 @@ def _old_encode(x, cfg, order):
     if d2 is not None:
         d2[:, :m] = 0.0
     for k, w in enumerate(cfg.frequencies):
-        arg = w * x
-        s = np.sin(arg)
-        c = np.cos(arg)
+        s, c = sincos(w * x)
         lo = (1 + 2 * k) * m
         values[:, lo : lo + m] = s
         values[:, lo + m : lo + 2 * m] = c
@@ -338,11 +337,10 @@ def _old_forward(net, x, order, record=None):
         if fac == 0.0:
             a, da, d2a = z, dz, d2z
         else:
-            arg = fac * z
-            s = np.sin(arg)
+            s, cos = sincos(fac * z)
             a = s
             if order >= 1 or record is not None:
-                fac_cos = fac * np.cos(arg)
+                fac_cos = fac * cos
             if order >= 1:
                 da = fac_cos[:, None, :] * dz
             if order >= 2:

@@ -195,3 +195,24 @@ def test_ply_rejects_garbage(tmp_path):
     with pytest.raises(ValueError, match="not a PLY"):
         read_mesh_ply(path)
 
+
+_PLY_HEAD = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
+             "property float z\nelement face 1\nproperty list uchar int vertex_indices\n")
+_PLY_BODY = "0 0 0\n1 0 0\n0 1 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_PLY_HEAD + _PLY_BODY + "3 0 1 2\n", "missing end_header"),
+        ("ply\nformat ascii 1.0\nelement vertex 3\nend_header\n" + _PLY_BODY, "missing vertex/face"),
+        (_PLY_HEAD + "end_header\n" + _PLY_BODY, "truncated body"),
+        (_PLY_HEAD + "end_header\n0 0 0\n1 0 0\n", "truncated body"),
+        (_PLY_HEAD + "end_header\n" + _PLY_BODY + "4 0 1 2 0\n", "face 0 is not a triangle"),
+    ],
+)
+def test_ply_rejects_malformed_files(tmp_path, text, message):
+    path = tmp_path / "bad.ply"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_mesh_ply(path)

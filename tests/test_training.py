@@ -6,8 +6,9 @@ from scanfield.encoding import default_encoding
 from scanfield.field import FieldNet, evaluate_batch, grad_batch, init_field
 from scanfield.geom import Pose, normalize_scene, to_world
 from scanfield.scenes import AnalyticScene, ScannerConfig, Sphere, simulate_scan
-from scanfield.targets import SupervisionMode, compute_targets
+from scanfield.targets import SupervisionMode, TargetBatch, compute_targets
 from scanfield.training import (
+    GRAD_EPS,
     AdamState,
     LossWeights,
     OptimConfig,
@@ -91,6 +92,37 @@ def test_loss_data_term_vanishes_on_exact_circle():
     assert bd.endpoint < 1e-9
     assert bd.eikonal < 1e-9
     assert 0.0 < bd.smoothness < 0.05
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_smoothness_scatter_matches_add_at(dim):
+    # Points repeat across and within pairs, so each sum has many terms; they
+    # must be added in pair order, li side first, as np.add.at adds them.
+    rng = np.random.default_rng(9)
+    s = 50
+    vals = rng.normal(size=s)
+    grads = rng.normal(size=(s, dim))
+    grads[7] = 0.0  # below GRAD_EPS: its pairs contribute nothing
+    pairs = rng.integers(0, s, size=(600, 2))
+    targets = TargetBatch(d_hat=rng.normal(size=s), weight=np.ones(s),
+                          roc_query=np.zeros(s), degenerate=np.zeros(s, dtype=bool))
+    w = LossWeights()
+    ev = rng.normal(size=4)
+    _, _, grad_bar, _ = loss_terms(vals, grads, ev, targets, pairs, w)
+    _, _, eik_bar, _ = loss_terms(vals, grads, ev, targets, np.empty((0, 2), dtype=np.intp), w)
+
+    gnorm = np.linalg.norm(grads, axis=1)
+    ok = gnorm > GRAD_EPS
+    safe = np.maximum(gnorm, GRAD_EPS)
+    unit = grads / safe[:, None]
+    li, lj = pairs[:, 0], pairs[:, 1]
+    dots = np.sum(unit[li] * unit[lj], axis=1)
+    coef = -1.0 * (ok[li] & ok[lj]) / pairs.shape[0]
+    scatter = np.zeros_like(grads)
+    np.add.at(scatter, li, coef[:, None] * (unit[lj] - dots[:, None] * unit[li]) / safe[li][:, None])
+    np.add.at(scatter, lj, coef[:, None] * (unit[li] - dots[:, None] * unit[lj]) / safe[lj][:, None])
+    assert np.array_equal(grad_bar, eik_bar + w.smooth * scatter)
+    assert np.count_nonzero(np.bincount(pairs.ravel(), minlength=s) > 2) > s // 2
 
 
 def test_loss_gradients_match_finite_differences():
