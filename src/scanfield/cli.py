@@ -331,15 +331,10 @@ def _band_samples(scene, band: float, count: int, seed: int) -> np.ndarray:
     return np.concatenate(kept, axis=0)[:count]
 
 
-def _score_vs_oracle(field, grad_fn, scene, pts: np.ndarray):
-    truth = scene.sdf(pts)
-    pred = np.asarray(field(pts), dtype=np.float64)
-    err = pred - truth
-    mae = float(np.mean(np.abs(err)))
-    rmse = float(np.sqrt(np.mean(err * err)))
-    gnorm = np.linalg.norm(grad_fn(pts), axis=1)
-    eik = float(np.mean(np.abs(gnorm - 1.0)))
-    return mae, rmse, eik
+def _sdf_errors(field, scene, pts: np.ndarray) -> tuple[float, float]:
+    """Mean absolute and root-mean-square error of ``field`` against the scene's SDF."""
+    err = np.asarray(field(pts), dtype=np.float64) - scene.sdf(pts)
+    return float(np.mean(np.abs(err))), float(np.sqrt(np.mean(err * err)))
 
 
 def _model_eval_fns(net, tf):
@@ -372,7 +367,8 @@ def cmd_eval_sdf(args) -> int:
             raise ValueError(f"model is {net.dim}D but scene is {scene.dim}D")
         field, grads = _model_eval_fns(net, tf)
     pts = _band_samples(scene, band, args.samples, cfg.seed)
-    mae, rmse, eik = _score_vs_oracle(field, grads, scene, pts)
+    mae, rmse = _sdf_errors(field, scene, pts)
+    eik = float(np.mean(np.abs(np.linalg.norm(grads(pts), axis=1) - 1.0)))
     _write_csv(args.out, "metric,value",
                [f"mae,{mae!r}", f"rmse,{rmse!r}", f"eikonal_mean,{eik!r}"])
     return 0
@@ -493,8 +489,8 @@ def cmd_compare(args) -> int:
                  SupervisionMode.CURVATURE_CONSTRAINED):
         net = _init_net(cfg, scene.dim)
         net, _ = train(net, canon, cfg.optim(), cfg.loss_weights(), mode)
-        field, grads = _model_eval_fns(net, tf)
-        mae, rmse, _ = _score_vs_oracle(field, grads, scene, pts)
+        field = _world_field(net, tf)
+        mae, rmse = _sdf_errors(field, scene, pts)
         mcl_rmse = mcl_mae = None
         if scene.dim == 2:
             grid = mcl_mod.SampledField2D.from_field(field, _world_box(tf), cfg.field_grid_res)

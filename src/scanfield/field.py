@@ -11,6 +11,11 @@ accumulates parameter gradients for losses of the form
 
 with ``vbar``/``gbar`` supplied by the loss layer, evaluated at fixed inputs.
 
+All parameters live in one flat vector, ``FieldNet.params``.  The parameter
+gradient, the optimizer moments and the checkpoint body share its layout,
+and ``FieldNet.layers``, which views such a vector per layer, is the only
+code that knows it.
+
 Derivative layout: gradients travel as (N, m, width) slabs and Hessians as
 upper-triangle (N, m(m+1)/2, width) slabs over the ``np.triu_indices(m)``
 pairs, mirrored to (N, m, m) only at the output.  The network width is last,
@@ -59,55 +64,61 @@ DEFAULT_FIRST_FACTOR = 30.0
 class FieldNet:
     """Network parameters.  ``sine_factors[i] == 0`` marks an affine layer.
 
-    Treated as immutable after construction; the optimizer returns fresh
-    parameter arrays rather than mutating in place.
+    ``widths[i]`` is layer i's output width, the last one 1; layer 0's fan-in
+    is the encoder's feature count.  ``params`` is one flat float64 vector,
+    layer-major: each layer's (width, fan-in) weight matrix in row-major
+    order, then its bias.  ``layers`` views any vector in that layout (the
+    parameters, a gradient) as per-layer (weight, bias) pairs, so this class
+    is the only place that knows the layout.
+
+    Treated as immutable after construction; the optimizer returns a fresh
+    parameter vector rather than mutating in place.
     """
 
     encoding: EncodingConfig
     dim: int
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    widths: tuple[int, ...]
+    params: np.ndarray
     sine_factors: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.weights) != len(self.biases) or len(self.weights) != len(self.sine_factors):
-            raise ValueError("weights, biases, sine_factors must have equal length")
+        if len(self.widths) != len(self.sine_factors):
+            raise ValueError("widths and sine_factors must have equal length")
+        if not self.widths or self.widths[-1] != 1:
+            raise ValueError(f"final layer must output one scalar, widths are {self.widths}")
+        size = sum(width * (fan_in + 1) for width, fan_in in self._shapes())
+        if self.params.shape != (size,):
+            raise ValueError(f"widths {self.widths} take {size} parameters, got shape {self.params.shape}")
+        if not np.all(np.isfinite(self.params)):
+            raise ValueError("non-finite parameters")
+
+    def _shapes(self):
         fan_in = self.encoding.feature_count(self.dim)
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape[1] != fan_in:
-                raise ValueError(f"layer {i} expects fan-in {fan_in}, weight shape is {w.shape}")
-            if b.shape != (w.shape[0],):
-                raise ValueError(f"layer {i} bias shape {b.shape} does not match weight {w.shape}")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {i} has non-finite parameters")
-            fan_in = w.shape[0]
-        if fan_in != 1:
-            raise ValueError(f"final layer must output one scalar, got {fan_in}")
+        for width in self.widths:
+            yield width, fan_in
+            fan_in = width
+
+    def layers(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (weight, bias) views into ``flat``, laid out like ``params``."""
+        out = []
+        lo = 0
+        for width, fan_in in self._shapes():
+            hi = lo + width * fan_in
+            out.append((flat[lo:hi].reshape(width, fan_in), flat[hi : hi + width]))
+            lo = hi + width
+        return out
+
+    @property
+    def weights(self) -> list[np.ndarray]:
+        return [w for w, _ in self.layers(self.params)]
+
+    @property
+    def biases(self) -> list[np.ndarray]:
+        return [b for _, b in self.layers(self.params)]
 
     @property
     def layer_count(self) -> int:
-        return len(self.weights)
-
-
-@dataclass
-class ParamGrads:
-    """Per-parameter gradient arrays, mirroring FieldNet's layout."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    @staticmethod
-    def zeros_like(net: FieldNet) -> "ParamGrads":
-        return ParamGrads(
-            weights=[np.zeros_like(w) for w in net.weights],
-            biases=[np.zeros_like(b) for b in net.biases],
-        )
-
-    def add(self, other: "ParamGrads") -> None:
-        for a, b in zip(self.weights, other.weights):
-            a += b
-        for a, b in zip(self.biases, other.biases):
-            a += b
+        return len(self.widths)
 
 
 def init_field(
@@ -132,26 +143,26 @@ def init_field(
     if hidden_layers < 1 or hidden < 1:
         raise ValueError("need at least one hidden layer and one unit")
     rng = np.random.default_rng(seed)
-    sizes = [encoding.feature_count(dim)] + [hidden] * hidden_layers + [1]
-    factors = [first_factor] + [1.0] * (hidden_layers - 1) + [0.0]
-    weights: list[np.ndarray] = []
-    biases: list[np.ndarray] = []
-    for i in range(len(sizes) - 1):
-        fan_in, fan_out = sizes[i], sizes[i + 1]
+    widths = (hidden,) * hidden_layers + (1,)
+    factors = (first_factor,) + (1.0,) * (hidden_layers - 1) + (0.0,)
+    fan_in = encoding.feature_count(dim)
+    draws = []
+    for i, (width, factor) in enumerate(zip(widths, factors)):
         if i == 0:
             bound = 1.0 / fan_in
         else:
             bound = np.sqrt(6.0 / fan_in)
-            if factors[i] > 0.0:
-                bound /= factors[i]
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(rng.uniform(-bound, bound, size=fan_out))
+            if factor > 0.0:
+                bound /= factor
+        # The weight, then the bias: one draw gives the same numbers as two.
+        draws.append(rng.uniform(-bound, bound, size=width * (fan_in + 1)))
+        fan_in = width
     return FieldNet(
         encoding=encoding,
         dim=dim,
-        weights=weights,
-        biases=biases,
-        sine_factors=tuple(factors),
+        widths=widths,
+        params=np.concatenate(draws),
+        sine_factors=factors,
     )
 
 
@@ -189,8 +200,7 @@ def _forward(
     a = jet.values
     da = jet.d1
     d2a = None
-    for li in range(net.layer_count):
-        w, b, fac = net.weights[li], net.biases[li], net.sine_factors[li]
+    for li, (w, b, fac) in enumerate(zip(net.weights, net.biases, net.sine_factors)):
         width = w.shape[0]
         a_in, da_in = a, da
         z = a @ w.T + b
@@ -254,39 +264,31 @@ def _blocks(n: int):
         lo = hi
 
 
+def _walk(net: FieldNet, points: _F, order: int) -> list[np.ndarray]:
+    # Values, then gradients and Hessians up to ``order``, block by block.
+    x = np.asarray(points, dtype=np.float64)
+    n, m = x.shape
+    w0 = _first_layer_blocks(net)
+    outs = [np.empty(shape) for shape in [(n,), (n, m), (n, m, m)][: order + 1]]
+    for lo, hi in _blocks(n):
+        for out, part in zip(outs, _forward(net, x[lo:hi], order, w0)):
+            out[lo:hi] = part
+    return outs
+
+
 def evaluate_batch(net: FieldNet, points: _F) -> np.ndarray:
     """Field values at (N, m) points."""
-    x = np.asarray(points, dtype=np.float64)
-    w0 = _first_layer_blocks(net)
-    out = np.empty(x.shape[0], dtype=np.float64)
-    for lo, hi in _blocks(x.shape[0]):
-        out[lo:hi] = _forward(net, x[lo:hi], 0, w0)[0]
-    return out
+    return _walk(net, points, 0)[0]
 
 
 def grad_batch(net: FieldNet, points: _F) -> tuple[np.ndarray, np.ndarray]:
     """Values (N,) and spatial gradients (N, m), skipping the Hessian track."""
-    x = np.asarray(points, dtype=np.float64)
-    n, m = x.shape
-    w0 = _first_layer_blocks(net)
-    vals = np.empty(n, dtype=np.float64)
-    grads = np.empty((n, m), dtype=np.float64)
-    for lo, hi in _blocks(n):
-        vals[lo:hi], grads[lo:hi], _ = _forward(net, x[lo:hi], 1, w0)
-    return vals, grads
+    return tuple(_walk(net, points, 1))
 
 
 def jet_batch(net: FieldNet, points: _F) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values (N,), gradients (N, m), Hessians (N, m, m) at the given points."""
-    x = np.asarray(points, dtype=np.float64)
-    n, m = x.shape
-    w0 = _first_layer_blocks(net)
-    vals = np.empty(n, dtype=np.float64)
-    grads = np.empty((n, m), dtype=np.float64)
-    hess = np.empty((n, m, m), dtype=np.float64)
-    for lo, hi in _blocks(n):
-        vals[lo:hi], grads[lo:hi], hess[lo:hi] = _forward(net, x[lo:hi], 2, w0)
-    return vals, grads, hess
+    return tuple(_walk(net, points, 2))
 
 
 def _backward_block(
@@ -295,7 +297,7 @@ def _backward_block(
     vbar: np.ndarray,
     gbar: np.ndarray | None,
     w0: list[np.ndarray],
-    out: ParamGrads,
+    out: list[tuple[np.ndarray, np.ndarray]],
 ) -> None:
     n, m = x.shape
     with_grad = gbar is not None
@@ -305,19 +307,21 @@ def _backward_block(
     # Adjoints of the final layer's affine output (width 1).
     zbar = vbar[:, None].copy()
     dzbar = gbar[:, :, None].copy() if with_grad else None
+    weights = net.weights
     for li in range(net.layer_count - 1, -1, -1):
-        w = net.weights[li]
+        w = weights[li]
+        gw, gb = out[li]
         a_in, da_in = record[li][:2]
-        out.biases[li] += zbar.sum(axis=0)
-        out.weights[li] += zbar.T @ a_in
+        gb += zbar.sum(axis=0)
+        gw += zbar.T @ a_in
         if with_grad:
             n_out = w.shape[0]
             flat_dzbar = dzbar.reshape(n * m, n_out)
             if li == 0:
                 for j in range(m):
-                    out.weights[li][:, cols[j]] += dzbar[:, j, :].T @ da_in[j]
+                    gw[:, cols[j]] += dzbar[:, j, :].T @ da_in[j]
             else:
-                out.weights[li] += flat_dzbar.T @ da_in.reshape(n * m, -1)
+                gw += flat_dzbar.T @ da_in.reshape(n * m, -1)
         if li == 0:
             break
         abar = zbar @ w
@@ -337,8 +341,8 @@ def backprop(
     points: _F,
     value_bar: _F,
     grad_bar: _F | None = None,
-) -> ParamGrads:
-    """Parameter gradients of sum(vbar * D) + sum(gbar . grad D).
+) -> np.ndarray:
+    """Parameter gradient of sum(vbar * D) + sum(gbar . grad D), laid out like ``net.params``.
 
     ``value_bar`` is (N,), ``grad_bar`` is (N, m) or None when no term touches
     the spatial gradient.  Inputs and adjoint coefficients are treated as
@@ -348,7 +352,8 @@ def backprop(
     vbar = np.asarray(value_bar, dtype=np.float64)
     gbar = None if grad_bar is None else np.asarray(grad_bar, dtype=np.float64)
     w0 = _first_layer_blocks(net)
-    out = ParamGrads.zeros_like(net)
+    grad = np.zeros_like(net.params)
+    out = net.layers(grad)
     for lo, hi in _blocks(x.shape[0]):
         _backward_block(net, x[lo:hi], vbar[lo:hi], None if gbar is None else gbar[lo:hi], w0, out)
-    return out
+    return grad

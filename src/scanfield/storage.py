@@ -102,8 +102,8 @@ def load_scans(scan_dir, record_format: str = "auto") -> list[Scan]:
 
 # Layout (little-endian): magic, version u16, input dim u8, band count u16,
 # layer count u16, per layer fan-in/fan-out u32 pairs, per layer sine factor
-# f64, band frequencies f64, then all parameters as f64, layer-major
-# (row-major weight matrix, then bias, per layer).
+# f64, band frequencies f64, then ``FieldNet.params`` verbatim as f64
+# (layer-major: row-major weight matrix, then bias, per layer).
 
 
 def _header_bytes(net: FieldNet) -> bytes:
@@ -121,11 +121,7 @@ def _header_bytes(net: FieldNet) -> bytes:
 
 
 def save_model(path, net: FieldNet) -> None:
-    blobs = [_header_bytes(net)]
-    for w, b in zip(net.weights, net.biases):
-        blobs.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        blobs.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(blobs))
+    Path(path).write_bytes(_header_bytes(net) + net.params.astype("<f8").tobytes())
 
 
 def load_model(path) -> FieldNet:
@@ -148,25 +144,22 @@ def load_model(path) -> FieldNet:
     (layers,) = struct.unpack("<H", take(2, "layer count"))
     if layers < 1 or dim < 1 or h < 1:
         raise ValueError(f"{path}: invalid shape header")
-    shapes = []
-    for i in range(layers):
-        fan_in, fan_out = struct.unpack("<II", take(8, f"layer {i} shape"))
-        shapes.append((fan_out, fan_in))
+    shapes = [struct.unpack("<II", take(8, f"layer {i} shape")) for i in range(layers)]
     factors = np.frombuffer(take(8 * layers, "sine factors"), dtype="<f8")
-    freqs = np.frombuffer(take(8 * h, "frequencies"), dtype="<f8")
-    weights, biases = [], []
-    for i, (fan_out, fan_in) in enumerate(shapes):
-        w = np.frombuffer(take(8 * fan_out * fan_in, f"layer {i} weights"), dtype="<f8")
-        b = np.frombuffer(take(8 * fan_out, f"layer {i} bias"), dtype="<f8")
-        weights.append(w.reshape(fan_out, fan_in).astype(np.float64))
-        biases.append(b.astype(np.float64))
+    encoding = EncodingConfig(np.frombuffer(take(8 * h, "frequencies"), dtype="<f8").astype(np.float64))
+    fan_ins = [encoding.feature_count(dim)] + [fan_out for _, fan_out in shapes[:-1]]
+    if [fan_in for fan_in, _ in shapes] != fan_ins:
+        raise ValueError(f"{path}: layer (fan-in, fan-out) shapes {shapes} do not chain "
+                         f"from {fan_ins[0]} encoded features")
+    size = sum((fan_in + 1) * fan_out for fan_in, fan_out in shapes)
+    params = np.frombuffer(take(8 * size, "parameters"), dtype="<f8").astype(np.float64)
     if off != len(raw):
         raise ValueError(f"{path}: {len(raw) - off} trailing bytes")
     return FieldNet(
-        encoding=EncodingConfig(freqs.astype(np.float64)),
+        encoding=encoding,
         dim=dim,
-        weights=weights,
-        biases=biases,
+        widths=tuple(fan_out for _, fan_out in shapes),
+        params=params,
         sine_factors=tuple(float(f) for f in factors),
     )
 

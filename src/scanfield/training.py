@@ -12,8 +12,8 @@ with n the unit negated gradient and (l, j) running over each sample's k
 nearest neighbors inside the batch.  Targets and weights never receive
 gradient; the field's value and spatial gradient do, and the hand-derived
 adjoints are pushed through ``field.backprop``.  The optimizer is AdamW with
-decoupled weight decay and the fixed moment decays ``ADAM_BETAS``, written
-out array by array.
+decoupled weight decay and the fixed moment decays ``ADAM_BETAS``, applied
+elementwise to the flat parameter vector.
 
 Positions, distances and the target clamp tau are in the canonical frame
 that ``geom.normalize_scene`` maps the scene into.  ``LossWeights`` and
@@ -25,7 +25,7 @@ its keys.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import numpy.typing as npt
@@ -33,7 +33,7 @@ from scipy.spatial import cKDTree
 
 from . import field as field_mod
 from . import sampling
-from .field import FieldNet, ParamGrads
+from .field import FieldNet
 from .targets import GRAD_EPS, SupervisionMode, TargetBatch, compute_targets
 
 _F = npt.NDArray[np.floating]
@@ -208,7 +208,7 @@ def batch_loss(
     batch: RayBatch,
     w: LossWeights,
     mode: SupervisionMode,
-) -> tuple[LossBreakdown, ParamGrads]:
+) -> tuple[LossBreakdown, np.ndarray]:
     """Loss and exact parameter gradient for one batch, targets held constant."""
     if batch.positions.shape[0] == 0:
         raise ValueError("empty batch")
@@ -231,28 +231,21 @@ def batch_loss(
     pairs = neighbor_pairs(batch.positions, w.knn)
     breakdown, val_bar, grad_bar, end_bar = loss_terms(vals, grads, ev, targets, pairs, w)
     pg = field_mod.backprop(net, batch.positions, val_bar, grad_bar)
-    pg.add(field_mod.backprop(net, batch.endpoints, end_bar))
+    pg += field_mod.backprop(net, batch.endpoints, end_bar)
     return breakdown, pg
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """First/second moment accumulators, laid out like ``FieldNet.params``, plus the step counter."""
 
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @staticmethod
     def zeros_like(net: FieldNet) -> "AdamState":
-        return AdamState(
-            m_w=[np.zeros_like(w) for w in net.weights],
-            v_w=[np.zeros_like(w) for w in net.weights],
-            m_b=[np.zeros_like(b) for b in net.biases],
-            v_b=[np.zeros_like(b) for b in net.biases],
-        )
+        return AdamState(m=np.zeros_like(net.params), v=np.zeros_like(net.params))
 
 
 def _adamw_update(theta, grad, m, v, t, cfg: OptimConfig):
@@ -266,31 +259,13 @@ def _adamw_update(theta, grad, m, v, t, cfg: OptimConfig):
     return theta_new, m_new, v_new
 
 
-def adamw_step(net: FieldNet, grads: ParamGrads, cfg: OptimConfig, state: AdamState) -> tuple[FieldNet, AdamState]:
+def adamw_step(net: FieldNet, grads: np.ndarray, cfg: OptimConfig, state: AdamState) -> tuple[FieldNet, AdamState]:
     """One decoupled-weight-decay Adam step; returns fresh net and state."""
-    for g in grads.weights + grads.biases:
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite parameter gradient")
+    if not np.all(np.isfinite(grads)):
+        raise FloatingPointError("non-finite parameter gradient")
     t = state.t + 1
-    new_w, new_b = [], []
-    m_w, v_w, m_b, v_b = [], [], [], []
-    for i in range(net.layer_count):
-        wn, mw, vw = _adamw_update(net.weights[i], grads.weights[i], state.m_w[i], state.v_w[i], t, cfg)
-        bn, mb, vb = _adamw_update(net.biases[i], grads.biases[i], state.m_b[i], state.v_b[i], t, cfg)
-        new_w.append(wn)
-        new_b.append(bn)
-        m_w.append(mw)
-        v_w.append(vw)
-        m_b.append(mb)
-        v_b.append(vb)
-    net2 = FieldNet(
-        encoding=net.encoding,
-        dim=net.dim,
-        weights=new_w,
-        biases=new_b,
-        sine_factors=net.sine_factors,
-    )
-    return net2, AdamState(m_w=m_w, v_w=v_w, m_b=m_b, v_b=v_b, t=t)
+    params, m, v = _adamw_update(net.params, grads, state.m, state.v, t, cfg)
+    return replace(net, params=params), AdamState(m=m, v=v, t=t)
 
 
 def train(

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scanfield import cli, field
 from scanfield.__main__ import THREAD_VARS
 from scanfield.cli import main, trajectory_poses
 from scanfield.storage import load_model, load_scan_points, load_scans, read_mesh_ply
@@ -248,6 +249,29 @@ def test_compare_emits_three_rows(tiny, capsys):
     for l in lines[1:]:
         mae, rmse = (float(v) for v in l.split(",")[1:3])
         assert rmse >= mae >= 0.0
+
+
+def test_compare_computes_no_spatial_gradient(tiny, monkeypatch, capsys):
+    # compare scores field values only; outside train, where the ray and dcn
+    # losses need it, no spatial gradient may be computed.
+    tmp, cfg, scene2 = tiny
+    real_grad, real_train = field.grad_batch, cli.train
+
+    def no_grad(*args, **kwargs):
+        raise AssertionError("compare computed a spatial gradient")
+
+    def train(*args, **kwargs):
+        monkeypatch.setattr(field, "grad_batch", real_grad)
+        try:
+            return real_train(*args, **kwargs)
+        finally:
+            monkeypatch.setattr(field, "grad_batch", no_grad)
+
+    monkeypatch.setattr(cli, "train", train)
+    monkeypatch.setattr(field, "grad_batch", no_grad)
+    assert run("compare", "--scene", scene2, "--poses", "4", "--samples", "200",
+               "--config", cfg) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 4
 
 
 def test_exit_codes(tiny, tmp_path):

@@ -1,11 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from scanfield import field
 from scanfield.encoding import default_encoding, encode_jet, sincos
 from scanfield.field import (
-    FieldNet,
-    ParamGrads,
     backprop,
     evaluate_batch,
     grad_batch,
@@ -17,7 +17,7 @@ from scanfield.field import (
 def test_default_parameter_count():
     net = init_field(seed=0, dim=3)
     # 183 features -> 128 -> 128 -> 128 -> 128 -> 1
-    assert sum(w.size + b.size for w, b in zip(net.weights, net.biases)) == 73_217
+    assert net.params.size == 73_217
 
 
 def test_layer_factors():
@@ -44,20 +44,37 @@ def test_first_layer_bound_scales_with_fan_in():
     assert np.max(np.abs(net.weights[1])) <= np.sqrt(6.0 / 128)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_init_matches_per_layer_draws(dim):
+    # The flat vector holds, bitwise, the per-layer draws: each layer's weight
+    # matrix and then its bias, from one generator.
+    net = init_field(seed=17, dim=dim, hidden=24, hidden_layers=3, encoding=default_encoding(5),
+                     first_factor=12.0)
+    rng = np.random.default_rng(17)
+    fan_in = 11 * dim
+    for li, (width, factor) in enumerate([(24, 12.0), (24, 1.0), (24, 1.0), (1, 0.0)]):
+        bound = 1.0 / fan_in if li == 0 else np.sqrt(6.0 / fan_in)
+        if li > 0 and factor > 0.0:
+            bound /= factor
+        w = rng.uniform(-bound, bound, size=(width, fan_in))
+        b = rng.uniform(-bound, bound, size=width)
+        assert np.array_equal(net.weights[li], w)
+        assert np.array_equal(net.biases[li], b)
+        fan_in = width
+    assert net.widths == (24, 24, 24, 1)
+    assert net.sine_factors == (12.0, 1.0, 1.0, 0.0)
+
+
 def test_shape_validation():
     net = init_field(seed=0, dim=2, hidden=8, hidden_layers=2, encoding=default_encoding(2))
-    with pytest.raises(ValueError):
-        FieldNet(
-            encoding=net.encoding,
-            dim=2,
-            weights=net.weights[:-1],  # drops the scalar output layer
-            biases=net.biases[:-1],
-            sine_factors=net.sine_factors[:-1],
-        )
-    bad = [w.copy() for w in net.weights]
-    bad[1] = np.full_like(bad[1], np.nan)
-    with pytest.raises(ValueError):
-        FieldNet(net.encoding, 2, bad, net.biases, net.sine_factors)
+    with pytest.raises(ValueError, match="parameters"):
+        replace(net, params=net.params[:-1])
+    with pytest.raises(ValueError, match="one scalar"):
+        replace(net, widths=(8, 8, 2), params=np.zeros(net.params.size + 9))
+    bad = net.params.copy()
+    bad[100] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        replace(net, params=bad)
 
 
 def test_scalar_and_batch_agree():
@@ -105,9 +122,7 @@ def test_chunking_is_invisible(monkeypatch):
         # backprop keeps its forward record and gradient sum for one block
         # only; the sum over blocks must not depend on where the blocks end.
         for g, pb in zip((gbar, None), ref_p):
-            pa = backprop(net, pts, vbar, g)
-            for x, y in zip(pa.weights + pa.biases, pb.weights + pb.biases):
-                np.testing.assert_allclose(x, y, rtol=1e-12)
+            np.testing.assert_allclose(backprop(net, pts, vbar, g), pb, rtol=1e-12)
 
 
 def test_jet_matches_finite_differences():
@@ -150,6 +165,12 @@ def test_jet_matches_finite_differences():
         assert he < 1e-4, (i, he)
 
 
+def _perturbed(net, k, h):
+    params = net.params.copy()
+    params[k] += h
+    return replace(net, params=params)
+
+
 def test_backprop_matches_parameter_finite_differences():
     net = init_field(seed=9, dim=2, hidden=6, hidden_layers=2, encoding=default_encoding(2))
     rng = np.random.default_rng(13)
@@ -162,31 +183,18 @@ def test_backprop_matches_parameter_finite_differences():
         return float(np.sum(vbar * v) + np.sum(gbar * g))
 
     grads = backprop(net, pts, vbar, gbar)
+    # Each layer's weight and bias entries, as indices into the flat vector.
+    index = net.layers(np.arange(net.params.size))
     h = 1e-6
     for li in (0, 1, 2):
-        w = net.weights[li]
+        w, b = index[li]
         for _ in range(5):
-            r, c = rng.integers(w.shape[0]), rng.integers(w.shape[1])
-            wp = [x.copy() for x in net.weights]
-            wm = [x.copy() for x in net.weights]
-            wp[li][r, c] += h
-            wm[li][r, c] -= h
-            np_ = FieldNet(net.encoding, 2, wp, net.biases, net.sine_factors)
-            nm = FieldNet(net.encoding, 2, wm, net.biases, net.sine_factors)
-            fd = (objective(np_) - objective(nm)) / (2 * h)
-            an = grads.weights[li][r, c]
-            assert abs(an - fd) < 1e-5 * max(1.0, abs(fd)), (li, r, c)
-        b = net.biases[li]
-        r = rng.integers(b.shape[0])
-        bp = [x.copy() for x in net.biases]
-        bm = [x.copy() for x in net.biases]
-        bp[li][r] += h
-        bm[li][r] -= h
-        fd = (
-            objective(FieldNet(net.encoding, 2, net.weights, bp, net.sine_factors))
-            - objective(FieldNet(net.encoding, 2, net.weights, bm, net.sine_factors))
-        ) / (2 * h)
-        assert abs(grads.biases[li][r] - fd) < 1e-5 * max(1.0, abs(fd))
+            k = w[rng.integers(w.shape[0]), rng.integers(w.shape[1])]
+            fd = (objective(_perturbed(net, k, h)) - objective(_perturbed(net, k, -h))) / (2 * h)
+            assert abs(grads[k] - fd) < 1e-5 * max(1.0, abs(fd)), (li, k)
+        k = b[rng.integers(b.shape[0])]
+        fd = (objective(_perturbed(net, k, h)) - objective(_perturbed(net, k, -h))) / (2 * h)
+        assert abs(grads[k] - fd) < 1e-5 * max(1.0, abs(fd))
 
 
 def test_backprop_value_only():
@@ -195,20 +203,13 @@ def test_backprop_value_only():
     vbar = np.array([1.0, -2.0])
     grads = backprop(net, pts, vbar, None)
     h = 1e-6
-    w = net.weights[0]
-    wp = [x.copy() for x in net.weights]
-    wp[0][0, 0] += h
-    wm = [x.copy() for x in net.weights]
-    wm[0][0, 0] -= h
 
     def obj(n):
         return float(np.sum(vbar * evaluate_batch(n, pts)))
 
-    fd = (
-        obj(FieldNet(net.encoding, 2, wp, net.biases, net.sine_factors))
-        - obj(FieldNet(net.encoding, 2, wm, net.biases, net.sine_factors))
-    ) / (2 * h)
-    assert abs(grads.weights[0][0, 0] - fd) < 1e-6 * max(1.0, abs(fd))
+    # params[0] is layer 0's weight [0, 0].
+    fd = (obj(_perturbed(net, 0, h)) - obj(_perturbed(net, 0, -h))) / (2 * h)
+    assert abs(grads[0] - fd) < 1e-6 * max(1.0, abs(fd))
 
 
 def test_jet_one_row_matches_batch():
@@ -373,16 +374,17 @@ def _old_backward_chunk(net, x, vbar, gbar, out):
     dzbar = gbar[:, :, None].copy() if with_grad else None
     for li in range(net.layer_count - 1, -1, -1):
         w = net.weights[li]
+        gw, gb = out[li]
         a_in, da_in = record[li][:2]
-        out.biases[li] += zbar.sum(axis=0)
-        out.weights[li] += zbar.T @ a_in
+        gb += zbar.sum(axis=0)
+        gw += zbar.T @ a_in
         if with_grad:
             flat_dzbar = dzbar.reshape(n * m, w.shape[0])
             if li == 0:
                 for j in range(m):
-                    out.weights[li][:, cols[j]] += dzbar[:, j, :].T @ da_in[:, cols[j]]
+                    gw[:, cols[j]] += dzbar[:, j, :].T @ da_in[:, cols[j]]
             else:
-                out.weights[li] += flat_dzbar.T @ da_in.reshape(n * m, -1)
+                gw += flat_dzbar.T @ da_in.reshape(n * m, -1)
         if li == 0:
             break
         abar = zbar @ w
@@ -407,9 +409,9 @@ def _old_passes(net, x, vbar, gbar):
     jet = [np.concatenate(t) for t in zip(*(_old_forward(net, x[c], 2) for c in chunks))]
     grads = []
     for g in (gbar, None):
-        out = ParamGrads.zeros_like(net)
+        out = np.zeros_like(net.params)
         for c in chunks:
-            _old_backward_chunk(net, x[c], vbar[c], None if g is None else g[c], out)
+            _old_backward_chunk(net, x[c], vbar[c], None if g is None else g[c], net.layers(out))
         grads.append(out)
     return value, grad, jet, grads
 
@@ -439,7 +441,9 @@ def test_row_blocks_match_old_chunking(dim, rows, kwargs):
         assert np.array_equal(new, old)
     for g, old in zip((gbar, None), grads):
         new = backprop(net, pts, vbar, g)
-        for x, y in zip(new.weights + new.biases, old.weights + old.biases):
-            # Entries that are sums of cancelling terms keep an absolute error
-            # of the order of the terms, so the bound is relative to the array.
-            np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12 * np.abs(y).max())
+        for new_layer, old_layer in zip(net.layers(new), net.layers(old)):
+            for x, y in zip(new_layer, old_layer):
+                # Entries that are sums of cancelling terms keep an absolute
+                # error of the order of the terms, so the bound is relative to
+                # the weight or bias array.
+                np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12 * np.abs(y).max())

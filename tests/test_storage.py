@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -112,6 +113,40 @@ def test_model_round_trip_is_bit_exact(tmp_path):
     path2 = tmp_path / "net2.bin"
     save_model(path2, back)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _per_layer_checkpoint(net):
+    """The documented checkpoint layout, written one layer at a time."""
+    parts = [MODEL_MAGIC, struct.pack("<HBHH", 1, net.dim, net.encoding.bands, len(net.weights))]
+    parts += [struct.pack("<II", w.shape[1], w.shape[0]) for w in net.weights]
+    parts.append(np.asarray(net.sine_factors, dtype="<f8").tobytes())
+    parts.append(np.asarray(net.encoding.frequencies, dtype="<f8").tobytes())
+    for w, b in zip(net.weights, net.biases):
+        parts += [w.astype("<f8").tobytes(), b.astype("<f8").tobytes()]
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_model_bytes_follow_per_layer_layout(tmp_path, dim):
+    net = init_field(seed=dim + 10, dim=dim, hidden=12, hidden_layers=3, encoding=default_encoding(5))
+    path = tmp_path / "net.bin"
+    save_model(path, net)
+    assert path.read_bytes() == _per_layer_checkpoint(net)
+
+
+@pytest.mark.parametrize("layer, fan_in", [(0, 9), (1, 5)])
+def test_model_rejects_unchained_shapes(tmp_path, layer, fan_in):
+    net = init_field(seed=3, dim=2, hidden=4, hidden_layers=2, encoding=default_encoding(2))
+    path = tmp_path / "net.bin"
+    save_model(path, net)
+    raw = bytearray(path.read_bytes())
+    offset = len(MODEL_MAGIC) + 5 + 2 + 8 * layer  # the layer's fan-in field
+    raw[offset : offset + 4] = struct.pack("<I", fan_in)
+    path.write_bytes(bytes(raw))
+    shapes = [(10, 4), (4, 4), (4, 1)]
+    shapes[layer] = (fan_in, shapes[layer][1])
+    with pytest.raises(ValueError, match=re.escape(f"shapes {shapes} do not chain")):
+        load_model(path)
 
 
 def test_model_file_size_is_header_plus_params(tmp_path):

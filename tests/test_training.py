@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from scanfield.config import RunConfig, parse_config
 from scanfield.encoding import default_encoding
-from scanfield.field import FieldNet, evaluate_batch, grad_batch, init_field
+from scanfield.field import evaluate_batch, grad_batch, init_field
 from scanfield.geom import Pose, normalize_scene, to_world
 from scanfield.scenes import AnalyticScene, ScannerConfig, Sphere, simulate_scan
 from scanfield.targets import SupervisionMode, TargetBatch, compute_targets
@@ -155,18 +157,21 @@ def test_loss_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
     h = 1e-6
     checked = 0
+    # Each layer's weight entries, as indices into the flat vector.
+    index = [w for w, _ in net.layers(np.arange(net.params.size))]
     for li in range(net.layer_count):
         for _ in range(4):
-            r = rng.integers(net.weights[li].shape[0])
-            c = rng.integers(net.weights[li].shape[1])
-            wp = [x.copy() for x in net.weights]
-            wm = [x.copy() for x in net.weights]
-            wp[li][r, c] += h
-            wm[li][r, c] -= h
-            fp = frozen_loss(FieldNet(net.encoding, net.dim, wp, net.biases, net.sine_factors))
-            fm = frozen_loss(FieldNet(net.encoding, net.dim, wm, net.biases, net.sine_factors))
+            r = rng.integers(index[li].shape[0])
+            c = rng.integers(index[li].shape[1])
+            k = index[li][r, c]
+            wp = net.params.copy()
+            wm = net.params.copy()
+            wp[k] += h
+            wm[k] -= h
+            fp = frozen_loss(replace(net, params=wp))
+            fm = frozen_loss(replace(net, params=wm))
             fd = (fp - fm) / (2 * h)
-            an = pg.weights[li][r, c]
+            an = pg[k]
             # |.| kinks make FD noisy when a residual sits near zero; the
             # seeded batch keeps clear of them at these indices
             assert abs(an - fd) < 1e-3 * max(0.01, abs(fd)), (li, r, c, an, fd)
@@ -203,12 +208,40 @@ def test_adamw_first_step_is_lr_sized():
 
 def test_adamw_rejects_nonfinite_gradients():
     net = small_net()
-    from scanfield.field import ParamGrads
-
-    grads = ParamGrads.zeros_like(net)
-    grads.weights[0][0, 0] = np.nan
+    grads = np.zeros_like(net.params)
+    grads[0] = np.nan
     with pytest.raises(FloatingPointError):
         adamw_step(net, grads, OptimConfig(), AdamState.zeros_like(net))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_adamw_step_matches_per_layer_updates(dim):
+    # AdamW is elementwise, so one update over the flat vector must equal,
+    # bitwise, the update of each weight matrix and bias on its own.
+    net = init_field(seed=dim, dim=dim, hidden=12, hidden_layers=3, encoding=default_encoding(4))
+    cfg = OptimConfig(lr=1e-2, weight_decay=0.1)
+    rng = np.random.default_rng(5)
+    ref = [[w.copy(), b.copy()] for w, b in zip(net.weights, net.biases)]
+    moments = [[np.zeros_like(a) for a in layer] for layer in ref]
+    second = [[np.zeros_like(a) for a in layer] for layer in ref]
+    state = AdamState.zeros_like(net)
+    for t in range(1, 4):
+        grads = [[rng.normal(size=a.shape) for a in layer] for layer in ref]
+        flat = np.concatenate([g.ravel() for layer in grads for g in layer])
+        net, state = adamw_step(net, flat, cfg, state)
+        for li, layer in enumerate(ref):
+            for j in range(2):
+                layer[j], moments[li][j], second[li][j] = _adamw_update(
+                    layer[j], grads[li][j], moments[li][j], second[li][j], t, cfg)
+    assert state.t == 3
+    for li, (w, b) in enumerate(ref):
+        assert np.array_equal(net.weights[li], w)
+        assert np.array_equal(net.biases[li], b)
+    index = net.layers(np.arange(net.params.size))
+    for li, layer in enumerate(index):
+        for j, k in enumerate(layer):
+            assert np.array_equal(state.m[k], moments[li][j])
+            assert np.array_equal(state.v[k], second[li][j])
 
 
 def test_train_history_and_determinism():
