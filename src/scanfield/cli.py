@@ -1,7 +1,10 @@
 """Command-line pipeline: synth, train, mesh, eval-sdf, localize, compare.
 
 Every command is deterministic for a fixed --seed with --threads 1; outputs
-are CSV tables (stdout and/or --out), PLY meshes, and binary checkpoints.
+are CSV tables (stdout and/or --out), PLY meshes, datasets and models.  A
+dataset is a directory of ``poses.txt`` plus ``scan_*.bin`` files; a model is
+a checkpoint plus its ``<checkpoint>.transform`` sidecar.  ``storage`` reads
+and writes both.
 Exit codes: 0 success, 2 validation/usage error, 1 other failures.
 """
 
@@ -147,15 +150,6 @@ def _planar_pose(x: float, y: float, theta: float, dim: int) -> Pose:
     return Pose(rot, np.array([x, y, 0.0]))
 
 
-def _embed_pose_row(pose: Pose) -> np.ndarray:
-    """3x4 row-major pose line; 2D poses are embedded in the z=0 plane."""
-    mat = np.eye(3, 4)
-    d = pose.dim
-    mat[:d, :d] = pose.rotation
-    mat[:d, 3] = pose.translation
-    return mat.reshape(-1)
-
-
 # ---------------------------------------------------------------------------
 # synth
 
@@ -175,46 +169,13 @@ def cmd_synth(args) -> int:
     cfg = _load_run_config(args)
     scene = scenes.parse_scene_file(args.scene)
     traj = trajectory_poses(args.traj)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    pose_rows = []
-    for k, scan in enumerate(_synthesize_dataset(scene, traj, cfg)):
-        pts = scan.points
-        if pts.shape[1] == 2:
-            pts = np.concatenate([pts, np.zeros((pts.shape[0], 1))], axis=1)
-        (out / f"scan_{k:06d}.bin").write_bytes(pts.astype("<f4").tobytes())
-        pose_rows.append(" ".join(repr(float(v)) for v in _embed_pose_row(scan.pose)))
-    (out / "poses.txt").write_text("\n".join(pose_rows) + "\n")
-    traj_lines = [
-        f"{float(k)!r} {float(x)!r} {float(y)!r} {float(th)!r}"
-        for k, (x, y, th) in enumerate(traj)
-    ]
-    (out / "trajectory.txt").write_text("\n".join(traj_lines) + "\n")
-    print(f"wrote {len(traj)} scans to {out}")
+    storage.save_scans(args.out, _synthesize_dataset(scene, traj, cfg))
+    print(f"wrote {len(traj)} scans to {args.out}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # train
-
-
-def _scans_to_planar(scan3d: Scan) -> Scan:
-    rot = scan3d.pose.rotation
-    pose2 = Pose(rot[:2, :2], scan3d.pose.translation[:2])
-    return Scan(pose2, scan3d.points[:, :2])
-
-
-def _dataset_scans(scans: list[Scan], dim: str) -> tuple[list[Scan], int]:
-    if dim == "auto":
-        planar = all(
-            abs(s.pose.translation[2]) < 1e-12 and np.all(np.abs(s.points[:, 2]) < 1e-12)
-            and abs(s.pose.rotation[2, 2] - 1.0) < 1e-12
-            for s in scans
-        )
-        dim = "2" if planar else "3"
-    if dim == "2":
-        scans = [_scans_to_planar(s) for s in scans]
-    return scans, int(dim)
 
 
 def _canonical_rays(scans: list[Scan]):
@@ -239,35 +200,23 @@ def _init_net(cfg: RunConfig, dim: int) -> field_mod.FieldNet:
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
-    scans, dim = _dataset_scans(storage.load_scans(args.scans), args.dim)
+    scans = storage.load_scans(args.scans)
     canon, tf = _canonical_rays(scans)
-    net, history = train(_init_net(cfg, dim), canon, cfg.optim(), cfg.loss_weights(),
-                         cfg.supervision_mode())
-    out = Path(args.out)
-    storage.save_model(out, net)
-    storage.save_transform(out.with_suffix(out.suffix + ".transform"), tf)
+    net, history = train(_init_net(cfg, scans[0].pose.dim), canon, cfg.optim(),
+                         cfg.loss_weights(), cfg.supervision_mode())
+    storage.save_field(args.out, net, tf)
     rows = [
         ",".join([str(i)] + [repr(float(v))
                              for v in (h.data, h.endpoint, h.eikonal, h.smoothness, h.total)])
         for i, h in enumerate(history)
     ]
-    _write_csv(out.with_suffix(out.suffix + ".loss.csv"),
+    _write_csv(f"{args.out}.loss.csv",
                "epoch,data,endpoint,eikonal,smoothness,total", rows)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # field wrappers
-
-
-def _load_field(model_path):
-    net = storage.load_model(model_path)
-    tf_path = Path(model_path).with_suffix(Path(model_path).suffix + ".transform")
-    if tf_path.exists():
-        tf = storage.load_transform(tf_path)
-    else:
-        tf = SceneTransform(np.zeros(net.dim), 1.0)
-    return net, tf
 
 
 def _world_field(net, tf):
@@ -287,7 +236,7 @@ def _world_box(tf: SceneTransform) -> Aabb:
 
 def cmd_mesh(args) -> int:
     cfg = _load_run_config(args)
-    net, tf = _load_field(args.model)
+    net, tf = storage.load_field(args.model)
     if net.dim != 3:
         raise ValueError("mesh extraction needs a 3D model")
     res = args.res if args.res is not None else cfg.mesh_res
@@ -362,7 +311,7 @@ def cmd_eval_sdf(args) -> int:
     if args.model == "oracle":
         field, grads = _oracle_eval_fns(scene)
     else:
-        net, tf = _load_field(args.model)
+        net, tf = storage.load_field(args.model)
         if net.dim != scene.dim:
             raise ValueError(f"model is {net.dim}D but scene is {scene.dim}D")
         field, grads = _model_eval_fns(net, tf)
@@ -378,29 +327,15 @@ def cmd_eval_sdf(args) -> int:
 # localize
 
 
-def _read_trajectory(path) -> np.ndarray:
-    rows = []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        s = line.strip()
-        if not s:
-            continue
-        parts = s.split()
-        if len(parts) != 4:
-            raise ValueError(f"{path}:{ln}: expected 't x y theta'")
-        rows.append([float(v) for v in parts[1:]])
-    if not rows:
-        raise ValueError(f"{path}: empty trajectory")
-    return np.asarray(rows)
+def _planar_trajectory(scans: list[Scan]) -> np.ndarray:
+    """(x, y, heading) rows of planar scan poses."""
+    return np.array([(*s.pose.translation, np.arctan2(s.pose.rotation[1, 0], s.pose.rotation[0, 0]))
+                     for s in scans])
 
 
-def _map_box(traj: np.ndarray, scans_xy) -> Aabb:
+def _map_box(traj: np.ndarray, scans: list[Scan]) -> Aabb:
     """Cover the trajectory and every world-frame endpoint, lightly padded."""
-    pts = [traj[:, :2]]
-    for (x, y, th), z in zip(traj, scans_xy):
-        c, s = np.cos(th), np.sin(th)
-        pts.append(np.stack([x + c * z[:, 0] - s * z[:, 1],
-                             y + s * z[:, 0] + c * z[:, 1]], axis=1))
-    allp = np.concatenate(pts, axis=0)
+    allp = np.concatenate([traj[:, :2]] + [s.pose.apply(s.points) for s in scans], axis=0)
     lo, hi = allp.min(axis=0), allp.max(axis=0)
     pad = 0.05 * float(np.max(hi - lo)) + 1e-9
     return Aabb(lo - pad, hi + pad)
@@ -409,7 +344,7 @@ def _map_box(traj: np.ndarray, scans_xy) -> Aabb:
 def _localization_field(args, cfg: RunConfig, data_box: Aabb):
     """2D observation field over the map box, from --model or --scene."""
     if args.model is not None:
-        net, tf = _load_field(args.model)
+        net, tf = storage.load_field(args.model)
         if net.dim != 2:
             raise ValueError("localization needs a 2D model")
         box = _world_box(tf)
@@ -438,12 +373,12 @@ def cmd_localize(args) -> int:
     cfg = _load_run_config(args)
     if (args.model is None) == (args.scene is None):
         raise ValueError("pass exactly one of --model or --scene")
-    traj = _read_trajectory(Path(args.data) / "trajectory.txt")
     scans = storage.load_scans(args.data)
-    if len(scans) != traj.shape[0]:
-        raise ValueError(f"{len(scans)} scans but {traj.shape[0]} trajectory rows")
-    scans_xy = [s.points[:, :2] for s in scans]
-    field, box = _localization_field(args, cfg, _map_box(traj, scans_xy))
+    if scans[0].pose.dim != 2:
+        raise ValueError("localization needs a planar (2D) dataset")
+    traj = _planar_trajectory(scans)
+    scans_xy = [s.points for s in scans]
+    field, box = _localization_field(args, cfg, _map_box(traj, scans))
     results, metrics = _run_localization(field, box, traj, scans_xy, cfg)
     conv = sum(1 for r in results if r.converged_at is not None)
     if metrics is None:
@@ -533,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a field to a scan dataset")
     common(p, mode_flag=True)
     p.add_argument("--scans", required=True, help="dataset directory")
-    p.add_argument("--dim", choices=["auto", "2", "3"], default="auto")
     p.add_argument("--out", required=True, help="model checkpoint path")
     p.set_defaults(func=cmd_train)
 
@@ -559,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--model", default=None, help="2D checkpoint path")
     p.add_argument("--scene", default=None, help="oracle scene stand-in for the map")
-    p.add_argument("--data", required=True, help="dataset directory with trajectory.txt")
+    p.add_argument("--data", required=True,
+                   help="planar dataset directory: poses.txt plus scan_*.bin, as synth writes")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_localize)
 

@@ -1,4 +1,9 @@
-"""File formats: scan/pose ingestion, model checkpoints, meshes.
+"""File formats: scan datasets, models, meshes.
+
+This module owns both formats the commands pass between them.  A dataset is
+a directory of ``poses.txt`` plus one ``scan_NNNNNN.bin`` per pose
+(``save_scans``/``load_scans``).  A model is a checkpoint plus its
+``<checkpoint>.transform`` sidecar (``save_field``/``load_field``).
 
 All binary payloads are little-endian regardless of host.  Checkpoints keep
 64-bit floats (training precision); meshes are 32-bit artifacts meant for
@@ -86,15 +91,47 @@ def load_scan_points(path, record_format: str = "auto") -> np.ndarray:
 
 
 def load_scans(scan_dir, record_format: str = "auto") -> list[Scan]:
-    """Pair `poses.txt` with the directory's sorted .bin scans, by index."""
+    """Pair `poses.txt` with the directory's sorted .bin scans, by index.
+
+    The scans come back 2D when every pose and every point lies in z = 0,
+    and 3D otherwise.
+    """
     root = Path(scan_dir)
     poses = load_poses(root / "poses.txt")
+    if not poses:
+        raise ValueError(f"{root / 'poses.txt'}: no poses")
     files = sorted(root.glob("*.bin"))
     if len(files) != len(poses):
         raise ValueError(
             f"{root}: {len(files)} scan files but {len(poses)} poses"
         )
-    return [Scan(pose, load_scan_points(f, record_format)) for pose, f in zip(poses, files)]
+    scans = [Scan(pose, load_scan_points(f, record_format)) for pose, f in zip(poses, files)]
+    if all(abs(s.pose.translation[2]) < 1e-12 and abs(s.pose.rotation[2, 2] - 1.0) < 1e-12
+           and np.all(np.abs(s.points[:, 2]) < 1e-12) for s in scans):
+        scans = [Scan(Pose(s.pose.rotation[:2, :2], s.pose.translation[:2]), s.points[:, :2])
+                 for s in scans]
+    return scans
+
+
+def save_scans(scan_dir, scans: list[Scan]) -> None:
+    """Write ``poses.txt`` and one ``scan_NNNNNN.bin`` per scan, in order.
+
+    2D scans are stored in the z = 0 plane: the pose embedded in a 3x4
+    matrix, the points padded with z = 0 and rounded to f32.
+    """
+    root = Path(scan_dir)
+    root.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for k, scan in enumerate(scans):
+        d = scan.pose.dim
+        mat = np.eye(3, 4)
+        mat[:d, :d] = scan.pose.rotation
+        mat[:d, 3] = scan.pose.translation
+        rows.append(" ".join(repr(float(v)) for v in mat.reshape(-1)))
+        pts = np.zeros((scan.points.shape[0], 3))
+        pts[:, :d] = scan.points
+        (root / f"scan_{k:06d}.bin").write_bytes(pts.astype("<f4").tobytes())
+    (root / "poses.txt").write_text("\n".join(rows) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +202,7 @@ def load_model(path) -> FieldNet:
 
 
 # ---------------------------------------------------------------------------
-# scene transform sidecar (text)
+# scene transform sidecar (text); a model is a checkpoint plus its sidecar
 
 
 def save_transform(path, tf: SceneTransform) -> None:
@@ -189,6 +226,21 @@ def load_transform(path) -> SceneTransform:
     except (KeyError, IndexError, ValueError) as exc:
         raise ValueError(f"{path}: malformed transform file ({exc})") from None
     return SceneTransform(center=center, scale=scale)
+
+
+def save_field(path, net: FieldNet, tf: SceneTransform) -> None:
+    """Write the checkpoint at ``path`` and its scene transform at ``<path>.transform``."""
+    save_model(path, net)
+    save_transform(f"{path}.transform", tf)
+
+
+def load_field(path) -> tuple[FieldNet, SceneTransform]:
+    """Read a checkpoint and its ``.transform`` sidecar; both must exist and agree in dimension."""
+    net = load_model(path)
+    tf = load_transform(f"{path}.transform")
+    if tf.center.shape != (net.dim,):
+        raise ValueError(f"{path}.transform: {tf.center.size}D transform for a {net.dim}D model")
+    return net, tf
 
 
 # ---------------------------------------------------------------------------

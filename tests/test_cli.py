@@ -50,6 +50,12 @@ plane 1 1 -5.2
 box 1.5 1.5 0.6 0.6
 circle -1.5 -1 0.8
 """
+ROOM3D_SCENE = """
+plane 0 0 1 -1
+plane 0 0 -1 -2
+sphere 0 0 0 1
+box 1.5 1.5 0 0.5 0.5 0.5
+"""
 
 
 @pytest.fixture
@@ -91,7 +97,8 @@ def test_synth_writes_dataset(tiny):
                "--out", out, "--config", cfg) == 0
     scans = load_scans(out)
     assert len(scans) == 5
-    assert len((out / "trajectory.txt").read_text().splitlines()) == 5
+    assert sorted(p.name for p in out.iterdir()) == ["poses.txt"] + [
+        f"scan_{k:06d}.bin" for k in range(5)]
     # 2D scans are stored z-padded
     pts = load_scan_points(out / "scan_000000.bin")
     assert pts.shape[0] >= 1
@@ -118,7 +125,7 @@ def test_synth_is_byte_deterministic(tiny):
     for out in (a, b):
         assert run("synth", "--scene", scene2, "--traj", "orbit:radius=3,steps=4",
                    "--out", out, "--config", cfg, "--seed", "5", "--threads", "1") == 0
-    for name in ("poses.txt", "trajectory.txt", "scan_000000.bin", "scan_000003.bin"):
+    for name in ("poses.txt", "scan_000000.bin", "scan_000003.bin"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
@@ -227,6 +234,68 @@ def test_localize_oracle_room(tmp_path, capsys):
     assert 0 <= int(converged) <= 2
     if rmse != "-":
         assert float(rmse) >= float(mae) > 0.0
+
+
+def test_localize_trajectory_is_read_from_poses(tiny):
+    # localize takes (x, y, heading) from poses.txt; the heading comes back
+    # through atan2 of the stored rotation
+    tmp, cfg, scene2 = tiny
+    for k, spec in enumerate(["orbit:radius=3.2,steps=36,start=0.7", "orbit:radius=2.5,steps=8",
+                              "line:x0=-3,y0=-2,x1=2,y1=-2.5,steps=5"]):
+        data = tmp / f"data{k}"
+        assert run("synth", "--scene", scene2, "--traj", spec, "--out", data, "--config", cfg) == 0
+        got = cli._planar_trajectory(load_scans(data))
+        want = trajectory_poses(spec)
+        assert np.array_equal(got[:, :2], want[:, :2]), spec
+        assert np.all(np.abs(got[:, 2] - want[:, 2]) <= np.spacing(np.abs(want[:, 2]))), spec
+
+
+def test_localize_rejects_3d_dataset(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY_CFG)
+    room3 = tmp_path / "room3.txt"
+    room3.write_text(ROOM3D_SCENE)
+    room2 = tmp_path / "room2.txt"
+    room2.write_text(ROOM_SCENE)
+    data = tmp_path / "d3"
+    assert run("synth", "--scene", room3, "--traj", "orbit:radius=2.5,steps=4",
+               "--out", data, "--config", cfg) == 0
+    capsys.readouterr()
+    assert run("localize", "--scene", room2, "--data", data, "--config", cfg) == 2
+    assert "localization needs a planar (2D) dataset" in capsys.readouterr().err
+
+
+def test_empty_dataset_exits_2(tiny, capsys):
+    tmp, cfg, scene2 = tiny
+    data = tmp / "empty"
+    data.mkdir()
+    (data / "poses.txt").write_text("")
+    assert run("train", "--scans", data, "--out", tmp / "m.bin", "--config", cfg) == 2
+    assert run("localize", "--scene", scene2, "--data", data, "--config", cfg) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
+@pytest.mark.parametrize("center", [None, "0.5", "0.5 0.5 0.5"])
+def test_model_needs_its_transform_sidecar(tiny, center):
+    # without its sidecar a model cannot be placed in world metres: a missing
+    # one is an I/O error, one of the wrong dimension a validation error
+    tmp, cfg, scene2 = tiny
+    data = tmp / "data"
+    assert run("synth", "--scene", scene2, "--traj", "orbit:radius=3,steps=4",
+               "--out", data, "--config", cfg) == 0
+    model = tmp / "m.bin"
+    assert run("train", "--scans", data, "--out", model, "--config", cfg) == 0
+    sidecar = tmp / "m.bin.transform"
+    if center is None:
+        sidecar.unlink()
+    else:
+        sidecar.write_text(f"center {center}\nscale 1.5\n")
+    code = 1 if center is None else 2
+    assert run("mesh", "--model", model, "--out", tmp / "m.ply", "--config", cfg) == code
+    assert run("eval-sdf", "--model", model, "--scene", scene2, "--samples", "100",
+               "--config", cfg) == code
+    assert run("localize", "--model", model, "--data", data, "--config", cfg) == code
 
 
 def test_localize_requires_exactly_one_map_source(tiny):

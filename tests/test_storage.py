@@ -6,18 +6,21 @@ import pytest
 
 from scanfield.encoding import default_encoding
 from scanfield.field import init_field
-from scanfield.geom import Aabb, SceneTransform
+from scanfield.geom import Aabb, Pose, Scan, SceneTransform, rot2d
 from scanfield.meshing import TriangleMesh, marching_cubes
 from scanfield.storage import (
     MODEL_MAGIC,
     export_mesh_ply,
+    load_field,
     load_model,
     load_poses,
     load_scan_points,
     load_scans,
     load_transform,
     read_mesh_ply,
+    save_field,
     save_model,
+    save_scans,
     save_transform,
 )
 
@@ -95,6 +98,67 @@ def test_load_scans_pairs_files_with_poses(tmp_path):
     (tmp_path / "scan_000002.bin").write_bytes(b"")
     with pytest.raises(ValueError, match="3 scan files but 2 poses"):
         load_scans(tmp_path)
+    (tmp_path / "poses.txt").write_text("\n")
+    with pytest.raises(ValueError, match="no poses"):
+        load_scans(tmp_path)
+
+
+def _rot3(a: float, b: float) -> np.ndarray:
+    """Rotation by ``a`` about z after ``b`` about x."""
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, np.cos(b), -np.sin(b)], [0.0, np.sin(b), np.cos(b)]])
+    rz = np.eye(3)
+    rz[:2, :2] = rot2d(a)
+    return rz @ rx
+
+
+def _assert_scans_equal(back, scans):
+    assert len(back) == len(scans)
+    for b, s in zip(back, scans):
+        assert np.array_equal(b.pose.rotation, s.pose.rotation)
+        assert np.array_equal(b.pose.translation, s.pose.translation)
+        assert np.array_equal(b.points, s.points.astype(np.float32).astype(np.float64))
+
+
+def test_scans_round_trip(tmp_path):
+    rng = np.random.default_rng(4)
+    planar = [Scan(Pose.from_xytheta(*rng.normal(size=3)), rng.normal(size=(n, 2)))
+              for n in (5, 1, 7)]
+    save_scans(tmp_path / "d2", planar)
+    back = load_scans(tmp_path / "d2")
+    assert {s.pose.dim for s in back} == {2}
+    _assert_scans_equal(back, planar)
+
+    spatial = [Scan(Pose(_rot3(*rng.normal(size=2)), rng.normal(size=3)), rng.normal(size=(n, 3)))
+               for n in (4, 6)]
+    save_scans(tmp_path / "d3", spatial)
+    _assert_scans_equal(load_scans(tmp_path / "d3"), spatial)
+
+    # one point off the z = 0 plane keeps the whole dataset 3D
+    pts = np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 0.0], [2.0, 0.0, 0.0]])
+    off = pts.copy()
+    off[2, 2] = 1e-3
+    flat = [Scan(Pose(_rot3(a, 0.0), [a, 1.0, 0.0]), p) for a, p in ((0.3, pts), (1.2, off))]
+    save_scans(tmp_path / "off", flat)
+    back = load_scans(tmp_path / "off")
+    assert {s.pose.dim for s in back} == {3}
+    _assert_scans_equal(back, flat)
+
+
+def test_field_round_trip(tmp_path):
+    net = init_field(seed=6, dim=2, hidden=8, hidden_layers=2, encoding=default_encoding(3))
+    tf = SceneTransform(center=np.array([0.25, -3.5]), scale=4.125)
+    path = tmp_path / "net.bin"
+    save_field(path, net, tf)
+    assert (tmp_path / "net.bin.transform").read_text() == "center 0.25 -3.5\nscale 4.125\n"
+    back, back_tf = load_field(path)
+    assert np.array_equal(back.params, net.params)
+    assert np.array_equal(back_tf.center, tf.center) and back_tf.scale == tf.scale
+    (tmp_path / "net.bin.transform").write_text("center 0 0 0\nscale 1.0\n")
+    with pytest.raises(ValueError, match="3D transform for a 2D model"):
+        load_field(path)
+    (tmp_path / "net.bin.transform").unlink()
+    with pytest.raises(FileNotFoundError):
+        load_field(path)
 
 
 def test_model_round_trip_is_bit_exact(tmp_path):
