@@ -21,7 +21,7 @@ from . import field as field_mod
 from . import mcl as mcl_mod
 from . import meshing, scenes, storage
 from .__main__ import THREAD_VARS
-from .config import RunConfig, load_config
+from .config import RunConfig, parse_config
 from .geom import Aabb, Pose, Scan, SceneTransform, normalize_scene, to_world
 from .targets import SupervisionMode
 from .training import train
@@ -58,9 +58,8 @@ def _load_run_config(args) -> RunConfig:
         overrides["seed"] = args.seed
     if getattr(args, "mode", None) is not None:
         overrides["mode"] = args.mode
-    if args.config is not None:
-        return load_config(args.config, overrides)
-    return RunConfig(**overrides) if overrides else RunConfig()
+    text = Path(args.config).read_text() if args.config is not None else ""
+    return parse_config(text, overrides)
 
 
 def _write_csv(path, header: str, rows: list[str]) -> None:
@@ -451,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, mode_flag=False):
-        p.add_argument("--config", default=None, help="key=value run configuration file")
+        p.add_argument("--config", default=None,
+                       help="key=value run configuration file (keys: scanfield.config.KEYS)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=None, help="cap worker threads")
         if mode_flag:
@@ -474,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mesh", help="extract the zero isosurface of a model")
     common(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--res", type=int, default=None, help="cells per axis")
+    p.add_argument("--res", type=int, default=None,
+                   help="cells per axis (default: the config's mesh_res)")
     p.add_argument("--out", required=True, help="output PLY path")
     p.set_defaults(func=cmd_mesh)
 

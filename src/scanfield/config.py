@@ -4,18 +4,22 @@ One flat namespace covers every tunable the pipeline exposes; unknown keys
 are rejected so typos fail loudly instead of silently running defaults.
 Lines are `key = value`, blank, or `#` comments.
 
-A key's default and range check live in the module config that uses it
-(``LossWeights``, ``OptimConfig``, ``MclConfig``, ``ScannerConfig``).  The
-adapters below build those configs, and ``RunConfig`` builds each of them
-once on construction so their checks run.  Only the keys no module config
-owns (mode, encoding, network and the grid resolutions) are checked here,
-together with every key's type: int keys take ints, float keys ints or floats
-and ``mode`` a string, whether they come from text or from overrides.
+``KEYS`` is the one list of keys, in file order, with a unit or frame for
+each.  A key that a module config (``LossWeights``, ``OptimConfig``,
+``MclConfig``, ``ScannerConfig``) owns maps to ``(owner, field name)`` and
+takes its type, default and range check from that field; the adapters build
+each owner from its keys, and ``RunConfig`` builds each once on construction
+so their checks run.  A key that cli reads itself (mode, encoding, network and
+the grid resolutions) maps to ``(type, default)`` and is range-checked here.
+Every key's type is checked too: int keys take ints, float keys finite ints or
+floats (``trunc_band`` also ``inf``: no clamp) and ``mode`` a string, whether
+they come from text or from overrides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import fields, make_dataclass
 from pathlib import Path
 
 from .encoding import DEFAULT_BANDS, DEFAULT_BASE_FREQ
@@ -28,56 +32,65 @@ from .training import LossWeights, OptimConfig
 _MODES = {m.value for m in SupervisionMode}
 # Python types each declared key type accepts (bool is rejected everywhere).
 _ACCEPTS = {"int": (int,), "float": (int, float), "str": (str,)}
+_OWNERS = (LossWeights, OptimConfig, MclConfig, ScannerConfig)
 
-
-@dataclass(frozen=True)
-class RunConfig:
+# key -> (owning config, field name), or (type, default) for a key cli reads
+KEYS = {
     # positional encoding: band count; base frequency in rad per canonical unit
-    encoding_bands: int = DEFAULT_BANDS
-    encoding_base_freq: float = DEFAULT_BASE_FREQ
-    # network: hidden width and depth; first-layer sine factor (unitless)
-    hidden_width: int = DEFAULT_HIDDEN
-    hidden_layers: int = DEFAULT_LAYERS
-    first_layer_factor: float = DEFAULT_FIRST_FACTOR
+    "encoding_bands": ("int", DEFAULT_BANDS),
+    "encoding_base_freq": ("float", DEFAULT_BASE_FREQ),
+    # network: hidden width and depth (counts); first-layer sine factor (unitless)
+    "hidden_width": ("int", DEFAULT_HIDDEN),
+    "hidden_layers": ("int", DEFAULT_LAYERS),
+    "first_layer_factor": ("float", DEFAULT_FIRST_FACTOR),
     # ray sampling: samples per ray
-    samples_per_ray: int = OptimConfig.samples_per_ray
+    "samples_per_ray": (OptimConfig, "samples_per_ray"),
     # supervision: target mode; trunc_band is the target clamp tau in canonical
     # units, read only by training; weight_gamma is unitless
-    mode: str = "curvature"
-    trunc_band: float = LossWeights.tau
-    weight_gamma: float = LossWeights.gamma
+    "mode": ("str", "curvature"),
+    "trunc_band": (LossWeights, "tau"),
+    "weight_gamma": (LossWeights, "gamma"),
     # loss: unitless term weights; neighbours per sample for smoothness
-    endpoint_weight: float = LossWeights.endpoint
-    eikonal_weight: float = LossWeights.eikonal
-    smoothness_weight: float = LossWeights.smooth
-    smooth_neighbors: int = LossWeights.knn
-    # optimizer: the seed also drives network init, scan noise and particle draws
-    learn_rate: float = OptimConfig.lr
-    weight_decay: float = OptimConfig.weight_decay
-    epochs: int = OptimConfig.epochs
-    batch_rays: int = OptimConfig.batch_rays
-    seed: int = OptimConfig.seed
-    # scanner synthesis: fov in radians; max_range and scan_noise in world metres
-    beams: int = ScannerConfig.beams
-    fov: float = ScannerConfig.fov
-    max_range: float = ScannerConfig.max_range
-    scan_noise: float = ScannerConfig.noise_sigma
+    "endpoint_weight": (LossWeights, "endpoint"),
+    "eikonal_weight": (LossWeights, "eikonal"),
+    "smoothness_weight": (LossWeights, "smooth"),
+    "smooth_neighbors": (LossWeights, "knn"),
+    # optimizer: learning rate and weight decay unitless; epochs are passes
+    # over all rays; batch_rays is rays per step; the seed also drives network
+    # init, scan noise and particle draws
+    "learn_rate": (OptimConfig, "lr"),
+    "weight_decay": (OptimConfig, "weight_decay"),
+    "epochs": (OptimConfig, "epochs"),
+    "batch_rays": (OptimConfig, "batch_rays"),
+    "seed": (OptimConfig, "seed"),
+    # scanner synthesis: beams a count; fov in radians; max_range and
+    # scan_noise in world metres
+    "beams": (ScannerConfig, "beams"),
+    "fov": (ScannerConfig, "fov"),
+    "max_range": (ScannerConfig, "max_range"),
+    "scan_noise": (ScannerConfig, "noise_sigma"),
     # resolutions: cells per axis of the mesh grid (canonical cube) and of the
     # 2D localization field grid (world map box)
-    mesh_res: int = 256
-    field_grid_res: int = 256
-    # localization: conv_std, the translation gate, sigma_z and the translation
-    # odometry noise in world metres; the rotation gate and noise in radians
-    mcl_particles: int = MclConfig.n_particles
-    mcl_conv_std: float = MclConfig.conv_std
-    mcl_gate_trans: float = MclConfig.gate_trans
-    mcl_gate_rot: float = MclConfig.gate_rot
-    mcl_sigma_z: float = MclConfig.sigma_z
-    mcl_runs: int = MclConfig.runs
-    mcl_odom_trans_base: float = MclConfig.odom_trans_base
-    mcl_odom_trans_frac: float = MclConfig.odom_trans_frac
-    mcl_odom_rot_base: float = MclConfig.odom_rot_base
-    mcl_odom_rot_frac: float = MclConfig.odom_rot_frac
+    "mesh_res": ("int", 256),
+    "field_grid_res": ("int", 256),
+    # localization: particles and runs are counts; conv_std, the translation
+    # gate, sigma_z and the translation odometry noise in world metres; the
+    # rotation gate and noise in radians
+    "mcl_particles": (MclConfig, "n_particles"),
+    "mcl_conv_std": (MclConfig, "conv_std"),
+    "mcl_gate_trans": (MclConfig, "gate_trans"),
+    "mcl_gate_rot": (MclConfig, "gate_rot"),
+    "mcl_sigma_z": (MclConfig, "sigma_z"),
+    "mcl_runs": (MclConfig, "runs"),
+    "mcl_odom_trans_base": (MclConfig, "odom_trans_base"),
+    "mcl_odom_trans_frac": (MclConfig, "odom_trans_frac"),
+    "mcl_odom_rot_base": (MclConfig, "odom_rot_base"),
+    "mcl_odom_rot_frac": (MclConfig, "odom_rot_frac"),
+}
+
+
+class _RunConfigBase:
+    """Checks and adapters of ``RunConfig``, whose fields ``KEYS`` sets."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -92,57 +105,41 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive")
         if self.mesh_res < 2 or self.field_grid_res < 2:
             raise ValueError("grid resolutions must be at least 2")
-        for adapter in (self.loss_weights, self.optim, self.mcl, self.scanner):
-            adapter()
-
-    # --- adapters into the per-module config types -------------------------
+        for owner in _OWNERS:
+            self._build(owner)
+        # Last, so that values rejected above keep their message.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (f.type == "float" and not math.isfinite(value)
+                    and (f.name, value) != ("trunc_band", math.inf)):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
 
     def supervision_mode(self) -> SupervisionMode:
         return SupervisionMode(self.mode)
 
+    def _build(self, owner):
+        return owner(**{name: getattr(self, key) for key, (row_owner, name) in KEYS.items()
+                        if row_owner is owner})
+
     def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            endpoint=self.endpoint_weight,
-            eikonal=self.eikonal_weight,
-            smooth=self.smoothness_weight,
-            gamma=self.weight_gamma,
-            tau=self.trunc_band,
-            knn=self.smooth_neighbors,
-        )
+        return self._build(LossWeights)
 
     def optim(self) -> OptimConfig:
-        return OptimConfig(
-            lr=self.learn_rate,
-            weight_decay=self.weight_decay,
-            epochs=self.epochs,
-            batch_rays=self.batch_rays,
-            seed=self.seed,
-            samples_per_ray=self.samples_per_ray,
-        )
+        return self._build(OptimConfig)
 
     def mcl(self) -> MclConfig:
-        return MclConfig(
-            n_particles=self.mcl_particles,
-            conv_std=self.mcl_conv_std,
-            gate_trans=self.mcl_gate_trans,
-            gate_rot=self.mcl_gate_rot,
-            sigma_z=self.mcl_sigma_z,
-            odom_trans_base=self.mcl_odom_trans_base,
-            odom_trans_frac=self.mcl_odom_trans_frac,
-            odom_rot_base=self.mcl_odom_rot_base,
-            odom_rot_frac=self.mcl_odom_rot_frac,
-            runs=self.mcl_runs,
-        )
+        return self._build(MclConfig)
 
     def scanner(self) -> ScannerConfig:
-        return ScannerConfig(
-            beams=self.beams,
-            fov=self.fov,
-            max_range=self.max_range,
-            noise_sigma=self.scan_noise,
-        )
+        return self._build(ScannerConfig)
 
 
+# (type, default) of every owned field, by (owner, field name) as KEYS names it
+_OWNED = {(owner, f.name): (f.type, f.default) for owner in _OWNERS for f in fields(owner)}
+RunConfig = make_dataclass(
+    "RunConfig", [(key, *_OWNED.get(row, row)) for key, row in KEYS.items()],
+    bases=(_RunConfigBase,), frozen=True, namespace={"__module__": __name__},
+)
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
@@ -182,4 +179,3 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     return parse_config(Path(path).read_text(), overrides)
-

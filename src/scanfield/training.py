@@ -18,8 +18,9 @@ elementwise to the flat parameter vector.
 Positions, distances and the target clamp tau are in the canonical frame
 that ``geom.normalize_scene`` maps the scene into.  ``LossWeights`` and
 ``OptimConfig`` hold the only defaults and range checks of these settings;
-``config.RunConfig`` takes its defaults from them and builds them to check
-its keys.
+``config.KEYS`` maps one config key to each of their fields, and
+``config.RunConfig`` takes its types and defaults from them and builds them
+to check its keys.
 """
 
 from __future__ import annotations

@@ -413,3 +413,19 @@ def test_threads_flag_warns_when_it_cannot_act(tiny, monkeypatch, capsys):
         monkeypatch.setenv(var, "1")
     assert run(*argv, "--out", tmp / "quiet") == 0
     assert "warning:" not in capsys.readouterr().err
+
+
+def test_non_finite_config_value_exits_2(tiny, capsys):
+    tmp, cfg, scene2 = tiny
+    data = tmp / "data"
+    assert run("synth", "--scene", scene2, "--traj", "orbit:radius=3,steps=4",
+               "--out", data, "--config", cfg) == 0
+    bad = tmp / "bad.cfg"
+    for line in ("scan_noise = nan", "trunc_band = nan", "mcl_conv_std = inf"):
+        bad.write_text(TINY_CFG + line + "\n")
+        capsys.readouterr()
+        assert run("synth", "--scene", scene2, "--traj", "orbit:radius=3,steps=4",
+                   "--out", tmp / "d2", "--config", bad) == 2
+        assert run("train", "--scans", data, "--out", tmp / "m.bin", "--config", bad) == 2
+        assert run("localize", "--scene", scene2, "--data", data, "--config", bad) == 2
+        assert capsys.readouterr().err.count(f"{line.split()[0]} must be finite") == 3

@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
 
-from scanfield.config import RunConfig, load_config, parse_config
+from scanfield.config import KEYS, RunConfig, load_config, parse_config
 from scanfield.mcl import MclConfig
 from scanfield.scenes import ScannerConfig
 from scanfield.targets import SupervisionMode
@@ -123,3 +124,64 @@ def test_adapters_carry_values():
         after = _adapters(replace(base, **{f.name: _other_valid_value(getattr(base, f.name))}))
         changed = [name for name in before if after[name] != before[name]]
         assert len(changed) == (0 if f.name in CLI_KEYS else 1), f"{f.name} reaches {changed}"
+
+
+# The config format: every key with its type and default, in file order.
+KEY_SURFACE = [
+    ("encoding_bands", "int", 30),
+    ("encoding_base_freq", "float", math.pi),
+    ("hidden_width", "int", 128),
+    ("hidden_layers", "int", 4),
+    ("first_layer_factor", "float", 30.0),
+    ("samples_per_ray", "int", 40),
+    ("mode", "str", "curvature"),
+    ("trunc_band", "float", 0.2),
+    ("weight_gamma", "float", 3.0),
+    ("endpoint_weight", "float", 0.1),
+    ("eikonal_weight", "float", 1e-4),
+    ("smoothness_weight", "float", 0.001),
+    ("smooth_neighbors", "int", 4),
+    ("learn_rate", "float", 1e-4),
+    ("weight_decay", "float", 0.01),
+    ("epochs", "int", 10),
+    ("batch_rays", "int", 512),
+    ("seed", "int", 0),
+    ("beams", "int", 64),
+    ("fov", "float", 2.0 * math.pi),
+    ("max_range", "float", 100.0),
+    ("scan_noise", "float", 0.0),
+    ("mesh_res", "int", 256),
+    ("field_grid_res", "int", 256),
+    ("mcl_particles", "int", 10_000),
+    ("mcl_conv_std", "float", 0.3),
+    ("mcl_gate_trans", "float", 0.05),
+    ("mcl_gate_rot", "float", 0.1),
+    ("mcl_sigma_z", "float", 0.1),
+    ("mcl_runs", "int", 5),
+    ("mcl_odom_trans_base", "float", 0.01),
+    ("mcl_odom_trans_frac", "float", 0.01),
+    ("mcl_odom_rot_base", "float", 0.002),
+    ("mcl_odom_rot_frac", "float", 0.01),
+]
+
+
+def test_key_surface_is_pinned():
+    assert list(KEYS) == [name for name, _, _ in KEY_SURFACE]
+    assert [(f.name, f.type, f.default) for f in fields(RunConfig)] == KEY_SURFACE
+
+
+def test_every_owner_field_has_exactly_one_key():
+    owned = Counter(row for row in KEYS.values() if not isinstance(row[0], str))
+    expected = Counter((owner, f.name) for owner in (LossWeights, OptimConfig, MclConfig, ScannerConfig)
+                       for f in fields(owner))
+    assert owned == expected
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(RunConfig) if f.type == "float"])
+def test_float_keys_reject_non_finite_values(key):
+    for raw in ("nan", "inf", "-inf"):
+        if (key, raw) == ("trunc_band", "inf"):  # documented as "no clamp"
+            assert parse_config(f"{key} = {raw}\n").loss_weights().tau == math.inf
+            continue
+        with pytest.raises(ValueError):
+            parse_config(f"{key} = {raw}\n")
