@@ -18,7 +18,9 @@ from scanfield.training import LossWeights
 
 def run_mode(scene, positions, endpoints, mode):
     vals, grads, hess = scene.jet(positions)
-    return compute_targets(mode, vals, grads, hess, positions, endpoints,
+    # The curvature target reads two contractions of the Hessian: tr H and gᵀHg.
+    hessian_terms = (np.einsum("sii->s", hess), np.einsum("si,sij,sj->s", grads, hess, grads))
+    return compute_targets(mode, vals, grads, hessian_terms, positions, endpoints,
                            tau=LossWeights.tau, gamma=LossWeights.gamma)
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import fields, make_dataclass
-from pathlib import Path
 
 from .encoding import DEFAULT_BANDS, DEFAULT_BASE_FREQ
 from .field import DEFAULT_FIRST_FACTOR, DEFAULT_HIDDEN, DEFAULT_LAYERS
@@ -175,7 +174,3 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                 raise ValueError(f"unknown config key {key!r}")
             values[key] = val
     return RunConfig(**values)
-
-
-def load_config(path, overrides: dict | None = None) -> RunConfig:
-    return parse_config(Path(path).read_text(), overrides)

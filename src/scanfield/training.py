@@ -214,15 +214,16 @@ def batch_loss(
     if batch.positions.shape[0] == 0:
         raise ValueError("empty batch")
     if mode is SupervisionMode.CURVATURE_CONSTRAINED:
-        vals, grads, hess = field_mod.jet_batch(net, batch.positions)
+        vals, grads, trace, ghg = field_mod.jet_batch(net, batch.positions)
+        hessian_terms = (trace, ghg)
     else:
         vals, grads = field_mod.grad_batch(net, batch.positions)
-        hess = None
+        hessian_terms = None
     targets = compute_targets(
         mode,
         vals,
         grads,
-        hess,
+        hessian_terms,
         batch.positions,
         batch.sample_endpoints,
         tau=w.tau,

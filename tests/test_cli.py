@@ -5,14 +5,17 @@ compare) through main() with configs small enough for CI; full-scale runs
 live in the acceptance suite.
 """
 
+import ctypes
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from scanfield import __main__ as launcher
 from scanfield import cli, field
 from scanfield.__main__ import THREAD_VARS
 from scanfield.cli import main, trajectory_poses
@@ -392,6 +395,36 @@ def test_threads_flag_caps_blas_threads(tiny):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "1"
+
+
+def test_launcher_sets_malloc_thresholds(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(launcher.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    launcher.keep_freed_memory()
+    assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
+    assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_c_library, lambda name: SimpleNamespace()],
+                         ids=["no-library", "no-mallopt"])
+def test_launcher_runs_without_mallopt(tiny, monkeypatch, cdll):
+    # The allocator setting is best effort: a C library that cannot be
+    # loaded, or one without mallopt, leaves the command to run as before.
+    tmp, cfg, scene2 = tiny
+    monkeypatch.setattr(launcher.ctypes, "CDLL", cdll)
+    argv = ["synth", "--scene", scene2, "--traj", "orbit:radius=2,steps=2", "--config", cfg,
+            "--out", tmp / "d"]
+    assert launcher.main([str(a) for a in argv]) == 0
+    assert len(load_scans(tmp / "d")) == 2
 
 
 def test_threads_flag_warns_when_it_cannot_act(tiny, monkeypatch, capsys):

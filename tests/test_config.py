@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from scanfield.config import KEYS, RunConfig, load_config, parse_config
+from scanfield.config import KEYS, RunConfig, parse_config
 from scanfield.mcl import MclConfig
 from scanfield.scenes import ScannerConfig
 from scanfield.targets import SupervisionMode
@@ -63,13 +63,6 @@ def test_overrides_dict():
     assert cfg.seed == 9 and cfg.epochs == 5 and cfg.mode == "ray"
     with pytest.raises(ValueError, match="unknown"):
         parse_config("", overrides={"nope": 1})
-
-
-def test_load_config(tmp_path):
-    p = tmp_path / "run.cfg"
-    p.write_text("beams = 48\nscan_noise = 0.02\n")
-    cfg = load_config(p)
-    assert cfg.beams == 48 and cfg.scan_noise == 0.02
 
 
 # Keys that cli reads itself (network init, mesh and MCL grids) instead of

@@ -172,6 +172,16 @@ def test_sincos_fallback_is_libm_exactly():
     assert [str(w.message) for w in got_warnings] == [str(w.message) for w in ref_warnings]
 
 
+def test_sine_alone_is_the_pair_sine():
+    rng = np.random.default_rng(7)
+    x = np.concatenate([rng.uniform(-3000.0, 3000.0, 10**5), [1e4, -3e5, 1e300, np.inf, np.nan]])
+    with np.errstate(invalid="ignore"):
+        s, c = sincos(x)
+        s_only, none = sincos(x, with_cos=False)
+    assert none is None
+    assert np.array_equal(s_only, s, equal_nan=True)
+
+
 def test_sincos_rows_do_not_depend_on_their_block():
     rng = np.random.default_rng(6)
     block = rng.uniform(-60.0, 60.0, (256, 64))

@@ -12,6 +12,7 @@ from scanfield.field import (
     init_field,
     jet_batch,
 )
+from scanfield.targets import SupervisionMode, compute_targets
 
 
 def test_default_parameter_count():
@@ -97,7 +98,7 @@ def test_value_track_independent_of_order():
     pts = rng.uniform(-1, 1, size=(32, 2))
     v0 = evaluate_batch(net, pts)
     v1, g1 = grad_batch(net, pts)
-    v2, g2, _ = jet_batch(net, pts)
+    v2, g2, _, _ = jet_batch(net, pts)
     assert np.array_equal(v0, v1)
     assert np.array_equal(v0, v2)
     assert np.array_equal(g1, g2)
@@ -110,15 +111,16 @@ def test_chunking_is_invisible(monkeypatch):
     vbar = rng.normal(size=33)
     gbar = rng.normal(size=(33, 2))
     ref_v = evaluate_batch(net, pts)
-    vb, gb, hb = jet_batch(net, pts)
+    vb, gb, tb, qb = jet_batch(net, pts)
     ref_p = [backprop(net, pts, vbar, g) for g in (gbar, None)]
     for block in (5, 7):
         monkeypatch.setattr(field, "BLOCK", block)
         np.testing.assert_allclose(evaluate_batch(net, pts), ref_v, rtol=1e-13, atol=1e-14)
-        va, ga, ha = jet_batch(net, pts)
+        va, ga, ta, qa = jet_batch(net, pts)
         np.testing.assert_allclose(va, vb, rtol=1e-13, atol=1e-14)
         np.testing.assert_allclose(ga, gb, rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(ha, hb, rtol=1e-11, atol=1e-12)
+        np.testing.assert_allclose(ta, tb, rtol=1e-11, atol=1e-12)
+        np.testing.assert_allclose(qa, qb, rtol=1e-11, atol=1e-12)
         # backprop keeps its forward record and gradient sum for one block
         # only; the sum over blocks must not depend on where the blocks end.
         for g, pb in zip((gbar, None), ref_p):
@@ -128,41 +130,47 @@ def test_chunking_is_invisible(monkeypatch):
 def test_jet_matches_finite_differences():
     # The analytic jet is exact; central differences carry truncation error
     # ~ (omega_eff * h)^2 / 6, so the check uses moderate frequencies where
-    # that error sits well below the tolerance.  Relative error is norm-based
-    # per point (elementwise ratios blow up on near-zero components).
-    net = init_field(
-        seed=11, dim=3, hidden=24, hidden_layers=3,
-        encoding=default_encoding(3), first_factor=1.0,
-    )
-    rng = np.random.default_rng(12)
-    pts = rng.uniform(-1, 1, size=(20, 3))
-    vals, grads, hess = jet_batch(net, pts)
-    assert np.allclose(hess, np.swapaxes(hess, 1, 2))
+    # that error sits well below the tolerance.  Errors are norm-based per
+    # point (elementwise ratios blow up on near-zero components): tr H and
+    # gᵀHg against the same contractions of the finite-difference Hessian,
+    # relative to its norm (times |g|² for gᵀHg).
     h = 1e-3
-    g_fd = np.zeros_like(grads)
-    h_fd = np.zeros_like(hess)
-    for j in range(3):
-        step = np.zeros(3)
-        step[j] = h
-        vp = evaluate_batch(net, pts + step)
-        vm = evaluate_batch(net, pts - step)
-        g_fd[:, j] = (vp - vm) / (2 * h)
-        h_fd[:, j, j] = (vp - 2 * vals + vm) / h**2
-        for k in range(j + 1, 3):
-            stepk = np.zeros(3)
-            stepk[k] = h
-            cross = (
-                evaluate_batch(net, pts + step + stepk)
-                - evaluate_batch(net, pts + step - stepk)
-                - evaluate_batch(net, pts - step + stepk)
-                + evaluate_batch(net, pts - step - stepk)
-            ) / (4 * h * h)
-            h_fd[:, j, k] = h_fd[:, k, j] = cross
-    for i in range(pts.shape[0]):
-        ge = np.linalg.norm(grads[i] - g_fd[i]) / np.linalg.norm(g_fd[i])
-        he = np.linalg.norm(hess[i] - h_fd[i]) / np.linalg.norm(h_fd[i])
-        assert ge < 1e-4, (i, ge)
-        assert he < 1e-4, (i, he)
+    for dim in (2, 3):
+        net = init_field(
+            seed=11, dim=dim, hidden=24, hidden_layers=3,
+            encoding=default_encoding(3), first_factor=1.0,
+        )
+        rng = np.random.default_rng(12)
+        pts = rng.uniform(-1, 1, size=(20, dim))
+        vals, grads, trace, ghg = jet_batch(net, pts)
+        g_fd = np.zeros_like(grads)
+        h_fd = np.zeros((20, dim, dim))
+        for j in range(dim):
+            step = np.zeros(dim)
+            step[j] = h
+            vp = evaluate_batch(net, pts + step)
+            vm = evaluate_batch(net, pts - step)
+            g_fd[:, j] = (vp - vm) / (2 * h)
+            h_fd[:, j, j] = (vp - 2 * vals + vm) / h**2
+            for k in range(j + 1, dim):
+                stepk = np.zeros(dim)
+                stepk[k] = h
+                cross = (
+                    evaluate_batch(net, pts + step + stepk)
+                    - evaluate_batch(net, pts + step - stepk)
+                    - evaluate_batch(net, pts - step + stepk)
+                    + evaluate_batch(net, pts - step - stepk)
+                ) / (4 * h * h)
+                h_fd[:, j, k] = h_fd[:, k, j] = cross
+        trace_fd, ghg_fd = _contract(grads, h_fd)
+        for i in range(pts.shape[0]):
+            scale = np.linalg.norm(h_fd[i])
+            ge = np.linalg.norm(grads[i] - g_fd[i]) / np.linalg.norm(g_fd[i])
+            te = abs(trace[i] - trace_fd[i]) / scale
+            qe = abs(ghg[i] - ghg_fd[i]) / (scale * (grads[i] @ grads[i]))
+            assert ge < 1e-4, (dim, i, ge)
+            assert te < 1e-4, (dim, i, te)
+            assert qe < 1e-4, (dim, i, qe)
 
 
 def _perturbed(net, k, h):
@@ -217,12 +225,13 @@ def test_jet_one_row_matches_batch():
     # agree to rounding (tolerances of test_chunking_is_invisible).
     net = init_field(seed=4, dim=2, hidden=8, hidden_layers=2, encoding=default_encoding(3))
     pts = np.array([[0.25, -0.5], [0.1, 0.7], [-0.3, 0.2]])
-    v, g, h = jet_batch(net, pts)
+    v, g, t, q = jet_batch(net, pts)
     for i in range(pts.shape[0]):
-        vi, gi, hi = jet_batch(net, pts[i : i + 1])
+        vi, gi, ti, qi = jet_batch(net, pts[i : i + 1])
         np.testing.assert_allclose(vi[0], v[i], rtol=1e-13, atol=1e-14)
         np.testing.assert_allclose(gi[0], g[i], rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(hi[0], h[i], rtol=1e-11, atol=1e-12)
+        np.testing.assert_allclose(ti[0], t[i], rtol=1e-11, atol=1e-12)
+        np.testing.assert_allclose(qi[0], q[i], rtol=1e-11, atol=1e-12)
 
 
 def _full_square_forward(net, x):
@@ -256,19 +265,52 @@ def _full_square_forward(net, x):
     return a[:, 0], da[:, :, 0], d2a[:, :, :, 0]
 
 
+def _contract(grads, hess):
+    return np.einsum("sii->s", hess), np.einsum("si,sij,sj->s", grads, hess, grads)
+
+
+def _assert_close_to_max(new, ref, rel):
+    # The contractions are sums of terms of either sign, so their rounding is
+    # relative to the largest of them, not to each entry.
+    assert np.max(np.abs(new - ref)) <= rel * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("dim", [2, 3])
-def test_upper_triangle_hessian_matches_full_square(dim):
-    # 64 rows keep every BLAS row count (64 * m(m+1)/2 and 64 * m * m) a
-    # multiple of the kernel unroll, so no row lands in an edge kernel and
-    # the two layouts round identically.
-    net = init_field(seed=6, dim=dim, hidden=32, hidden_layers=3, encoding=default_encoding(5))
+def test_hessian_terms_match_full_square(dim):
+    # 64 rows keep every BLAS row count a multiple of the kernel unroll, so
+    # no row lands in an edge kernel and the value and gradient tracks round
+    # as in the oracle.  tr H and gᵀHg come from the Laplacian and directional
+    # slabs, not from the oracle's m * m Hessian, so they agree to rounding.
+    net = init_field(seed=6, dim=dim)
     pts = np.random.default_rng(7).uniform(-1, 1, size=(64, dim))
-    vals, grads, hess = jet_batch(net, pts)
+    vals, grads, trace, ghg = jet_batch(net, pts)
     v_ref, g_ref, h_ref = _full_square_forward(net, pts)
     assert np.array_equal(vals, v_ref)
     assert np.array_equal(grads, g_ref)
-    assert np.array_equal(hess, h_ref)
-    assert np.array_equal(hess, np.swapaxes(hess, 1, 2))
+    for new, ref in zip((trace, ghg), _contract(g_ref, h_ref)):
+        _assert_close_to_max(new, ref, 1e-13)
+
+
+def test_curvature_targets_match_full_square():
+    # On the default 3D net the contractions' rounding must not move a
+    # fallback decision or a target: same degenerate mask as with the
+    # oracle's Hessians, d_hat within 1e-12.  Endpoints lie roughly along
+    # the field's normal, at distances of the order of its curvature radii
+    # (a few hundredths at init), so both outcomes occur.
+    net = init_field(seed=23, dim=3)
+    rng = np.random.default_rng(24)
+    pts = rng.uniform(-1, 1, size=(2085, 3))
+    vals, grads, trace, ghg = jet_batch(net, pts)
+    v_ref, g_ref, h_ref = _full_square_forward(net, pts)
+    dirs = -grads / np.linalg.norm(grads, axis=1)[:, None] + 0.7 * rng.normal(size=(2085, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    ends = pts + rng.uniform(0.002, 0.1, size=(2085, 1)) * dirs
+    mode = SupervisionMode.CURVATURE_CONSTRAINED
+    new = compute_targets(mode, vals, grads, (trace, ghg), pts, ends, tau=0.2, gamma=3.0)
+    ref = compute_targets(mode, v_ref, g_ref, _contract(g_ref, h_ref), pts, ends, tau=0.2, gamma=3.0)
+    assert 0 < np.count_nonzero(ref.degenerate) < ref.degenerate.size
+    assert np.array_equal(new.degenerate, ref.degenerate)
+    np.testing.assert_allclose(new.d_hat, ref.d_hat, rtol=0.0, atol=1e-12)
 
 
 # The field passes as they were with 2,048-row chunks (8,192 for values) and a
@@ -437,8 +479,11 @@ def test_row_blocks_match_old_chunking(dim, rows, kwargs):
     assert np.array_equal(evaluate_batch(net, pts), value)
     for new, old in zip(grad_batch(net, pts), grad):
         assert np.array_equal(new, old)
-    for new, old in zip(jet_batch(net, pts), jet):
+    new_jet = jet_batch(net, pts)
+    for new, old in zip(new_jet[:2], jet[:2]):
         assert np.array_equal(new, old)
+    for new, old in zip(new_jet[2:], _contract(jet[1], jet[2])):
+        _assert_close_to_max(new, old, 1e-13)
     for g, old in zip((gbar, None), grads):
         new = backprop(net, pts, vbar, g)
         for new_layer, old_layer in zip(net.layers(new), net.layers(old)):

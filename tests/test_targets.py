@@ -55,6 +55,13 @@ def curvature_distance(r, endpoint, x, n_unit):
     return float(r - np.sqrt(max(radicand, 0.0)))
 
 
+def hessian_terms(gradients, hessians):
+    """(tr H, gᵀHg) per row: what compute_targets takes in place of the
+    (S, m, m) Hessians, as field.jet_batch returns them for the network."""
+    h = np.asarray(hessians, dtype=np.float64)
+    return np.einsum("sii->s", h), np.einsum("si,sij,sj->s", gradients, h, gradients)
+
+
 def sample_weight(d_pred_abs, d_max, gamma):
     """Emphasis weight (d_max - |D|)^gamma, zero at the batch's largest |D|."""
     return float(max(d_max - d_pred_abs, 0.0) ** gamma)
@@ -103,7 +110,8 @@ def _sphere_level_jet(dist, m):
 
 def _one(mode, g, h, x, e, value=0.0, tau=0.2):
     """compute_targets on a one-row batch."""
-    return compute_targets(mode, np.array([value]), np.asarray(g)[None], np.asarray(h)[None],
+    g = np.asarray(g, dtype=np.float64)[None]
+    return compute_targets(mode, np.array([value]), g, hessian_terms(g, np.asarray(h)[None]),
                            np.asarray(x, dtype=np.float64)[None], np.asarray(e)[None],
                            tau=tau, gamma=3.0)
 
@@ -204,7 +212,8 @@ def test_curvature_distance_exact_on_concentric_levels():
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         e = center + v  # any surface point
         vals, g, h = scene.jet(x)
-        tb = compute_targets(SupervisionMode.CURVATURE_CONSTRAINED, vals, g, h, x, e, tau=np.inf, gamma=3.0)
+        tb = compute_targets(SupervisionMode.CURVATURE_CONSTRAINED, vals, g, hessian_terms(g, h), x, e,
+                             tau=np.inf, gamma=3.0)
         assert not np.any(tb.degenerate)
         np.testing.assert_allclose(tb.d_hat, rho - 1.0, rtol=0.0, atol=1e-9)
 
@@ -216,11 +225,11 @@ def test_curvature_matches_projection_in_flat_limit():
     x = rng.normal(size=(200, 3))
     e = x + rng.uniform(0.1, 1.0, size=(200, 1)) * rng.normal(size=(200, 3))
     g = np.tile([0.0, 0.0, -1.0], (200, 1))  # normal +z
-    h = np.zeros((200, 3, 3))
+    flat = (np.zeros(200), np.zeros(200))  # tr H and gᵀHg of a zero Hessian
     vals = np.zeros(200)
     d = np.linalg.norm(e - x, axis=1)
-    cd = compute_targets(SupervisionMode.CURVATURE_CONSTRAINED, vals, g, h, x, e, tau=np.inf, gamma=3.0)
-    dcn = compute_targets(SupervisionMode.CLOSEST_NORMAL, vals, g, h, x, e, tau=np.inf, gamma=3.0)
+    cd = compute_targets(SupervisionMode.CURVATURE_CONSTRAINED, vals, g, flat, x, e, tau=np.inf, gamma=3.0)
+    dcn = compute_targets(SupervisionMode.CLOSEST_NORMAL, vals, g, None, x, e, tau=np.inf, gamma=3.0)
     np.testing.assert_array_equal(cd.degenerate, dcn.degenerate)
     assert np.all(np.abs(cd.d_hat - dcn.d_hat) < 1e-3 * d)
 
@@ -276,7 +285,7 @@ def test_compute_targets_matches_scalar_loop():
     h = a + np.swapaxes(a, 1, 2)
     d_max = float(np.max(np.abs(vals)))
     for mode in SupervisionMode:
-        batch = compute_targets(mode, vals, g, h, x, e, tau=0.2, gamma=3.0)
+        batch = compute_targets(mode, vals, g, hessian_terms(g, h), x, e, tau=0.2, gamma=3.0)
         for i in range(s):
             d_hat, weight, roc_query = estimate_sample(
                 mode, vals[i], g[i], h[i], e[i], x[i], d_max
@@ -307,7 +316,7 @@ def test_negative_estimates_fall_back_to_ray():
     h = a + np.swapaxes(a, 1, 2)
     ray_d = np.linalg.norm(e - x, axis=1)
     for mode in (SupervisionMode.CLOSEST_NORMAL, SupervisionMode.CURVATURE_CONSTRAINED):
-        batch = compute_targets(mode, vals, g, h, x, e, tau=0.2, gamma=3.0)
+        batch = compute_targets(mode, vals, g, hessian_terms(g, h), x, e, tau=0.2, gamma=3.0)
         assert np.any(batch.degenerate)
         np.testing.assert_allclose(
             batch.d_hat[batch.degenerate], np.clip(ray_d[batch.degenerate], 0.0, 0.2)
@@ -320,8 +329,7 @@ def test_compute_targets_weights_use_batch_max():
     e = np.tile([0.1, 0.0], (3, 1))
     vals = np.array([0.0, 1.0, 2.0])
     g = np.tile([-1.0, 0.0], (3, 1))
-    h = np.zeros((3, 2, 2))
-    batch = compute_targets(SupervisionMode.RAY_DISTANCE, vals, g, h, x, e, tau=0.2, gamma=3.0)
+    batch = compute_targets(SupervisionMode.RAY_DISTANCE, vals, g, None, x, e, tau=0.2, gamma=3.0)
     np.testing.assert_allclose(batch.weight, [8.0, 1.0, 0.0])
 
 
@@ -331,7 +339,7 @@ def test_compute_targets_rejects_empty():
             SupervisionMode.RAY_DISTANCE,
             np.zeros(0),
             np.zeros((0, 2)),
-            np.zeros((0, 2, 2)),
+            None,
             np.zeros((0, 2)),
             np.zeros((0, 2)),
             tau=0.2,

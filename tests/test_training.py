@@ -51,8 +51,9 @@ def test_neighbor_pairs_shape_and_content():
 def exact_loss(scene, batch, w, mode):
     """Loss breakdown with the scene's exact jet standing in for a trained net."""
     vals, grads, hess = scene.jet(batch.positions)
+    hessian_terms = (np.einsum("sii->s", hess), np.einsum("si,sij,sj->s", grads, hess, grads))
     targets = compute_targets(
-        mode, vals, grads, hess, batch.positions, batch.sample_endpoints, tau=w.tau, gamma=w.gamma
+        mode, vals, grads, hessian_terms, batch.positions, batch.sample_endpoints, tau=w.tau, gamma=w.gamma
     )
     pairs = neighbor_pairs(batch.positions, w.knn)
     bd, _, _, _ = loss_terms(vals, grads, scene.sdf(batch.endpoints), targets, pairs, w)
@@ -139,9 +140,9 @@ def test_loss_gradients_match_finite_differences():
     # from the unperturbed net and differentiate only the loss pieces.
     from scanfield.field import jet_batch
 
-    vals0, grads0, hess0 = jet_batch(net, batch.positions)
+    vals0, grads0, trace0, ghg0 = jet_batch(net, batch.positions)
     tg = compute_targets(
-        mode, vals0, grads0, hess0, batch.positions, batch.sample_endpoints, tau=w.tau, gamma=w.gamma
+        mode, vals0, grads0, (trace0, ghg0), batch.positions, batch.sample_endpoints, tau=w.tau, gamma=w.gamma
     )
     pairs = neighbor_pairs(batch.positions, w.knn)
 
