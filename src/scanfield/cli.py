@@ -5,6 +5,10 @@ are CSV tables (stdout and/or --out), PLY meshes, datasets and models.  A
 dataset is a directory of ``poses.txt`` plus ``scan_*.bin`` files; a model is
 a checkpoint plus its ``<checkpoint>.transform`` sidecar.  ``storage`` reads
 and writes both.
+Every scored field is one map over one region: world-frame values and
+gradients over the scanned cube that ``normalize_scene`` fit around the scans.
+``eval-sdf`` and ``compare`` score a band around every primitive inside it;
+``localize`` spreads its particles over it, for a model and a ``--scene`` alike.
 Exit codes: 0 success, 2 validation/usage error, 1 other failures.
 """
 
@@ -27,7 +31,8 @@ from .targets import SupervisionMode
 from .training import train
 
 # Half-width of the near-surface band that eval-sdf and compare score, in
-# world metres.
+# world metres: points this close to a primitive, planes included, inside the
+# scanned cube padded by the band.
 EVAL_BAND = 0.2
 
 MODE_LABELS = {
@@ -69,12 +74,6 @@ def _write_csv(path, header: str, rows: list[str]) -> None:
     else:
         Path(path).write_text(text)
         sys.stdout.write(text)
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return "-"
-    return repr(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +214,52 @@ def cmd_train(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# field wrappers
+# scoring: one map and one region per scored field
 
 
-def _world_field(net, tf):
-    def field(points):
+def _world_map(net, tf: SceneTransform):
+    """World-frame ``values`` and ``gradients`` of a model, and its scanned cube."""
+
+    def values(points):
         return tf.scale * field_mod.evaluate_batch(net, tf.to_canonical(points))
 
-    return field
+    def gradients(points):
+        _, g = field_mod.grad_batch(net, tf.to_canonical(points))
+        return g  # world gradient: scale cancels against the chain rule
+
+    return values, gradients, tf.cube
 
 
-def _world_box(tf: SceneTransform) -> Aabb:
-    return Aabb(tf.center - tf.scale, tf.center + tf.scale)
+def _band_points(scene, box: Aabb, band: float, count: int, seed: int) -> np.ndarray:
+    if count < 1:
+        raise ValueError(f"--samples must be >= 1, got {count}")
+    if not (np.isfinite(band) and band > 0.0):
+        raise ValueError(f"--band must be positive and finite, got {band}")
+    return scenes.band_sample(scene, box, band, count, np.random.default_rng(seed))
+
+
+def _sdf_errors(values, scene, pts: np.ndarray) -> tuple[float, float]:
+    """Mean absolute and root-mean-square error of ``values`` against the scene's SDF."""
+    err = np.asarray(values(pts), dtype=np.float64) - scene.sdf(pts)
+    return float(np.mean(np.abs(err))), float(np.sqrt(np.mean(err * err)))
+
+
+def _mcl_score(values, box: Aabb, traj: np.ndarray, scans: list[Scan], cfg: RunConfig):
+    """Seeded MCL runs on a ``field_grid_res`` grid of ``values`` over ``box``,
+    and their metrics against the planar poses ``traj`` of ``scans``."""
+    grid = mcl_mod.SampledField2D.from_field(values, box, cfg.field_grid_res)
+    mcl_cfg = cfg.mcl()
+    deltas = mcl_mod.relative_deltas(traj)
+    scans_xy = [s.points for s in scans]
+    results = [mcl_mod.localize_run(grid, box, deltas, scans_xy, mcl_cfg,
+                                    np.random.default_rng([cfg.seed, r]))
+               for r in range(mcl_cfg.runs)]
+    return results, mcl_mod.run_metrics(traj[:, :2], results)
+
+
+def _mcl_columns(metrics) -> str:
+    """``rmse,mae`` of converged runs, ``-,-`` when no run converged."""
+    return "-,-" if metrics is None else f"{metrics.rmse!r},{metrics.mae!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -251,72 +284,16 @@ def cmd_mesh(args) -> int:
 # eval-sdf
 
 
-def _content_box(scene, pad: float = 0.0) -> Aabb:
-    box = scenes.scene_bounds(scene, pad)
-    if box is None:
-        raise ValueError("scene has no bounded primitive (only planes), so there is "
-                         "no region to sample or orbit; add a sphere, box or polygon")
-    return box
-
-
-def _band_samples(scene, band: float, count: int, seed: int) -> np.ndarray:
-    """Up to ``count`` points with |sdf| < band around the scene's bounded content."""
-    rng = np.random.default_rng(seed)
-    box = _content_box(scene, pad=2.0 * band)
-    kept = []
-    total = 0
-    for _ in range(200):
-        pts = rng.uniform(box.lo, box.hi, size=(count, scene.dim))
-        d = scene.sdf(pts)
-        sel = pts[np.abs(d) < band]
-        if sel.shape[0]:
-            kept.append(sel)
-            total += sel.shape[0]
-        if total >= count:
-            break
-    if not kept:
-        raise ValueError("no samples found inside the evaluation band")
-    return np.concatenate(kept, axis=0)[:count]
-
-
-def _sdf_errors(field, scene, pts: np.ndarray) -> tuple[float, float]:
-    """Mean absolute and root-mean-square error of ``field`` against the scene's SDF."""
-    err = np.asarray(field(pts), dtype=np.float64) - scene.sdf(pts)
-    return float(np.mean(np.abs(err))), float(np.sqrt(np.mean(err * err)))
-
-
-def _model_eval_fns(net, tf):
-    field = _world_field(net, tf)
-
-    def grads(pts):
-        _, g = field_mod.grad_batch(net, tf.to_canonical(pts))
-        return g  # world gradient: scale cancels against the chain rule
-
-    return field, grads
-
-
-def _oracle_eval_fns(scene):
-    def grads(pts):
-        _, g, _ = scene.jet(pts)
-        return g
-
-    return scene.sdf, grads
-
-
 def cmd_eval_sdf(args) -> int:
     cfg = _load_run_config(args)
     scene = scenes.parse_scene_file(args.scene)
-    band = args.band if args.band is not None else EVAL_BAND
-    if args.model == "oracle":
-        field, grads = _oracle_eval_fns(scene)
-    else:
-        net, tf = storage.load_field(args.model)
-        if net.dim != scene.dim:
-            raise ValueError(f"model is {net.dim}D but scene is {scene.dim}D")
-        field, grads = _model_eval_fns(net, tf)
-    pts = _band_samples(scene, band, args.samples, cfg.seed)
-    mae, rmse = _sdf_errors(field, scene, pts)
-    eik = float(np.mean(np.abs(np.linalg.norm(grads(pts), axis=1) - 1.0)))
+    net, tf = storage.load_field(args.model)
+    if net.dim != scene.dim:
+        raise ValueError(f"model is {net.dim}D but scene is {scene.dim}D")
+    values, gradients, box = _world_map(net, tf)
+    pts = _band_points(scene, box, args.band, args.samples, cfg.seed)
+    mae, rmse = _sdf_errors(values, scene, pts)
+    eik = float(np.mean(np.abs(np.linalg.norm(gradients(pts), axis=1) - 1.0)))
     _write_csv(args.out, "metric,value",
                [f"mae,{mae!r}", f"rmse,{rmse!r}", f"eikonal_mean,{eik!r}"])
     return 0
@@ -332,42 +309,6 @@ def _planar_trajectory(scans: list[Scan]) -> np.ndarray:
                      for s in scans])
 
 
-def _map_box(traj: np.ndarray, scans: list[Scan]) -> Aabb:
-    """Cover the trajectory and every world-frame endpoint, lightly padded."""
-    allp = np.concatenate([traj[:, :2]] + [s.pose.apply(s.points) for s in scans], axis=0)
-    lo, hi = allp.min(axis=0), allp.max(axis=0)
-    pad = 0.05 * float(np.max(hi - lo)) + 1e-9
-    return Aabb(lo - pad, hi + pad)
-
-
-def _localization_field(args, cfg: RunConfig, data_box: Aabb):
-    """2D observation field over the map box, from --model or --scene."""
-    if args.model is not None:
-        net, tf = storage.load_field(args.model)
-        if net.dim != 2:
-            raise ValueError("localization needs a 2D model")
-        box = _world_box(tf)
-        base = _world_field(net, tf)
-    else:
-        scene = scenes.parse_scene_file(args.scene)
-        if scene.dim != 2:
-            raise ValueError("localization needs a 2D scene")
-        box = data_box
-        base = scene.sdf
-    grid = mcl_mod.SampledField2D.from_field(base, box, cfg.field_grid_res)
-    return grid, box
-
-
-def _run_localization(field, box, traj, scans_xy, cfg: RunConfig):
-    mcl_cfg = cfg.mcl()
-    deltas = mcl_mod.relative_deltas(traj)
-    results = []
-    for r in range(mcl_cfg.runs):
-        rng = np.random.default_rng([cfg.seed, r])
-        results.append(mcl_mod.localize_run(field, box, deltas, scans_xy, mcl_cfg, rng))
-    return results, mcl_mod.run_metrics(traj[:, :2], results)
-
-
 def cmd_localize(args) -> int:
     cfg = _load_run_config(args)
     if (args.model is None) == (args.scene is None):
@@ -375,16 +316,20 @@ def cmd_localize(args) -> int:
     scans = storage.load_scans(args.data)
     if scans[0].pose.dim != 2:
         raise ValueError("localization needs a planar (2D) dataset")
-    traj = _planar_trajectory(scans)
-    scans_xy = [s.points for s in scans]
-    field, box = _localization_field(args, cfg, _map_box(traj, scans))
-    results, metrics = _run_localization(field, box, traj, scans_xy, cfg)
-    conv = sum(1 for r in results if r.converged_at is not None)
-    if metrics is None:
-        row = f"{len(results)},{conv},-,-"
+    if args.model is not None:
+        net, tf = storage.load_field(args.model)
+        if net.dim != 2:
+            raise ValueError("localization needs a 2D model")
+        values, _, box = _world_map(net, tf)
     else:
-        row = f"{len(results)},{conv},{metrics.rmse!r},{metrics.mae!r}"
-    _write_csv(args.out, "runs,converged,rmse,mae", [row])
+        scene = scenes.parse_scene_file(args.scene)
+        if scene.dim != 2:
+            raise ValueError("localization needs a 2D scene")
+        values, box = scene.sdf, _canonical_rays(scans)[1].cube
+    results, metrics = _mcl_score(values, box, _planar_trajectory(scans), scans, cfg)
+    conv = sum(1 for r in results if r.converged_at is not None)
+    _write_csv(args.out, "runs,converged,rmse,mae",
+               [f"{len(results)},{conv},{_mcl_columns(metrics)}"])
     return 0
 
 
@@ -394,7 +339,10 @@ def cmd_localize(args) -> int:
 
 def _auto_orbit(scene, steps: int) -> str:
     """Pick a free-space circular trajectory around the scene's content."""
-    bounds = _content_box(scene)
+    bounds = scenes.scene_bounds(scene)
+    if bounds is None:
+        raise ValueError("scene has no bounded primitive (only planes), so there is no "
+                         "content to orbit; pass --traj")
     c = bounds.center
     reach = float(np.max(bounds.half_extent))
     for frac in (1.8, 1.5, 1.25, 1.0, 0.8, 0.6, 0.45, 0.3):
@@ -411,29 +359,21 @@ def _auto_orbit(scene, steps: int) -> str:
 def cmd_compare(args) -> int:
     cfg = _load_run_config(args)
     scene = scenes.parse_scene_file(args.scene)
-    traj_spec = args.traj if args.traj is not None else _auto_orbit(scene, args.poses)
-    traj = trajectory_poses(traj_spec)
-    pts = _band_samples(scene, EVAL_BAND, args.samples, cfg.seed)
+    traj = trajectory_poses(args.traj if args.traj is not None else _auto_orbit(scene, args.poses))
     scans = _synthesize_dataset(scene, traj, cfg)
     canon, tf = _canonical_rays(scans)
-    scans_xy = [s.points for s in scans] if scene.dim == 2 else None
+    pts = _band_points(scene, tf.cube, EVAL_BAND, args.samples, cfg.seed)
 
     rows = []
     for mode in (SupervisionMode.RAY_DISTANCE, SupervisionMode.CLOSEST_NORMAL,
                  SupervisionMode.CURVATURE_CONSTRAINED):
-        net = _init_net(cfg, scene.dim)
-        net, _ = train(net, canon, cfg.optim(), cfg.loss_weights(), mode)
-        field = _world_field(net, tf)
-        mae, rmse = _sdf_errors(field, scene, pts)
-        mcl_rmse = mcl_mae = None
+        net, _ = train(_init_net(cfg, scene.dim), canon, cfg.optim(), cfg.loss_weights(), mode)
+        values, _, box = _world_map(net, tf)
+        mae, rmse = _sdf_errors(values, scene, pts)
+        mcl = "-,-"
         if scene.dim == 2:
-            grid = mcl_mod.SampledField2D.from_field(field, _world_box(tf), cfg.field_grid_res)
-            _, metrics = _run_localization(grid, _world_box(tf), traj, scans_xy, cfg)
-            if metrics is not None:
-                mcl_rmse, mcl_mae = metrics.rmse, metrics.mae
-        rows.append(
-            f"{MODE_LABELS[mode]},{_fmt(mae)},{_fmt(rmse)},{_fmt(mcl_rmse)},{_fmt(mcl_mae)}"
-        )
+            mcl = _mcl_columns(_mcl_score(values, box, traj, scans, cfg)[1])
+        rows.append(f"{MODE_LABELS[mode]},{mae!r},{rmse!r},{mcl}")
     _write_csv(args.out, "mode,sdf_mae,sdf_rmse,mcl_rmse,mcl_mae", rows)
     return 0
 
@@ -479,11 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output PLY path")
     p.set_defaults(func=cmd_mesh)
 
-    p = sub.add_parser("eval-sdf", help="compare a model (or 'oracle') against a scene")
+    p = sub.add_parser("eval-sdf", help="score a model against the scene it was scanned from")
     common(p)
-    p.add_argument("--model", required=True, help="checkpoint path, or 'oracle'")
+    p.add_argument("--model", required=True,
+                   help="checkpoint path; scored inside the cube its scans span")
     p.add_argument("--scene", required=True)
-    p.add_argument("--band", type=float, default=None,
+    p.add_argument("--band", type=float, default=EVAL_BAND,
                    help="half-width of the scored near-surface band, world metres "
                         f"(default {EVAL_BAND})")
     p.add_argument("--samples", type=int, default=20000)

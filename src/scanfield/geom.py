@@ -171,6 +171,11 @@ class SceneTransform:
     def to_world(self, points: _F) -> np.ndarray:
         return np.asarray(points, dtype=np.float64) * self.scale + self.center
 
+    @property
+    def cube(self) -> Aabb:
+        """World box mapped onto [-1, 1]^m; from ``normalize_scene``, the scanned region."""
+        return Aabb.cube(self.center, self.scale)
+
 
 def normalize_scene(
     origins: _F, endpoints: _F

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .geom import Pose, Scan
+from .geom import Aabb, Pose, Scan
 
 _F = npt.NDArray[np.floating]
 
@@ -385,26 +385,56 @@ def simulate_scan(scene: AnalyticScene, pose: Pose, cfg: ScannerConfig, rng) -> 
     return Scan(pose=pose, points=pose.inverse_apply(endpoints))
 
 
-def scene_bounds(scene: AnalyticScene, pad: float = 0.0):
-    """Loose bounding box over bounded primitives; None if none are bounded."""
-    lo = None
-    hi = None
-    for p in scene.primitives:
-        if isinstance(p, Sphere):
-            plo, phi = p.center - p.radius, p.center + p.radius
-        elif isinstance(p, Box):
-            plo, phi = p.center - p.half, p.center + p.half
-        elif isinstance(p, ConvexPolygon2D):
-            plo, phi = p.vertices.min(axis=0), p.vertices.max(axis=0)
-        else:
-            continue
-        lo = plo if lo is None else np.minimum(lo, plo)
-        hi = phi if hi is None else np.maximum(hi, phi)
-    if lo is None:
-        return None
-    from .geom import Aabb
+def _primitive_box(prim):
+    """(lo, hi) corners of a bounded primitive's box; None for a plane."""
+    if isinstance(prim, Sphere):
+        return prim.center - prim.radius, prim.center + prim.radius
+    if isinstance(prim, Box):
+        return prim.center - prim.half, prim.center + prim.half
+    if isinstance(prim, ConvexPolygon2D):
+        return prim.vertices.min(axis=0), prim.vertices.max(axis=0)
+    return None
 
-    return Aabb(lo - pad, hi + pad)
+
+def band_sample(scene: AnalyticScene, region: Aabb, band: float, count: int, rng) -> np.ndarray:
+    """``count`` points split evenly over the primitives, planes included, in
+    primitive order.  Each share is uniform over the points within ``band`` of
+    its primitive inside ``region`` padded by ``band``; a share that set cannot
+    fill raises ValueError naming the primitive."""
+    prims = scene.primitives
+    kept = []
+    for i, prim in enumerate(prims):
+        # cut to the primitive's padded box: the same set, found in fewer
+        # draws, and a primitive whose box misses the region fails at once
+        lo, hi = region.lo - band, region.hi + band
+        own = _primitive_box(prim)
+        if own is not None:
+            lo, hi = np.maximum(lo, own[0] - band), np.minimum(hi, own[1] + band)
+        want = count // len(prims) + (i < count % len(prims))
+        got, have = [np.empty((0, scene.dim))], 0
+        for _ in range(1000 if np.all(lo < hi) else 0):
+            if have >= want:
+                break
+            pts = rng.uniform(lo, hi, size=(max(4 * want, 4096), scene.dim))
+            sel = pts[np.abs(prim.sdf(pts)) < band]
+            got.append(sel)
+            have += sel.shape[0]
+        if have < want:
+            raise ValueError(f"primitive {i + 1} ({prim}) has only {have} of {want} points "
+                             f"within {band} of its surface inside the region "
+                             f"{np.round(region.lo, 3).tolist()} .. {np.round(region.hi, 3).tolist()}")
+        kept.append(np.concatenate(got)[:want])
+    return np.concatenate(kept)
+
+
+def scene_bounds(scene: AnalyticScene):
+    """Loose bounding box over bounded primitives; None if none are bounded."""
+    boxes = [b for b in map(_primitive_box, scene.primitives) if b is not None]
+    if not boxes:
+        return None
+    lo = np.min([b[0] for b in boxes], axis=0)
+    hi = np.max([b[1] for b in boxes], axis=0)
+    return Aabb(lo, hi)
 
 
 def parse_scene_text(text: str) -> AnalyticScene:

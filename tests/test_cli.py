@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from scanfield import __main__ as launcher
-from scanfield import cli, field
+from scanfield import cli, field, mcl
 from scanfield.__main__ import THREAD_VARS
 from scanfield.cli import main, trajectory_poses
 from scanfield.storage import load_model, load_scan_points, load_scans, read_mesh_ply
@@ -198,24 +198,132 @@ def test_mesh_rejects_2d_model(tiny):
     assert run("mesh", "--model", model, "--out", tmp / "x.ply", "--config", cfg) == 2
 
 
-def test_eval_sdf_oracle_against_itself(tiny, capsys):
+@pytest.fixture
+def tiny_model(tiny):
+    """A 2D model trained at toy size on the circle scene of ``tiny``."""
     tmp, cfg, scene2 = tiny
-    assert run("eval-sdf", "--model", "oracle", "--scene", scene2,
+    data = tmp / "data"
+    assert run("synth", "--scene", scene2, "--traj", "orbit:radius=3,steps=4",
+               "--out", data, "--config", cfg) == 0
+    model = tmp / "m.bin"
+    assert run("train", "--scans", data, "--out", model, "--config", cfg) == 0
+    return model
+
+
+def test_eval_sdf_scores_trained_model(tiny, tiny_model, capsys):
+    tmp, cfg, scene2 = tiny
+    capsys.readouterr()
+    assert run("eval-sdf", "--model", tiny_model, "--scene", scene2,
                "--config", cfg, "--samples", "500") == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "metric,value"
     vals = {k: float(v) for k, v in (l.split(",") for l in lines[1:])}
-    assert vals["mae"] < 1e-9
-    assert vals["rmse"] < 1e-9
-    assert vals["eikonal_mean"] < 1e-9
+    assert list(vals) == ["mae", "rmse", "eikonal_mean"]
+    assert all(np.isfinite(v) for v in vals.values())
+    assert vals["rmse"] >= vals["mae"] >= 0.0
+    assert vals["eikonal_mean"] >= 0.0
 
 
-def test_eval_sdf_writes_csv(tiny):
+def test_eval_sdf_writes_csv(tiny, tiny_model):
     tmp, cfg, scene2 = tiny
     out = tmp / "eval.csv"
-    assert run("eval-sdf", "--model", "oracle", "--scene", scene2,
+    assert run("eval-sdf", "--model", tiny_model, "--scene", scene2,
                "--config", cfg, "--samples", "200", "--out", out) == 0
     assert out.read_text().startswith("metric,value")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-sdf", "--samples", "0"],
+    ["eval-sdf", "--band", "0"],
+    ["eval-sdf", "--band", "-0.1"],
+    ["eval-sdf", "--band", "inf"],
+    ["compare", "--samples", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_scoring_rejects_empty_sample_or_band(tiny, tiny_model, monkeypatch, capsys, argv):
+    # --samples 0 would score an empty sample (nan) and --band 0 would draw
+    # for a long time before failing; both are refused before any training.
+    tmp, cfg, scene2 = tiny
+
+    def no_train(*args, **kwargs):
+        raise AssertionError("trained before validating the scoring flags")
+
+    monkeypatch.setattr(cli, "train", no_train)
+    rest = ["--model", tiny_model] if argv[0] == "eval-sdf" else ["--traj", "orbit:radius=3,steps=2"]
+    capsys.readouterr()
+    assert run(*argv, *rest, "--scene", scene2, "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and argv[1] in err
+
+
+def test_compare_fails_fast_on_unseen_primitive(tiny, monkeypatch, capsys):
+    # the circle at x = 9 lies outside everything an orbit of radius 3 scans,
+    # so its band cannot be scored; compare says so before training a mode
+    tmp, cfg, _ = tiny
+    scene = tmp / "far.txt"
+    scene.write_text("circle 0 0 1\ncircle 9 0 0.5\n")
+
+    def no_train(*args, **kwargs):
+        raise AssertionError("trained before drawing the band")
+
+    monkeypatch.setattr(cli, "train", no_train)
+    assert run("compare", "--scene", scene, "--traj", "orbit:radius=3,steps=4",
+               "--samples", "300", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: primitive 2 (Sphere(center=array([9., 0.]), radius=0.5))")
+
+
+def test_room_band_reaches_the_walls(tmp_path, monkeypatch):
+    # The ROOM walls are at |x| = 4 and its bounded content within |x| < 2.3:
+    # eval-sdf and compare score the walls too.
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY_CFG)
+    scene = tmp_path / "room.txt"
+    scene.write_text(ROOM_SCENE)
+    data, model = tmp_path / "d", tmp_path / "m.bin"
+    traj = "orbit:radius=3.2,steps=4"
+    assert run("synth", "--scene", scene, "--traj", traj, "--out", data, "--config", cfg) == 0
+    assert run("train", "--scans", data, "--out", model, "--config", cfg) == 0
+    scored = []
+    real = cli._sdf_errors
+
+    def record(values, sc, pts):
+        scored.append(pts)
+        return real(values, sc, pts)
+
+    monkeypatch.setattr(cli, "_sdf_errors", record)
+    assert run("eval-sdf", "--model", model, "--scene", scene, "--samples", "700",
+               "--config", cfg) == 0
+    assert run("compare", "--scene", scene, "--traj", traj, "--samples", "700",
+               "--config", cfg) == 0
+    assert len(scored) == 4
+    for pts in scored:
+        assert np.any(np.abs(pts[:, 0]) > 3.5) and np.any(np.abs(pts[:, 1]) > 3.5)
+
+
+def test_localize_scene_and_model_share_one_box(tmp_path, monkeypatch):
+    # the exact and the learned map of one dataset are scored over one box:
+    # the cube its scans span
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY_CFG)
+    scene = tmp_path / "room.txt"
+    scene.write_text(ROOM_SCENE)
+    data, model = tmp_path / "d", tmp_path / "m.bin"
+    assert run("synth", "--scene", scene, "--traj", "orbit:radius=3.2,steps=4",
+               "--out", data, "--config", cfg) == 0
+    assert run("train", "--scans", data, "--out", model, "--config", cfg) == 0
+    boxes = []
+    real = mcl.localize_run
+
+    def record(field, box, *args):
+        boxes.append(box)
+        return real(field, box, *args)
+
+    monkeypatch.setattr(mcl, "localize_run", record)
+    assert run("localize", "--scene", scene, "--data", data, "--config", cfg) == 0
+    assert run("localize", "--model", model, "--data", data, "--config", cfg) == 0
+    assert len(boxes) == 4  # mcl_runs = 2 per map
+    for box in boxes[1:]:
+        assert np.array_equal(box.lo, boxes[0].lo) and np.array_equal(box.hi, boxes[0].hi)
 
 
 def test_localize_oracle_room(tmp_path, capsys):
@@ -346,22 +454,30 @@ def test_compare_computes_no_spatial_gradient(tiny, monkeypatch, capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 4
 
 
-def test_exit_codes(tiny, tmp_path):
+def test_exit_codes(tiny, tiny_model, tmp_path):
     tmp, cfg, scene2 = tiny
     bad = tmp_path / "bad.cfg"
     bad.write_text("warp_speed = 9\n")
-    assert run("eval-sdf", "--model", "oracle", "--scene", scene2, "--config", bad) == 2
-    assert run("eval-sdf", "--model", "oracle", "--scene", tmp_path / "nope.txt",
+    assert run("eval-sdf", "--model", tiny_model, "--scene", scene2, "--config", bad) == 2
+    assert run("eval-sdf", "--model", tiny_model, "--scene", tmp_path / "nope.txt",
                "--config", cfg) == 1
     assert run("synth", "--scene", scene2, "--traj", "orbit:radius=2,steps=2",
                "--out", tmp_path / "x", "--threads", "0") == 2
-    # planes alone bound no region to sample the band in or to orbit
+    # planes alone bound no content to orbit
     planes = tmp_path / "planes.txt"
     planes.write_text("\n".join(ROOM_SCENE.strip().splitlines()[:4]) + "\n")
-    assert run("eval-sdf", "--model", "oracle", "--scene", planes, "--config", cfg) == 2
     assert run("compare", "--scene", planes, "--config", cfg) == 2
+
+
+def test_compare_scores_planes_only_scene(tiny, tmp_path, capsys):
+    # with a trajectory, a scene of walls alone has a scanned region to score
+    tmp, cfg, _ = tiny
+    planes = tmp_path / "planes.txt"
+    planes.write_text("\n".join(ROOM_SCENE.strip().splitlines()[:4]) + "\n")
+    capsys.readouterr()
     assert run("compare", "--scene", planes, "--traj", "orbit:radius=2,steps=2",
-               "--config", cfg) == 2
+               "--samples", "400", "--config", cfg) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 4
 
 
 THREAD_PROBE = """

@@ -52,6 +52,10 @@ def test_ray_validation():
         normalize_scene(np.zeros((0, 3)), np.zeros((0, 3)))
     (oc, ec), tf = normalize_scene(o, e)
     np.testing.assert_allclose(np.linalg.norm(ec - oc, axis=1) * tf.scale, [5.0, 1.0])
+    # the scanned cube holds every origin and endpoint in world metres
+    box = tf.cube
+    assert np.all((np.concatenate([o, e]) > box.lo) & (np.concatenate([o, e]) < box.hi))
+    np.testing.assert_array_equal(box.lo, tf.to_world(-np.ones(3)))
 
 
 def test_scan_dim_mismatch():

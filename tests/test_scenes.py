@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scanfield.geom import Pose
+from scanfield.geom import Aabb, Pose
 from scanfield.scenes import (
     AnalyticScene,
     Box,
@@ -11,6 +11,7 @@ from scanfield.scenes import (
     Plane,
     ScannerConfig,
     Sphere,
+    band_sample,
     beam_directions,
     parse_scene_text,
     scene_bounds,
@@ -253,7 +254,55 @@ def test_parse_scene_errors_carry_line_numbers():
 
 def test_scene_bounds():
     scene = parse_scene_text("circle 0 0 1\nbox 3 0 1 1")
-    b = scene_bounds(scene, pad=0.5)
-    np.testing.assert_allclose(b.lo, [-1.5, -1.5])
-    np.testing.assert_allclose(b.hi, [4.5, 1.5])
+    b = scene_bounds(scene)
+    np.testing.assert_allclose(b.lo, [-1.0, -1.0])
+    np.testing.assert_allclose(b.hi, [4.0, 1.0])
     assert scene_bounds(parse_scene_text("plane 1 0 -4")) is None
+
+
+ROOM = """
+plane 1 0 -4
+plane -1 0 -4
+plane 0 1 -4
+plane 0 -1 -4
+plane 1 1 -5.2
+box 1.5 1.5 0.6 0.6
+circle -1.5 -1 0.8
+"""
+
+
+def test_band_sample_fills_every_primitive_quota():
+    # 7 primitives, 5 of them planes: 703 points split 101, 101, 101, 100, ...
+    scene = parse_scene_text(ROOM)
+    region = Aabb(np.array([-4.0, -4.0]), np.array([4.0, 4.0]))
+    pts = band_sample(scene, region, 0.2, 703, np.random.default_rng(0))
+    assert pts.shape == (703, 2)
+    bounds = np.cumsum([0, 101, 101, 101, 100, 100, 100, 100])
+    for prim, a, b in zip(scene.primitives, bounds[:-1], bounds[1:]):
+        share = pts[a:b]
+        assert np.all(np.abs(prim.sdf(share)) < 0.2), prim
+        assert np.all((share > -4.2) & (share < 4.2)), prim
+    # the walls are in the band, beyond the bounded content's reach
+    assert np.max(np.abs(pts)) > 4.0
+    again = band_sample(scene, region, 0.2, 703, np.random.default_rng(0))
+    assert np.array_equal(pts, again)
+    # fewer points than primitives: the first shares get one each
+    few = band_sample(scene, region, 0.2, 3, np.random.default_rng(0))
+    assert few.shape == (3, 2)
+    assert all(abs(p.sdf(q[None])[0]) < 0.2 for p, q in zip(scene.primitives, few))
+
+
+def test_band_sample_finds_a_small_primitive_in_a_large_region():
+    # a 0.4-wide shell of a unit sphere fills about 5e-6 of this region
+    scene = parse_scene_text("sphere 0 0 0 1\nplane 0 0 1 -1")
+    region = Aabb.cube(np.zeros(3), 50.0)
+    pts = band_sample(scene, region, 0.2, 2000, np.random.default_rng(1))
+    assert np.all(np.abs(scene.primitives[0].sdf(pts[:1000])) < 0.2)
+    assert np.all(np.abs(scene.primitives[1].sdf(pts[1000:])) < 0.2)
+
+
+def test_band_sample_names_a_primitive_outside_the_region():
+    scene = parse_scene_text("circle 0 0 1\ncircle 9 0 0.5")
+    region = Aabb(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
+    with pytest.raises(ValueError, match=r"primitive 2 \(Sphere\(center=array\(\[9\., 0\.\]\)"):
+        band_sample(scene, region, 0.2, 100, np.random.default_rng(0))
