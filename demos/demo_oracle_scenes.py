@@ -22,15 +22,15 @@ def main():
         [0.0, 0.0, 1.0],   # sphere center (distance -1)
     ])
     print("point                      sdf     |grad|")
-    values, grads, _ = scene.jet(queries)
+    values, grads, _, _ = scene.jet(queries)
     for q, v, g in zip(queries, values, grads):
         print(f"{np.array2string(q, precision=1):26s} {v:+.4f}  "
               f"{np.linalg.norm(g):.6f}")
 
-    # The gradient is unit-norm wherever the oracle is smooth; the Hessian
-    # carries the surface curvature (1/r for a sphere at distance 0).
-    _, _, hess = scene.jet(np.array([[0.0, 0.0, 2.5]]))
-    curv = np.trace(hess[0]) / 2.0  # mean curvature of the level set
+    # The gradient is unit-norm wherever the oracle is smooth; the Laplacian
+    # tr H carries the surface curvature (1/r for a sphere at distance 0).
+    _, _, lap, _ = scene.jet(np.array([[0.0, 0.0, 2.5]]))
+    curv = lap[0] / 2.0  # mean curvature of the level set
     print(f"\nmean curvature 0.5 above the sphere: {curv:.4f} "
           f"(analytic 1/1.5 = {1/1.5:.4f})")
 

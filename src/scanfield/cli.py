@@ -1,10 +1,10 @@
 """Command-line pipeline: synth, train, mesh, eval-sdf, localize, compare.
 
 Every command is deterministic for a fixed --seed with --threads 1; outputs
-are CSV tables (stdout and/or --out), PLY meshes, datasets and models.  A
-dataset is a directory of ``poses.txt`` plus ``scan_*.bin`` files; a model is
-a checkpoint plus its ``<checkpoint>.transform`` sidecar.  ``storage`` reads
-and writes both.
+are CSV tables (stdout and/or --out), binary PLY meshes, datasets and
+models.  A dataset is a directory of ``poses.txt`` plus ``scan_*.bin`` files;
+a model is a checkpoint plus its ``<checkpoint>.transform`` sidecar.
+``storage`` reads and writes datasets, models and meshes.
 Every scored field is one map over one region: world-frame values and
 gradients over the scanned cube that ``normalize_scene`` fit around the scans.
 ``eval-sdf`` and ``compare`` score a band around every primitive inside it;
@@ -365,8 +365,7 @@ def cmd_compare(args) -> int:
     pts = _band_points(scene, tf.cube, EVAL_BAND, args.samples, cfg.seed)
 
     rows = []
-    for mode in (SupervisionMode.RAY_DISTANCE, SupervisionMode.CLOSEST_NORMAL,
-                 SupervisionMode.CURVATURE_CONSTRAINED):
+    for mode in SupervisionMode:
         net, _ = train(_init_net(cfg, scene.dim), canon, cfg.optim(), cfg.loss_weights(), mode)
         values, _, box = _world_map(net, tf)
         mae, rmse = _sdf_errors(values, scene, pts)
@@ -395,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=None, help="cap worker threads")
         if mode_flag:
-            p.add_argument("--mode", choices=["ray", "dcn", "curvature"], default=None,
+            p.add_argument("--mode", choices=[m.value for m in SupervisionMode], default=None,
                            help="supervision target construction")
 
     p = sub.add_parser("synth", help="simulate a scan dataset from an analytic scene")

@@ -316,7 +316,7 @@ def evaluate_batch(net: FieldNet, points: _F) -> np.ndarray:
 
 
 def grad_batch(net: FieldNet, points: _F) -> tuple[np.ndarray, np.ndarray]:
-    """Values (N,) and spatial gradients (N, m), skipping the Hessian track."""
+    """Values (N,) and spatial gradients (N, m): the order-1 pass alone."""
     return tuple(_walk(net, points, 1))
 
 

@@ -176,15 +176,11 @@ def step(pset: ParticleSet, delta, scan_points, field, cfg: MclConfig, rng) -> P
         return replace(pset, accum_trans=acc_t, accum_rot=acc_r)
     ll = log_likelihoods(pset, scan_points, field, cfg.sigma_z)
     top = ll.max()
-    if not np.isfinite(top):
+    w = np.exp(ll - top) * pset.weights if np.isfinite(top) else np.zeros(pset.size)
+    total = w.sum()
+    if total <= 0.0 or not np.isfinite(total):
         warnings.warn("all particle likelihoods vanished; reweighting uniformly")
         w = np.full(pset.size, 1.0 / pset.size)
-    else:
-        w = np.exp(ll - top) * pset.weights
-        total = w.sum()
-        if total <= 0.0 or not np.isfinite(total):
-            warnings.warn("all particle likelihoods vanished; reweighting uniformly")
-            w = np.full(pset.size, 1.0 / pset.size)
     pset = ParticleSet(pset.poses, w, accum_trans=0.0, accum_rot=0.0)
     return systematic_resample(pset, rng)
 

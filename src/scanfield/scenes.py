@@ -1,9 +1,11 @@
 """Analytic signed-distance scenes with exact derivatives, plus a range scanner.
 
 Every primitive returns its exact signed distance (negative inside) together
-with exact gradient and Hessian where the distance is smooth.  At non-smooth
-loci (box edges and corners, interior creases, union seams) the jet comes
-from the active feature, ties broken by lowest index.
+with its exact gradient and Laplacian tr H where the distance is smooth.  At
+non-smooth loci (box edges and corners, interior creases, union seams) the jet
+comes from the active feature, ties broken by lowest index.  A scene's jet is
+the contract of ``field.jet_batch``: values, gradients, tr H and gᵀHg, the
+last zero because a distance gradient is unit wherever it is smooth (Hg = 0).
 
 The scanner sphere-traces beams through a scene to synthesize range scans:
 the input modality for field training, with exact geometry as ground truth.
@@ -55,7 +57,7 @@ class Sphere:
 
     def jet(self, points: _F):
         p = _pts(points)
-        n, m = p.shape
+        m = p.shape[1]
         rel = p - self.center
         dist = np.linalg.norm(rel, axis=1)
         safe = np.maximum(dist, 1e-300)
@@ -67,9 +69,8 @@ class Sphere:
             u[at_center, 0] = 1.0
         vals = dist - self.radius
         grads = u
-        hess = (np.eye(m)[None, :, :] - u[:, :, None] * u[:, None, :]) / safe[:, None, None]
-        hess[at_center] = 0.0
-        return vals, grads, hess
+        lap = np.where(at_center, 0.0, (m - 1) / safe)
+        return vals, grads, lap
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,7 @@ class Plane:
         n, m = p.shape
         vals = p @ self.normal - self.offset
         grads = np.broadcast_to(self.normal, (n, m)).copy()
-        hess = np.zeros((n, m, m), dtype=np.float64)
-        return vals, grads, hess
+        return vals, grads, np.zeros(n)
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,10 @@ class Box:
     """Axis-aligned solid box; exact distance inside and out.
 
     Outside, the closest feature is a face, edge, or corner depending on how
-    many coordinates exceed the half-extents; the Hessian is the cylindrical /
-    spherical bending around that feature.  Inside, the distance is the
-    largest (negative) face deficit and the field is locally planar.
+    many coordinates k exceed the half-extents; the level sets bend around it
+    as a plane, cylinder or sphere, with Laplacian (k - 1) / D.  Inside, the
+    distance is the largest (negative) face deficit and the field is locally
+    planar.
     """
 
     center: np.ndarray
@@ -147,18 +148,14 @@ class Box:
         is_out = out_dist > 0.0
         vals = np.where(is_out, out_dist, np.max(q, axis=1))
         grads = np.zeros((n, m), dtype=np.float64)
-        hess = np.zeros((n, m, m), dtype=np.float64)
+        lap = np.zeros(n)
         if np.any(is_out):
             safe = np.maximum(out_dist, 1e-300)
             g_out = sign * pos / safe[:, None]
-            active = (q > 0.0).astype(np.float64)
-            # H_ij = (delta_ij [q_i > 0] - g_i g_j) / D on the active axes.
-            h_out = -g_out[:, :, None] * g_out[:, None, :]
-            idx = np.arange(m)
-            h_out[:, idx, idx] += active
-            h_out /= safe[:, None, None]
+            # H = (diag[q > 0] - g gᵀ) / D on the k active axes: trace (k - 1) / D.
+            lap_out = (np.sum(q > 0.0, axis=1) - 1) / safe
             grads[is_out] = g_out[is_out]
-            hess[is_out] = h_out[is_out]
+            lap[is_out] = lap_out[is_out]
         ins = ~is_out
         if np.any(ins):
             face = np.argmax(q[ins], axis=1)
@@ -168,7 +165,7 @@ class Box:
             s = np.where(s == 0.0, 1.0, s)
             g_in[rows, face] = s
             grads[ins] = g_in
-        return vals, grads, hess
+        return vals, grads, lap
 
 
 @dataclass(frozen=True)
@@ -227,7 +224,7 @@ class ConvexPolygon2D:
         rows = np.arange(n)
         vals = np.where(inside, np.max(line, axis=1), dists[rows, best])
         grads = np.zeros((n, 2), dtype=np.float64)
-        hess = np.zeros((n, 2, 2), dtype=np.float64)
+        lap = np.zeros(n)
         # Inside: planar field of the nearest edge line.
         face = np.argmax(line, axis=1)
         grads[inside] = nrm[face[inside]]
@@ -243,10 +240,9 @@ class ConvexPolygon2D:
             if vi.size:
                 rel = p[vi] - closest[vi, best[vi]]
                 d = np.maximum(np.linalg.norm(rel, axis=1), 1e-300)
-                u = rel / d[:, None]
-                grads[vi] = u
-                hess[vi] = (np.eye(2)[None] - u[:, :, None] * u[:, None, :]) / d[:, None, None]
-        return vals, grads, hess
+                grads[vi] = rel / d[:, None]
+                lap[vi] = 1.0 / d
+        return vals, grads, lap
 
 
 @dataclass(frozen=True)
@@ -279,20 +275,19 @@ class AnalyticScene:
         return np.argmin(self._all_sdf(points), axis=1)
 
     def jet(self, points: _F):
+        """Values (N,), gradients (N, m), tr H (N,) and gᵀHg (N,), as
+        ``field.jet_batch`` returns them for a network."""
         p = _pts(points)
         n, m = p.shape
         active = self.active_index(p)
         vals = np.empty(n, dtype=np.float64)
         grads = np.empty((n, m), dtype=np.float64)
-        hess = np.empty((n, m, m), dtype=np.float64)
+        lap = np.empty(n, dtype=np.float64)
         for i, prim in enumerate(self.primitives):
             sel = active == i
             if np.any(sel):
-                v, g, h = prim.jet(p[sel])
-                vals[sel] = v
-                grads[sel] = g
-                hess[sel] = h
-        return vals, grads, hess
+                vals[sel], grads[sel], lap[sel] = prim.jet(p[sel])
+        return vals, grads, lap, np.zeros(n)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """File formats: scan datasets, models, meshes.
 
-This module owns both formats the commands pass between them.  A dataset is
+This module owns the formats the commands pass between them.  A dataset is
 a directory of ``poses.txt`` plus one ``scan_NNNNNN.bin`` per pose
 (``save_scans``/``load_scans``).  A model is a checkpoint plus its
-``<checkpoint>.transform`` sidecar (``save_field``/``load_field``).
+``<checkpoint>.transform`` sidecar (``save_field``/``load_field``).  A mesh
+is a binary little-endian PLY (``export_mesh_ply``/``read_mesh_ply``).
 
 All binary payloads are little-endian regardless of host.  Checkpoints keep
 64-bit floats (training precision); meshes are 32-bit artifacts meant for
@@ -12,8 +13,8 @@ visualization.
 
 from __future__ import annotations
 
+import re
 import struct
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -244,82 +245,62 @@ def load_field(path) -> tuple[FieldNet, SceneTransform]:
 
 
 # ---------------------------------------------------------------------------
-# meshes (ASCII PLY)
+# meshes (binary PLY)
+
+# One face record: the list length (always 3), then the three vertex indices.
+_PLY_FACE = np.dtype([("count", "u1"), ("indices", "<i4", (3,))])
 
 
-_PLY_CHUNK = 16384  # rows formatted at once; bounds the Python objects alive
-
-
-def _write_rows(fh, rows: np.ndarray, fmt) -> None:
-    for lo in range(0, rows.shape[0], _PLY_CHUNK):
-        fh.write("".join(fmt(r) + "\n" for r in rows[lo : lo + _PLY_CHUNK].tolist()))
+def _ply_header(n_vertex: int, n_face: int) -> bytes:
+    return (
+        "ply\n"
+        "format binary_little_endian 1.0\n"
+        f"element vertex {n_vertex}\n"
+        "property float x\n"
+        "property float y\n"
+        "property float z\n"
+        f"element face {n_face}\n"
+        "property list uchar int vertex_indices\n"
+        "end_header\n"
+    ).encode("ascii")
 
 
 def export_mesh_ply(path, mesh: TriangleMesh) -> None:
-    v = mesh.vertices
-    t = mesh.triangles
-    header = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {v.shape[0]}",
-        "property float x",
-        "property float y",
-        "property float z",
-        f"element face {t.shape[0]}",
-        "property list uchar int vertex_indices",
-        "end_header",
-    ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(header) + "\n")
-        # repr of the f32 value widened to f64 is the shortest text that
-        # reads back to the same f32.
-        _write_rows(fh, v.astype(np.float32).astype(np.float64), lambda p: " ".join(map(repr, p)))
-        _write_rows(fh, t, lambda tri: "3 " + " ".join(map(str, tri)))
-
-
-def _read_body_rows(fh, path, rows: int, dtype, usecols) -> np.ndarray:
-    # The next ``rows`` lines as an array, parsed in numpy, which leaves ``fh``
-    # at the line after them.  A body that ends early reads as truncated.
-    if rows == 0:
-        return np.empty((0, len(usecols)), dtype=dtype)
-    with warnings.catch_warnings():
-        # loadtxt warns on an empty remainder, which is reported below.
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            out = np.loadtxt(fh, dtype=dtype, comments=None, max_rows=rows,
-                             usecols=usecols, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed body ({exc})") from None
-    if out.shape[0] < rows:
-        raise ValueError(f"{path}: truncated body")
-    return out
+    """Write a binary little-endian PLY: f32 xyz vertices, then int32 triangles."""
+    faces = np.empty(mesh.triangles.shape[0], dtype=_PLY_FACE)
+    faces["count"] = 3
+    faces["indices"] = mesh.triangles
+    with open(path, "wb") as fh:
+        fh.write(_ply_header(mesh.vertices.shape[0], faces.shape[0]))
+        fh.write(mesh.vertices.astype("<f4").tobytes())
+        fh.write(faces.tobytes())
 
 
 def read_mesh_ply(path) -> TriangleMesh:
-    """Read an ASCII triangle-mesh PLY as written by ``export_mesh_ply``.
-
-    The body is parsed straight from the file, so memory stays near the size
-    of the arrays rather than of the text.
-    """
-    with open(path) as fh:
-        if fh.readline().strip() != "ply":
-            raise ValueError(f"{path}: not a PLY file")
-        n_vertex = n_face = None
-        for line in fh:
-            tok = line.split()
-            if tok[:2] == ["element", "vertex"]:
-                n_vertex = int(tok[2])
-            elif tok[:2] == ["element", "face"]:
-                n_face = int(tok[2])
-            elif tok[:1] == ["end_header"]:
-                break
-        else:
-            raise ValueError(f"{path}: missing end_header")
-        if n_vertex is None or n_face is None:
-            raise ValueError(f"{path}: missing vertex/face elements")
-        verts = _read_body_rows(fh, path, n_vertex, np.float64, (0, 1, 2))
-        faces = _read_body_rows(fh, path, n_face, np.intp, (0, 1, 2, 3))
-    bad = np.flatnonzero(faces[:, 0] != 3)
+    """Read a triangle-mesh PLY as written by ``export_mesh_ply``; any other
+    header, an ASCII one included, raises ValueError."""
+    raw = Path(path).read_bytes()
+    if not raw.startswith(b"ply\n"):
+        raise ValueError(f"{path}: not a PLY file")
+    end = raw.find(b"end_header\n")
+    if end < 0:
+        raise ValueError(f"{path}: missing end_header")
+    head = raw[: end + len(b"end_header\n")]
+    counts = dict(re.findall(rb"^element (vertex|face) (\d+)$", head, re.MULTILINE))
+    if counts.keys() != {b"vertex", b"face"}:
+        raise ValueError(f"{path}: missing vertex/face elements")
+    n_vertex, n_face = int(counts[b"vertex"]), int(counts[b"face"])
+    if head != _ply_header(n_vertex, n_face):
+        raise ValueError(f"{path}: header is not the binary little-endian triangle mesh "
+                         f"that export_mesh_ply writes")
+    v_bytes = 12 * n_vertex
+    body = v_bytes + _PLY_FACE.itemsize * n_face
+    if len(raw) - len(head) != body:
+        raise ValueError(f"{path}: body of {len(raw) - len(head)} bytes, "
+                         f"the header declares {body}")
+    verts = np.frombuffer(raw, "<f4", 3 * n_vertex, len(head)).reshape(-1, 3)
+    faces = np.frombuffer(raw, _PLY_FACE, n_face, len(head) + v_bytes)
+    bad = np.flatnonzero(faces["count"] != 3)
     if bad.size:
         raise ValueError(f"{path}: face {bad[0]} is not a triangle")
-    return TriangleMesh(verts, faces[:, 1:].copy())
+    return TriangleMesh(verts, faces["indices"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,31 @@ def test_step_gates_measurement_updates():
     big = step(small, (0.05, 0.0, 0.0), scan.points, field, cfg, rng)
     assert big.accum_trans == 0.0 and big.accum_rot == 0.0
     np.testing.assert_allclose(big.weights, 1.0 / 64)  # resampled to uniform
+
+
+@pytest.mark.parametrize(
+    "field, weights",
+    [
+        (lambda p: np.where(p[:, 0] == 1.0, np.nan, 0.0), (1.0, 1.0, 1.0)),  # a NaN field value
+        (lambda p: np.full(p.shape[0], np.inf), (1.0, 1.0, 1.0)),  # every log-likelihood -inf
+        # the best particle (x = 0) has zero weight and its rivals' exp(ll - top) underflows
+        (lambda p: 10.0 * p[:, 0], (0.0, 1.0, 1.0)),
+    ],
+    ids=["nan-field", "all-minus-inf", "zero-weight-best"],
+)
+def test_step_collapse_reweights_uniformly(field, weights):
+    poses = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    cfg = MclConfig(n_particles=3, odom_trans_base=0.0, odom_trans_frac=0.0,
+                    odom_rot_base=0.0, odom_rot_frac=0.0)
+    pset = ParticleSet(poses, weights, accum_trans=np.inf, accum_rot=np.inf)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = step(pset, (0.0, 0.0, 0.0), np.zeros((1, 2)), field, cfg, np.random.default_rng(0))
+    assert [str(w.message) for w in caught] == [
+        "all particle likelihoods vanished; reweighting uniformly"]
+    # uniform weights resample every particle exactly once
+    np.testing.assert_array_equal(out.poses, poses)
+    np.testing.assert_array_equal(out.weights, np.full(3, 1.0 / 3))
 
 
 def test_estimate_two_point_spread():

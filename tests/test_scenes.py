@@ -25,10 +25,12 @@ def unit_sphere():
 
 
 def test_sphere_jet_anchor():
-    v, g, h = unit_sphere().jet(np.array([[2.0, 0.0, 0.0]]))
-    assert v[0] == 1.0
-    np.testing.assert_allclose(g[0], [1.0, 0.0, 0.0])
-    np.testing.assert_allclose(h[0], np.diag([0.0, 0.5, 0.5]))
+    v, g, lap, ghg = unit_sphere().jet(np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    np.testing.assert_array_equal(v, [1.0, -1.0])
+    np.testing.assert_allclose(g, [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    # H = diag(0, 1/2, 1/2) at distance 2 from the center; zero at the center
+    np.testing.assert_allclose(lap, [1.0, 0.0])
+    np.testing.assert_array_equal(ghg, [0.0, 0.0])
 
 
 def test_union_takes_min():
@@ -78,13 +80,14 @@ def test_polygon_orientation_and_regions():
         scene = AnalyticScene((tri,))
         assert abs(scene.sdf(np.array([[0.5, 0.5]]))[0] + 0.5) < 1e-12
         # vertex region: diagonal from the corner at (2, 0)
-        v, g, _ = scene.jet(np.array([[3.0, -1.0]]))
+        v, g, lap, _ = scene.jet(np.array([[3.0, -1.0]]))
         assert abs(v[0] - math.sqrt(2.0)) < 1e-12
         np.testing.assert_allclose(g[0], [1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)])
+        assert abs(lap[0] - 1.0 / math.sqrt(2.0)) < 1e-12
         # edge region: flat, unit normal gradient
-        v, _, h = scene.jet(np.array([[1.0, -0.5]]))
+        v, _, lap, _ = scene.jet(np.array([[1.0, -0.5]]))
         assert abs(v[0] - 0.5) < 1e-12
-        np.testing.assert_allclose(h[0], np.zeros((2, 2)), atol=1e-15)
+        assert lap[0] == 0.0
     with pytest.raises(ValueError):
         ConvexPolygon2D(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))  # collinear
 
@@ -99,7 +102,7 @@ def test_gradients_are_unit_at_smooth_points():
     )
     rng = np.random.default_rng(8)
     pts = rng.uniform(-3.0, 3.0, size=(400, 3))
-    _, grads, _ = scene.jet(pts)
+    _, grads, _, _ = scene.jet(pts)
     norms = np.linalg.norm(grads, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-9
 
@@ -114,42 +117,33 @@ def test_jet_matches_finite_differences_at_smooth_points():
     rng = np.random.default_rng(21)
     pts = rng.uniform(-3.0, 3.0, size=(300, 3))
     # Keep the points where the jet agrees with itself one step r away along
-    # every axis; within r of a crease, corner or seam the active feature
-    # changes and finite differences straddle two pieces.
-    _, g0, h0 = scene.jet(pts)
+    # every axis: the gradient's second difference is O(r^2) where the field
+    # is smooth, while within r of a crease, corner, seam or curvature jump
+    # the active feature changes and finite differences straddle two pieces.
+    _, g0, _, _ = scene.jet(pts)
     r = 1e-2
     keep = np.ones(pts.shape[0], dtype=bool)
-    for j in range(3):
-        for s in (r, -r):
-            _, g1, _ = scene.jet(pts + s * np.eye(3)[j])
-            keep &= np.linalg.norm(g1 - g0 - s * h0[:, :, j], axis=1) < 1e-3
+    for e in np.eye(3):
+        _, gp, _, _ = scene.jet(pts + r * e)
+        _, gm, _, _ = scene.jet(pts - r * e)
+        keep &= np.linalg.norm(gp + gm - 2.0 * g0, axis=1) < 1e-3
     assert keep.sum() >= 290
     pts = pts[keep]
-    vals, grads, hess = scene.jet(pts)
+    vals, grads, lap, ghg = scene.jet(pts)
     h = 1e-5
-    g_fd = np.zeros_like(grads)
-    h_fd = np.zeros_like(hess)
-    for j in range(3):
-        step = np.zeros(3)
-        step[j] = h
-        vp = scene.sdf(pts + step)
-        vm = scene.sdf(pts - step)
-        g_fd[:, j] = (vp - vm) / (2 * h)
-        h_fd[:, j, j] = (vp - 2 * vals + vm) / h**2
-        for k in range(j + 1, 3):
-            sk = np.zeros(3)
-            sk[k] = h
-            cross = (
-                scene.sdf(pts + step + sk)
-                - scene.sdf(pts + step - sk)
-                - scene.sdf(pts - step + sk)
-                + scene.sdf(pts - step - sk)
-            ) / (4 * h * h)
-            h_fd[:, j, k] = h_fd[:, k, j] = cross
-    for i in range(pts.shape[0]):
-        assert np.linalg.norm(grads[i] - g_fd[i]) < 1e-6 * max(1.0, np.linalg.norm(g_fd[i]))
-        # second differences at h=1e-5 carry ~1e-6 rounding noise of their own
-        assert np.linalg.norm(hess[i] - h_fd[i]) < 1e-4 * max(1.0, np.linalg.norm(h_fd[i]))
+
+    def second_difference(step):
+        return (scene.sdf(pts + step) - 2 * vals + scene.sdf(pts - step)) / h**2
+
+    g_fd = np.stack([(scene.sdf(pts + h * e) - scene.sdf(pts - h * e)) / (2 * h)
+                     for e in np.eye(3)], axis=1)
+    lap_fd = sum(second_difference(h * e) for e in np.eye(3))
+    ghg_fd = second_difference(h * grads)  # along the unit gradient
+    np.testing.assert_array_less(np.linalg.norm(grads - g_fd, axis=1), 1e-6)
+    # second differences at h=1e-5 carry ~1e-6 rounding noise of their own
+    np.testing.assert_array_less(np.abs(lap - lap_fd), 1e-4 * np.maximum(1.0, np.abs(lap_fd)))
+    np.testing.assert_array_less(np.abs(ghg - ghg_fd), 1e-4)
+    assert np.any(lap > 0.5)  # curved points are among those checked
 
 
 def test_sphere_trace_lands_on_surface():

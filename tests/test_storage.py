@@ -8,6 +8,7 @@ from scanfield.encoding import default_encoding
 from scanfield.field import init_field
 from scanfield.geom import Aabb, Pose, Scan, SceneTransform, rot2d
 from scanfield.meshing import TriangleMesh, marching_cubes
+from scanfield.scenes import AnalyticScene, Box, Sphere
 from scanfield.storage import (
     MODEL_MAGIC,
     export_mesh_ply,
@@ -270,13 +271,34 @@ def test_cube_mesh_ply_declarations(tmp_path):
     )
     path = tmp_path / "cube.ply"
     export_mesh_ply(path, mesh)
-    text = path.read_text().splitlines()
-    assert text[0] == "ply"
-    assert f"element vertex {mesh.vertices.shape[0]}" in text
-    assert f"element face {mesh.triangles.shape[0]}" in text
+    raw = path.read_bytes()
+    end = raw.index(b"end_header\n") + len(b"end_header\n")
+    head = raw[:end].decode("ascii").splitlines()
+    assert head[:2] == ["ply", "format binary_little_endian 1.0"]
+    assert f"element vertex {mesh.vertices.shape[0]}" in head
+    assert f"element face {mesh.triangles.shape[0]}" in head
+    assert "property list uchar int vertex_indices" in head
+    # body: f32 xyz per vertex, then a uchar 3 and three int32 per face
+    v_bytes = 12 * mesh.vertices.shape[0]
+    assert len(raw) == end + v_bytes + 13 * mesh.triangles.shape[0]
+    faces = np.frombuffer(raw[end + v_bytes :], dtype=[("n", "u1"), ("i", "<i4", (3,))])
+    assert np.all(faces["n"] == 3)
+    np.testing.assert_array_equal(faces["i"], mesh.triangles)
     back = read_mesh_ply(path)
     # f32 quantization only
     np.testing.assert_allclose(back.vertices, mesh.vertices, atol=1e-6)
+    np.testing.assert_array_equal(back.triangles, mesh.triangles)
+
+
+def test_scene_mesh_ply_round_trip(tmp_path):
+    scene = AnalyticScene((Sphere(np.array([0.2, 0.0, 0.1]), 0.5),
+                           Box(np.array([-0.4, 0.1, -0.2]), np.array([0.3, 0.2, 0.4]))))
+    mesh = marching_cubes(scene.sdf, Aabb.cube(np.zeros(3), 1.0), 40)
+    assert mesh.triangles.shape[0] > 1000
+    path = tmp_path / "scene.ply"
+    export_mesh_ply(path, mesh)
+    back = read_mesh_ply(path)
+    np.testing.assert_array_equal(back.vertices, mesh.vertices.astype(np.float32))
     np.testing.assert_array_equal(back.triangles, mesh.triangles)
 
 
@@ -295,23 +317,34 @@ def test_ply_rejects_garbage(tmp_path):
         read_mesh_ply(path)
 
 
-_PLY_HEAD = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
-             "property float z\nelement face 1\nproperty list uchar int vertex_indices\n")
-_PLY_BODY = "0 0 0\n1 0 0\n0 1 0\n"
+_PLY_HEAD = (b"ply\nformat binary_little_endian 1.0\nelement vertex 3\nproperty float x\n"
+             b"property float y\nproperty float z\nelement face 1\n"
+             b"property list uchar int vertex_indices\n")
+_PLY_VERTS = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype="<f4").tobytes()
+_PLY_FACE = b"\x03" + np.array([0, 1, 2], dtype="<i4").tobytes()
+_PLY_ASCII = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
+              "property float z\nelement face 1\nproperty list uchar int vertex_indices\n"
+              "end_header\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n").encode("ascii")
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "raw, message",
     [
-        (_PLY_HEAD + _PLY_BODY + "3 0 1 2\n", "missing end_header"),
-        ("ply\nformat ascii 1.0\nelement vertex 3\nend_header\n" + _PLY_BODY, "missing vertex/face"),
-        (_PLY_HEAD + "end_header\n" + _PLY_BODY, "truncated body"),
-        (_PLY_HEAD + "end_header\n0 0 0\n1 0 0\n", "truncated body"),
-        (_PLY_HEAD + "end_header\n" + _PLY_BODY + "4 0 1 2 0\n", "face 0 is not a triangle"),
+        (MODEL_MAGIC + _PLY_VERTS, "not a PLY"),
+        (_PLY_HEAD + _PLY_VERTS + _PLY_FACE, "missing end_header"),
+        (b"ply\nformat binary_little_endian 1.0\nelement vertex 3\nproperty float x\n"
+         b"property float y\nproperty float z\nend_header\n" + _PLY_VERTS, "missing vertex/face"),
+        (_PLY_HEAD + b"end_header\n" + _PLY_VERTS, "body of 36 bytes, the header declares 49"),
+        (_PLY_HEAD + b"end_header\n" + _PLY_VERTS + _PLY_FACE[:-1], "body of 48 bytes"),
+        (_PLY_HEAD + b"end_header\n" + _PLY_VERTS + _PLY_FACE + b"\n", "body of 50 bytes"),
+        (_PLY_HEAD + b"end_header\n" + _PLY_VERTS + b"\x04" + _PLY_FACE[1:], "face 0 is not a triangle"),
+        (_PLY_ASCII, "header is not the binary little-endian"),
     ],
+    ids=["not-a-ply", "missing-end-header", "missing-elements", "no-faces", "short-body",
+         "trailing-bytes", "quad-face", "ascii"],
 )
-def test_ply_rejects_malformed_files(tmp_path, text, message):
+def test_ply_rejects_malformed_files(tmp_path, raw, message):
     path = tmp_path / "bad.ply"
-    path.write_text(text)
+    path.write_bytes(raw)
     with pytest.raises(ValueError, match=message):
         read_mesh_ply(path)

@@ -211,8 +211,8 @@ def test_curvature_distance_exact_on_concentric_levels():
         v = rng.normal(size=(200, m))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         e = center + v  # any surface point
-        vals, g, h = scene.jet(x)
-        tb = compute_targets(SupervisionMode.CURVATURE_CONSTRAINED, vals, g, hessian_terms(g, h), x, e,
+        vals, g, lap, ghg = scene.jet(x)
+        tb = compute_targets(SupervisionMode.CURVATURE_CONSTRAINED, vals, g, (lap, ghg), x, e,
                              tau=np.inf, gamma=3.0)
         assert not np.any(tb.degenerate)
         np.testing.assert_allclose(tb.d_hat, rho - 1.0, rtol=0.0, atol=1e-9)

@@ -50,10 +50,9 @@ def test_neighbor_pairs_shape_and_content():
 
 def exact_loss(scene, batch, w, mode):
     """Loss breakdown with the scene's exact jet standing in for a trained net."""
-    vals, grads, hess = scene.jet(batch.positions)
-    hessian_terms = (np.einsum("sii->s", hess), np.einsum("si,sij,sj->s", grads, hess, grads))
+    vals, grads, lap, ghg = scene.jet(batch.positions)
     targets = compute_targets(
-        mode, vals, grads, hessian_terms, batch.positions, batch.sample_endpoints, tau=w.tau, gamma=w.gamma
+        mode, vals, grads, (lap, ghg), batch.positions, batch.sample_endpoints, tau=w.tau, gamma=w.gamma
     )
     pairs = neighbor_pairs(batch.positions, w.knn)
     bd, _, _, _ = loss_terms(vals, grads, scene.sdf(batch.endpoints), targets, pairs, w)
