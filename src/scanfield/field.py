@@ -11,15 +11,24 @@ the form
     sum_i  vbar_i * D(x_i)  +  sum_i  gbar_i . grad D(x_i)
 
 with ``vbar``/``gbar`` supplied by the loss layer, evaluated at fixed inputs.
+The second sum is one directional derivative per row, so the reverse pass
+forms no spatial gradient: its forward pass carries beside the values one
+tangent t = Σ_j gbar_j ∂a/∂x_j (forward mode; Griewank & Walther, 2008,
+ch. 3-4), for layer 0 the encoder's derivative times gbar in feature layout,
+t0[:, b*m + j] = d1[j][:, b] gbar_j.  Each layer records (a_in, t_in,
+fac_cos, tz); back from zbar = vbar and tbar = 1, the weight gradient gains
+zbarᵀ a_in + tbarᵀ t_in, and a sine layer passes back zbar = fac_cos·abar +
+c2·tabar·tz and tbar = fac_cos·tabar (abar = zbar W, tabar = tbar W,
+c2 = -fac² sin(fac z)).
 
 All parameters live in one flat vector, ``FieldNet.params``.  The parameter
 gradient, the optimizer moments and the checkpoint body share its layout,
 and ``FieldNet.layers``, which views such a vector per layer, is the only
 code that knows it.
 
-Derivative layout: gradients travel as (N, m, width) slabs, the network
-width last, so each layer transition is a single reshaped matmul.  The
-encoding's one-nonzero-per-row Jacobian makes the first layer a handful of
+Derivative layout: the forward passes carry gradients as (N, m, width) slabs,
+the network width last, so each layer transition is one reshaped matmul.  The
+encoding's one-nonzero-per-row Jacobian makes their first layer a handful of
 per-coordinate matmuls, over the encoder's coordinate-major derivatives and
 weight column blocks gathered once per batch call, instead of a dense (F, m)
 contraction.
@@ -47,7 +56,7 @@ through memory (the default 3D net's gradient slab is 0.75 MB per 256-row
 block); the last block also takes the remainder.  Each output row depends on
 its own input row alone, so no output depends on where the blocks end.  The
 reverse sweep runs one forward pass per block and reads the activations,
-their cosines and the pre-activation gradients from that pass's record
+their cosines and the pre-activation tangents from that pass's record
 instead of recomputing them; the gᵀHg sweep likewise reads the cosines and
 pre-activation gradients its order-2 pass kept.  Both live for one block.
 The parameter gradient is summed per block and then over blocks, so its
@@ -179,22 +188,16 @@ def init_field(
     )
 
 
-def _coord_columns(net: FieldNet) -> list[np.ndarray]:
-    # Feature columns that depend on input coordinate j, per the block layout.
+def _first_layer_blocks(net: FieldNet) -> list[np.ndarray]:
+    """Layer 0's weight columns for each input coordinate, (width, 2h+1) each
+    (feature b*m + j depends on x_j alone); gathered once per batch call and
+    shared by its blocks."""
     m = net.dim
     blocks = 2 * net.encoding.bands + 1
-    return [np.arange(blocks) * m + j for j in range(m)]
+    return [net.weights[0][:, np.arange(blocks) * m + j] for j in range(m)]
 
 
-def _first_layer_blocks(net: FieldNet) -> list[np.ndarray]:
-    """Layer 0's weight columns for each input coordinate, (width, 2h+1) each;
-    gathered once per batch call and shared by its blocks."""
-    return [net.weights[0][:, cols] for cols in _coord_columns(net)]
-
-
-def _forward(
-    net: FieldNet, x: np.ndarray, order: int, w0: list[np.ndarray], record: list | None = None
-) -> tuple[np.ndarray, ...]:
+def _forward(net: FieldNet, x: np.ndarray, order: int, w0: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     """One block's forward pass: ``(val,)``, ``(val, grad)`` or ``(val, grad, lap, ghg)``.
 
     ``w0`` is ``_first_layer_blocks(net)``.  The value track runs through
@@ -202,11 +205,7 @@ def _forward(
     independent of whether derivatives were asked for.  Order 2 carries the
     Laplacian slab alongside the gradient, keeps each sine layer's
     ``(fac_cos, dz, c2)`` and then sweeps them once more along the output
-    gradient g for gᵀHg (``_directional``).  With a ``record`` list, each
-    layer appends ``(a_in, da_in, fac_cos, dz)``: its input and the input's
-    spatial derivative (for layer 0 the encoder's coordinate-major ``d1``),
-    ``fac * cos(fac * z)`` (None for the affine layer) and ``dz`` (None at
-    order 0).  A sine layer's ``sin(fac * z)`` is the next layer's ``a_in``.
+    gradient g for gᵀHg (``_directional``).
     """
     n, m = x.shape
     jet = encode_jet(x, net.encoding, order)
@@ -216,7 +215,6 @@ def _forward(
     sweep = []
     for li, (w, b, fac) in enumerate(zip(net.weights, net.biases, net.sine_factors)):
         width = w.shape[0]
-        a_in, da_in = a, da
         z = a @ w.T + b
         dz = lz = fac_cos = c2 = None
         if order >= 1:
@@ -236,22 +234,16 @@ def _forward(
         if fac == 0.0:
             a, da, lap = z, dz, lz
         else:
-            with_cos = order >= 1 or record is not None
-            s, cos = sincos(fac * z, with_cos)
-            a = s
-            if with_cos:
-                fac_cos = cos
-                fac_cos *= fac
+            a, fac_cos = sincos(fac * z, order >= 1)
             if order >= 1:
+                fac_cos *= fac
                 da = fac_cos[:, None, :] * dz
             if order >= 2:
                 # fac_cos * Δz + c2 * Σ_j dz_j², c2 = -fac² sin(fac z)
-                c2 = -(fac * fac) * s
+                c2 = -(fac * fac) * a
                 lap = lz
                 lap *= fac_cos
                 lap += np.einsum("njk,njk->nk", dz, dz) * c2
-        if record is not None:
-            record.append((a_in, da_in, fac_cos, dz))
         if order >= 2:
             sweep.append((fac_cos, dz, c2))
     val = a[:, 0]
@@ -328,48 +320,52 @@ def jet_batch(net: FieldNet, points: _F) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _backward_block(
-    net: FieldNet,
-    x: np.ndarray,
-    vbar: np.ndarray,
-    gbar: np.ndarray | None,
-    w0: list[np.ndarray],
-    out: list[tuple[np.ndarray, np.ndarray]],
+    net: FieldNet, x: np.ndarray, vbar: np.ndarray, gbar: np.ndarray | None, out: list
 ) -> None:
-    n, m = x.shape
+    # One block's recorded forward pass, then the reverse sweep into ``out``
+    # (``net.layers`` of the gradient); see the module docstring.  The tangent
+    # track runs only with ``gbar``.
+    n = x.shape[0]
     with_grad = gbar is not None
-    record: list = []
-    _forward(net, x, 1 if with_grad else 0, w0, record)
-    cols = _coord_columns(net)
-    # Adjoints of the final layer's affine output (width 1).
-    zbar = vbar[:, None].copy()
-    dzbar = gbar[:, :, None].copy() if with_grad else None
+    jet = encode_jet(x, net.encoding, 1 if with_grad else 0)
+    a, t = jet.values, None
+    if with_grad:
+        # Feature b*m + j depends on x_j alone: its tangent is d1[j][:, b] * gbar_j.
+        t = (jet.d1.transpose(1, 2, 0) * gbar[:, None, :]).reshape(n, -1)
+    record = []
+    for w, b, fac in zip(net.weights, net.biases, net.sine_factors):
+        a_in, t_in = a, t
+        z = a @ w.T + b
+        tz = t @ w.T if with_grad else None
+        fac_cos = None
+        if fac == 0.0:
+            a, t = z, tz
+        else:
+            a, fac_cos = sincos(fac * z)
+            fac_cos *= fac
+            if with_grad:
+                t = fac_cos * tz
+        record.append((a_in, t_in, fac_cos, tz))
+    # Adjoints of the final layer's affine output (width 1) and its tangent.
+    zbar = vbar[:, None]
+    tbar = np.ones((n, 1)) if with_grad else None
     weights = net.weights
     for li in range(net.layer_count - 1, -1, -1):
-        w = weights[li]
-        gw, gb = out[li]
-        a_in, da_in = record[li][:2]
+        (gw, gb), (a_in, t_in, _, _), w = out[li], record[li], weights[li]
         gb += zbar.sum(axis=0)
         gw += zbar.T @ a_in
         if with_grad:
-            n_out = w.shape[0]
-            flat_dzbar = dzbar.reshape(n * m, n_out)
-            if li == 0:
-                for j in range(m):
-                    gw[:, cols[j]] += dzbar[:, j, :].T @ da_in[j]
-            else:
-                gw += flat_dzbar.T @ da_in.reshape(n * m, -1)
+            gw += tbar.T @ t_in
         if li == 0:
             break
-        abar = zbar @ w
-        dabar = flat_dzbar @ w if with_grad else None
-        # Through the previous sine: a_in = sin(f z), da_in = f cos(f z) dz.
+        # Through the previous sine: a_in = sin(f z), t_in = f cos(f z) tz.
         facp = net.sine_factors[li - 1]
-        _, _, fac_cos, dzp = record[li - 1]
-        zbar = fac_cos * abar
+        _, _, fac_cos, tzp = record[li - 1]
+        zbar = fac_cos * (zbar @ w)
         if with_grad:
-            dabar = dabar.reshape(n, m, -1)
-            zbar += np.einsum("njk,njk->nk", dabar, dzp) * (-(facp * facp) * a_in)
-            dzbar = fac_cos[:, None, :] * dabar
+            tabar = tbar @ w
+            zbar += tabar * tzp * (-(facp * facp) * a_in)
+            tbar = fac_cos * tabar
 
 
 def backprop(
@@ -387,9 +383,8 @@ def backprop(
     x = np.asarray(points, dtype=np.float64)
     vbar = np.asarray(value_bar, dtype=np.float64)
     gbar = None if grad_bar is None else np.asarray(grad_bar, dtype=np.float64)
-    w0 = _first_layer_blocks(net)
     grad = np.zeros_like(net.params)
     out = net.layers(grad)
     for lo, hi in _blocks(x.shape[0]):
-        _backward_block(net, x[lo:hi], vbar[lo:hi], None if gbar is None else gbar[lo:hi], w0, out)
+        _backward_block(net, x[lo:hi], vbar[lo:hi], None if gbar is None else gbar[lo:hi], out)
     return grad

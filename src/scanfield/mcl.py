@@ -175,8 +175,10 @@ def step(pset: ParticleSet, delta, scan_points, field, cfg: MclConfig, rng) -> P
     if acc_t < cfg.gate_trans and acc_r < cfg.gate_rot:
         return replace(pset, accum_trans=acc_t, accum_rot=acc_r)
     ll = log_likelihoods(pset, scan_points, field, cfg.sigma_z)
-    top = ll.max()
-    w = np.exp(ll - top) * pset.weights if np.isfinite(top) else np.zeros(pset.size)
+    ok = np.isfinite(ll)  # a NaN field value gives its particle weight 0
+    w = np.zeros(pset.size)
+    if ok.any():
+        w[ok] = np.exp(ll[ok] - ll[ok].max()) * pset.weights[ok]
     total = w.sum()
     if total <= 0.0 or not np.isfinite(total):
         warnings.warn("all particle likelihoods vanished; reweighting uniformly")

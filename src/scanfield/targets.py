@@ -82,7 +82,8 @@ def compute_targets(
     ``endpoints`` holds each sample's parent-ray endpoint, row-aligned with
     ``positions``.  Samples whose gradient vanishes or whose raw estimate
     comes out negative fall back to ray distance and are flagged degenerate.
-    d_hat is clamped to [0, tau]; weights use the batch maximum of |values|.
+    d_hat is clamped to [0, tau].  Weights are (d_top - |values|)^gamma with
+    d_top the batch maximum of |values|, divided by their largest value first.
     """
     vals = np.asarray(values, dtype=np.float64)
     g = np.asarray(gradients, dtype=np.float64)
@@ -119,8 +120,10 @@ def compute_targets(
         roc_query = np.where(degenerate, ROC_MAX, r)
     d_hat = np.clip(d_raw, 0.0, tau)
     d_pred_abs = np.abs(vals)
-    d_top = float(np.max(d_pred_abs))
-    weight = np.maximum(d_top - d_pred_abs, 0.0) ** gamma
+    base = float(np.max(d_pred_abs)) - d_pred_abs  # d_top - |D| >= 0
+    # Scaled so that the largest weight is exactly 1: no gamma overflows it.
+    top = float(np.max(base))
+    weight = (base / top if top > 0.0 else base) ** gamma
     return TargetBatch(
         d_hat=d_hat,
         weight=weight,

@@ -168,6 +168,21 @@ def test_train_rerun_is_byte_identical(tiny):
     assert (tmp / "m1.bin.transform").read_bytes() == (tmp / "m2.bin.transform").read_bytes()
 
 
+def test_train_with_large_weight_gamma(tiny):
+    # (d_top - |D|)^gamma would overflow or underflow for every sample at
+    # this gamma; the weights are scaled so that the largest is 1.
+    tmp, cfg, scene2 = tiny
+    data = tmp / "data"
+    assert run("synth", "--scene", scene2, "--traj", "orbit:radius=3,steps=4",
+               "--out", data, "--config", cfg) == 0
+    cfg.write_text(TINY_CFG + "weight_gamma = 1e3\n")
+    model = tmp / "m.bin"
+    assert run("train", "--scans", data, "--out", model, "--config", cfg, "--mode", "curvature") == 0
+    rows = (tmp / "m.bin.loss.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2  # one row per epoch
+    assert np.all(np.isfinite(np.array([r.split(",") for r in rows], dtype=float)))
+
+
 def test_mesh_from_trained_model(tmp_path):
     cfg = tmp_path / "c3.cfg"
     # narrow the cone so every pose sees the sphere

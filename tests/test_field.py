@@ -205,6 +205,33 @@ def test_backprop_matches_parameter_finite_differences():
         assert abs(grads[k] - fd) < 1e-5 * max(1.0, abs(fd))
 
 
+def test_backprop_3d_matches_parameter_finite_differences():
+    # The test above runs at m = 2; here the first layer's tangent
+    # interleaves three coordinates per encoder block (feature b*m + j).
+    net = init_field(seed=5, dim=3, hidden=6, hidden_layers=2, encoding=default_encoding(2))
+    rng = np.random.default_rng(17)
+    pts = rng.uniform(-1, 1, size=(6, 3))
+    vbar = rng.normal(size=6)
+    gbar = rng.normal(size=(6, 3))
+
+    def objective(n):
+        v, g = grad_batch(n, pts)
+        return float(np.sum(vbar * v) + np.sum(gbar * g))
+
+    grads = backprop(net, pts, vbar, gbar)
+    h = 1e-6
+    # Every entry of layer 0, which holds the tangent layout, and samples of the rest.
+    w0, b0 = net.layers(np.arange(net.params.size))[0]
+    keys = list(w0.ravel()) + list(b0) + list(rng.choice(np.arange(b0[-1] + 1, net.params.size), 12))
+    for k in keys:
+        fd = (objective(_perturbed(net, k, h)) - objective(_perturbed(net, k, -h))) / (2 * h)
+        assert abs(grads[k] - fd) < 1e-5 * max(1.0, abs(fd)), k
+    # A zero grad_bar runs the tangent track but must add nothing to it.
+    value_only = backprop(net, pts, vbar, None)
+    np.testing.assert_allclose(backprop(net, pts, vbar, np.zeros_like(gbar)), value_only,
+                               rtol=1e-14, atol=1e-15 * np.abs(value_only).max())
+
+
 def test_backprop_value_only():
     net = init_field(seed=1, dim=2, hidden=5, hidden_layers=1, encoding=default_encoding(2))
     pts = np.array([[0.1, 0.2], [0.3, -0.4]])

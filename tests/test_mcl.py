@@ -156,28 +156,46 @@ def test_step_gates_measurement_updates():
     np.testing.assert_allclose(big.weights, 1.0 / 64)  # resampled to uniform
 
 
-@pytest.mark.parametrize(
-    "field, weights",
-    [
-        (lambda p: np.where(p[:, 0] == 1.0, np.nan, 0.0), (1.0, 1.0, 1.0)),  # a NaN field value
-        (lambda p: np.full(p.shape[0], np.inf), (1.0, 1.0, 1.0)),  # every log-likelihood -inf
-        # the best particle (x = 0) has zero weight and its rivals' exp(ll - top) underflows
-        (lambda p: 10.0 * p[:, 0], (0.0, 1.0, 1.0)),
-    ],
-    ids=["nan-field", "all-minus-inf", "zero-weight-best"],
-)
-def test_step_collapse_reweights_uniformly(field, weights):
-    poses = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+_LINE_POSES = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+
+
+def _measure_line(field, weights):
+    # One forced measurement update of three particles on the x axis; the scan
+    # is one point at each particle's origin, so the field is read at x = 0, 1, 2.
     cfg = MclConfig(n_particles=3, odom_trans_base=0.0, odom_trans_frac=0.0,
                     odom_rot_base=0.0, odom_rot_frac=0.0)
-    pset = ParticleSet(poses, weights, accum_trans=np.inf, accum_rot=np.inf)
+    pset = ParticleSet(_LINE_POSES, weights, accum_trans=np.inf, accum_rot=np.inf)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         out = step(pset, (0.0, 0.0, 0.0), np.zeros((1, 2)), field, cfg, np.random.default_rng(0))
-    assert [str(w.message) for w in caught] == [
-        "all particle likelihoods vanished; reweighting uniformly"]
+    return out, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize(
+    "field, weights",
+    [
+        (lambda p: np.full(p.shape[0], np.inf), (1.0, 1.0, 1.0)),  # every log-likelihood -inf
+        (lambda p: np.full(p.shape[0], np.nan), (1.0, 1.0, 1.0)),  # no finite log-likelihood
+        # the best particle (x = 0) has zero weight and its rivals' exp(ll - top) underflows
+        (lambda p: 10.0 * p[:, 0], (0.0, 1.0, 1.0)),
+    ],
+    ids=["all-minus-inf", "all-nan", "zero-weight-best"],
+)
+def test_step_collapse_reweights_uniformly(field, weights):
+    out, messages = _measure_line(field, weights)
+    assert messages == ["all particle likelihoods vanished; reweighting uniformly"]
     # uniform weights resample every particle exactly once
-    np.testing.assert_array_equal(out.poses, poses)
+    np.testing.assert_array_equal(out.poses, _LINE_POSES)
+    np.testing.assert_array_equal(out.weights, np.full(3, 1.0 / 3))
+
+
+def test_step_gives_non_finite_particles_zero_weight():
+    # The field is NaN at x = 1 only.  That particle gets weight 0 and the
+    # others keep their likelihoods: x = 0 (D = 0) outweighs x = 2 (D = 2,
+    # log-likelihood -200) so far that every resampled copy is x = 0.
+    out, messages = _measure_line(lambda p: np.where(p[:, 0] == 1.0, np.nan, p[:, 0]), (1.0, 1.0, 1.0))
+    assert messages == []
+    np.testing.assert_array_equal(out.poses, np.tile(_LINE_POSES[0], (3, 1)))
     np.testing.assert_array_equal(out.weights, np.full(3, 1.0 / 3))
 
 

@@ -62,12 +62,15 @@ def hessian_terms(gradients, hessians):
     return np.einsum("sii->s", h), np.einsum("si,sij,sj->s", gradients, h, gradients)
 
 
-def sample_weight(d_pred_abs, d_max, gamma):
-    """Emphasis weight (d_max - |D|)^gamma, zero at the batch's largest |D|."""
-    return float(max(d_max - d_pred_abs, 0.0) ** gamma)
+def sample_weight(d_pred_abs, d_max, d_min, gamma):
+    """Emphasis weight ((d_max - |D|) / (d_max - d_min))^gamma over a batch
+    whose |D| spans [d_min, d_max]: 1 at the smallest |D|, 0 at the largest
+    (and everywhere when all |D| are equal)."""
+    base = max(d_max - d_pred_abs, 0.0)
+    return float((base / (d_max - d_min) if d_max > d_min else base) ** gamma)
 
 
-def estimate_sample(mode, value, gradient, hessian, endpoint, x, d_max,
+def estimate_sample(mode, value, gradient, hessian, endpoint, x, d_max, d_min=0.0,
                     tau=0.2, gamma=3.0, r_min=ROC_MIN, r_max=ROC_MAX):
     """One sample's (d_hat, weight, roc_query).
 
@@ -77,7 +80,7 @@ def estimate_sample(mode, value, gradient, hessian, endpoint, x, d_max,
     xq = np.asarray(x, dtype=np.float64)
     delta = endpoint - xq
     d = float(np.linalg.norm(delta))
-    weight = sample_weight(abs(value), d_max, gamma)
+    weight = sample_weight(abs(value), d_max, d_min, gamma)
     ray_fallback = mode is SupervisionMode.RAY_DISTANCE
     if not ray_fallback:
         try:
@@ -235,9 +238,11 @@ def test_curvature_matches_projection_in_flat_limit():
 
 
 def test_sample_weight_anchor():
-    w = [sample_weight(a, 2.0, 3.0) for a in (0.0, 1.0, 2.0)]
-    assert w == [8.0, 1.0, 0.0]
-    assert sample_weight(5.0, 2.0, 3.0) == 0.0  # beyond the batch max
+    w = [sample_weight(a, 2.0, 0.0, 3.0) for a in (0.0, 1.0, 2.0)]
+    assert w == [1.0, 0.125, 0.0]
+    assert sample_weight(5.0, 2.0, 0.0, 3.0) == 0.0  # beyond the batch max
+    assert sample_weight(1.5, 2.0, 1.0, 3.0) == 0.125  # the span, not d_max, scales
+    assert sample_weight(2.0, 2.0, 2.0, 3.0) == 0.0  # all |D| equal
 
 
 def test_estimate_sample_clamps_to_band():
@@ -283,12 +288,12 @@ def test_compute_targets_matches_scalar_loop():
     g[3] = 1e-12  # one degenerate row
     a = rng.normal(size=(s, m, m))
     h = a + np.swapaxes(a, 1, 2)
-    d_max = float(np.max(np.abs(vals)))
+    d_max, d_min = float(np.max(np.abs(vals))), float(np.min(np.abs(vals)))
     for mode in SupervisionMode:
         batch = compute_targets(mode, vals, g, hessian_terms(g, h), x, e, tau=0.2, gamma=3.0)
         for i in range(s):
             d_hat, weight, roc_query = estimate_sample(
-                mode, vals[i], g[i], h[i], e[i], x[i], d_max
+                mode, vals[i], g[i], h[i], e[i], x[i], d_max, d_min
             )
             assert abs(batch.d_hat[i] - d_hat) < 1e-12, (mode, i)
             assert abs(batch.weight[i] - weight) < 1e-9
@@ -330,7 +335,23 @@ def test_compute_targets_weights_use_batch_max():
     vals = np.array([0.0, 1.0, 2.0])
     g = np.tile([-1.0, 0.0], (3, 1))
     batch = compute_targets(SupervisionMode.RAY_DISTANCE, vals, g, None, x, e, tau=0.2, gamma=3.0)
-    np.testing.assert_allclose(batch.weight, [8.0, 1.0, 0.0])
+    # (d_top - |D|)^gamma = (8, 1, 0), divided by its largest value first: the
+    # loss normalises by the sum, so the scale changes rounding alone.
+    np.testing.assert_array_equal(batch.weight, [1.0, 0.125, 0.0])
+
+
+@pytest.mark.parametrize("gamma", [1e3, 1e6])
+def test_compute_targets_weights_stay_finite_for_large_gamma(gamma):
+    x = np.zeros((4, 2))
+    e = np.tile([0.1, 0.0], (4, 1))
+    g = np.tile([-1.0, 0.0], (4, 1))
+    vals = np.array([0.0, -1e-3, 0.5, 2.0])
+    weight = compute_targets(SupervisionMode.RAY_DISTANCE, vals, g, None, x, e, tau=0.2, gamma=gamma).weight
+    assert np.all(np.isfinite(weight))
+    assert weight[0] == 1.0 and weight[-1] == 0.0
+    # an all-equal batch has no emphasis: zero weights, the loss's uniform fallback
+    flat = compute_targets(SupervisionMode.RAY_DISTANCE, np.full(4, 0.3), g, None, x, e, tau=0.2, gamma=gamma)
+    np.testing.assert_array_equal(flat.weight, np.zeros(4))
 
 
 def test_compute_targets_rejects_empty():
