@@ -10,12 +10,12 @@ import time
 
 import numpy as np
 
-from scanfield import mcl
+from scanfield import mcl, meshing
 from scanfield.cli import trajectory_poses
 from scanfield.config import RunConfig
 from scanfield.encoding import default_encoding
 from scanfield.field import evaluate_batch, init_field
-from scanfield.geom import Aabb, Pose, normalize_scene, to_world
+from scanfield.geom import Pose, normalize_scene, to_world
 from scanfield.scenes import parse_scene_text, simulate_scan
 from scanfield.training import train
 
@@ -53,8 +53,8 @@ def main():
     def world_field(p):
         return tf.scale * evaluate_batch(net, tf.to_canonical(p))
 
-    box = Aabb(tf.center - tf.scale, tf.center + tf.scale)
-    grid = mcl.SampledField2D.from_field(world_field, box, cfg.field_grid_res)
+    box = tf.cube
+    grid = mcl.SampledField2D(meshing.sample_grid(world_field, box, cfg.field_grid_res), box)
 
     deltas = mcl.relative_deltas(traj)
     scans_xy = [s.points for s in scans]

@@ -34,7 +34,8 @@ def main():
     assert hit[0]
     endpoint = origin + t[0] * d
 
-    positions, dists, _ = sample_rays_batch(origin[None], endpoint[None], n=12)
+    positions = sample_rays_batch(origin[None], endpoint[None], n=12)
+    dists = np.linalg.norm(endpoint - positions, axis=1)
     endpoints = np.broadcast_to(endpoint, positions.shape)
     truth = scene.sdf(positions)
 

@@ -247,7 +247,7 @@ def _sdf_errors(values, scene, pts: np.ndarray) -> tuple[float, float]:
 def _mcl_score(values, box: Aabb, traj: np.ndarray, scans: list[Scan], cfg: RunConfig):
     """Seeded MCL runs on a ``field_grid_res`` grid of ``values`` over ``box``,
     and their metrics against the planar poses ``traj`` of ``scans``."""
-    grid = mcl_mod.SampledField2D.from_field(values, box, cfg.field_grid_res)
+    grid = mcl_mod.SampledField2D(meshing.sample_grid(values, box, cfg.field_grid_res), box)
     mcl_cfg = cfg.mcl()
     deltas = mcl_mod.relative_deltas(traj)
     scans_xy = [s.points for s in scans]

@@ -7,8 +7,9 @@ rotation gate, and the accumulator then resets.  The observation model scores
 a particle by the field values at the scan endpoints projected through its
 pose: log-likelihood sum_k -D(T_p(z_k))^2 / (2 sigma_z^2).
 
-The field argument everywhere is a vectorized callable (N, 2) -> (N,); use
-SampledField2D to wrap an expensive field in a bilinear-interpolated grid.
+The field argument everywhere is a vectorized callable (N, 2) -> (N,); wrap
+an expensive field in a bilinear-interpolated grid with
+``SampledField2D(sample_grid(field, box, res), box)`` (``meshing.sample_grid``).
 """
 
 from __future__ import annotations
@@ -277,12 +278,6 @@ class SampledField2D:
         self.box = box
         self._cells = np.array([v.shape[0] - 1, v.shape[1] - 1])
         self._spacing = (box.hi - box.lo) / self._cells
-
-    @classmethod
-    def from_field(cls, field, box: Aabb, res: int) -> "SampledField2D":
-        from .meshing import sample_grid
-
-        return cls(sample_grid(field, box, res), box)
 
     def __call__(self, points) -> np.ndarray:
         p = np.asarray(points, dtype=np.float64).reshape(-1, 2)

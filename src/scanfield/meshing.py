@@ -1,15 +1,13 @@
-"""Zero-isosurface extraction: marching cubes (3D) and marching squares (2D).
+"""Zero-isosurface extraction by marching cubes.
 
-The field is evaluated on a regular grid over an axis-aligned box; cells whose
-corner signs differ emit geometry, with crossing positions linearly
-interpolated along cell edges.  Both run one vectorized table walk: each
-active cell's table row is gathered at once, a grid edge shared by several
-cells maps to one global edge id so the output is indexed and watertight, and
-vertices are numbered in order of first use over the cells in index order,
-making the numbering deterministic.
-
-Cubes use the classic 256-case table, ambiguous faces included.  Squares
-resolve their two saddle cases by sampling the field at the cell center.
+The field is evaluated on a regular grid over an axis-aligned 3D box; cells
+whose corner signs differ emit triangles from the classic 256-case table,
+ambiguous faces included, with crossing positions linearly interpolated along
+cell edges.  One vectorized table walk gathers each active cell's table row
+at once; a grid edge shared by several cells maps to one global edge id so
+the output is indexed and watertight, and vertices are numbered in order of
+first use over the cells in index order, making the numbering deterministic.
+``sample_grid`` also grids 2D fields, for the localization maps.
 """
 
 from __future__ import annotations
@@ -38,28 +36,16 @@ _CORNERS = (
     (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
 )
 # Local edge -> (axis, di, dj, dk) of the grid edge's low corner.
-_CUBE_EDGES = (
+_CUBE_EDGES = np.array((
     (0, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0),
     (0, 0, 0, 1), (1, 1, 0, 1), (0, 0, 1, 1), (1, 0, 0, 1),
     (2, 0, 0, 0), (2, 1, 0, 0), (2, 1, 1, 0), (2, 0, 1, 0),
-)
+), dtype=np.intp)
 # The classic table winds for inward normals; swapping each triangle's last
 # two edges makes normals point where the field increases.
 _CUBE_TABLE = _padded(
     [sum(((a, c, b) for a, b, c in zip(r[0::3], r[1::3], r[2::3])), ()) for r in CUBE_TRIANGLES]
 )
-
-# Marching squares: corners c0=(i,j) c1=(i+1,j) c2=(i+1,j+1) c3=(i,j+1);
-# edges 0 bottom, 1 right, 2 top, 3 left.  Cases 5 and 10 are the saddles:
-# their rows here hold the pairing for a center outside the level set, rows
-# 16 and 17 the pairing for a center inside.
-_SQ_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
-_SQ_EDGES = ((0, 0, 0), (1, 1, 0), (0, 0, 1), (1, 0, 0))
-_SQ_TABLE = _padded([
-    (), (3, 0), (0, 1), (3, 1), (1, 2), (3, 0, 1, 2), (0, 2), (3, 2),
-    (2, 3), (2, 0), (0, 1, 2, 3), (2, 1), (1, 3), (1, 0), (0, 3), (),
-    (3, 2, 1, 0), (0, 3, 2, 1),
-])
 
 
 @dataclass(frozen=True)
@@ -76,22 +62,6 @@ class TriangleMesh:
             raise ValueError("triangle index out of range")
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
-
-
-@dataclass(frozen=True)
-class PolylineSet:
-    """Indexed 2D segments (the marching squares output)."""
-
-    vertices: np.ndarray
-    segments: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 2)
-        s = np.asarray(self.segments, dtype=np.intp).reshape(-1, 2)
-        if s.size and (s.min() < 0 or s.max() >= v.shape[0]):
-            raise ValueError("segment index out of range")
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "segments", s)
 
 
 def sample_grid(field, box: Aabb, res: int) -> np.ndarray:
@@ -117,33 +87,30 @@ def sample_grid(field, box: Aabb, res: int) -> np.ndarray:
     return vals
 
 
-def _active_cells(vals: np.ndarray, res: int, corners) -> tuple[np.ndarray, tuple]:
+def _active_cells(vals: np.ndarray, res: int) -> tuple[np.ndarray, tuple]:
     """Case codes (bit c set when corner c is inside) of the cells whose
     corners straddle the level set, and their index arrays in index order."""
     inside = vals < 0.0
-    case = np.zeros((res,) * vals.ndim, dtype=np.uint8)
-    for c, off in enumerate(corners):
-        case |= inside[tuple(slice(d, d + res) for d in off)].astype(np.uint8) << c
-    cells = np.nonzero((case != 0) & (case != (1 << len(corners)) - 1))
+    case = np.zeros((res, res, res), dtype=np.uint8)
+    for c, (dx, dy, dz) in enumerate(_CORNERS):
+        case |= inside[dx : dx + res, dy : dy + res, dz : dz + res].astype(np.uint8) << c
+    cells = np.nonzero((case != 0) & (case != 255))
     return case[cells], cells
 
 
-def _walk(vals, box: Aabb, res: int, active, rows, table, edges):
+def _walk(vals, box: Aabb, res: int, active, case):
     """Vertices and flat vertex indices of the active cells' table rows.
 
-    ``active`` holds the cells' index arrays, ``rows`` each cell's row of the
-    padded ``table``, and ``edges`` maps a local edge to its axis and the
-    offset of its low corner from the cell's.  The indices follow the rows in
-    cell order; a grid edge's vertex is interpolated once.
+    ``active`` holds the cells' index arrays and ``case`` their case codes.
+    The indices follow the rows in cell order; a grid edge's vertex is
+    interpolated once.
     """
     n = res + 1
-    m = vals.ndim
-    edges = np.asarray(edges, dtype=np.intp)
-    strides = n ** np.arange(m)
+    strides = n ** np.arange(3)
     # Global edge id: the axis, then the flat grid index of the low corner.
-    edge_off = edges[:, 0] * n**m + edges[:, 1:] @ strides
+    edge_off = _CUBE_EDGES[:, 0] * n**3 + _CUBE_EDGES[:, 1:] @ strides
     cell_off = sum(a * s for a, s in zip(active, strides))
-    local = table[rows]
+    local = _CUBE_TABLE[case]
     cell, slot = np.nonzero(local >= 0)
     edge = local[cell, slot]
     del local, slot
@@ -158,16 +125,16 @@ def _walk(vals, box: Aabb, res: int, active, rows, table, edges):
     ids = rank[inverse]
     del inverse, rank
     head = first[order]
-    cell, edge = cell[head], edges[edge[head]]
-    corner = tuple(active[a][cell] + edge[:, 1 + a] for a in range(m))
-    step = [edge[:, 0] == a for a in range(m)]
+    cell, edge = cell[head], _CUBE_EDGES[edge[head]]
+    corner = tuple(active[a][cell] + edge[:, 1 + a] for a in range(3))
+    step = [edge[:, 0] == a for a in range(3)]
     va = vals[corner]
     vb = vals[tuple(c + s for c, s in zip(corner, step))]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(va == vb, 0.5, va / (va - vb))
     spacing = (box.hi - box.lo) / res
     verts = np.stack(
-        [box.lo[a] + (corner[a] + t * step[a]) * spacing[a] for a in range(m)], axis=1
+        [box.lo[a] + (corner[a] + t * step[a]) * spacing[a] for a in range(3)], axis=1
     )
     return verts, ids
 
@@ -177,10 +144,10 @@ def marching_cubes(field, box: Aabb, res: int) -> TriangleMesh:
     if box.dim != 3:
         raise ValueError("marching_cubes needs a 3D box")
     vals = sample_grid(field, box, res)
-    case, active = _active_cells(vals, res, _CORNERS)
+    case, active = _active_cells(vals, res)
     if case.size == 0:
         return TriangleMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.intp))
-    v, t = _walk(vals, box, res, active, case, _CUBE_TABLE, _CUBE_EDGES)
+    v, t = _walk(vals, box, res, active, case)
     t = t.reshape(-1, 3)
     # Drop degenerate triangles, then unused vertices.
     e1 = v[t[:, 1]] - v[t[:, 0]]
@@ -190,24 +157,3 @@ def marching_cubes(field, box: Aabb, res: int) -> TriangleMesh:
     remap = np.full(v.shape[0], -1, dtype=np.intp)
     remap[used] = np.arange(used.size)
     return TriangleMesh(v[used], remap[t])
-
-
-def marching_squares(field, box: Aabb, res: int) -> PolylineSet:
-    """Extract the zero contour of a 2D field as indexed segments."""
-    if box.dim != 2:
-        raise ValueError("marching_squares needs a 2D box")
-    vals = sample_grid(field, box, res)
-    case, active = _active_cells(vals, res, _SQ_CORNERS)
-    if case.size == 0:
-        return PolylineSet(np.empty((0, 2)), np.empty((0, 2), dtype=np.intp))
-    rows = case.astype(np.intp)
-    saddle = (case == 5) | (case == 10)
-    if saddle.any():
-        spacing = (box.hi - box.lo) / res
-        centers = np.stack(
-            [box.lo[a] + (active[a][saddle] + 0.5) * spacing[a] for a in range(2)], axis=1
-        )
-        inside = np.asarray(field(centers), dtype=np.float64) < 0.0
-        rows[saddle] = np.where(inside, 16 + (case[saddle] == 10), case[saddle])
-    v, s = _walk(vals, box, res, active, rows, _SQ_TABLE, _SQ_EDGES)
-    return PolylineSet(v, s.reshape(-1, 2))

@@ -11,8 +11,7 @@ toward the sensor, and the final parameter is slightly negative (a probe just
 behind the sensor origin).  For n = 40 the schedule runs from t ~ 0.9932 down
 through exactly 0 at l = 39 to t ~ -0.0677 at l = 40.
 
-The along-ray distance to the endpoint is d = (1 - t) * |e - o|, which the
-batch helper returns precomputed.
+The along-ray distance from a sample to the endpoint is d = (1 - t) * |e - o|.
 """
 
 from __future__ import annotations
@@ -37,11 +36,10 @@ def sample_rays_batch(
     origins: _F,
     endpoints: _F,
     n: int = DEFAULT_SAMPLES,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Vectorized sampling over (R, m) ray arrays.
 
-    Returns positions (R*L, m), endpoint distances (R*L,), and the parent ray
-    index (R*L,) with L samples per ray, ray-major order.
+    Returns the positions (R*L, m) with L samples per ray, ray-major order.
     """
     o = np.asarray(origins, dtype=np.float64)
     e = np.asarray(endpoints, dtype=np.float64)
@@ -49,12 +47,8 @@ def sample_rays_batch(
         raise ValueError(f"origin/endpoint arrays must share shape (R, m), got {o.shape}/{e.shape}")
     t = schedule(n)
     r, m = o.shape
-    el = t.size
     seg = e - o
-    lengths = np.linalg.norm(seg, axis=1)
-    if np.any(lengths <= 0.0):
+    if np.any(np.linalg.norm(seg, axis=1) <= 0.0):
         raise ValueError("zero-length ray in batch")
     pos = o[:, None, :] + t[None, :, None] * seg[:, None, :]
-    dist = (1.0 - t)[None, :] * lengths[:, None]
-    ray_index = np.repeat(np.arange(r, dtype=np.intp), el)
-    return pos.reshape(r * el, m), dist.reshape(r * el), ray_index
+    return pos.reshape(r * t.size, m)

@@ -26,7 +26,7 @@ to check its keys.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 import numpy.typing as npt
@@ -105,7 +105,6 @@ class RayBatch:
 
     endpoints: np.ndarray
     positions: np.ndarray
-    ray_index: np.ndarray
     sample_endpoints: np.ndarray
 
 
@@ -115,12 +114,10 @@ def make_batch(
     samples_per_ray: int = sampling.DEFAULT_SAMPLES,
 ) -> RayBatch:
     e = np.asarray(endpoints, dtype=np.float64)
-    pos, _, ray_index = sampling.sample_rays_batch(origins, e, samples_per_ray)
     return RayBatch(
         endpoints=e,
-        positions=pos,
-        ray_index=ray_index,
-        sample_endpoints=e[ray_index],
+        positions=sampling.sample_rays_batch(origins, e, samples_per_ray),
+        sample_endpoints=np.repeat(e, samples_per_ray, axis=0),
     )
 
 
@@ -292,23 +289,17 @@ def train(
     n_rays = origins.shape[0]
     for epoch in range(optim.epochs):
         perm = rng.permutation(n_rays)
-        parts = np.zeros(4)
+        parts = np.zeros(5)
         n_batches = 0
         for lo in range(0, n_rays, optim.batch_rays):
             idx = perm[lo : lo + optim.batch_rays]
             batch = make_batch(origins[idx], endpoints[idx], optim.samples_per_ray)
             bd, grads = batch_loss(net, batch, weights, mode)
             net, state = adamw_step(net, grads, optim, state)
-            parts += (bd.data, bd.endpoint, bd.eikonal, bd.smoothness)
+            parts += astuple(bd)
             n_batches += 1
         parts /= max(n_batches, 1)
-        epoch_bd = LossBreakdown(
-            data=parts[0],
-            endpoint=parts[1],
-            eikonal=parts[2],
-            smoothness=parts[3],
-            total=parts[0] + weights.endpoint * parts[1] + weights.eikonal * parts[2] + weights.smooth * parts[3],
-        )
+        epoch_bd = LossBreakdown(*parts)
         history.append(epoch_bd)
         if callback is not None:
             callback(epoch, epoch_bd)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from scanfield import __main__ as launcher
-from scanfield import cli, field, mcl
+from scanfield import cli, field, mcl, meshing
 from scanfield.__main__ import THREAD_VARS
 from scanfield.cli import main, trajectory_poses
 from scanfield.storage import load_model, load_scan_points, load_scans, read_mesh_ply
@@ -339,6 +339,25 @@ def test_localize_scene_and_model_share_one_box(tmp_path, monkeypatch):
     assert len(boxes) == 4  # mcl_runs = 2 per map
     for box in boxes[1:]:
         assert np.array_equal(box.lo, boxes[0].lo) and np.array_equal(box.hi, boxes[0].hi)
+
+
+def test_localize_grids_the_map_through_sample_grid(tiny, monkeypatch):
+    # The MCL grid comes from a call-time lookup of meshing.sample_grid, so a
+    # wrapper put on the module attribute sees every grid that localize builds.
+    tmp, cfg, scene2 = tiny
+    data = tmp / "data"
+    assert run("synth", "--scene", scene2, "--traj", "orbit:radius=3,steps=4",
+               "--out", data, "--config", cfg) == 0
+    calls = []
+    real = meshing.sample_grid
+
+    def counting(values, box, res):
+        calls.append((box.dim, res))
+        return real(values, box, res)
+
+    monkeypatch.setattr(meshing, "sample_grid", counting)
+    assert run("localize", "--scene", scene2, "--data", data, "--config", cfg) == 0
+    assert calls == [(2, 24)]  # one scored map, at field_grid_res
 
 
 def test_localize_oracle_room(tmp_path, capsys):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from scanfield import meshing
 from scanfield.geom import Aabb, Pose
 from scanfield.mcl import (
     MclConfig,
@@ -259,7 +260,7 @@ def test_sampled_field_matches_bilinear_values():
     box = Aabb.cube(np.zeros(2), 1.0)
     # a bilinear function is reproduced exactly by bilinear interpolation
     f = lambda p: 2.0 + 3.0 * p[:, 0] - 1.5 * p[:, 1] + 0.5 * p[:, 0] * p[:, 1]
-    sf = SampledField2D.from_field(f, box, res=8)
+    sf = SampledField2D(meshing.sample_grid(f, box, 8), box)
     rng = np.random.default_rng(6)
     pts = rng.uniform(-1, 1, size=(200, 2))
     np.testing.assert_allclose(sf(pts), f(pts), atol=1e-12)

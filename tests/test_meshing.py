@@ -5,14 +5,7 @@ from scanfield._mc_tables import CUBE_TRIANGLES
 from scanfield.encoding import default_encoding
 from scanfield.field import evaluate_batch, init_field
 from scanfield.geom import Aabb
-from scanfield.meshing import (
-    MIN_TRI_AREA,
-    PolylineSet,
-    TriangleMesh,
-    marching_cubes,
-    marching_squares,
-    sample_grid,
-)
+from scanfield.meshing import MIN_TRI_AREA, TriangleMesh, marching_cubes, sample_grid
 
 # ---------------------------------------------------------------------------
 # Per-cell reference: one cell at a time with an edge-id dict, the reference
@@ -161,76 +154,6 @@ def reference_cubes(field, box, res):
     return TriangleMesh(v[used], remap[t] if t.size else t), len(pending)
 
 
-# Corners c0=(i,j) c1=(i+1,j) c2=(i+1,j+1) c3=(i,j+1); edges 0 bottom,
-# 1 right, 2 top, 3 left.  Cases 5 and 10 are the saddles.
-_SQ_SEGMENTS = {
-    0: (), 15: (),
-    1: ((3, 0),), 2: ((0, 1),), 3: ((3, 1),), 4: ((1, 2),),
-    6: ((0, 2),), 7: ((3, 2),), 8: ((2, 3),), 9: ((2, 0),),
-    11: ((2, 1),), 12: ((1, 3),), 13: ((1, 0),), 14: ((0, 3),),
-}
-_SQ_SADDLE = {
-    5: {True: ((3, 2), (1, 0)), False: ((3, 0), (1, 2))},
-    10: {True: ((0, 3), (2, 1)), False: ((0, 1), (2, 3))},
-}
-
-
-def reference_squares(field, box, res):
-    """Per-cell marching squares with a center sample per saddle cell."""
-    vals = sample_grid(field, box, res)
-    inside = vals < 0.0
-    case = np.zeros((res, res), dtype=np.int32)
-    for c, (dx, dy) in enumerate(((0, 0), (1, 0), (1, 1), (0, 1))):
-        case |= inside[dx : dx + res, dy : dy + res].astype(np.int32) << c
-    active = np.argwhere((case != 0) & (case != 15))
-    if active.shape[0] == 0:
-        return PolylineSet(np.empty((0, 2)), np.empty((0, 2), dtype=np.intp))
-    lo = box.lo
-    spacing = (box.hi - box.lo) / res
-    n = res + 1
-
-    saddles = [row for row, (i, j) in enumerate(active) if case[i, j] in _SQ_SADDLE]
-    saddle_inside = {}
-    if saddles:
-        pts = np.asarray(
-            [(lo[0] + (active[r][0] + 0.5) * spacing[0], lo[1] + (active[r][1] + 0.5) * spacing[1])
-             for r in saddles]
-        )
-        cv = np.asarray(field(pts), dtype=np.float64)
-        saddle_inside = {r: bool(c < 0.0) for r, c in zip(saddles, cv)}
-
-    edge_map = ((0, 0, 0), (1, 1, 0), (0, 0, 1), (1, 0, 0))
-    axis_step = ((1, 0), (0, 1))
-    vert_of_edge, verts, segs = {}, [], []
-
-    def vertex_on(e, i, j):
-        axis, di, dj = edge_map[e]
-        ia, ja = i + di, j + dj
-        gid = (axis * n + ja) * n + ia
-        found = vert_of_edge.get(gid)
-        if found is not None:
-            return found
-        sx, sy = axis_step[axis]
-        va = float(vals[ia, ja])
-        vb = float(vals[ia + sx, ja + sy])
-        t = 0.5 if va == vb else va / (va - vb)
-        verts.append((lo[0] + (ia + t * sx) * spacing[0], lo[1] + (ja + t * sy) * spacing[1]))
-        vert_of_edge[gid] = len(verts) - 1
-        return len(verts) - 1
-
-    for row, (i, j) in enumerate(active):
-        c = case[i, j]
-        pieces = _SQ_SADDLE[c][saddle_inside[row]] if c in _SQ_SADDLE else _SQ_SEGMENTS[c]
-        for ea, eb in pieces:
-            a = vertex_on(ea, i, j)
-            b = vertex_on(eb, i, j)
-            if a != b:
-                segs.append((a, b))
-
-    v = np.asarray(verts, dtype=np.float64).reshape(-1, 2)
-    return PolylineSet(v, np.asarray(segs, dtype=np.intp).reshape(-1, 2))
-
-
 def assert_bitwise(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape
     assert a.tobytes() == b.tobytes()
@@ -268,8 +191,6 @@ def test_sample_grid_layout():
 def test_mesh_validation():
     with pytest.raises(ValueError):
         TriangleMesh(np.zeros((2, 3)), np.array([[0, 1, 2]]))
-    with pytest.raises(ValueError):
-        PolylineSet(np.zeros((1, 2)), np.array([[0, 1]]))
 
 
 def test_empty_mesh_when_level_set_absent():
@@ -354,73 +275,6 @@ def test_marching_cubes_rejects_2d_box():
         marching_cubes(sphere_field, Aabb.cube(np.zeros(2), 1.0), 8)
 
 
-def test_circle_polyline_closed_and_accurate():
-    box = Aabb.cube(np.zeros(2), 2.0)
-    lines = marching_squares(lambda p: np.linalg.norm(p, axis=1) - 1.0, box, 64)
-    r = np.linalg.norm(lines.vertices, axis=1)
-    assert np.max(np.abs(r - 1.0)) < 0.01
-    # closed curve: every vertex appears in exactly two segments
-    degree = np.zeros(lines.vertices.shape[0], dtype=int)
-    for a, b in lines.segments:
-        degree[a] += 1
-        degree[b] += 1
-    assert np.all(degree == 2)
-
-
-def test_squares_saddle_resolved_by_center_sample():
-    # The hyperbolic field -x*y is negative in two opposite quadrants; at the
-    # origin cell the corner signs alone are ambiguous.  Center sampling picks
-    # the topology consistent with the actual field.
-    def saddle(p):
-        return -(p[:, 0] * p[:, 1])
-
-    box = Aabb.cube(np.zeros(2), 1.0)
-    lines = marching_squares(saddle, box, 5)  # odd res: cells straddle the axes
-    # segments exist and no vertex dangles more than the 4 hyperbola branch ends
-    degree = np.zeros(lines.vertices.shape[0], dtype=int)
-    for a, b in lines.segments:
-        degree[a] += 1
-        degree[b] += 1
-    assert np.all(degree >= 1)
-    assert lines.segments.shape[0] > 0
-    # all vertices lie near the zero set xy = 0
-    prods = np.abs(lines.vertices[:, 0] * lines.vertices[:, 1])
-    assert np.max(prods) < 0.05
-
-
-@pytest.mark.parametrize(
-    "c, pairs",
-    [
-        (0.01, {("bottom", "left"), ("right", "top")}),  # center inside
-        (-0.01, {("bottom", "right"), ("left", "top")}),  # center outside
-    ],
-)
-def test_squares_saddle_topology_follows_center_sample(c, pairs):
-    # x*y - c at odd res: the origin cell's corners alternate in sign, so
-    # they alone are ambiguous.  The center value -c decides which opposite
-    # corners the contour cuts off, matching the hyperbola xy = c.
-    lines = marching_squares(lambda p: p[:, 0] * p[:, 1] - c, Aabb.cube(np.zeros(2), 1.0), 5)
-    v = lines.vertices
-    # interpolation along a lattice edge is exact for a bilinear field
-    np.testing.assert_allclose(v[:, 0] * v[:, 1], c, atol=1e-12)
-    h = 0.2  # the origin cell is [-h, h]^2
-
-    def side(p):
-        if abs(abs(p[0]) - h) < 1e-9:
-            return "right" if p[0] > 0 else "left"
-        return "top" if p[1] > 0 else "bottom"
-
-    in_cell = np.all(np.abs(v[lines.segments]) < h + 1e-9, axis=(1, 2))
-    got = {tuple(sorted(side(v[i]) for i in seg)) for seg in lines.segments[in_cell]}
-    assert got == pairs
-
-
-def test_squares_empty():
-    box = Aabb.cube(np.zeros(2), 1.0)
-    lines = marching_squares(lambda p: np.full(p.shape[0], -1.0), box, 8)
-    assert lines.segments.shape[0] == 0
-
-
 def quadric(seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(3, 3))
@@ -464,25 +318,6 @@ def test_cubes_match_reference_on_a_network():
     assert got.triangles.shape[0] > 0
     assert_bitwise(got.vertices, want.vertices)
     assert_bitwise(got.triangles, want.triangles)
-
-
-@pytest.mark.parametrize(
-    "field",
-    [
-        lambda p: np.linalg.norm(p, axis=1) - 1.0,
-        lambda p: p[:, 0] * p[:, 1] - 0.01,
-        lambda p: p[:, 0] * p[:, 1] + 0.01,
-        lambda p: p[:, 0] * p[:, 1],
-    ],
-    ids=["circle", "saddle-inside", "saddle-outside", "saddle-zero"],
-)
-def test_squares_match_per_cell_reference(field):
-    box = Aabb.cube(np.zeros(2), 1.5)
-    for res in (5, 7, 32):
-        want = reference_squares(field, box, res)
-        got = marching_squares(field, box, res)
-        assert_bitwise(got.vertices, want.vertices)
-        assert_bitwise(got.segments, want.segments)
 
 
 def test_face_center_sample_can_never_flip():

@@ -33,10 +33,10 @@ def test_schedule_rejects_tiny_counts():
 
 def test_sample_ray_positions_and_distances():
     origin, endpoint = np.array([1.0, 0.0]), np.array([3.0, 0.0])
-    pos, dist, idx = sample_rays_batch(origin[None], endpoint[None], 10)
+    pos = sample_rays_batch(origin[None], endpoint[None], 10)
+    dist = np.linalg.norm(endpoint - pos, axis=1)
     t = schedule(10)
-    assert pos.shape == (10, 2) and dist.shape == (10,)
-    np.testing.assert_array_equal(idx, 0)
+    assert pos.shape == (10, 2)
     for k in range(10):
         np.testing.assert_allclose(pos[k], origin + t[k] * (endpoint - origin))
         assert abs(dist[k] - (1.0 - t[k]) * 2.0) < 1e-15
@@ -58,14 +58,13 @@ def test_batch_matches_scalar_path():
     rng = np.random.default_rng(9)
     origins = rng.normal(size=(6, 3))
     endpoints = origins + rng.uniform(0.5, 2.0, size=(6, 3))
-    pos, dist, idx = sample_rays_batch(origins, endpoints, 7)
+    pos = sample_rays_batch(origins, endpoints, 7)
     assert pos.shape == (42, 3)
     k = 0
     for i in range(6):
         for position, ray_distance in _sample_one_ray(origins[i], endpoints[i], 7):
             np.testing.assert_allclose(pos[k], position, atol=1e-12)
-            assert abs(dist[k] - ray_distance) < 1e-12
-            assert idx[k] == i
+            assert abs(np.linalg.norm(endpoints[i] - pos[k]) - ray_distance) < 1e-12
             k += 1
 
 

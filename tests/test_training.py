@@ -289,7 +289,7 @@ def test_make_batch_aligns_sample_endpoints():
     origins, endpoints = toy_rays(3, seed=1)
     batch = make_batch(origins, endpoints, samples_per_ray=4)
     assert batch.positions.shape[0] == 12
-    np.testing.assert_array_equal(batch.sample_endpoints, endpoints[batch.ray_index])
+    np.testing.assert_array_equal(batch.sample_endpoints, np.repeat(endpoints, 4, axis=0))
 
 
 def parse_overrides(**overrides):
