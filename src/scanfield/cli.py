@@ -267,13 +267,12 @@ def _mcl_columns(metrics) -> str:
 
 
 def cmd_mesh(args) -> int:
-    cfg = _load_run_config(args)
+    _load_run_config(args)  # a bad --config fails here, as in every command
     net, tf = storage.load_field(args.model)
     if net.dim != 3:
         raise ValueError("mesh extraction needs a 3D model")
-    res = args.res if args.res is not None else cfg.mesh_res
     canon_field = lambda pts: field_mod.evaluate_batch(net, pts)
-    mesh = meshing.marching_cubes(canon_field, Aabb.cube(np.zeros(3), 1.0), res)
+    mesh = meshing.marching_cubes(canon_field, Aabb.cube(np.zeros(3), 1.0), args.res)
     mesh = meshing.TriangleMesh(tf.to_world(mesh.vertices), mesh.triangles)
     storage.export_mesh_ply(args.out, mesh)
     print(f"wrote {mesh.vertices.shape[0]} vertices, {mesh.triangles.shape[0]} faces to {args.out}")
@@ -327,7 +326,7 @@ def cmd_localize(args) -> int:
             raise ValueError("localization needs a 2D scene")
         values, box = scene.sdf, _canonical_rays(scans)[1].cube
     results, metrics = _mcl_score(values, box, _planar_trajectory(scans), scans, cfg)
-    conv = sum(1 for r in results if r.converged_at is not None)
+    conv = 0 if metrics is None else metrics.converged_runs
     _write_csv(args.out, "runs,converged,rmse,mae",
                [f"{len(results)},{conv},{_mcl_columns(metrics)}"])
     return 0
@@ -413,8 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mesh", help="extract the zero isosurface of a model")
     common(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--res", type=int, default=None,
-                   help="cells per axis (default: the config's mesh_res)")
+    p.add_argument("--res", type=int, default=256, help="cells per axis")
     p.add_argument("--out", required=True, help="output PLY path")
     p.set_defaults(func=cmd_mesh)
 

@@ -10,7 +10,7 @@ each.  A key that a module config (``LossWeights``, ``OptimConfig``,
 takes its type, default and range check from that field; the adapters build
 each owner from its keys, and ``RunConfig`` builds each once on construction
 so their checks run.  A key that cli reads itself (mode, encoding, network and
-the grid resolutions) maps to ``(type, default)`` and is range-checked here.
+the MCL grid resolution) maps to ``(type, default)`` and is range-checked here.
 Every key's type is checked too: int keys take ints, float keys finite ints or
 floats (``trunc_band`` also ``inf``: no clamp) and ``mode`` a string, whether
 they come from text or from overrides.
@@ -68,9 +68,8 @@ KEYS = {
     "fov": (ScannerConfig, "fov"),
     "max_range": (ScannerConfig, "max_range"),
     "scan_noise": (ScannerConfig, "noise_sigma"),
-    # resolutions: cells per axis of the mesh grid (canonical cube) and of the
-    # 2D localization field grid (world map box)
-    "mesh_res": ("int", 256),
+    # resolution: cells per axis of the 2D localization field grid (world
+    # map box)
     "field_grid_res": ("int", 256),
     # localization: particles and runs are counts; conv_std, the translation
     # gate, sigma_z and the translation odometry noise in world metres; the
@@ -102,8 +101,8 @@ class _RunConfigBase:
                      "hidden_layers", "first_layer_factor"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.mesh_res < 2 or self.field_grid_res < 2:
-            raise ValueError("grid resolutions must be at least 2")
+        if self.field_grid_res < 2:
+            raise ValueError("field_grid_res must be at least 2")
         for owner in _OWNERS:
             self._build(owner)
         # Last, so that values rejected above keep their message.

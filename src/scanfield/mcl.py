@@ -105,7 +105,6 @@ class ParticleSet:
 class Estimate:
     x: float
     y: float
-    heading: float
     std: float
     converged: bool
 
@@ -189,24 +188,20 @@ def step(pset: ParticleSet, delta, scan_points, field, cfg: MclConfig, rng) -> P
 
 
 def estimate(pset: ParticleSet, conv_std: float) -> Estimate:
-    """Weighted mean position, circular-mean heading, scalar positional std."""
+    """Weighted mean position and scalar positional std."""
     w = pset.weights
     xy = pset.poses[:, :2]
     mean = w @ xy
-    th = pset.poses[:, 2]
-    heading = float(np.arctan2(w @ np.sin(th), w @ np.cos(th)))
     spread = xy - mean
     std = float(np.sqrt(np.sum(w * np.sum(spread * spread, axis=1))))
-    return Estimate(float(mean[0]), float(mean[1]), heading, std, bool(std < conv_std))
+    return Estimate(float(mean[0]), float(mean[1]), std, bool(std < conv_std))
 
 
 @dataclass(frozen=True)
 class RunResult:
-    """One localization run: per-step estimates and the first converged step."""
+    """One localization run: per-step position estimates and the first converged step."""
 
     positions: np.ndarray  # (steps, 2)
-    headings: np.ndarray
-    stds: np.ndarray
     converged_at: int | None
 
 
@@ -215,7 +210,6 @@ class MclMetrics:
     rmse: float
     mae: float
     converged_runs: int
-    total_runs: int
 
 
 def localize_run(field, box: Aabb, deltas, scans, cfg: MclConfig, rng) -> RunResult:
@@ -224,17 +218,15 @@ def localize_run(field, box: Aabb, deltas, scans, cfg: MclConfig, rng) -> RunRes
     if deltas.shape[0] != len(scans):
         raise ValueError("need one scan per odometry delta")
     pset = init_uniform(box, cfg, rng)
-    pos, heads, stds = [], [], []
+    pos = []
     converged_at = None
     for i, (delta, scan_pts) in enumerate(zip(deltas, scans)):
         pset = step(pset, delta, scan_pts, field, cfg, rng)
         est = estimate(pset, cfg.conv_std)
         pos.append([est.x, est.y])
-        heads.append(est.heading)
-        stds.append(est.std)
         if converged_at is None and est.converged:
             converged_at = i
-    return RunResult(np.asarray(pos), np.asarray(heads), np.asarray(stds), converged_at)
+    return RunResult(np.asarray(pos), converged_at)
 
 
 def run_metrics(truth_xy, results) -> MclMetrics | None:
@@ -259,7 +251,6 @@ def run_metrics(truth_xy, results) -> MclMetrics | None:
         rmse=float(np.mean(rmses)),
         mae=float(np.mean(maes)),
         converged_runs=len(rmses),
-        total_runs=len(results),
     )
 
 

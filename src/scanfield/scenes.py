@@ -7,6 +7,9 @@ comes from the active feature, ties broken by lowest index.  A scene's jet is
 the contract of ``field.jet_batch``: values, gradients, tr H and gᵀHg, the
 last zero because a distance gradient is unit wherever it is smooth (Hg = 0).
 
+A scene file has four primitive lines, ``sphere``, ``circle``, ``box`` and
+``plane``, one primitive per line (``parse_scene_text``).
+
 The scanner sphere-traces beams through a scene to synthesize range scans:
 the input modality for field training, with exact geometry as ground truth.
 """
@@ -169,83 +172,6 @@ class Box:
 
 
 @dataclass(frozen=True)
-class ConvexPolygon2D:
-    """Convex polygon, counterclockwise vertices; exact distance both sides."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=np.float64)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-            raise ValueError("need at least 3 vertices of shape (k, 2)")
-        edges = np.roll(v, -1, axis=0) - v
-        cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
-        if np.all(cross < 0.0):
-            v = v[::-1].copy()
-            edges = np.roll(v, -1, axis=0) - v
-            cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
-        if not np.all(cross > 0.0):
-            raise ValueError("vertices must form a strictly convex polygon")
-        object.__setattr__(self, "vertices", v)
-
-    @property
-    def dim(self) -> int:
-        return 2
-
-    def _features(self, points: _F):
-        """Per-edge line distances, segment parameters, and vertex geometry."""
-        p = _pts(points)
-        v = self.vertices
-        e = np.roll(v, -1, axis=0) - v
-        elen = np.linalg.norm(e, axis=1)
-        tang = e / elen[:, None]
-        nrm = np.stack([tang[:, 1], -tang[:, 0]], axis=1)  # outward for CCW
-        rel = p[:, None, :] - v[None, :, :]
-        line = np.einsum("pki,ki->pk", rel, nrm)
-        t = np.einsum("pki,ki->pk", rel, tang)
-        return p, v, nrm, tang, line, t, elen
-
-    def sdf(self, points: _F) -> np.ndarray:
-        p, v, nrm, tang, line, t, elen = self._features(points)
-        inside = np.all(line <= 0.0, axis=1)
-        tc = np.clip(t, 0.0, elen[None, :])
-        closest = v[None, :, :] + tc[:, :, None] * tang[None, :, :]
-        seg = np.min(np.linalg.norm(p[:, None, :] - closest, axis=2), axis=1)
-        return np.where(inside, np.max(line, axis=1), seg)
-
-    def jet(self, points: _F):
-        p, v, nrm, tang, line, t, elen = self._features(points)
-        n = p.shape[0]
-        inside = np.all(line <= 0.0, axis=1)
-        tc = np.clip(t, 0.0, elen[None, :])
-        closest = v[None, :, :] + tc[:, :, None] * tang[None, :, :]
-        dists = np.linalg.norm(p[:, None, :] - closest, axis=2)
-        best = np.argmin(dists, axis=1)
-        rows = np.arange(n)
-        vals = np.where(inside, np.max(line, axis=1), dists[rows, best])
-        grads = np.zeros((n, 2), dtype=np.float64)
-        lap = np.zeros(n)
-        # Inside: planar field of the nearest edge line.
-        face = np.argmax(line, axis=1)
-        grads[inside] = nrm[face[inside]]
-        # Outside: edge-interior feature is planar, vertex feature bends.
-        out = ~inside
-        if np.any(out):
-            bo = best[out]
-            on_edge = (t[out, bo] > 0.0) & (t[out, bo] < elen[bo])
-            oi = np.where(out)[0]
-            grads[oi[on_edge]] = nrm[bo[on_edge]]
-            at_vertex = ~on_edge
-            vi = oi[at_vertex]
-            if vi.size:
-                rel = p[vi] - closest[vi, best[vi]]
-                d = np.maximum(np.linalg.norm(rel, axis=1), 1e-300)
-                grads[vi] = rel / d[:, None]
-                lap[vi] = 1.0 / d
-        return vals, grads, lap
-
-
-@dataclass(frozen=True)
 class AnalyticScene:
     """Union (pointwise min) of primitives sharing one dimension."""
 
@@ -386,8 +312,6 @@ def _primitive_box(prim):
         return prim.center - prim.radius, prim.center + prim.radius
     if isinstance(prim, Box):
         return prim.center - prim.half, prim.center + prim.half
-    if isinstance(prim, ConvexPolygon2D):
-        return prim.vertices.min(axis=0), prim.vertices.max(axis=0)
     return None
 
 
@@ -435,11 +359,11 @@ def scene_bounds(scene: AnalyticScene):
 def parse_scene_text(text: str) -> AnalyticScene:
     """Build a scene from one primitive per line, implicit union.
 
-    Grammar (floats whitespace-separated, '#' comments):
-        sphere cx cy cz r        circle cx cy r
+    Grammar (floats whitespace-separated, '#' comments), four primitive lines:
+        sphere cx cy cz r        (3D)
+        circle cx cy r           (2D)
         box cx cy cz hx hy hz    box cx cy hx hy
         plane nx ny nz d         plane nx ny d
-        polygon x1 y1 x2 y2 x3 y3 ...
     """
     prims = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -464,8 +388,6 @@ def parse_scene_text(text: str) -> AnalyticScene:
             prims.append(Plane(np.array(vals[:3]), vals[3]))
         elif kind == "plane" and len(vals) == 3:
             prims.append(Plane(np.array(vals[:2]), vals[2]))
-        elif kind == "polygon" and len(vals) >= 6 and len(vals) % 2 == 0:
-            prims.append(ConvexPolygon2D(np.array(vals).reshape(-1, 2)))
         else:
             raise ValueError(f"line {lineno}: unrecognized primitive {line!r}")
     return AnalyticScene(tuple(prims))

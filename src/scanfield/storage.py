@@ -1,10 +1,11 @@
 """File formats: scan datasets, models, meshes.
 
 This module owns the formats the commands pass between them.  A dataset is
-a directory of ``poses.txt`` plus one ``scan_NNNNNN.bin`` per pose
-(``save_scans``/``load_scans``).  A model is a checkpoint plus its
-``<checkpoint>.transform`` sidecar (``save_field``/``load_field``).  A mesh
-is a binary little-endian PLY (``export_mesh_ply``/``read_mesh_ply``).
+a directory of ``poses.txt`` plus one ``scan_NNNNNN.bin`` per pose, a run of
+12-byte f32 xyz records (``save_scans``/``load_scans``).  A model is a
+checkpoint plus its ``<checkpoint>.transform`` sidecar
+(``save_field``/``load_field``).  A mesh is a binary little-endian PLY
+(``export_mesh_ply``/``read_mesh_ply``).
 
 All binary payloads are little-endian regardless of host.  Checkpoints keep
 64-bit floats (training precision); meshes are 32-bit artifacts meant for
@@ -28,7 +29,6 @@ MODEL_MAGIC = b"CCNDF\0"  # opaque format tag; see save_model for the layout
 MODEL_VERSION = 1
 
 _XYZ_BYTES = 12  # 3 x f32
-_XYZI_BYTES = 16  # 3 x f32 + intensity (discarded)
 
 
 # ---------------------------------------------------------------------------
@@ -60,38 +60,21 @@ def load_poses(path) -> list[Pose]:
     return poses
 
 
-def load_scan_points(path, record_format: str = "auto") -> np.ndarray:
-    """Read one binary scan: little-endian f32 xyz triplets, or xyzi
-    quadruplets whose intensity channel is dropped.
-
-    ``record_format`` is "xyz", "xyzi", or "auto" (decide from the file size;
-    a size divisible by both record widths reads as xyz).
-    """
+def load_scan_points(path) -> np.ndarray:
+    """Read one binary scan as ``save_scans`` writes it: 12-byte records of
+    little-endian f32 xyz, the only record read.  A size that is not a
+    multiple of 12 raises ValueError naming the path."""
     raw = Path(path).read_bytes()
-    size = len(raw)
-    if record_format == "auto":
-        if size % _XYZ_BYTES == 0:
-            record_format = "xyz"
-        elif size % _XYZI_BYTES == 0:
-            record_format = "xyzi"
-        else:
-            raise ValueError(f"{path}: size {size} fits neither xyz nor xyzi records")
-    if record_format == "xyz":
-        rec = _XYZ_BYTES
-    elif record_format == "xyzi":
-        rec = _XYZI_BYTES
-    else:
-        raise ValueError(f"unknown record format {record_format!r}")
-    if size % rec != 0:
-        raise ValueError(f"{path}: size {size} not divisible by {rec}-byte records")
-    flat = np.frombuffer(raw, dtype="<f4")
-    pts = flat.reshape(-1, rec // 4)[:, :3].astype(np.float64)
+    if len(raw) % _XYZ_BYTES != 0:
+        raise ValueError(f"{path}: size {len(raw)} is not a multiple of the "
+                         f"{_XYZ_BYTES}-byte f32 xyz record")
+    pts = np.frombuffer(raw, dtype="<f4").reshape(-1, 3).astype(np.float64)
     if not np.all(np.isfinite(pts)):
         raise ValueError(f"{path}: non-finite point coordinates")
     return pts
 
 
-def load_scans(scan_dir, record_format: str = "auto") -> list[Scan]:
+def load_scans(scan_dir) -> list[Scan]:
     """Pair `poses.txt` with the directory's sorted .bin scans, by index.
 
     The scans come back 2D when every pose and every point lies in z = 0,
@@ -106,7 +89,7 @@ def load_scans(scan_dir, record_format: str = "auto") -> list[Scan]:
         raise ValueError(
             f"{root}: {len(files)} scan files but {len(poses)} poses"
         )
-    scans = [Scan(pose, load_scan_points(f, record_format)) for pose, f in zip(poses, files)]
+    scans = [Scan(pose, load_scan_points(f)) for pose, f in zip(poses, files)]
     if all(abs(s.pose.translation[2]) < 1e-12 and abs(s.pose.rotation[2, 2] - 1.0) < 1e-12
            and np.all(np.abs(s.points[:, 2]) < 1e-12) for s in scans):
         scans = [Scan(Pose(s.pose.rotation[:2, :2], s.pose.translation[:2]), s.points[:, :2])

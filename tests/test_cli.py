@@ -29,7 +29,6 @@ samples_per_ray = 6
 epochs = 2
 batch_rays = 128
 beams = 12
-mesh_res = 12
 field_grid_res = 24
 mcl_particles = 300
 mcl_runs = 2
@@ -419,6 +418,20 @@ def test_empty_dataset_exits_2(tiny, capsys):
     assert run("localize", "--scene", scene2, "--data", data, "--config", cfg) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
+def test_scan_of_four_channel_records_exits_2(tiny, capsys):
+    # two 16-byte records (xyz plus intensity) are 32 bytes, which no run of
+    # the 12-byte xyz records that synth writes can fill
+    tmp, cfg, _ = tiny
+    data = tmp / "xyz_plus_i"
+    data.mkdir()
+    (data / "poses.txt").write_text("1 0 0 0 0 1 0 0 0 0 1 0\n")
+    scan = data / "scan_000000.bin"
+    scan.write_bytes(np.array([[1, 2, 3, 9], [4, 5, 6, 9]], dtype="<f4").tobytes())
+    capsys.readouterr()
+    assert run("train", "--scans", data, "--out", tmp / "m.bin", "--config", cfg) == 2
+    assert str(scan) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("center", [None, "0.5", "0.5 0.5 0.5"])

@@ -65,11 +65,11 @@ def test_overrides_dict():
         parse_config("", overrides={"nope": 1})
 
 
-# Keys that cli reads itself (network init, mesh and MCL grids) instead of
+# Keys that cli reads itself (network init and the MCL grid) instead of
 # passing them through an adapter.
 CLI_KEYS = {
     "encoding_bands", "encoding_base_freq", "hidden_width", "hidden_layers",
-    "first_layer_factor", "mesh_res", "field_grid_res",
+    "first_layer_factor", "field_grid_res",
 }
 
 
@@ -143,7 +143,6 @@ KEY_SURFACE = [
     ("fov", "float", 2.0 * math.pi),
     ("max_range", "float", 100.0),
     ("scan_noise", "float", 0.0),
-    ("mesh_res", "int", 256),
     ("field_grid_res", "int", 256),
     ("mcl_particles", "int", 10_000),
     ("mcl_conv_std", "float", 0.3),

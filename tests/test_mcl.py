@@ -210,37 +210,26 @@ def test_estimate_two_point_spread():
     assert not est.converged
 
 
-def test_estimate_circular_heading_mean():
-    th = np.deg2rad([179.0, -179.0])
-    pset = ParticleSet(
-        np.concatenate([np.zeros((2, 2)), th[:, None]], axis=1), np.array([0.5, 0.5])
-    )
-    est = estimate(pset, conv_std=0.3)
-    assert abs(abs(est.heading) - np.pi) < 1e-9  # mean points at +-180, not 0
-
-
 def test_run_metrics_anchor_values():
     truth = np.zeros((2, 2))
     run = RunResult(
         positions=np.array([[0.0, 0.0], [2.0, 0.0]]),
-        headings=np.zeros(2),
-        stds=np.zeros(2),
         converged_at=0,
     )
     m = run_metrics(truth, [run])
     assert m.mae == pytest.approx(1.0)
     assert m.rmse == pytest.approx(math.sqrt(2.0))
-    assert m.converged_runs == 1 and m.total_runs == 1
+    assert m.converged_runs == 1
     assert m.rmse >= m.mae
 
 
 def test_run_metrics_skips_unconverged():
     truth = np.zeros((2, 2))
-    bad = RunResult(np.ones((2, 2)), np.zeros(2), np.zeros(2), converged_at=None)
+    bad = RunResult(np.ones((2, 2)), converged_at=None)
     assert run_metrics(truth, [bad]) is None
-    good = RunResult(np.zeros((2, 2)), np.zeros(2), np.zeros(2), converged_at=1)
+    good = RunResult(np.zeros((2, 2)), converged_at=1)
     m = run_metrics(truth, [bad, good])
-    assert m.converged_runs == 1 and m.total_runs == 2
+    assert m.converged_runs == 1
     assert m.rmse == 0.0
 
 
@@ -248,8 +237,6 @@ def test_run_metrics_errors_start_at_convergence():
     truth = np.zeros((3, 2))
     run = RunResult(
         positions=np.array([[9.0, 0.0], [1.0, 0.0], [1.0, 0.0]]),
-        headings=np.zeros(3),
-        stds=np.zeros(3),
         converged_at=1,
     )
     m = run_metrics(truth, [run])

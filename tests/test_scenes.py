@@ -7,7 +7,6 @@ from scanfield.geom import Aabb, Pose
 from scanfield.scenes import (
     AnalyticScene,
     Box,
-    ConvexPolygon2D,
     Plane,
     ScannerConfig,
     Sphere,
@@ -70,26 +69,6 @@ def test_plane_inputs_are_normalized():
     assert abs(p.sdf(np.array([7.0, 5.0]))[0] - 3.0) < 1e-12
     with pytest.raises(ValueError):
         Plane(np.zeros(2), 1.0)
-
-
-def test_polygon_orientation_and_regions():
-    tri_ccw = ConvexPolygon2D(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
-    tri_cw = ConvexPolygon2D(np.array([[0.0, 0.0], [0.0, 2.0], [2.0, 0.0]]))
-    for tri in (tri_ccw, tri_cw):
-        # interior: signed distance to the nearest edge line
-        scene = AnalyticScene((tri,))
-        assert abs(scene.sdf(np.array([[0.5, 0.5]]))[0] + 0.5) < 1e-12
-        # vertex region: diagonal from the corner at (2, 0)
-        v, g, lap, _ = scene.jet(np.array([[3.0, -1.0]]))
-        assert abs(v[0] - math.sqrt(2.0)) < 1e-12
-        np.testing.assert_allclose(g[0], [1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)])
-        assert abs(lap[0] - 1.0 / math.sqrt(2.0)) < 1e-12
-        # edge region: flat, unit normal gradient
-        v, _, lap, _ = scene.jet(np.array([[1.0, -0.5]]))
-        assert abs(v[0] - 0.5) < 1e-12
-        assert lap[0] == 0.0
-    with pytest.raises(ValueError):
-        ConvexPolygon2D(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))  # collinear
 
 
 def test_gradients_are_unit_at_smooth_points():
@@ -228,11 +207,10 @@ def test_parse_scene_grammar():
         plane 1 0 -4
         circle -1.5 -1 0.8
         box 1.5 1.5 0.6 0.6
-        polygon 0 0  1 0  1 1  0 1
         """
     )
     kinds = [type(p).__name__ for p in scene.primitives]
-    assert kinds == ["Plane", "Sphere", "Box", "ConvexPolygon2D"]
+    assert kinds == ["Plane", "Sphere", "Box"]
     scene3 = parse_scene_text("sphere 0 0 0 1\nbox 0 0 0 1 1 1\nplane 0 0 1 -2")
     assert scene3.dim == 3
 
@@ -244,6 +222,8 @@ def test_parse_scene_errors_carry_line_numbers():
         parse_scene_text("circle 0 0 1\n\ncircle 0 zero 1")
     with pytest.raises(ValueError, match="line 1"):
         parse_scene_text("sphere 1 2 3")  # arity of neither form
+    with pytest.raises(ValueError, match="line 2: unrecognized primitive"):
+        parse_scene_text("circle 0 0 1\npolygon 0 0 1 0 1 1")
 
 
 def test_scene_bounds():

@@ -57,35 +57,21 @@ def test_scan_points_formats(tmp_path):
     xyz.write_bytes(pts.tobytes())
     assert xyz.stat().st_size == 24  # 12 N bytes
     got = load_scan_points(xyz)
-    np.testing.assert_allclose(got, pts)
-
-    with_i = np.concatenate([pts, np.array([[9.0], [9.0]], dtype="<f4")], axis=1)
-    xyzi = tmp_path / "b.bin"
-    xyzi.write_bytes(with_i.tobytes())
-    assert xyzi.stat().st_size == 32  # 16 N bytes
-    got = load_scan_points(xyzi, record_format="xyzi")
-    np.testing.assert_allclose(got, pts)
-
-
-def test_scan_points_autodetect_prefers_xyz(tmp_path):
-    # 48 bytes divides both record widths; ambiguity resolves to xyz
-    data = np.arange(12, dtype="<f4")
-    f = tmp_path / "c.bin"
-    f.write_bytes(data.tobytes())
-    got = load_scan_points(f, record_format="auto")
-    assert got.shape == (4, 3)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, pts.astype(np.float64))
 
 
 def test_scan_points_rejects_bad_sizes_and_values(tmp_path):
     f = tmp_path / "bad.bin"
-    f.write_bytes(b"\x00" * 13)
-    with pytest.raises(ValueError, match="neither"):
-        load_scan_points(f)
+    # 13 bytes, and 32 bytes: two 16-byte records with a fourth channel
+    for size in (13, 32):
+        f.write_bytes(b"\x00" * size)
+        with pytest.raises(ValueError, match=f"bad.bin: size {size} is not a multiple "
+                                             "of the 12-byte f32 xyz record"):
+            load_scan_points(f)
     f.write_bytes(np.array([np.nan, 0, 0], dtype="<f4").tobytes())
     with pytest.raises(ValueError, match="non-finite"):
         load_scan_points(f)
-    with pytest.raises(ValueError, match="record format"):
-        load_scan_points(f, record_format="xy")
 
 
 def test_load_scans_pairs_files_with_poses(tmp_path):
