@@ -71,13 +71,10 @@ KEYS = {
     # resolution: cells per axis of the 2D localization field grid (world
     # map box)
     "field_grid_res": ("int", 256),
-    # localization: particles and runs are counts; conv_std, the translation
-    # gate, sigma_z and the translation odometry noise in world metres; the
-    # rotation gate and noise in radians
+    # localization: particles and runs are counts; conv_std, sigma_z and the
+    # translation odometry noise in world metres; the rotation noise in radians
     "mcl_particles": (MclConfig, "n_particles"),
     "mcl_conv_std": (MclConfig, "conv_std"),
-    "mcl_gate_trans": (MclConfig, "gate_trans"),
-    "mcl_gate_rot": (MclConfig, "gate_rot"),
     "mcl_sigma_z": (MclConfig, "sigma_z"),
     "mcl_runs": (MclConfig, "runs"),
     "mcl_odom_trans_base": (MclConfig, "odom_trans_base"),

@@ -113,6 +113,8 @@ class FieldNet:
             raise ValueError(f"widths {self.widths} take {size} parameters, got shape {self.params.shape}")
         if not np.all(np.isfinite(self.params)):
             raise ValueError("non-finite parameters")
+        if not np.all(np.isfinite(self.sine_factors)):
+            raise ValueError(f"non-finite sine factors {self.sine_factors}")
 
     def _shapes(self):
         fan_in = self.encoding.feature_count(self.dim)

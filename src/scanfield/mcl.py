@@ -1,23 +1,24 @@
 """Global 2D Monte Carlo localization against a distance field.
 
 Particles carry (x, y, heading).  Every step applies the odometry delta with
-seeded Gaussian noise; measurement updates (reweight + systematic resample)
-fire only once the accumulated commanded motion exceeds a translation or
-rotation gate, and the accumulator then resets.  The observation model scores
-a particle by the field values at the scan endpoints projected through its
+seeded Gaussian noise and then measures: it reweights the particles by the
+scan and resamples them systematically.  The observation model scores a
+particle by the field values at the scan endpoints projected through its
 pose: log-likelihood sum_k -D(T_p(z_k))^2 / (2 sigma_z^2).
 
 The field argument everywhere is a vectorized callable (N, 2) -> (N,); wrap
 an expensive field in a bilinear-interpolated grid with
-``SampledField2D(sample_grid(field, box, res), box)`` (``meshing.sample_grid``).
+``SampledField2D(sample_grid(field, box, res), box)`` (``meshing.sample_grid``),
+whose lookups clamp to the box.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .geom import Aabb
 
@@ -29,27 +30,22 @@ def wrap_angle(theta):
 
 def relative_deltas(traj: np.ndarray) -> np.ndarray:
     """Robot-frame odometry between consecutive (x, y, heading) rows; row 0 is zero."""
+    prev, cur = traj[:-1], traj[1:]
+    dxw, dyw = cur[:, 0] - prev[:, 0], cur[:, 1] - prev[:, 1]
+    c, s = np.cos(-prev[:, 2]), np.sin(-prev[:, 2])
     deltas = np.zeros_like(traj)
-    for k in range(1, traj.shape[0]):
-        px, py, pth = traj[k - 1]
-        dxw, dyw = traj[k, 0] - px, traj[k, 1] - py
-        c, s = np.cos(-pth), np.sin(-pth)
-        deltas[k, 0] = c * dxw - s * dyw
-        deltas[k, 1] = s * dxw + c * dyw
-        deltas[k, 2] = float(wrap_angle(traj[k, 2] - pth))
+    deltas[1:] = np.stack([c * dxw - s * dyw, s * dxw + c * dyw,
+                           wrap_angle(cur[:, 2] - prev[:, 2])], axis=1)
     return deltas
 
 
 @dataclass(frozen=True)
 class MclConfig:
-    """Filter settings.  ``conv_std``, ``gate_trans``, ``sigma_z`` and the
-    translation odometry noise are world metres; ``gate_rot`` and the rotation
-    odometry noise are radians."""
+    """Filter settings.  ``conv_std``, ``sigma_z`` and the translation
+    odometry noise are world metres; the rotation odometry noise is radians."""
 
     n_particles: int = 10_000
     conv_std: float = 0.30
-    gate_trans: float = 0.05
-    gate_rot: float = 0.1
     sigma_z: float = 0.1
     # odometry noise: sigma = base + frac * |motion|
     odom_trans_base: float = 0.01
@@ -63,7 +59,7 @@ class MclConfig:
             raise ValueError("n_particles must be >= 1")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        for name in ("conv_std", "gate_trans", "gate_rot", "sigma_z"):
+        for name in ("conv_std", "sigma_z"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         for name in ("odom_trans_base", "odom_trans_frac", "odom_rot_base", "odom_rot_frac"):
@@ -73,13 +69,10 @@ class MclConfig:
 
 @dataclass(frozen=True)
 class ParticleSet:
-    """Poses (n, 3) as x, y, heading; normalized weights; and the motion
-    accumulated since the last measurement update (the gate state)."""
+    """Poses (n, 3) as x, y, heading, and normalized weights."""
 
     poses: np.ndarray
     weights: np.ndarray
-    accum_trans: float = 0.0
-    accum_rot: float = 0.0
 
     def __post_init__(self):
         p = np.asarray(self.poses, dtype=np.float64).reshape(-1, 3)
@@ -101,14 +94,6 @@ class ParticleSet:
         return self.poses.shape[0]
 
 
-@dataclass(frozen=True)
-class Estimate:
-    x: float
-    y: float
-    std: float
-    converged: bool
-
-
 def init_uniform(box: Aabb, cfg: MclConfig, rng) -> ParticleSet:
     """Equal-weight particles uniform over the box with heading in [-pi, pi)."""
     if box.dim != 2:
@@ -117,9 +102,7 @@ def init_uniform(box: Aabb, cfg: MclConfig, rng) -> ParticleSet:
     xy = rng.uniform(box.lo, box.hi, size=(n, 2))
     th = rng.uniform(-np.pi, np.pi, size=n)
     poses = np.concatenate([xy, th[:, None]], axis=1)
-    # Fresh sets start past the motion gates so the first scan is measured.
-    return ParticleSet(poses, np.full(n, 1.0 / n),
-                       accum_trans=np.inf, accum_rot=np.inf)
+    return ParticleSet(poses, np.full(n, 1.0 / n))
 
 
 def motion_update(pset: ParticleSet, delta, cfg: MclConfig, rng) -> ParticleSet:
@@ -139,7 +122,7 @@ def motion_update(pset: ParticleSet, delta, cfg: MclConfig, rng) -> ParticleSet:
     out[:, 0] = pset.poses[:, 0] + c * local[:, 0] - s * local[:, 1]
     out[:, 1] = pset.poses[:, 1] + s * local[:, 0] + c * local[:, 1]
     out[:, 2] = wrap_angle(th + local[:, 2])
-    return replace(pset, poses=out)
+    return ParticleSet(out, pset.weights)
 
 
 def log_likelihoods(pset: ParticleSet, scan_points, field, sigma_z: float) -> np.ndarray:
@@ -162,18 +145,12 @@ def systematic_resample(pset: ParticleSet, rng) -> ParticleSet:
     cdf = np.cumsum(pset.weights)
     cdf[-1] = 1.0  # guard the top bin against rounding
     idx = np.searchsorted(cdf, positions, side="left")
-    return ParticleSet(pset.poses[idx], np.full(n, 1.0 / n),
-                       accum_trans=pset.accum_trans, accum_rot=pset.accum_rot)
+    return ParticleSet(pset.poses[idx], np.full(n, 1.0 / n))
 
 
 def step(pset: ParticleSet, delta, scan_points, field, cfg: MclConfig, rng) -> ParticleSet:
-    """One filter step: motion always, measurement only past the motion gates."""
-    dx, dy, dth = (float(v) for v in delta)
+    """One filter step: the motion update, then the measurement update."""
     pset = motion_update(pset, delta, cfg, rng)
-    acc_t = pset.accum_trans + float(np.hypot(dx, dy))
-    acc_r = pset.accum_rot + abs(dth)
-    if acc_t < cfg.gate_trans and acc_r < cfg.gate_rot:
-        return replace(pset, accum_trans=acc_t, accum_rot=acc_r)
     ll = log_likelihoods(pset, scan_points, field, cfg.sigma_z)
     ok = np.isfinite(ll)  # a NaN field value gives its particle weight 0
     w = np.zeros(pset.size)
@@ -183,18 +160,16 @@ def step(pset: ParticleSet, delta, scan_points, field, cfg: MclConfig, rng) -> P
     if total <= 0.0 or not np.isfinite(total):
         warnings.warn("all particle likelihoods vanished; reweighting uniformly")
         w = np.full(pset.size, 1.0 / pset.size)
-    pset = ParticleSet(pset.poses, w, accum_trans=0.0, accum_rot=0.0)
-    return systematic_resample(pset, rng)
+    return systematic_resample(ParticleSet(pset.poses, w), rng)
 
 
-def estimate(pset: ParticleSet, conv_std: float) -> Estimate:
-    """Weighted mean position and scalar positional std."""
+def estimate(pset: ParticleSet) -> tuple[np.ndarray, float]:
+    """Weighted mean position (2,) and scalar positional std."""
     w = pset.weights
     xy = pset.poses[:, :2]
     mean = w @ xy
     spread = xy - mean
-    std = float(np.sqrt(np.sum(w * np.sum(spread * spread, axis=1))))
-    return Estimate(float(mean[0]), float(mean[1]), std, bool(std < conv_std))
+    return mean, float(np.sqrt(np.sum(w * np.sum(spread * spread, axis=1))))
 
 
 @dataclass(frozen=True)
@@ -222,9 +197,9 @@ def localize_run(field, box: Aabb, deltas, scans, cfg: MclConfig, rng) -> RunRes
     converged_at = None
     for i, (delta, scan_pts) in enumerate(zip(deltas, scans)):
         pset = step(pset, delta, scan_pts, field, cfg, rng)
-        est = estimate(pset, cfg.conv_std)
-        pos.append([est.x, est.y])
-        if converged_at is None and est.converged:
+        mean, std = estimate(pset)
+        pos.append(mean)
+        if converged_at is None and std < cfg.conv_std:
             converged_at = i
     return RunResult(np.asarray(pos), converged_at)
 
@@ -267,21 +242,9 @@ class SampledField2D:
             raise ValueError("need a 2D box and at least a 2x2 value grid")
         self.values = v
         self.box = box
-        self._cells = np.array([v.shape[0] - 1, v.shape[1] - 1])
-        self._spacing = (box.hi - box.lo) / self._cells
+        self._spacing = (box.hi - box.lo) / (np.array(v.shape) - 1)
 
     def __call__(self, points) -> np.ndarray:
         p = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         u = (p - self.box.lo) / self._spacing
-        u = np.clip(u, 0.0, self._cells.astype(np.float64))
-        i = np.minimum(u.astype(np.intp), self._cells - 1)
-        f = u - i
-        v = self.values
-        i0, j0 = i[:, 0], i[:, 1]
-        fx, fy = f[:, 0], f[:, 1]
-        return (
-            v[i0, j0] * (1 - fx) * (1 - fy)
-            + v[i0 + 1, j0] * fx * (1 - fy)
-            + v[i0, j0 + 1] * (1 - fx) * fy
-            + v[i0 + 1, j0 + 1] * fx * fy
-        )
+        return ndimage.map_coordinates(self.values, u.T, order=1, mode="nearest", prefilter=False)

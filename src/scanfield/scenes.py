@@ -376,6 +376,8 @@ def parse_scene_text(text: str) -> AnalyticScene:
             vals = [float(a) for a in args]
         except ValueError as exc:
             raise ValueError(f"line {lineno}: non-numeric argument in {line!r}") from exc
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError(f"line {lineno}: non-finite argument in {line!r}")
         if kind == "sphere" and len(vals) == 4:
             prims.append(Sphere(np.array(vals[:3]), vals[3]))
         elif kind == "circle" and len(vals) == 3:

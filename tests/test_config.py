@@ -22,7 +22,7 @@ def test_defaults_mirror_training_formulas():
     assert cfg.epochs == 10 and cfg.batch_rays == 512
     assert cfg.mode == "curvature"
     assert cfg.mcl_particles == 10_000 and cfg.mcl_conv_std == 0.30
-    assert cfg.mcl_gate_trans == 0.05 and cfg.mcl_gate_rot == 0.1
+    assert cfg.mcl_sigma_z == 0.1 and cfg.mcl_runs == 5
 
 
 def test_parse_overrides_defaults():
@@ -146,8 +146,6 @@ KEY_SURFACE = [
     ("field_grid_res", "int", 256),
     ("mcl_particles", "int", 10_000),
     ("mcl_conv_std", "float", 0.3),
-    ("mcl_gate_trans", "float", 0.05),
-    ("mcl_gate_rot", "float", 0.1),
     ("mcl_sigma_z", "float", 0.1),
     ("mcl_runs", "int", 5),
     ("mcl_odom_trans_base", "float", 0.01),

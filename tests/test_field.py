@@ -76,6 +76,8 @@ def test_shape_validation():
     bad[100] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         replace(net, params=bad)
+    with pytest.raises(ValueError, match="non-finite sine factors"):
+        replace(net, sine_factors=(np.nan,) + net.sine_factors[1:])
 
 
 def test_scalar_and_batch_agree():

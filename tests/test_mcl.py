@@ -69,8 +69,6 @@ def test_init_uniform_seeded_and_unbiased():
     extent = box.hi - box.lo
     assert np.all(np.abs(mean - box.center) < 0.01 * extent)
     assert np.all(a.poses[:, 2] >= -np.pi) and np.all(a.poses[:, 2] < np.pi)
-    # init sits past the gates: the very first scan triggers a measurement
-    assert a.accum_trans == np.inf and a.accum_rot == np.inf
 
 
 def test_particle_set_validation():
@@ -133,39 +131,37 @@ def test_systematic_resample_tracks_weights():
     assert np.sum(out.poses[:, 0] == 0.0) >= 2
 
 
-def test_step_gates_measurement_updates():
+def test_every_step_measures_even_a_small_move():
+    # A 0.01 m step still reweights by the scan and resamples: the particle
+    # that the scan fits best (at the scanner's pose, moved with it) is copied,
+    # and the worst-fitting particles are dropped.
     field = room_field()
     scene = room_scene()
-    scan = simulate_scan(scene, Pose(np.eye(2), np.zeros(2)), ScannerConfig(beams=16, max_range=20.0),
-                         np.random.default_rng(0))
+    scan = simulate_scan(scene, Pose.from_xytheta(0.01, 0.0, 0.0),
+                         ScannerConfig(beams=16, max_range=20.0), np.random.default_rng(0))
     cfg = MclConfig(
         n_particles=64,
         odom_trans_base=0.0, odom_trans_frac=0.0, odom_rot_base=0.0, odom_rot_frac=0.0,
     )
     box = Aabb.cube(np.zeros(2), 4.0)
     pset = init_uniform(box, cfg, np.random.default_rng(1))
-    # zero the accumulators to model a set mid-trajectory
-    pset = ParticleSet(pset.poses, pset.weights, accum_trans=0.0, accum_rot=0.0)
-    rng = np.random.default_rng(5)
-    # below both gates: weights stay untouched, accumulators grow
-    small = step(pset, (0.01, 0.0, 0.0), scan.points, field, cfg, rng)
-    np.testing.assert_array_equal(small.weights, pset.weights)
-    assert small.accum_trans == pytest.approx(0.01)
-    # crossing the translation gate fires the update and resets the gate state
-    big = step(small, (0.05, 0.0, 0.0), scan.points, field, cfg, rng)
-    assert big.accum_trans == 0.0 and big.accum_rot == 0.0
-    np.testing.assert_allclose(big.weights, 1.0 / 64)  # resampled to uniform
+    pset = ParticleSet(np.vstack([[0.0, 0.0, 0.0], pset.poses[1:]]), pset.weights)
+    out = step(pset, (0.01, 0.0, 0.0), scan.points, field, cfg, np.random.default_rng(5))
+    np.testing.assert_array_equal(out.weights, np.full(64, 1.0 / 64))  # resampled
+    moved = motion_update(pset, (0.01, 0.0, 0.0), cfg, np.random.default_rng(5)).poses
+    assert not np.array_equal(np.sort(out.poses, axis=0), np.sort(moved, axis=0))
+    assert np.sum(np.all(out.poses == moved[0], axis=1)) > 1
 
 
 _LINE_POSES = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
 
 
 def _measure_line(field, weights):
-    # One forced measurement update of three particles on the x axis; the scan
+    # One measurement update of three particles on the x axis; the scan
     # is one point at each particle's origin, so the field is read at x = 0, 1, 2.
     cfg = MclConfig(n_particles=3, odom_trans_base=0.0, odom_trans_frac=0.0,
                     odom_rot_base=0.0, odom_rot_frac=0.0)
-    pset = ParticleSet(_LINE_POSES, weights, accum_trans=np.inf, accum_rot=np.inf)
+    pset = ParticleSet(_LINE_POSES, weights)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         out = step(pset, (0.0, 0.0, 0.0), np.zeros((1, 2)), field, cfg, np.random.default_rng(0))
@@ -204,10 +200,9 @@ def test_estimate_two_point_spread():
     pset = ParticleSet(
         np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), np.array([0.5, 0.5])
     )
-    est = estimate(pset, conv_std=0.3)
-    assert est.x == pytest.approx(0.0)
-    assert est.std == pytest.approx(1.0)
-    assert not est.converged
+    mean, std = estimate(pset)
+    np.testing.assert_allclose(mean, [0.0, 0.0], atol=1e-15)
+    assert std == pytest.approx(1.0)
 
 
 def test_run_metrics_anchor_values():
@@ -247,13 +242,19 @@ def test_sampled_field_matches_bilinear_values():
     box = Aabb.cube(np.zeros(2), 1.0)
     # a bilinear function is reproduced exactly by bilinear interpolation
     f = lambda p: 2.0 + 3.0 * p[:, 0] - 1.5 * p[:, 1] + 0.5 * p[:, 0] * p[:, 1]
-    sf = SampledField2D(meshing.sample_grid(f, box, 8), box)
+    values = meshing.sample_grid(f, box, 8)
+    sf = SampledField2D(values, box)
     rng = np.random.default_rng(6)
     pts = rng.uniform(-1, 1, size=(200, 2))
     np.testing.assert_allclose(sf(pts), f(pts), atol=1e-12)
-    # clamping: far queries read the boundary value
+    # every grid node, the hi edges and corner included, reads its node value
+    axis = np.linspace(-1.0, 1.0, values.shape[0])
+    nodes = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    np.testing.assert_array_equal(sf(nodes), values.reshape(-1))
+    # clamping: far queries read the boundary value, below lo the corner node
     edge = sf(np.array([[5.0, 0.0]]))
     np.testing.assert_allclose(edge, f(np.array([[1.0, 0.0]])), atol=1e-12)
+    np.testing.assert_array_equal(sf(np.array([[-3.0, -7.0]])), [values[0, 0]])
 
 
 def test_localization_converges_on_room(tmp_path):

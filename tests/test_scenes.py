@@ -224,6 +224,9 @@ def test_parse_scene_errors_carry_line_numbers():
         parse_scene_text("sphere 1 2 3")  # arity of neither form
     with pytest.raises(ValueError, match="line 2: unrecognized primitive"):
         parse_scene_text("circle 0 0 1\npolygon 0 0 1 0 1 1")
+    for bad in ("circle 0 0 nan", "box 0 0 1 inf"):
+        with pytest.raises(ValueError, match="line 2: non-finite"):
+            parse_scene_text(f"circle 0 0 1\n{bad}")
 
 
 def test_scene_bounds():

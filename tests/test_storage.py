@@ -235,6 +235,13 @@ def test_model_rejects_corruption(tmp_path):
     with pytest.raises(ValueError, match="trailing"):
         load_model(bad)
 
+    nan_factor = bytearray(raw)
+    first_factor = len(MODEL_MAGIC) + 5 + 2 + 8 * net.layer_count
+    nan_factor[first_factor : first_factor + 8] = struct.pack("<d", float("nan"))
+    bad.write_bytes(bytes(nan_factor))
+    with pytest.raises(ValueError, match="non-finite sine factors"):
+        load_model(bad)
+
 
 def test_transform_round_trip(tmp_path):
     tf = SceneTransform(center=np.array([0.5, -1.25, 3.0]), scale=2.75)
