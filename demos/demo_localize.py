@@ -13,7 +13,6 @@ import numpy as np
 from scanfield import mcl, meshing
 from scanfield.cli import trajectory_poses
 from scanfield.config import RunConfig
-from scanfield.encoding import default_encoding
 from scanfield.field import evaluate_batch, init_field
 from scanfield.geom import Pose, normalize_scene, to_world
 from scanfield.scenes import parse_scene_text, simulate_scan
@@ -43,7 +42,7 @@ def main():
     origins = np.concatenate([np.broadcast_to(s.pose.translation, s.points.shape) for s in scans])
     canon, tf = normalize_scene(origins, endpoints)
 
-    net = init_field(cfg.seed, 2, default_encoding(cfg.encoding_bands),
+    net = init_field(cfg.seed, 2, cfg.encoding(),
                      hidden=cfg.hidden_width, hidden_layers=cfg.hidden_layers,
                      first_factor=cfg.first_layer_factor)
     t0 = time.time()

@@ -13,7 +13,6 @@ import numpy as np
 
 from scanfield import meshing, storage
 from scanfield.config import RunConfig
-from scanfield.encoding import default_encoding
 from scanfield.field import evaluate_batch, init_field
 from scanfield.geom import Aabb, Pose, normalize_scene, to_world
 from scanfield.scenes import AnalyticScene, Sphere, simulate_scan
@@ -54,7 +53,7 @@ def main():
 
     canon, tf = normalize_scene(origins, endpoints)
 
-    net = init_field(cfg.seed, 3, default_encoding(cfg.encoding_bands),
+    net = init_field(cfg.seed, 3, cfg.encoding(),
                      hidden=cfg.hidden_width, hidden_layers=cfg.hidden_layers,
                      first_factor=cfg.first_layer_factor)
     t0 = time.time()

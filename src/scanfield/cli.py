@@ -186,11 +186,8 @@ def _canonical_rays(scans: list[Scan]):
 
 
 def _init_net(cfg: RunConfig, dim: int) -> field_mod.FieldNet:
-    from .encoding import default_encoding
-
-    enc = default_encoding(cfg.encoding_bands, cfg.encoding_base_freq)
     return field_mod.init_field(
-        cfg.seed, dim, enc,
+        cfg.seed, dim, cfg.encoding(),
         hidden=cfg.hidden_width, hidden_layers=cfg.hidden_layers,
         first_factor=cfg.first_layer_factor,
     )

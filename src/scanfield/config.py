@@ -5,12 +5,13 @@ are rejected so typos fail loudly instead of silently running defaults.
 Lines are `key = value`, blank, or `#` comments.
 
 ``KEYS`` is the one list of keys, in file order, with a unit or frame for
-each.  A key that a module config (``LossWeights``, ``OptimConfig``,
-``MclConfig``, ``ScannerConfig``) owns maps to ``(owner, field name)`` and
-takes its type, default and range check from that field; the adapters build
-each owner from its keys, and ``RunConfig`` builds each once on construction
-so their checks run.  A key that cli reads itself (mode, encoding, network and
-the MCL grid resolution) maps to ``(type, default)`` and is range-checked here.
+each.  A key that a module config (``EncodingConfig``, ``LossWeights``,
+``OptimConfig``, ``MclConfig``, ``ScannerConfig``) owns maps to
+``(owner, field name)`` and takes its type, default and range check from that
+field; the adapters build each owner from its keys, and ``RunConfig`` builds
+each once on construction so their checks run.  A key that cli reads itself
+(mode, network and the MCL grid resolution) maps to ``(type, default)`` and is
+range-checked here.
 Every key's type is checked too: int keys take ints, float keys finite ints or
 floats (``trunc_band`` also ``inf``: no clamp) and ``mode`` a string, whether
 they come from text or from overrides.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import fields, make_dataclass
 
-from .encoding import DEFAULT_BANDS, DEFAULT_BASE_FREQ
+from .encoding import EncodingConfig
 from .field import DEFAULT_FIRST_FACTOR, DEFAULT_HIDDEN, DEFAULT_LAYERS
 from .mcl import MclConfig
 from .scenes import ScannerConfig
@@ -31,13 +32,13 @@ from .training import LossWeights, OptimConfig
 _MODES = {m.value for m in SupervisionMode}
 # Python types each declared key type accepts (bool is rejected everywhere).
 _ACCEPTS = {"int": (int,), "float": (int, float), "str": (str,)}
-_OWNERS = (LossWeights, OptimConfig, MclConfig, ScannerConfig)
+_OWNERS = (EncodingConfig, LossWeights, OptimConfig, MclConfig, ScannerConfig)
 
 # key -> (owning config, field name), or (type, default) for a key cli reads
 KEYS = {
     # positional encoding: band count; base frequency in rad per canonical unit
-    "encoding_bands": ("int", DEFAULT_BANDS),
-    "encoding_base_freq": ("float", DEFAULT_BASE_FREQ),
+    "encoding_bands": (EncodingConfig, "bands"),
+    "encoding_base_freq": (EncodingConfig, "base"),
     # network: hidden width and depth (counts); first-layer sine factor (unitless)
     "hidden_width": ("int", DEFAULT_HIDDEN),
     "hidden_layers": ("int", DEFAULT_LAYERS),
@@ -94,8 +95,7 @@ class _RunConfigBase:
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {sorted(_MODES)}, got {self.mode!r}")
-        for name in ("encoding_bands", "encoding_base_freq", "hidden_width",
-                     "hidden_layers", "first_layer_factor"):
+        for name in ("hidden_width", "hidden_layers", "first_layer_factor"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.field_grid_res < 2:
@@ -115,6 +115,9 @@ class _RunConfigBase:
     def _build(self, owner):
         return owner(**{name: getattr(self, key) for key, (row_owner, name) in KEYS.items()
                         if row_owner is owner})
+
+    def encoding(self) -> EncodingConfig:
+        return self._build(EncodingConfig)
 
     def loss_weights(self) -> LossWeights:
         return self._build(LossWeights)

@@ -45,9 +45,6 @@ import numpy.typing as npt
 
 _F = npt.NDArray[np.floating]
 
-DEFAULT_BANDS = 30
-DEFAULT_BASE_FREQ = math.pi
-
 # sincos: fdlibm's pi/2 in three pieces of at most 32 significant bits, scaled
 # by 2^-8 to pieces of the step h = 2 pi / 1024.  With |j| <= 2^19 the products
 # j * _P1 and j * _P2 are exact.
@@ -134,29 +131,23 @@ def sincos(x, with_cos: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
 
 @dataclass(frozen=True)
 class EncodingConfig:
-    """Frequency ladder (rad per unit), strictly increasing and positive."""
+    """The frequency ladder w_k = k * base (rad per unit) for k = 1..bands."""
 
-    frequencies: np.ndarray
+    bands: int = 30
+    base: float = math.pi
 
     def __post_init__(self):
-        w = np.asarray(self.frequencies, dtype=np.float64).reshape(-1)
-        if w.size and (not np.all(np.isfinite(w)) or np.any(w <= 0.0)):
-            raise ValueError("frequencies must be finite and positive")
-        if w.size > 1 and np.any(np.diff(w) <= 0.0):
-            raise ValueError("frequencies must be strictly increasing")
-        object.__setattr__(self, "frequencies", w)
+        if self.bands < 1:
+            raise ValueError(f"encoding needs at least one band, got {self.bands}")
+        if not (math.isfinite(self.base) and self.base > 0.0):
+            raise ValueError(f"encoding base frequency must be finite and positive, got {self.base}")
 
     @property
-    def bands(self) -> int:
-        return int(self.frequencies.size)
+    def frequencies(self) -> np.ndarray:
+        return self.base * np.arange(1, self.bands + 1, dtype=np.float64)
 
     def feature_count(self, dim: int) -> int:
         return (2 * self.bands + 1) * dim
-
-
-def default_encoding(bands: int = DEFAULT_BANDS, base: float = DEFAULT_BASE_FREQ) -> EncodingConfig:
-    """Linear ladder w_k = k * base for k = 1..bands."""
-    return EncodingConfig(base * np.arange(1, bands + 1, dtype=np.float64))
 
 
 @dataclass(frozen=True)

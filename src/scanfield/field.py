@@ -70,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .encoding import EncodingConfig, default_encoding, encode_jet, sincos
+from .encoding import EncodingConfig, encode_jet, sincos
 
 _F = npt.NDArray[np.floating]
 
@@ -84,10 +84,12 @@ DEFAULT_FIRST_FACTOR = 30.0
 
 @dataclass
 class FieldNet:
-    """Network parameters.  ``sine_factors[i] == 0`` marks an affine layer.
+    """A sine network over ``encoding``'s features of ``dim`` coordinates.
 
-    ``widths[i]`` is layer i's output width, the last one 1; layer 0's fan-in
-    is the encoder's feature count.  ``params`` is one flat float64 vector,
+    ``hidden_layers`` sine layers of ``hidden`` units, the first with the
+    factor ``first_factor`` and the rest with 1, feed one affine output unit;
+    ``widths`` and ``sine_factors`` spell that out per layer, a factor of 0
+    marking the affine layer.  ``params`` is one flat float64 vector,
     layer-major: each layer's (width, fan-in) weight matrix in row-major
     order, then its bias.  ``layers`` views any vector in that layout (the
     parameters, a gradient) as per-layer (weight, bias) pairs, so this class
@@ -99,22 +101,30 @@ class FieldNet:
 
     encoding: EncodingConfig
     dim: int
-    widths: tuple[int, ...]
+    hidden: int
+    hidden_layers: int
+    first_factor: float
     params: np.ndarray
-    sine_factors: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.widths) != len(self.sine_factors):
-            raise ValueError("widths and sine_factors must have equal length")
-        if not self.widths or self.widths[-1] != 1:
-            raise ValueError(f"final layer must output one scalar, widths are {self.widths}")
+        if min(self.dim, self.hidden, self.hidden_layers) < 1:
+            raise ValueError(f"need a dimension, a hidden layer and a unit, got dim {self.dim}, "
+                             f"{self.hidden_layers} layers of {self.hidden}")
+        if not np.isfinite(self.first_factor):
+            raise ValueError(f"non-finite first-layer factor {self.first_factor}")
         size = sum(width * (fan_in + 1) for width, fan_in in self._shapes())
         if self.params.shape != (size,):
             raise ValueError(f"widths {self.widths} take {size} parameters, got shape {self.params.shape}")
         if not np.all(np.isfinite(self.params)):
             raise ValueError("non-finite parameters")
-        if not np.all(np.isfinite(self.sine_factors)):
-            raise ValueError(f"non-finite sine factors {self.sine_factors}")
+
+    @property
+    def widths(self) -> tuple[int, ...]:
+        return (self.hidden,) * self.hidden_layers + (1,)
+
+    @property
+    def sine_factors(self) -> tuple[float, ...]:
+        return (self.first_factor,) + (1.0,) * (self.hidden_layers - 1) + (0.0,)
 
     def _shapes(self):
         fan_in = self.encoding.feature_count(self.dim)
@@ -142,13 +152,13 @@ class FieldNet:
 
     @property
     def layer_count(self) -> int:
-        return len(self.widths)
+        return self.hidden_layers + 1
 
 
 def init_field(
     seed: int,
     dim: int,
-    encoding: EncodingConfig | None = None,
+    encoding: EncodingConfig = EncodingConfig(),
     hidden: int = DEFAULT_HIDDEN,
     hidden_layers: int = DEFAULT_LAYERS,
     first_factor: float = DEFAULT_FIRST_FACTOR,
@@ -156,38 +166,23 @@ def init_field(
     """Seeded sine-network init.
 
     First layer weights are U(-1/fan_in, 1/fan_in) and carry the large
-    frequency factor; deeper sine layers use U(+-sqrt(6/fan_in)/factor) with
-    factor 1, which keeps pre-activations in the arcsine-friendly regime.  The
-    affine output layer uses U(+-sqrt(6/fan_in)).  Biases are drawn from the
-    same interval as their layer's weights.  Identical seeds give bitwise
+    frequency factor; every later layer, the deeper sine layers (factor 1)
+    and the affine output alike, uses U(+-sqrt(6/fan_in)), which keeps
+    pre-activations in the arcsine-friendly regime.  Biases are drawn from
+    the same interval as their layer's weights.  Identical seeds give bitwise
     identical parameters.
     """
-    if encoding is None:
-        encoding = default_encoding()
     if hidden_layers < 1 or hidden < 1:
         raise ValueError("need at least one hidden layer and one unit")
     rng = np.random.default_rng(seed)
-    widths = (hidden,) * hidden_layers + (1,)
-    factors = (first_factor,) + (1.0,) * (hidden_layers - 1) + (0.0,)
     fan_in = encoding.feature_count(dim)
     draws = []
-    for i, (width, factor) in enumerate(zip(widths, factors)):
-        if i == 0:
-            bound = 1.0 / fan_in
-        else:
-            bound = np.sqrt(6.0 / fan_in)
-            if factor > 0.0:
-                bound /= factor
+    for i, width in enumerate((hidden,) * hidden_layers + (1,)):
+        bound = 1.0 / fan_in if i == 0 else np.sqrt(6.0 / fan_in)
         # The weight, then the bias: one draw gives the same numbers as two.
         draws.append(rng.uniform(-bound, bound, size=width * (fan_in + 1)))
         fan_in = width
-    return FieldNet(
-        encoding=encoding,
-        dim=dim,
-        widths=widths,
-        params=np.concatenate(draws),
-        sine_factors=factors,
-    )
+    return FieldNet(encoding, dim, hidden, hidden_layers, first_factor, np.concatenate(draws))
 
 
 def _first_layer_blocks(net: FieldNet) -> list[np.ndarray]:

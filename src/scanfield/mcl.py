@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .geom import Aabb
 
@@ -245,6 +244,9 @@ class SampledField2D:
         self._spacing = (box.hi - box.lo) / (np.array(v.shape) - 1)
 
     def __call__(self, points) -> np.ndarray:
+        # Imported here, so that commands that look nothing up do not load it.
+        from scipy import ndimage
+
         p = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         u = (p - self.box.lo) / self._spacing
         return ndimage.map_coordinates(self.values, u.T, order=1, mode="nearest", prefilter=False)

@@ -26,7 +26,7 @@ from .geom import Pose, Scan, SceneTransform
 from .meshing import TriangleMesh
 
 MODEL_MAGIC = b"CCNDF\0"  # opaque format tag; see save_model for the layout
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 _XYZ_BYTES = 12  # 3 x f32
 
@@ -121,68 +121,37 @@ def save_scans(scan_dir, scans: list[Scan]) -> None:
 # ---------------------------------------------------------------------------
 # model checkpoints
 
-# Layout (little-endian): magic, version u16, input dim u8, band count u16,
-# layer count u16, per layer fan-in/fan-out u32 pairs, per layer sine factor
-# f64, band frequencies f64, then ``FieldNet.params`` verbatim as f64
-# (layer-major: row-major weight matrix, then bias, per layer).
-
-
-def _header_bytes(net: FieldNet) -> bytes:
-    h = net.encoding.bands
-    parts = [
-        MODEL_MAGIC,
-        struct.pack("<HBH", MODEL_VERSION, net.dim, h),
-        struct.pack("<H", net.layer_count),
-    ]
-    for w in net.weights:
-        parts.append(struct.pack("<II", w.shape[1], w.shape[0]))
-    parts.append(np.asarray(net.sine_factors, dtype="<f8").tobytes())
-    parts.append(net.encoding.frequencies.astype("<f8").tobytes())
-    return b"".join(parts)
+# Layout (little-endian): magic, then one ``_MODEL_HEADER`` of version u16,
+# input dim u8, encoding band count u16 and base frequency f64, hidden width
+# u32, hidden layer count u16 and first-layer factor f64, then
+# ``FieldNet.params`` verbatim as f64 (layer-major: row-major weight matrix,
+# then bias, per layer).
+_MODEL_HEADER = struct.Struct("<HBHdIHd")
 
 
 def save_model(path, net: FieldNet) -> None:
-    Path(path).write_bytes(_header_bytes(net) + net.params.astype("<f8").tobytes())
+    header = _MODEL_HEADER.pack(MODEL_VERSION, net.dim, net.encoding.bands, net.encoding.base,
+                                net.hidden, net.hidden_layers, net.first_factor)
+    Path(path).write_bytes(MODEL_MAGIC + header + net.params.astype("<f8").tobytes())
 
 
 def load_model(path) -> FieldNet:
     raw = Path(path).read_bytes()
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal off
-        if off + n > len(raw):
-            raise ValueError(f"{path}: truncated file while reading {what}")
-        chunk = raw[off : off + n]
-        off += n
-        return chunk
-
-    off = 0
-    if take(len(MODEL_MAGIC), "magic") != MODEL_MAGIC:
+    if raw[: len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise ValueError(f"{path}: bad magic, not a model file")
-    version, dim, h = struct.unpack("<HBH", take(5, "version header"))
+    start = len(MODEL_MAGIC) + _MODEL_HEADER.size
+    if len(raw) < start:
+        raise ValueError(f"{path}: truncated header, {len(raw)} of {start} bytes")
+    version, dim, bands, base, hidden, layers, factor = _MODEL_HEADER.unpack_from(raw, len(MODEL_MAGIC))
     if version != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
-    (layers,) = struct.unpack("<H", take(2, "layer count"))
-    if layers < 1 or dim < 1 or h < 1:
-        raise ValueError(f"{path}: invalid shape header")
-    shapes = [struct.unpack("<II", take(8, f"layer {i} shape")) for i in range(layers)]
-    factors = np.frombuffer(take(8 * layers, "sine factors"), dtype="<f8")
-    encoding = EncodingConfig(np.frombuffer(take(8 * h, "frequencies"), dtype="<f8").astype(np.float64))
-    fan_ins = [encoding.feature_count(dim)] + [fan_out for _, fan_out in shapes[:-1]]
-    if [fan_in for fan_in, _ in shapes] != fan_ins:
-        raise ValueError(f"{path}: layer (fan-in, fan-out) shapes {shapes} do not chain "
-                         f"from {fan_ins[0]} encoded features")
-    size = sum((fan_in + 1) * fan_out for fan_in, fan_out in shapes)
-    params = np.frombuffer(take(8 * size, "parameters"), dtype="<f8").astype(np.float64)
-    if off != len(raw):
-        raise ValueError(f"{path}: {len(raw) - off} trailing bytes")
-    return FieldNet(
-        encoding=encoding,
-        dim=dim,
-        widths=tuple(fan_out for _, fan_out in shapes),
-        params=params,
-        sine_factors=tuple(float(f) for f in factors),
-    )
+    if (len(raw) - start) % 8:
+        raise ValueError(f"{path}: body of {len(raw) - start} bytes is not whole f64 values")
+    try:
+        return FieldNet(EncodingConfig(bands, base), dim, hidden, layers, factor,
+                        np.frombuffer(raw, "<f8", offset=start).astype(np.float64))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ live in the acceptance suite.
 
 import ctypes
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -454,6 +455,23 @@ def test_model_needs_its_transform_sidecar(tiny, center):
     assert run("eval-sdf", "--model", model, "--scene", scene2, "--samples", "100",
                "--config", cfg) == code
     assert run("localize", "--model", model, "--data", data, "--config", cfg) == code
+
+
+def test_mesh_rejects_bad_checkpoint(tiny, capsys):
+    tmp, cfg, _ = tiny
+    bad = tmp / "bad.bin"
+    bad.write_bytes(b"CCNDF\0" + struct.pack("<HBHdIHd", 2, 3, 0, np.pi, 8, 2, 30.0))
+    assert run("mesh", "--model", bad, "--out", tmp / "x.ply", "--config", cfg) == 2
+    assert f"{bad}: encoding needs at least one band" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_ndimage_unloaded():
+    # Only the localization grid's lookups need scipy.ndimage.
+    code = "import sys, scanfield.cli; print('scipy.ndimage' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+                          timeout=120)
+    assert proc.stdout.strip() == "False", proc.stderr
 
 
 def test_localize_requires_exactly_one_map_source(tiny):

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import pytest
 
 from scanfield.config import KEYS, RunConfig, parse_config
+from scanfield.encoding import EncodingConfig
 from scanfield.mcl import MclConfig
 from scanfield.scenes import ScannerConfig
 from scanfield.targets import SupervisionMode
@@ -67,14 +68,12 @@ def test_overrides_dict():
 
 # Keys that cli reads itself (network init and the MCL grid) instead of
 # passing them through an adapter.
-CLI_KEYS = {
-    "encoding_bands", "encoding_base_freq", "hidden_width", "hidden_layers",
-    "first_layer_factor", "field_grid_res",
-}
+CLI_KEYS = {"hidden_width", "hidden_layers", "first_layer_factor", "field_grid_res"}
 
 
 def _adapters(cfg):
     return {
+        "encoding": cfg.encoding(),
         "supervision_mode": cfg.supervision_mode(),
         "loss_weights": cfg.loss_weights(),
         "optim": cfg.optim(),
@@ -93,10 +92,12 @@ def _other_valid_value(value):
 
 def test_adapters_carry_values():
     cfg = RunConfig(
+        encoding_bands=7, encoding_base_freq=2.0,
         trunc_band=0.5, weight_gamma=2.0, smooth_neighbors=6,
         learn_rate=2e-4, epochs=4,
         mcl_particles=123, mcl_sigma_z=0.25, seed=3, scan_noise=0.05,
     )
+    assert cfg.encoding() == EncodingConfig(7, 2.0)
     w = cfg.loss_weights()
     assert w.tau == 0.5 and w.gamma == 2.0 and w.knn == 6
     o = cfg.optim()
@@ -107,6 +108,7 @@ def test_adapters_carry_values():
 
     # One home per setting: the defaults are the module configs' own ...
     base = RunConfig()
+    assert base.encoding() == EncodingConfig()
     assert base.loss_weights() == LossWeights()
     assert base.optim() == OptimConfig()
     assert base.mcl() == MclConfig()
@@ -162,8 +164,8 @@ def test_key_surface_is_pinned():
 
 def test_every_owner_field_has_exactly_one_key():
     owned = Counter(row for row in KEYS.values() if not isinstance(row[0], str))
-    expected = Counter((owner, f.name) for owner in (LossWeights, OptimConfig, MclConfig, ScannerConfig)
-                       for f in fields(owner))
+    owners = (EncodingConfig, LossWeights, OptimConfig, MclConfig, ScannerConfig)
+    expected = Counter((owner, f.name) for owner in owners for f in fields(owner))
     assert owned == expected
 
 

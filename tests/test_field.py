@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scanfield import field
-from scanfield.encoding import default_encoding, encode_jet, sincos
+from scanfield.encoding import EncodingConfig, encode_jet, sincos
 from scanfield.field import (
     backprop,
     evaluate_batch,
@@ -49,7 +49,7 @@ def test_first_layer_bound_scales_with_fan_in():
 def test_init_matches_per_layer_draws(dim):
     # The flat vector holds, bitwise, the per-layer draws: each layer's weight
     # matrix and then its bias, from one generator.
-    net = init_field(seed=17, dim=dim, hidden=24, hidden_layers=3, encoding=default_encoding(5),
+    net = init_field(seed=17, dim=dim, hidden=24, hidden_layers=3, encoding=EncodingConfig(5),
                      first_factor=12.0)
     rng = np.random.default_rng(17)
     fan_in = 11 * dim
@@ -67,24 +67,29 @@ def test_init_matches_per_layer_draws(dim):
 
 
 def test_shape_validation():
-    net = init_field(seed=0, dim=2, hidden=8, hidden_layers=2, encoding=default_encoding(2))
-    with pytest.raises(ValueError, match="parameters"):
-        replace(net, params=net.params[:-1])
-    with pytest.raises(ValueError, match="one scalar"):
-        replace(net, widths=(8, 8, 2), params=np.zeros(net.params.size + 9))
+    net = init_field(seed=0, dim=2, hidden=8, hidden_layers=2, encoding=EncodingConfig(2))
+    assert net.widths == (8, 8, 1)
+    assert net.sine_factors == (30.0, 1.0, 0.0)
+    for change in ({"params": net.params[:-1]}, {"hidden": 9}, {"hidden_layers": 3},
+                   {"dim": 3}, {"encoding": EncodingConfig(3)}):
+        with pytest.raises(ValueError, match="parameters"):
+            replace(net, **change)
+    for change in ({"dim": 0}, {"hidden": 0}, {"hidden_layers": 0}):
+        with pytest.raises(ValueError, match="need a dimension"):
+            replace(net, **change)
     bad = net.params.copy()
     bad[100] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="non-finite parameters"):
         replace(net, params=bad)
-    with pytest.raises(ValueError, match="non-finite sine factors"):
-        replace(net, sine_factors=(np.nan,) + net.sine_factors[1:])
+    with pytest.raises(ValueError, match="non-finite first-layer factor"):
+        replace(net, first_factor=np.nan)
 
 
 def test_scalar_and_batch_agree():
     # BLAS picks different reduction orders for different matrix shapes, so
     # cross-shape agreement is to rounding, not bitwise; identical calls are
     # bitwise repeatable.
-    net = init_field(seed=3, dim=3, hidden=16, hidden_layers=2, encoding=default_encoding(4))
+    net = init_field(seed=3, dim=3, hidden=16, hidden_layers=2, encoding=EncodingConfig(4))
     rng = np.random.default_rng(0)
     pts = rng.uniform(-1, 1, size=(10, 3))
     vals = evaluate_batch(net, pts)
@@ -95,7 +100,7 @@ def test_scalar_and_batch_agree():
 
 def test_value_track_independent_of_order():
     # Asking for derivatives must not perturb the scalar output at all.
-    net = init_field(seed=5, dim=2, hidden=16, hidden_layers=3, encoding=default_encoding(4))
+    net = init_field(seed=5, dim=2, hidden=16, hidden_layers=3, encoding=EncodingConfig(4))
     rng = np.random.default_rng(1)
     pts = rng.uniform(-1, 1, size=(32, 2))
     v0 = evaluate_batch(net, pts)
@@ -107,7 +112,7 @@ def test_value_track_independent_of_order():
 
 
 def test_chunking_is_invisible(monkeypatch):
-    net = init_field(seed=2, dim=2, hidden=8, hidden_layers=2, encoding=default_encoding(3))
+    net = init_field(seed=2, dim=2, hidden=8, hidden_layers=2, encoding=EncodingConfig(3))
     rng = np.random.default_rng(4)
     pts = rng.uniform(-1, 1, size=(33, 2))
     vbar = rng.normal(size=33)
@@ -140,7 +145,7 @@ def test_jet_matches_finite_differences():
     for dim in (2, 3):
         net = init_field(
             seed=11, dim=dim, hidden=24, hidden_layers=3,
-            encoding=default_encoding(3), first_factor=1.0,
+            encoding=EncodingConfig(3), first_factor=1.0,
         )
         rng = np.random.default_rng(12)
         pts = rng.uniform(-1, 1, size=(20, dim))
@@ -182,7 +187,7 @@ def _perturbed(net, k, h):
 
 
 def test_backprop_matches_parameter_finite_differences():
-    net = init_field(seed=9, dim=2, hidden=6, hidden_layers=2, encoding=default_encoding(2))
+    net = init_field(seed=9, dim=2, hidden=6, hidden_layers=2, encoding=EncodingConfig(2))
     rng = np.random.default_rng(13)
     pts = rng.uniform(-1, 1, size=(7, 2))
     vbar = rng.normal(size=7)
@@ -210,7 +215,7 @@ def test_backprop_matches_parameter_finite_differences():
 def test_backprop_3d_matches_parameter_finite_differences():
     # The test above runs at m = 2; here the first layer's tangent
     # interleaves three coordinates per encoder block (feature b*m + j).
-    net = init_field(seed=5, dim=3, hidden=6, hidden_layers=2, encoding=default_encoding(2))
+    net = init_field(seed=5, dim=3, hidden=6, hidden_layers=2, encoding=EncodingConfig(2))
     rng = np.random.default_rng(17)
     pts = rng.uniform(-1, 1, size=(6, 3))
     vbar = rng.normal(size=6)
@@ -235,7 +240,7 @@ def test_backprop_3d_matches_parameter_finite_differences():
 
 
 def test_backprop_value_only():
-    net = init_field(seed=1, dim=2, hidden=5, hidden_layers=1, encoding=default_encoding(2))
+    net = init_field(seed=1, dim=2, hidden=5, hidden_layers=1, encoding=EncodingConfig(2))
     pts = np.array([[0.1, 0.2], [0.3, -0.4]])
     vbar = np.array([1.0, -2.0])
     grads = backprop(net, pts, vbar, None)
@@ -252,7 +257,7 @@ def test_backprop_value_only():
 def test_jet_one_row_matches_batch():
     # One row and a batch reach BLAS with different matrix shapes, so they
     # agree to rounding (tolerances of test_chunking_is_invisible).
-    net = init_field(seed=4, dim=2, hidden=8, hidden_layers=2, encoding=default_encoding(3))
+    net = init_field(seed=4, dim=2, hidden=8, hidden_layers=2, encoding=EncodingConfig(3))
     pts = np.array([[0.25, -0.5], [0.1, 0.7], [-0.3, 0.2]])
     v, g, t, q = jet_batch(net, pts)
     for i in range(pts.shape[0]):
@@ -491,9 +496,9 @@ def _old_passes(net, x, vbar, gbar):
     "dim, rows, kwargs",
     [
         (3, 2085, {}),  # default 3D net
-        (2, 2597, {"encoding": default_encoding(8), "hidden": 64, "hidden_layers": 3}),
+        (2, 2597, {"encoding": EncodingConfig(8), "hidden": 64, "hidden_layers": 3}),
         # 5 rows past a whole block: BLAS rounds a few-row matmul differently
-        (2, 2309, {"encoding": default_encoding(8), "hidden": 64, "hidden_layers": 3}),
+        (2, 2309, {"encoding": EncodingConfig(8), "hidden": 64, "hidden_layers": 3}),
     ],
 )
 def test_row_blocks_match_old_chunking(dim, rows, kwargs):

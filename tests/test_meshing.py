@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scanfield._mc_tables import CUBE_TRIANGLES
-from scanfield.encoding import default_encoding
+from scanfield.encoding import EncodingConfig
 from scanfield.field import evaluate_batch, init_field
 from scanfield.geom import Aabb
 from scanfield.meshing import MIN_TRI_AREA, TriangleMesh, marching_cubes, sample_grid
@@ -310,7 +310,7 @@ def test_cubes_match_reference_on_ambiguous_faces():
 
 
 def test_cubes_match_reference_on_a_network():
-    net = init_field(seed=0, dim=3, hidden=16, hidden_layers=2, encoding=default_encoding(4))
+    net = init_field(seed=0, dim=3, hidden=16, hidden_layers=2, encoding=EncodingConfig(4))
     box = Aabb.cube(np.zeros(3), 1.0)
     field = lambda p: evaluate_batch(net, p)  # noqa: E731
     want, _ = reference_cubes(field, box, 16)

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from scanfield.encoding import default_encoding
+from scanfield.encoding import EncodingConfig
 from scanfield.field import init_field
 from scanfield.geom import Aabb, Pose, Scan, SceneTransform, rot2d
 from scanfield.meshing import TriangleMesh, marching_cubes
@@ -132,7 +132,7 @@ def test_scans_round_trip(tmp_path):
 
 
 def test_field_round_trip(tmp_path):
-    net = init_field(seed=6, dim=2, hidden=8, hidden_layers=2, encoding=default_encoding(3))
+    net = init_field(seed=6, dim=2, hidden=8, hidden_layers=2, encoding=EncodingConfig(3))
     tf = SceneTransform(center=np.array([0.25, -3.5]), scale=4.125)
     path = tmp_path / "net.bin"
     save_field(path, net, tf)
@@ -149,29 +149,29 @@ def test_field_round_trip(tmp_path):
 
 
 def test_model_round_trip_is_bit_exact(tmp_path):
-    net = init_field(seed=5, dim=3, hidden=16, hidden_layers=3, encoding=default_encoding(4))
+    net = init_field(seed=5, dim=3, hidden=16, hidden_layers=3, encoding=EncodingConfig(4, 2.5),
+                     first_factor=12.5)
     path = tmp_path / "net.bin"
     save_model(path, net)
     back = load_model(path)
-    assert back.dim == net.dim
-    assert back.sine_factors == net.sine_factors
-    np.testing.assert_array_equal(back.encoding.frequencies, net.encoding.frequencies)
-    for wa, wb in zip(net.weights, back.weights):
-        assert np.array_equal(wa, wb)
-    for ba, bb in zip(net.biases, back.biases):
-        assert np.array_equal(ba, bb)
+    assert (back.encoding, back.dim, back.hidden, back.hidden_layers, back.first_factor) == (
+        EncodingConfig(4, 2.5), 3, 16, 3, 12.5)
+    assert np.array_equal(back.params, net.params)
     # resave is byte-identical
     path2 = tmp_path / "net2.bin"
     save_model(path2, back)
     assert path.read_bytes() == path2.read_bytes()
 
 
+def _header(version=2, dim=2, bands=3, base=np.pi, hidden=8, hidden_layers=2, first_factor=30.0):
+    return MODEL_MAGIC + struct.pack("<HBHdIHd", version, dim, bands, base, hidden,
+                                     hidden_layers, first_factor)
+
+
 def _per_layer_checkpoint(net):
     """The documented checkpoint layout, written one layer at a time."""
-    parts = [MODEL_MAGIC, struct.pack("<HBHH", 1, net.dim, net.encoding.bands, len(net.weights))]
-    parts += [struct.pack("<II", w.shape[1], w.shape[0]) for w in net.weights]
-    parts.append(np.asarray(net.sine_factors, dtype="<f8").tobytes())
-    parts.append(np.asarray(net.encoding.frequencies, dtype="<f8").tobytes())
+    parts = [_header(2, net.dim, net.encoding.bands, net.encoding.base, net.hidden,
+                     net.hidden_layers, net.first_factor)]
     for w, b in zip(net.weights, net.biases):
         parts += [w.astype("<f8").tobytes(), b.astype("<f8").tobytes()]
     return b"".join(parts)
@@ -179,68 +179,72 @@ def _per_layer_checkpoint(net):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_model_bytes_follow_per_layer_layout(tmp_path, dim):
-    net = init_field(seed=dim + 10, dim=dim, hidden=12, hidden_layers=3, encoding=default_encoding(5))
+    net = init_field(seed=dim + 10, dim=dim, hidden=12, hidden_layers=3, encoding=EncodingConfig(5))
     path = tmp_path / "net.bin"
     save_model(path, net)
     assert path.read_bytes() == _per_layer_checkpoint(net)
 
 
-@pytest.mark.parametrize("layer, fan_in", [(0, 9), (1, 5)])
-def test_model_rejects_unchained_shapes(tmp_path, layer, fan_in):
-    net = init_field(seed=3, dim=2, hidden=4, hidden_layers=2, encoding=default_encoding(2))
-    path = tmp_path / "net.bin"
-    save_model(path, net)
-    raw = bytearray(path.read_bytes())
-    offset = len(MODEL_MAGIC) + 5 + 2 + 8 * layer  # the layer's fan-in field
-    raw[offset : offset + 4] = struct.pack("<I", fan_in)
-    path.write_bytes(bytes(raw))
-    shapes = [(10, 4), (4, 4), (4, 1)]
-    shapes[layer] = (fan_in, shapes[layer][1])
-    with pytest.raises(ValueError, match=re.escape(f"shapes {shapes} do not chain")):
-        load_model(path)
-
-
 def test_model_file_size_is_header_plus_params(tmp_path):
-    net = init_field(seed=1, dim=2, hidden=8, hidden_layers=2, encoding=default_encoding(3))
+    net = init_field(seed=1, dim=2, hidden=8, hidden_layers=2, encoding=EncodingConfig(3))
     path = tmp_path / "net.bin"
     save_model(path, net)
-    layers = net.layer_count
-    header = len(MODEL_MAGIC) + 5 + 2 + 8 * layers + 8 * layers + 8 * net.encoding.bands
     params = sum(w.size + b.size for w, b in zip(net.weights, net.biases))
-    assert path.stat().st_size == header + 8 * params
+    assert path.stat().st_size == 33 + 8 * params
 
 
 def test_model_rejects_corruption(tmp_path):
-    net = init_field(seed=2, dim=2, hidden=4, hidden_layers=1, encoding=default_encoding(2))
+    net = init_field(seed=2, dim=2, hidden=4, hidden_layers=1, encoding=EncodingConfig(2))
     path = tmp_path / "net.bin"
     save_model(path, net)
-    raw = bytearray(path.read_bytes())
+    raw = path.read_bytes()
 
     bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"XXNDF\0" + bytes(raw[6:]))
+    bad.write_bytes(b"XXNDF\0" + raw[6:])
     with pytest.raises(ValueError, match="magic"):
         load_model(bad)
 
-    wrong_ver = bytearray(raw)
-    wrong_ver[6:8] = struct.pack("<H", 99)
-    bad.write_bytes(bytes(wrong_ver))
-    with pytest.raises(ValueError, match="version"):
+    bad.write_bytes(raw[:32])
+    with pytest.raises(ValueError, match="truncated header"):
         load_model(bad)
 
-    bad.write_bytes(bytes(raw[:-4]))
-    with pytest.raises(ValueError, match="truncated"):
+    bad.write_bytes(raw[:6] + struct.pack("<H", 99) + raw[8:])
+    with pytest.raises(ValueError, match="version 99"):
         load_model(bad)
 
-    bad.write_bytes(bytes(raw) + b"\x00" * 8)
-    with pytest.raises(ValueError, match="trailing"):
+    bad.write_bytes(raw[:-4])
+    with pytest.raises(ValueError, match="not whole f64"):
         load_model(bad)
 
-    nan_factor = bytearray(raw)
-    first_factor = len(MODEL_MAGIC) + 5 + 2 + 8 * net.layer_count
-    nan_factor[first_factor : first_factor + 8] = struct.pack("<d", float("nan"))
-    bad.write_bytes(bytes(nan_factor))
-    with pytest.raises(ValueError, match="non-finite sine factors"):
+    for body in (raw[:-8], raw + b"\x00" * 8):
+        bad.write_bytes(body)
+        with pytest.raises(ValueError, match="parameters"):
+            load_model(bad)
+
+    nan_param = bytearray(raw)
+    nan_param[-8:] = struct.pack("<d", float("nan"))
+    bad.write_bytes(bytes(nan_param))
+    with pytest.raises(ValueError, match="non-finite parameters"):
         load_model(bad)
+
+
+# The default header's 2D net (3 bands, so 14 features; two layers of 8) has
+# 8 * 15 + 8 * 9 + 9 = 201 parameters.
+@pytest.mark.parametrize("fields, message", [
+    ({"bands": 0}, "at least one band"),
+    ({"base": float("nan")}, "base frequency"),
+    ({"base": 0.0}, "base frequency"),
+    ({"hidden": 0}, "need a dimension"),
+    ({"hidden_layers": 0}, "need a dimension"),
+    ({"first_factor": float("nan")}, "non-finite first-layer factor"),
+    ({"hidden": 9}, "take 235 parameters"),
+    ({"version": 1}, "unsupported format version 1"),
+])
+def test_model_rejects_invalid_header_fields(tmp_path, fields, message):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(_header(**fields) + np.zeros(201).astype("<f8").tobytes())
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + message):
+        load_model(path)
 
 
 def test_transform_round_trip(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scanfield.config import RunConfig, parse_config
-from scanfield.encoding import default_encoding
+from scanfield.encoding import EncodingConfig
 from scanfield.field import evaluate_batch, grad_batch, init_field
 from scanfield.geom import Pose, normalize_scene, to_world
 from scanfield.scenes import AnalyticScene, ScannerConfig, Sphere, simulate_scan
@@ -25,7 +25,7 @@ from scanfield.training import (
 
 
 def small_net(seed=0, dim=2):
-    return init_field(seed=seed, dim=dim, hidden=8, hidden_layers=2, encoding=default_encoding(3))
+    return init_field(seed=seed, dim=dim, hidden=8, hidden_layers=2, encoding=EncodingConfig(3))
 
 
 def toy_rays(n=16, seed=0, dim=2):
@@ -218,7 +218,7 @@ def test_adamw_rejects_nonfinite_gradients():
 def test_adamw_step_matches_per_layer_updates(dim):
     # AdamW is elementwise, so one update over the flat vector must equal,
     # bitwise, the update of each weight matrix and bias on its own.
-    net = init_field(seed=dim, dim=dim, hidden=12, hidden_layers=3, encoding=default_encoding(4))
+    net = init_field(seed=dim, dim=dim, hidden=12, hidden_layers=3, encoding=EncodingConfig(4))
     cfg = OptimConfig(lr=1e-2, weight_decay=0.1)
     rng = np.random.default_rng(5)
     ref = [[w.copy(), b.copy()] for w, b in zip(net.weights, net.biases)]
@@ -268,7 +268,7 @@ def test_train_reduces_loss():
     canon, tf = normalize_scene(np.concatenate(origins), np.concatenate(endpoints))
     optim = OptimConfig(epochs=2, batch_rays=64, samples_per_ray=8, seed=0)
     w = LossWeights()
-    net = init_field(seed=3, dim=2, hidden=16, hidden_layers=2, encoding=default_encoding(6))
+    net = init_field(seed=3, dim=2, hidden=16, hidden_layers=2, encoding=EncodingConfig(6))
     trained, hist = train(net, canon, optim, w, SupervisionMode.CLOSEST_NORMAL)
     assert hist[-1].data < hist[0].data
 
