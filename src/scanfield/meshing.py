@@ -3,11 +3,14 @@
 The field is evaluated on a regular grid over an axis-aligned 3D box; cells
 whose corner signs differ emit triangles from the classic 256-case table,
 ambiguous faces included, with crossing positions linearly interpolated along
-cell edges.  One vectorized table walk gathers each active cell's table row
-at once; a grid edge shared by several cells maps to one global edge id so
-the output is indexed and watertight, and vertices are numbered in order of
-first use over the cells in index order, making the numbering deterministic.
-``sample_grid`` also grids 2D fields, for the localization maps.
+cell edges.  The table walk streams along the first grid axis, one slab of
+cells between x = i and x = i+1 at a time: a grid edge maps to one global
+edge id, and only the edges on the face a slab shares with the next one are
+carried over, so the output is indexed and watertight.  Vertices are
+numbered in order of first use over the cells in index order, making the
+numbering deterministic.  Working memory is the value grid, one slab's table
+rows and the output mesh.  ``sample_grid`` also grids 2D fields, for the
+localization maps.
 """
 
 from __future__ import annotations
@@ -68,7 +71,9 @@ def sample_grid(field, box: Aabb, res: int) -> np.ndarray:
     """Field values on the (res+1)^m grid over the box, index order x, y[, z].
 
     ``field`` is any vectorized callable mapping (N, m) points to (N,) values.
-    Evaluation is sliced along the last axis to bound peak memory.
+    In 3D the field sees one z-slice of (res+1)^2 points per call, so the
+    evaluation's scratch memory stays one slice; the returned grid is whole,
+    and ``marching_cubes`` walks it one x-slab at a time.
     """
     if res < 2:
         raise ValueError("need at least 2 cells per axis")
@@ -87,73 +92,67 @@ def sample_grid(field, box: Aabb, res: int) -> np.ndarray:
     return vals
 
 
-def _active_cells(vals: np.ndarray, res: int) -> tuple[np.ndarray, tuple]:
-    """Case codes (bit c set when corner c is inside) of the cells whose
-    corners straddle the level set, and their index arrays in index order."""
-    inside = vals < 0.0
-    case = np.zeros((res, res, res), dtype=np.uint8)
-    for c, (dx, dy, dz) in enumerate(_CORNERS):
-        case |= inside[dx : dx + res, dy : dy + res, dz : dz + res].astype(np.uint8) << c
-    cells = np.nonzero((case != 0) & (case != 255))
-    return case[cells], cells
-
-
-def _walk(vals, box: Aabb, res: int, active, case):
-    """Vertices and flat vertex indices of the active cells' table rows.
-
-    ``active`` holds the cells' index arrays and ``case`` their case codes.
-    The indices follow the rows in cell order; a grid edge's vertex is
-    interpolated once.
-    """
-    n = res + 1
-    strides = n ** np.arange(3)
-    # Global edge id: the axis, then the flat grid index of the low corner.
-    edge_off = _CUBE_EDGES[:, 0] * n**3 + _CUBE_EDGES[:, 1:] @ strides
-    cell_off = sum(a * s for a, s in zip(active, strides))
-    local = _CUBE_TABLE[case]
-    cell, slot = np.nonzero(local >= 0)
-    edge = local[cell, slot]
-    del local, slot
-    gid = cell_off[cell] + edge_off[edge]
-    del cell_off
-    # Number the distinct grid edges in order of first use.
-    _, first, inverse = np.unique(gid, return_index=True, return_inverse=True)
-    del gid
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    ids = rank[inverse]
-    del inverse, rank
-    head = first[order]
-    cell, edge = cell[head], _CUBE_EDGES[edge[head]]
-    corner = tuple(active[a][cell] + edge[:, 1 + a] for a in range(3))
-    step = [edge[:, 0] == a for a in range(3)]
-    va = vals[corner]
-    vb = vals[tuple(c + s for c, s in zip(corner, step))]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(va == vb, 0.5, va / (va - vb))
-    spacing = (box.hi - box.lo) / res
-    verts = np.stack(
-        [box.lo[a] + (corner[a] + t * step[a]) * spacing[a] for a in range(3)], axis=1
-    )
-    return verts, ids
-
-
 def marching_cubes(field, box: Aabb, res: int) -> TriangleMesh:
     """Triangulate the field's zero level set over the box at res cells/axis."""
     if box.dim != 3:
         raise ValueError("marching_cubes needs a 3D box")
     vals = sample_grid(field, box, res)
-    case, active = _active_cells(vals, res)
-    if case.size == 0:
-        return TriangleMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.intp))
-    v, t = _walk(vals, box, res, active, case)
-    t = t.reshape(-1, 3)
-    # Drop degenerate triangles, then unused vertices.
-    e1 = v[t[:, 1]] - v[t[:, 0]]
-    e2 = v[t[:, 2]] - v[t[:, 0]]
-    t = t[np.linalg.norm(np.cross(e1, e2), axis=1) > 2.0 * MIN_TRI_AREA]
-    used = np.unique(t)
-    remap = np.full(v.shape[0], -1, dtype=np.intp)
-    remap[used] = np.arange(used.size)
-    return TriangleMesh(v[used], remap[t])
+    n = res + 1
+    strides = n ** np.arange(3)
+    # Global edge id: the axis, then the flat grid index of the low corner.
+    edge_off = _CUBE_EDGES[:, 0] * n**3 + _CUBE_EDGES[:, 1:] @ strides
+    spacing = (box.hi - box.lo) / res
+    # Sorted ids and vertex numbers of the previous slab's edges on face x = i.
+    face_gid, face_id = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    prev_v = np.empty((0, 3))
+    # Empty first parts keep the concatenations valid when no cell is active.
+    v_parts, t_parts = [prev_v], [np.empty((0, 3), dtype=np.intp)]
+    n_verts = 0
+    for i in range(res):
+        inside = vals[i : i + 2] < 0.0
+        case = np.zeros((res, res), dtype=np.uint8)
+        for c, (dx, dy, dz) in enumerate(_CORNERS):
+            case |= inside[dx, dy : dy + res, dz : dz + res].astype(np.uint8) << c
+        active = np.nonzero((case != 0) & (case != 255))
+        local = _CUBE_TABLE[case[active]]
+        cell, slot = np.nonzero(local >= 0)
+        edge = local[cell, slot]
+        gid = i + active[0][cell] * n + active[1][cell] * n**2 + edge_off[edge]
+        gids, first, inverse = np.unique(gid, return_index=True, return_inverse=True)
+        pos = np.searchsorted(face_gid, gids)
+        old = pos < face_gid.size
+        old[old] = face_gid[pos[old]] == gids[old]
+        # Edges not carried over are numbered in order of first use.
+        new = np.flatnonzero(~old)
+        new = new[np.argsort(first[new])]
+        uid = np.empty(gids.size, dtype=np.intp)
+        uid[old] = face_id[pos[old]]
+        uid[new] = n_verts + np.arange(new.size)
+        on_face = gids % n == i + 1  # only axis-1 and axis-2 edges reach x = i+1
+        face_gid, face_id = gids[on_face], uid[on_face]
+        head = first[new]
+        e = _CUBE_EDGES[edge[head]]
+        corner = (i + e[:, 1], active[0][cell[head]] + e[:, 2], active[1][cell[head]] + e[:, 3])
+        step = [e[:, 0] == a for a in range(3)]
+        va = vals[corner]
+        vb = vals[tuple(c + s for c, s in zip(corner, step))]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(va == vb, 0.5, va / (va - vb))
+        v = np.stack([box.lo[a] + (corner[a] + t * step[a]) * spacing[a] for a in range(3)], axis=1)
+        # Drop degenerate triangles; their corners lie in this slab or the last,
+        # whose first vertex is number n_verts - len(prev_v).
+        tri = uid[inverse].reshape(-1, 3)
+        near = np.concatenate([prev_v, v])[tri - (n_verts - len(prev_v))]
+        area2 = np.linalg.norm(np.cross(near[:, 1] - near[:, 0], near[:, 2] - near[:, 0]), axis=1)
+        v_parts.append(v)
+        t_parts.append(tri[area2 > 2.0 * MIN_TRI_AREA])
+        prev_v, n_verts = v, n_verts + new.size
+    verts = np.concatenate(v_parts)
+    del v_parts
+    tris = np.concatenate(t_parts)
+    del t_parts
+    # Drop unused vertices, keeping the order of the rest.
+    used = np.zeros(verts.shape[0], dtype=bool)
+    used[tris] = True
+    np.take(np.cumsum(used) - 1, tris, out=tris)
+    return TriangleMesh(verts[used], tris)

@@ -224,8 +224,8 @@ def export_mesh_ply(path, mesh: TriangleMesh) -> None:
     faces["indices"] = mesh.triangles
     with open(path, "wb") as fh:
         fh.write(_ply_header(mesh.vertices.shape[0], faces.shape[0]))
-        fh.write(mesh.vertices.astype("<f4").tobytes())
-        fh.write(faces.tobytes())
+        fh.write(mesh.vertices.astype("<f4"))
+        fh.write(faces)
 
 
 def read_mesh_ply(path) -> TriangleMesh:

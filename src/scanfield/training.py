@@ -273,21 +273,21 @@ def train(
     optim: OptimConfig,
     weights: LossWeights,
     mode: SupervisionMode,
-    callback=None,
 ) -> tuple[FieldNet, list[LossBreakdown]]:
     """Optimize the field over canonical-frame rays.
 
     ``rays`` is the (origins, endpoints) pair of (R, m) arrays that
     ``geom.normalize_scene`` returns.  Epochs reshuffle rays with the seeded
-    generator; each batch recomputes targets under ``mode``, takes one
-    optimizer step, and the per-epoch mean breakdown is recorded.
+    generator; each batch recomputes targets under ``mode`` and takes one
+    optimizer step.  Returns the trained net and each epoch's mean loss
+    breakdown, in epoch order.
     """
     origins, endpoints = (np.asarray(a, dtype=np.float64) for a in rays)
     rng = np.random.default_rng(optim.seed)
     state = AdamState.zeros_like(net)
     history: list[LossBreakdown] = []
     n_rays = origins.shape[0]
-    for epoch in range(optim.epochs):
+    for _ in range(optim.epochs):
         perm = rng.permutation(n_rays)
         parts = np.zeros(5)
         n_batches = 0
@@ -299,8 +299,5 @@ def train(
             parts += astuple(bd)
             n_batches += 1
         parts /= max(n_batches, 1)
-        epoch_bd = LossBreakdown(*parts)
-        history.append(epoch_bd)
-        if callback is not None:
-            callback(epoch, epoch_bd)
+        history.append(LossBreakdown(*parts))
     return net, history
