@@ -36,8 +36,7 @@ def main():
     scanner = cfg.scanner()
 
     rng = np.random.default_rng(cfg.seed)
-    scans = [simulate_scan(scene, Pose.from_xytheta(x, y, th), scanner, rng)
-             for x, y, th in traj]
+    scans = simulate_scan(scene, [Pose.from_xytheta(x, y, th) for x, y, th in traj], scanner, rng)
     endpoints = np.concatenate([to_world(s) for s in scans])
     origins = np.concatenate([np.broadcast_to(s.pose.translation, s.points.shape) for s in scans])
     canon, tf = normalize_scene(origins, endpoints)

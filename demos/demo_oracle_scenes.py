@@ -40,8 +40,8 @@ def main():
         "circle 0.8 -0.4 0.7\n"
     )
     pose = Pose.from_xytheta(-1.5, 1.0, -0.4)
-    scan = simulate_scan(room, pose, ScannerConfig(beams=12, fov=2 * np.pi),
-                         np.random.default_rng(0))
+    (scan,) = simulate_scan(room, [pose], ScannerConfig(beams=12, fov=2 * np.pi),
+                            np.random.default_rng(0))
     ranges = np.linalg.norm(scan.points, axis=1)
     print(f"\n2D room scan from {pose.translation}: {len(ranges)} returns")
     print("ranges:", np.array2string(ranges, precision=3))

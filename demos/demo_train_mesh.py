@@ -46,7 +46,7 @@ def main():
     scanner = cfg.scanner()
 
     rng = np.random.default_rng(cfg.seed)
-    scans = [simulate_scan(scene, pose, scanner, rng) for pose in aimed_poses(20, 1.5)]
+    scans = simulate_scan(scene, aimed_poses(20, 1.5), scanner, rng)
     endpoints = np.concatenate([to_world(s) for s in scans])
     origins = np.concatenate([np.broadcast_to(s.pose.translation, s.points.shape) for s in scans])
     print(f"{len(endpoints)} rays from 20 poses")
@@ -57,12 +57,9 @@ def main():
                      hidden=cfg.hidden_width, hidden_layers=cfg.hidden_layers,
                      first_factor=cfg.first_layer_factor)
     t0 = time.time()
-
-    def progress(epoch, terms):
+    net, history = train(net, canon, cfg.optim(), cfg.loss_weights(), cfg.supervision_mode())
+    for epoch, terms in enumerate(history):
         print(f"  epoch {epoch}: data {terms.data:.4f}  eikonal {terms.eikonal:.4f}")
-
-    net, _ = train(net, canon, cfg.optim(), cfg.loss_weights(),
-                   cfg.supervision_mode(), progress)
     print(f"trained in {time.time() - t0:.1f}s")
 
     def world_field(p):

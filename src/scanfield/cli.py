@@ -88,7 +88,12 @@ def _parse_traj_spec(spec: str):
             key, sep, val = part.partition("=")
             if not sep:
                 raise ValueError(f"trajectory spec piece {part!r} is not key=val")
-            kv[key.strip()] = float(val)
+            key = key.strip()
+            kv[key] = float(val)
+            if not np.isfinite(kv[key]):
+                raise ValueError(f"trajectory key {key!r} must be finite, got {val!r}")
+            if key == "steps" and kv[key] != int(kv[key]):
+                raise ValueError(f"trajectory key 'steps' must be a whole number, got {val!r}")
     return name.strip(), kv
 
 
@@ -118,11 +123,8 @@ def trajectory_poses(spec: str) -> np.ndarray:
         if radius <= 0 or steps < 1:
             raise ValueError("orbit needs radius > 0 and steps >= 1")
         ang = start + 2.0 * np.pi * np.arange(steps) / steps
-        out = np.empty((steps, 3))
-        out[:, 0] = cx + radius * np.cos(ang)
-        out[:, 1] = cy + radius * np.sin(ang)
-        out[:, 2] = mcl_mod.wrap_angle(ang + np.pi)
-        return out
+        return np.stack([cx + radius * np.cos(ang), cy + radius * np.sin(ang),
+                         mcl_mod.wrap_angle(ang + np.pi)], axis=1)
     if name == "line":
         x0, y0, x1, y1 = (_require(kv, k) for k in ("x0", "y0", "x1", "y1"))
         steps = int(_require(kv, "steps"))
@@ -131,21 +133,9 @@ def trajectory_poses(spec: str) -> np.ndarray:
         if steps < 2:
             raise ValueError("line needs steps >= 2")
         t = np.linspace(0.0, 1.0, steps)
-        heading = float(np.arctan2(y1 - y0, x1 - x0))
-        out = np.empty((steps, 3))
-        out[:, 0] = x0 + t * (x1 - x0)
-        out[:, 1] = y0 + t * (y1 - y0)
-        out[:, 2] = heading
-        return out
+        return np.stack([x0 + t * (x1 - x0), y0 + t * (y1 - y0),
+                         np.full(steps, np.arctan2(y1 - y0, x1 - x0))], axis=1)
     raise ValueError(f"unknown trajectory generator {name!r}")
-
-
-def _planar_pose(x: float, y: float, theta: float, dim: int) -> Pose:
-    if dim == 2:
-        return Pose.from_xytheta(x, y, theta)
-    c, s = np.cos(theta), np.sin(theta)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return Pose(rot, np.array([x, y, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +144,8 @@ def _planar_pose(x: float, y: float, theta: float, dim: int) -> Pose:
 
 def _synthesize_dataset(scene, traj: np.ndarray, cfg: RunConfig) -> list[Scan]:
     """One scan per (x, y, heading) row; scan noise draws from one seeded generator."""
-    scanner = cfg.scanner()
-    rng = np.random.default_rng(cfg.seed)
-    scans = []
-    for x, y, th in traj:
-        pose = _planar_pose(x, y, th, scene.dim)
-        scans.append(scenes.simulate_scan(scene, pose, scanner, rng))
-    return scans
+    poses = [Pose.from_xytheta(x, y, th, scene.dim) for x, y, th in traj]
+    return scenes.simulate_scan(scene, poses, cfg.scanner(), np.random.default_rng(cfg.seed))
 
 
 def cmd_synth(args) -> int:
@@ -344,9 +329,8 @@ def _auto_orbit(scene, steps: int) -> str:
     for frac in (1.8, 1.5, 1.25, 1.0, 0.8, 0.6, 0.45, 0.3):
         radius = frac * reach
         ang = 2.0 * np.pi * np.arange(64) / 64
-        ring = np.stack([c[0] + radius * np.cos(ang), c[1] + radius * np.sin(ang)], axis=1)
-        if scene.dim == 3:
-            ring = np.concatenate([ring, np.zeros((64, 1))], axis=1)
+        ring = np.zeros((64, scene.dim))  # at z = 0 in 3D, as the poses are
+        ring[:, :2] = c[:2] + radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
         if np.min(scene.sdf(ring)) > 0.05 * reach:
             return f"orbit:radius={radius},steps={steps},cx={c[0]},cy={c[1]}"
     raise ValueError("no free-space orbit found; pass --traj explicitly")

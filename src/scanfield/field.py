@@ -53,8 +53,10 @@ record skips it), so the value track stays bitwise independent of the order.
 Every pass walks the points in blocks of ``BLOCK`` rows, so that one
 block's derivative slabs stay in a core's L2 cache instead of streaming
 through memory (the default 3D net's gradient slab is 0.75 MB per 256-row
-block); the last block also takes the remainder.  Each output row depends on
-its own input row alone, so no output depends on where the blocks end.  The
+block); the last block also takes the remainder.  Each output row is a
+function of its own input row alone, but its rounding is not: the width-1
+output layer's matrix-vector product rounds the last block's rows by their
+position, so regrouping rows can move a value by tens of ulp.  The
 reverse sweep runs one forward pass per block and reads the activations,
 their cosines and the pre-activation tangents from that pass's record
 instead of recomputing them; the gᵀHg sweep likewise reads the cosines and
@@ -112,6 +114,8 @@ class FieldNet:
                              f"{self.hidden_layers} layers of {self.hidden}")
         if not np.isfinite(self.first_factor):
             raise ValueError(f"non-finite first-layer factor {self.first_factor}")
+        if self.first_factor <= 0.0:  # a factor of 0 marks the affine output layer
+            raise ValueError(f"first-layer factor must be positive, got {self.first_factor}")
         size = sum(width * (fan_in + 1) for width, fan_in in self._shapes())
         if self.params.shape != (size,):
             raise ValueError(f"widths {self.widths} take {size} parameters, got shape {self.params.shape}")

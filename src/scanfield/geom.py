@@ -72,8 +72,11 @@ class Pose:
         return (p - self.translation) @ self.rotation
 
     @staticmethod
-    def from_xytheta(x: float, y: float, theta: float) -> "Pose":
-        return Pose(rot2d(theta), np.array([x, y], dtype=np.float64))
+    def from_xytheta(x: float, y: float, theta: float, dim: int = 2) -> "Pose":
+        """Planar pose at (x, y) heading ``theta``; in 3D, a heading about z at z = 0."""
+        rot = np.eye(dim)
+        rot[:2, :2] = rot2d(theta)
+        return Pose(rot, np.array([x, y, 0.0][:dim], dtype=np.float64))
 
 
 def rot2d(theta: float) -> np.ndarray:

@@ -10,8 +10,8 @@ last zero because a distance gradient is unit wherever it is smooth (Hg = 0).
 A scene file has four primitive lines, ``sphere``, ``circle``, ``box`` and
 ``plane``, one primitive per line (``parse_scene_text``).
 
-The scanner sphere-traces beams through a scene to synthesize range scans:
-the input modality for field training, with exact geometry as ground truth.
+The scanner sphere-traces a trajectory's beams in one march to synthesize
+range scans, the training input, with exact geometry as ground truth.
 """
 
 from __future__ import annotations
@@ -261,7 +261,9 @@ def sphere_trace(scene: AnalyticScene, origins: _F, directions: _F, max_range: f
     """March each ray by the local distance value until it hits or escapes.
 
     Returns (hit mask, range) arrays.  The 0.99 step safety factor is enough
-    because the scene distances are exact; termination at |D| < 1e-6.
+    because the scene distances are exact; termination at |D| < 1e-6.  Rays
+    march independently but not bit for bit: an oblique ``Plane.sdf``'s
+    ``p @ normal`` rounds rows by their position in the batch.
     """
     o = np.asarray(origins, dtype=np.float64)
     u = np.asarray(directions, dtype=np.float64)
@@ -277,33 +279,38 @@ def sphere_trace(scene: AnalyticScene, origins: _F, directions: _F, max_range: f
         close = np.abs(d) < TRACE_EPS
         hit[idx[close]] = True
         alive[idx[close]] = False
-        step = TRACE_SAFETY * d[~close]
         rest = idx[~close]
-        t[rest] += step
-        escaped = t[rest] > max_range
-        alive[rest[escaped]] = False
+        t[rest] += TRACE_SAFETY * d[~close]
+        alive[rest[t[rest] > max_range]] = False
     return hit, t
 
 
-def simulate_scan(scene: AnalyticScene, pose: Pose, cfg: ScannerConfig, rng) -> Scan:
-    """Synthesize one scan by tracing the scanner's beams from the pose.
+def simulate_scan(scene: AnalyticScene, poses: list[Pose], cfg: ScannerConfig, rng) -> list[Scan]:
+    """One scan per pose of the sequence ``poses``, from one march of all beams.
 
-    Misses (beam escapes past max range) are dropped; optional Gaussian range
-    noise, drawn from ``rng``, perturbs hit distances.  The pose origin must
-    be in free space.
+    Each origin must be in free space (the error names the first that is not)
+    and each pose must hit something; misses past max range are dropped.
+    Gaussian range noise is drawn from ``rng`` pose by pose.  Memory grows with
+    poses × beams; ranges may differ in last bits from one-pose calls.
     """
-    if scene.sdf(pose.translation[None, :])[0] <= 0.0:
-        raise ValueError("scanner pose is not in free space")
-    dirs = beam_directions(cfg, scene.dim) @ pose.rotation.T
-    origins = np.broadcast_to(pose.translation, dirs.shape)
-    hit, t = sphere_trace(scene, origins, dirs, cfg.max_range)
-    if not np.any(hit):
-        raise ValueError("all beams missed the scene")
-    ranges = t[hit]
-    if cfg.noise_sigma > 0.0:
-        ranges = ranges + cfg.noise_sigma * rng.standard_normal(ranges.shape)
-    endpoints = pose.translation + ranges[:, None] * dirs[hit]
-    return Scan(pose=pose, points=pose.inverse_apply(endpoints))
+    origins = np.array([pose.translation for pose in poses]).reshape(-1, scene.dim)
+    blocked = np.flatnonzero(scene.sdf(origins) <= 0.0)
+    if blocked.size:
+        raise ValueError(f"scanner pose {blocked[0]} is not in free space")
+    beams = beam_directions(cfg, scene.dim)
+    dirs = np.array([beams @ pose.rotation.T for pose in poses])
+    hit, t = (a.reshape(-1, cfg.beams) for a in sphere_trace(
+        scene, np.repeat(origins, cfg.beams, axis=0), dirs.reshape(-1, scene.dim), cfg.max_range))
+    scans = []
+    for k, pose in enumerate(poses):
+        if not np.any(hit[k]):
+            raise ValueError(f"all beams of scanner pose {k} missed the scene")
+        ranges = t[k, hit[k]]
+        if cfg.noise_sigma > 0.0:
+            ranges = ranges + cfg.noise_sigma * rng.standard_normal(ranges.shape)
+        endpoints = pose.translation + ranges[:, None] * dirs[k, hit[k]]
+        scans.append(Scan(pose=pose, points=pose.inverse_apply(endpoints)))
+    return scans
 
 
 def _primitive_box(prim):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from scanfield import __main__ as launcher
-from scanfield import cli, field, mcl, meshing
+from scanfield import cli, field, mcl, meshing, scenes
 from scanfield.__main__ import THREAD_VARS
 from scanfield.cli import main, trajectory_poses
 from scanfield.storage import load_model, load_scan_points, load_scans, read_mesh_ply
@@ -91,6 +91,41 @@ def test_trajectory_specs():
         trajectory_poses("orbit:radius=2,steps=4,bogus=1")
     with pytest.raises(ValueError):
         trajectory_poses("line:x0=0")
+    for spec, message in [
+        ("orbit:radius=3,steps=inf", "'steps' must be finite"),
+        ("orbit:radius=nan,steps=4", "'radius' must be finite"),
+        ("orbit:radius=3,steps=2.7", "'steps' must be a whole number"),
+        ("line:x0=0,y0=0,x1=nan,y1=4,steps=5", "'x1' must be finite"),
+        ("line:x0=0,y0=0,x1=3,y1=4,steps=5.5", "'steps' must be a whole number"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            trajectory_poses(spec)
+
+
+def test_synth_rejects_infinite_steps(tiny, capsys):
+    tmp, cfg, scene2 = tiny
+    assert run("synth", "--scene", scene2, "--traj", "orbit:radius=3,steps=inf",
+               "--out", tmp / "data", "--config", cfg) == 2
+    assert "'steps' must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "compare"])
+def test_one_sphere_trace_march_per_dataset(tiny, monkeypatch, command):
+    # every pose of the trajectory is traced in one call, through a call-time
+    # lookup of scenes.sphere_trace
+    tmp, cfg, scene2 = tiny
+    calls = []
+    real = scenes.sphere_trace
+
+    def counting(scene, origins, directions, max_range):
+        calls.append(origins.shape[0])
+        return real(scene, origins, directions, max_range)
+
+    monkeypatch.setattr(scenes, "sphere_trace", counting)
+    args = {"synth": ["--out", tmp / "data"], "compare": ["--samples", "300"]}[command]
+    assert run(command, "--scene", scene2, "--traj", "orbit:radius=3,steps=5",
+               "--config", cfg, *args) == 0
+    assert calls == [5 * 12]  # poses x beams
 
 
 def test_synth_writes_dataset(tiny):

@@ -35,6 +35,15 @@ def test_from_xytheta_matches_manual_rotation():
     np.testing.assert_allclose(out, [[1.0, 3.0]], atol=1e-12)
 
 
+def test_from_xytheta_in_3d_turns_about_z_at_zero_height():
+    flat = Pose.from_xytheta(1.0, 2.0, 0.7)
+    p = Pose.from_xytheta(1.0, 2.0, 0.7, dim=3)
+    np.testing.assert_array_equal(p.translation, [1.0, 2.0, 0.0])
+    np.testing.assert_array_equal(p.rotation[:2, :2], flat.rotation)
+    np.testing.assert_array_equal(p.rotation[2], [0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(p.rotation[:, 2], [0.0, 0.0, 1.0])
+
+
 def test_ray_validation():
     o = np.zeros((2, 3))
     e = np.array([[0.0, 3.0, 4.0], [1.0, 0.0, 0.0]])

@@ -96,8 +96,8 @@ def test_likelihood_prefers_true_pose():
     field = room_field()
     scene = room_scene()
     true_pose = Pose.from_xytheta(0.5, -0.5, 0.3)
-    scan = simulate_scan(scene, true_pose, ScannerConfig(beams=32, max_range=20.0),
-                         np.random.default_rng(0))
+    (scan,) = simulate_scan(scene, [true_pose], ScannerConfig(beams=32, max_range=20.0),
+                            np.random.default_rng(0))
     at_truth = ParticleSet(np.array([[0.5, -0.5, 0.3]]), np.array([1.0]))
     displaced = ParticleSet(np.array([[1.7, 0.8, 0.9]]), np.array([1.0]))
     ll_true = log_likelihoods(at_truth, scan.points, field, sigma_z=0.1)
@@ -110,8 +110,8 @@ def test_likelihood_sigma_scales_scores():
     field = room_field()
     scene = room_scene()
     pose = Pose.from_xytheta(0.0, 0.0, 0.0)
-    scan = simulate_scan(scene, pose, ScannerConfig(beams=16, max_range=20.0),
-                         np.random.default_rng(0))
+    (scan,) = simulate_scan(scene, [pose], ScannerConfig(beams=16, max_range=20.0),
+                            np.random.default_rng(0))
     off = ParticleSet(np.array([[0.4, 0.2, 0.1]]), np.array([1.0]))
     ll_tight = log_likelihoods(off, scan.points, field, sigma_z=0.05)
     ll_loose = log_likelihoods(off, scan.points, field, sigma_z=0.5)
@@ -137,8 +137,8 @@ def test_every_step_measures_even_a_small_move():
     # and the worst-fitting particles are dropped.
     field = room_field()
     scene = room_scene()
-    scan = simulate_scan(scene, Pose.from_xytheta(0.01, 0.0, 0.0),
-                         ScannerConfig(beams=16, max_range=20.0), np.random.default_rng(0))
+    (scan,) = simulate_scan(scene, [Pose.from_xytheta(0.01, 0.0, 0.0)],
+                            ScannerConfig(beams=16, max_range=20.0), np.random.default_rng(0))
     cfg = MclConfig(
         n_particles=64,
         odom_trans_base=0.0, odom_trans_frac=0.0, odom_rot_base=0.0, odom_rot_frac=0.0,
@@ -270,8 +270,7 @@ def test_localization_converges_on_room(tmp_path):
     truth = np.stack([radius * np.cos(angs), radius * np.sin(angs)], axis=1)
     headings = np.array([wrap_angle(a + np.pi) for a in angs])
     poses = [Pose.from_xytheta(t[0], t[1], h) for t, h in zip(truth, headings)]
-    scan_rng = np.random.default_rng(1)
-    scans = [simulate_scan(scene, p, scan_cfg, scan_rng).points for p in poses]
+    scans = [s.points for s in simulate_scan(scene, poses, scan_cfg, np.random.default_rng(1))]
     deltas = [np.zeros(3)]
     for i in range(1, steps):
         rel = poses[i - 1].inverse_apply(poses[i].translation[None, :])[0]

@@ -158,7 +158,7 @@ def test_beam_directions_3d_cap():
 def test_head_on_beam_range():
     scene = AnalyticScene((Sphere(np.array([3.0, 0.0]), 1.0),))
     cfg = ScannerConfig(beams=1, fov=0.1, max_range=10.0)
-    scan = simulate_scan(scene, Pose(np.eye(2), np.zeros(2)), cfg, np.random.default_rng(0))
+    (scan,) = simulate_scan(scene, [Pose(np.eye(2), np.zeros(2))], cfg, np.random.default_rng(0))
     assert scan.points.shape == (1, 2)
     np.testing.assert_allclose(scan.points[0], [2.0, 0.0], atol=1e-5)
 
@@ -166,31 +166,98 @@ def test_head_on_beam_range():
 def test_scan_drops_misses():
     scene = AnalyticScene((Sphere(np.array([3.0, 0.0]), 1.0),))
     cfg = ScannerConfig(beams=16, fov=2.0 * math.pi, max_range=10.0)
-    scan = simulate_scan(scene, Pose(np.eye(2), np.zeros(2)), cfg, np.random.default_rng(0))
+    (scan,) = simulate_scan(scene, [Pose(np.eye(2), np.zeros(2))], cfg, np.random.default_rng(0))
     assert 0 < scan.points.shape[0] < 16  # rear beams escape
 
 
 def test_scan_requires_free_space_pose():
     scene = unit_sphere()
     with pytest.raises(ValueError, match="free space"):
-        simulate_scan(scene, Pose(np.eye(3), np.zeros(3)), ScannerConfig(beams=4), np.random.default_rng(0))
+        simulate_scan(scene, [Pose(np.eye(3), np.zeros(3))], ScannerConfig(beams=4),
+                      np.random.default_rng(0))
 
 
 def test_scan_errors_when_nothing_hit():
     scene = AnalyticScene((Sphere(np.array([50.0, 0.0]), 1.0),))
     cfg = ScannerConfig(beams=8, fov=0.5, max_range=5.0)
     with pytest.raises(ValueError, match="missed"):
-        simulate_scan(scene, Pose.from_xytheta(0.0, 0.0, math.pi), cfg, np.random.default_rng(0))
+        simulate_scan(scene, [Pose.from_xytheta(0.0, 0.0, math.pi)], cfg, np.random.default_rng(0))
 
 
 def test_scan_noise_is_seed_deterministic():
     scene = AnalyticScene((Sphere(np.array([3.0, 0.0]), 1.0),))
     cfg = ScannerConfig(beams=8, fov=1.0, max_range=10.0, noise_sigma=0.05)
-    a = simulate_scan(scene, Pose(np.eye(2), np.zeros(2)), cfg, np.random.default_rng(4))
-    b = simulate_scan(scene, Pose(np.eye(2), np.zeros(2)), cfg, np.random.default_rng(4))
+    poses = [Pose(np.eye(2), np.zeros(2))]
+    (a,) = simulate_scan(scene, poses, cfg, np.random.default_rng(4))
+    (b,) = simulate_scan(scene, poses, cfg, np.random.default_rng(4))
     assert np.array_equal(a.points, b.points)
-    c = simulate_scan(scene, Pose(np.eye(2), np.zeros(2)), cfg, np.random.default_rng(5))
+    (c,) = simulate_scan(scene, poses, cfg, np.random.default_rng(5))
     assert not np.array_equal(a.points, c.points)
+
+
+# A 3D room with a sphere and a box, and a 2D room with a cut corner: an
+# oblique plane, whose ``p @ normal`` rounds rows by their batch position.
+ROOM3D = """
+plane 1 0 0 -4
+plane -1 0 0 -4
+plane 0 1 0 -4
+plane 0 -1 0 -4
+plane 0 0 1 -2
+plane 0 0 -1 -2.5
+sphere 0 0 0 1
+box 2.6 -2.6 -1.5 0.7 0.7 0.5
+"""
+ROOM2D = """
+plane 1 0 -4
+plane -1 0 -4
+plane 0 1 -4
+plane 0 -1 -4
+plane 1 1 -5.2
+box 1.5 1.5 0.6 0.6
+circle -1.5 -1 0.8
+"""
+
+
+def orbit_poses(dim, radius, steps):
+    ang = 0.3 + 2.0 * math.pi * np.arange(steps) / steps
+    return [Pose.from_xytheta(radius * math.cos(a), radius * math.sin(a), a + math.pi, dim)
+            for a in ang]
+
+
+@pytest.mark.parametrize("text, radius, beams", [(ROOM3D, 2.5, 128), (ROOM2D, 3.2, 64)])
+def test_one_call_scans_like_one_call_per_pose(text, radius, beams):
+    scene = parse_scene_text(text)
+    cfg = ScannerConfig(beams=beams, fov=2.0 * math.pi)
+    poses = orbit_poses(scene.dim, radius, 12)
+    batched = simulate_scan(scene, poses, cfg, np.random.default_rng(0))
+    assert len(batched) == len(poses) and all(s.pose is p for s, p in zip(batched, poses))
+    for pose, got in zip(poses, batched):
+        (alone,) = simulate_scan(scene, [pose], cfg, np.random.default_rng(0))
+        assert got.points.shape == alone.points.shape  # the same beams hit
+        np.testing.assert_allclose(got.points, alone.points, rtol=0.0, atol=1e-12)
+        assert got.points.astype("<f4").tobytes() == alone.points.astype("<f4").tobytes()
+
+
+def test_one_call_draws_noise_like_consecutive_calls():
+    scene = parse_scene_text(ROOM2D)
+    cfg = ScannerConfig(beams=32, noise_sigma=0.05)
+    poses = orbit_poses(2, 3.2, 5)
+    batched = simulate_scan(scene, poses, cfg, np.random.default_rng(3))
+    shared = np.random.default_rng(3)
+    for pose, got in zip(poses, batched):
+        (alone,) = simulate_scan(scene, [pose], cfg, shared)
+        np.testing.assert_allclose(got.points, alone.points, rtol=0.0, atol=1e-12)
+
+
+def test_free_space_error_names_the_blocked_pose():
+    scene = unit_sphere()
+    poses = [Pose.from_xytheta(x, 0.0, 0.0, 3) for x in (3.0, 0.5, 0.0)]
+    with pytest.raises(ValueError, match="pose 1 is not in free space"):
+        simulate_scan(scene, poses, ScannerConfig(beams=4), np.random.default_rng(0))
+
+
+def test_one_call_of_no_poses_scans_nothing():
+    assert simulate_scan(unit_sphere(), [], ScannerConfig(beams=4), np.random.default_rng(0)) == []
 
 
 def test_scene_validation():

@@ -239,6 +239,9 @@ def test_model_rejects_corruption(tmp_path):
     ({"first_factor": float("nan")}, "non-finite first-layer factor"),
     ({"hidden": 9}, "take 235 parameters"),
     ({"version": 1}, "unsupported format version 1"),
+    # a factor of 0 marks the affine output layer
+    ({"first_factor": 0.0}, "first-layer factor must be positive"),
+    ({"first_factor": -30.0}, "first-layer factor must be positive"),
 ])
 def test_model_rejects_invalid_header_fields(tmp_path, fields, message):
     path = tmp_path / "bad.bin"

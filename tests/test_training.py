@@ -259,13 +259,11 @@ def test_train_history_and_determinism():
 def test_train_reduces_loss():
     scene = AnalyticScene((Sphere(np.array([0.0, 0.0]), 1.0),))
     cfg = ScannerConfig(beams=24, fov=2 * np.pi, max_range=10.0)
-    origins, endpoints = [], []
-    for ang in np.linspace(0, 2 * np.pi, 8, endpoint=False):
-        pose = Pose.from_xytheta(2.0 * np.cos(ang), 2.0 * np.sin(ang), 0.0)
-        world = to_world(simulate_scan(scene, pose, cfg, np.random.default_rng(0)))
-        origins.append(np.broadcast_to(pose.translation, world.shape))
-        endpoints.append(world)
-    canon, tf = normalize_scene(np.concatenate(origins), np.concatenate(endpoints))
+    poses = [Pose.from_xytheta(2.0 * np.cos(ang), 2.0 * np.sin(ang), 0.0)
+             for ang in np.linspace(0, 2 * np.pi, 8, endpoint=False)]
+    scans = simulate_scan(scene, poses, cfg, np.random.default_rng(0))
+    origins = [np.broadcast_to(s.pose.translation, s.points.shape) for s in scans]
+    canon, tf = normalize_scene(np.concatenate(origins), np.concatenate([to_world(s) for s in scans]))
     optim = OptimConfig(epochs=2, batch_rays=64, samples_per_ray=8, seed=0)
     w = LossWeights()
     net = init_field(seed=3, dim=2, hidden=16, hidden_layers=2, encoding=EncodingConfig(6))
