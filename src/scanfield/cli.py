@@ -58,22 +58,17 @@ def _limit_threads(n: int) -> None:
 
 
 def _load_run_config(args) -> RunConfig:
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "mode", None) is not None:
-        overrides["mode"] = args.mode
+    overrides = {key: getattr(args, key) for key in ("seed", "mode")
+                 if getattr(args, key, None) is not None}
     text = Path(args.config).read_text() if args.config is not None else ""
     return parse_config(text, overrides)
 
 
 def _write_csv(path, header: str, rows: list[str]) -> None:
     text = "\n".join([header] + rows) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
+    if path is not None and path != "-":
         Path(path).write_text(text)
-        sys.stdout.write(text)
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +84,8 @@ def _parse_traj_spec(spec: str):
             if not sep:
                 raise ValueError(f"trajectory spec piece {part!r} is not key=val")
             key = key.strip()
+            if key in kv:
+                raise ValueError(f"trajectory key {key!r} is given twice")
             kv[key] = float(val)
             if not np.isfinite(kv[key]):
                 raise ValueError(f"trajectory key {key!r} must be finite, got {val!r}")

@@ -1,7 +1,8 @@
 """Plain-text key=value run configuration.
 
-One flat namespace covers every tunable the pipeline exposes; unknown keys
-are rejected so typos fail loudly instead of silently running defaults.
+One flat namespace covers every tunable the pipeline exposes; unknown and
+repeated keys are rejected so typos fail loudly instead of silently running
+defaults or the last of two values.
 Lines are `key = value`, blank, or `#` comments.
 
 ``KEYS`` is the one list of keys, in file order, with a unit or frame for
@@ -154,7 +155,7 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
-    values = {}
+    values, lines = {}, {}
     for ln, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -166,6 +167,9 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         raw = raw.strip()
         if key not in _FIELD_TYPES:
             raise ValueError(f"line {ln}: unknown config key {key!r}")
+        if key in lines:
+            raise ValueError(f"line {ln}: config key {key!r} repeats line {lines[key]}")
+        lines[key] = ln
         values[key] = _coerce(key, raw)
     if overrides:
         for key, val in overrides.items():

@@ -12,14 +12,13 @@ the form
 
 with ``vbar``/``gbar`` supplied by the loss layer, evaluated at fixed inputs.
 The second sum is one directional derivative per row, so the reverse pass
-forms no spatial gradient: its forward pass carries beside the values one
-tangent t = Σ_j gbar_j ∂a/∂x_j (forward mode; Griewank & Walther, 2008,
-ch. 3-4), for layer 0 the encoder's derivative times gbar in feature layout,
-t0[:, b*m + j] = d1[j][:, b] gbar_j.  Each layer records (a_in, t_in,
-fac_cos, tz); back from zbar = vbar and tbar = 1, the weight gradient gains
-zbarᵀ a_in + tbarᵀ t_in, and a sine layer passes back zbar = fac_cos·abar +
-c2·tabar·tz and tbar = fac_cos·tabar (abar = zbar W, tabar = tbar W,
-c2 = -fac² sin(fac z)).
+forms no spatial gradient: it runs ``_forward`` seeded with gbar, whose
+derivative slab then carries the one tangent t = Σ_j gbar_j ∂a/∂x_j (forward
+mode; Griewank & Walther, 2008, ch. 3-4), and reads that walk's per-layer
+record (a_in, t_in, fac_cos, tz).  Back from zbar = vbar and tbar = 1, the
+weight gradient gains zbarᵀ a_in + tbarᵀ t_in, and a sine layer passes back
+zbar = fac_cos·abar + c2·tabar·tz and tbar = fac_cos·tabar (abar = zbar W,
+tabar = tbar W, c2 = -fac² sin(fac z)).
 
 All parameters live in one flat vector, ``FieldNet.params``.  The parameter
 gradient, the optimizer moments and the checkpoint body share its layout,
@@ -56,13 +55,10 @@ through memory (the default 3D net's gradient slab is 0.75 MB per 256-row
 block); the last block also takes the remainder.  Each output row is a
 function of its own input row alone, but its rounding is not: the width-1
 output layer's matrix-vector product rounds the last block's rows by their
-position, so regrouping rows can move a value by tens of ulp.  The
-reverse sweep runs one forward pass per block and reads the activations,
-their cosines and the pre-activation tangents from that pass's record
-instead of recomputing them; the gᵀHg sweep likewise reads the cosines and
-pre-activation gradients its order-2 pass kept.  Both live for one block.
-The parameter gradient is summed per block and then over blocks, so its
-rounding, and only its rounding, depends on ``BLOCK``.
+position, so regrouping rows can move a value by tens of ulp.  The reverse
+sweep's record and the gᵀHg sweep's ``(fac_cos, dz, c2)`` list live for one
+block.  The parameter gradient is summed per block and then over blocks, so
+its rounding, and only its rounding, depends on ``BLOCK``.
 """
 
 from __future__ import annotations
@@ -198,33 +194,45 @@ def _first_layer_blocks(net: FieldNet) -> list[np.ndarray]:
     return [net.weights[0][:, np.arange(blocks) * m + j] for j in range(m)]
 
 
-def _forward(net: FieldNet, x: np.ndarray, order: int, w0: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+def _forward(net: FieldNet, x: np.ndarray, order: int, w0: list[np.ndarray] | None,
+             gbar: np.ndarray | None = None, record: list | None = None) -> tuple[np.ndarray, ...]:
     """One block's forward pass: ``(val,)``, ``(val, grad)`` or ``(val, grad, lap, ghg)``.
 
-    ``w0`` is ``_first_layer_blocks(net)``.  The value track runs through
-    identical operations at every order, so the scalar output is bitwise
-    independent of whether derivatives were asked for.  Order 2 carries the
-    Laplacian slab alongside the gradient, keeps each sine layer's
-    ``(fac_cos, dz, c2)`` and then sweeps them once more along the output
-    gradient g for gᵀHg (``_directional``).
+    ``w0`` is ``_first_layer_blocks(net)``, read by the gradient alone.  The
+    value track runs through identical operations at every order, so the
+    scalar output is bitwise independent of whether derivatives were asked
+    for.  Order 2 carries the Laplacian slab alongside the gradient, keeps
+    each sine layer's ``(fac_cos, dz, c2)`` and then sweeps them once more
+    along the output gradient g for gᵀHg (``_directional``).
+
+    A tangent seed ``gbar`` (order 1) makes the derivative slab the one
+    direction Σ_j gbar_j ∂/∂x_j, an (N, 1, width) slab started in feature
+    layout, t0[:, b*m + j] = d1[j][:, b] gbar_j, and mapped by the gradient's
+    own lines.  ``record`` receives each layer's ``(a_in, da_in, fac_cos,
+    dz)`` for ``backprop``; it asks for the cosine at order 0 too.
     """
     n, m = x.shape
     jet = encode_jet(x, net.encoding, order)
-    a = jet.values
-    da = jet.d1
+    a, da, k = jet.values, jet.d1, m
+    if gbar is not None:
+        # Feature b*m + j depends on x_j alone: its tangent is d1[j][:, b] * gbar_j.
+        da, k = (jet.d1.transpose(1, 2, 0) * gbar[:, None, :]).reshape(n, 1, -1), 1
     lap = d2z0 = None
     sweep = []
     for li, (w, b, fac) in enumerate(zip(net.weights, net.biases, net.sine_factors)):
         width = w.shape[0]
+        if record is not None:
+            # The input now, the rest below: an unrecorded pass frees it sooner.
+            record.append((a, da))
         z = a @ w.T + b
         dz = lz = fac_cos = c2 = None
         if order >= 1:
-            if li == 0:
+            if li == 0 and gbar is None:
                 dz = np.empty((n, m, width), dtype=np.float64)
                 for j in range(m):
                     dz[:, j, :] = jet.d1[j] @ w0[j].T
             else:
-                dz = (da.reshape(n * m, -1) @ w.T).reshape(n, m, width)
+                dz = (da.reshape(n * k, -1) @ w.T).reshape(n, k, width)
         if order >= 2:
             if li == 0:
                 # The encoder's Hessian is diagonal: one d2z / dx_j² per coordinate.
@@ -235,9 +243,10 @@ def _forward(net: FieldNet, x: np.ndarray, order: int, w0: list[np.ndarray]) -> 
         if fac == 0.0:
             a, da, lap = z, dz, lz
         else:
-            a, fac_cos = sincos(fac * z, order >= 1)
-            if order >= 1:
+            a, fac_cos = sincos(fac * z, order >= 1 or record is not None)
+            if fac_cos is not None:
                 fac_cos *= fac
+            if order >= 1:
                 da = fac_cos[:, None, :] * dz
             if order >= 2:
                 # fac_cos * Δz + c2 * Σ_j dz_j², c2 = -fac² sin(fac z)
@@ -247,6 +256,8 @@ def _forward(net: FieldNet, x: np.ndarray, order: int, w0: list[np.ndarray]) -> 
                 lap += np.einsum("njk,njk->nk", dz, dz) * c2
         if order >= 2:
             sweep.append((fac_cos, dz, c2))
+        if record is not None:
+            record[-1] += (fac_cos, dz)
     val = a[:, 0]
     if order == 0:
         return (val,)
@@ -326,37 +337,19 @@ def _backward_block(
     # One block's recorded forward pass, then the reverse sweep into ``out``
     # (``net.layers`` of the gradient); see the module docstring.  The tangent
     # track runs only with ``gbar``.
-    n = x.shape[0]
     with_grad = gbar is not None
-    jet = encode_jet(x, net.encoding, 1 if with_grad else 0)
-    a, t = jet.values, None
-    if with_grad:
-        # Feature b*m + j depends on x_j alone: its tangent is d1[j][:, b] * gbar_j.
-        t = (jet.d1.transpose(1, 2, 0) * gbar[:, None, :]).reshape(n, -1)
     record = []
-    for w, b, fac in zip(net.weights, net.biases, net.sine_factors):
-        a_in, t_in = a, t
-        z = a @ w.T + b
-        tz = t @ w.T if with_grad else None
-        fac_cos = None
-        if fac == 0.0:
-            a, t = z, tz
-        else:
-            a, fac_cos = sincos(fac * z)
-            fac_cos *= fac
-            if with_grad:
-                t = fac_cos * tz
-        record.append((a_in, t_in, fac_cos, tz))
+    _forward(net, x, int(with_grad), None, gbar, record)
     # Adjoints of the final layer's affine output (width 1) and its tangent.
     zbar = vbar[:, None]
-    tbar = np.ones((n, 1)) if with_grad else None
+    tbar = np.ones((x.shape[0], 1)) if with_grad else None
     weights = net.weights
     for li in range(net.layer_count - 1, -1, -1):
         (gw, gb), (a_in, t_in, _, _), w = out[li], record[li], weights[li]
         gb += zbar.sum(axis=0)
         gw += zbar.T @ a_in
         if with_grad:
-            gw += tbar.T @ t_in
+            gw += tbar.T @ t_in[:, 0]
         if li == 0:
             break
         # Through the previous sine: a_in = sin(f z), t_in = f cos(f z) tz.
@@ -365,7 +358,7 @@ def _backward_block(
         zbar = fac_cos * (zbar @ w)
         if with_grad:
             tabar = tbar @ w
-            zbar += tabar * tzp * (-(facp * facp) * a_in)
+            zbar += tabar * tzp[:, 0] * (-(facp * facp) * a_in)
             tbar = fac_cos * tabar
 
 

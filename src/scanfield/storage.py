@@ -75,7 +75,8 @@ def load_scan_points(path) -> np.ndarray:
 
 
 def load_scans(scan_dir) -> list[Scan]:
-    """Pair `poses.txt` with the directory's sorted .bin scans, by index.
+    """Pair `poses.txt` with the directory's sorted ``scan_*.bin`` files, by
+    index; other files, a model saved beside the scans included, are not read.
 
     The scans come back 2D when every pose and every point lies in z = 0,
     and 3D otherwise.
@@ -84,7 +85,7 @@ def load_scans(scan_dir) -> list[Scan]:
     poses = load_poses(root / "poses.txt")
     if not poses:
         raise ValueError(f"{root / 'poses.txt'}: no poses")
-    files = sorted(root.glob("*.bin"))
+    files = sorted(root.glob("scan_*.bin"))
     if len(files) != len(poses):
         raise ValueError(
             f"{root}: {len(files)} scan files but {len(poses)} poses"
@@ -167,18 +168,22 @@ def save_transform(path, tf: SceneTransform) -> None:
 
 
 def load_transform(path) -> SceneTransform:
+    """Read ``save_transform``'s ``center`` and ``scale`` lines, each once; any
+    other key, a repeat or a bad value is a ValueError naming the path."""
     kv = {}
     for line in Path(path).read_text().splitlines():
         if not line.strip():
             continue
-        key, _, rest = line.partition(" ")
-        kv[key] = rest.split()
+        key, *vals = line.split()
+        if key not in ("center", "scale") or key in kv:
+            raise ValueError(f"{path}: unknown or repeated transform key {key!r}")
+        kv[key] = vals
     try:
         center = np.array([float(v) for v in kv["center"]], dtype=np.float64)
-        scale = float(kv["scale"][0])
-    except (KeyError, IndexError, ValueError) as exc:
+        (scale,) = (float(v) for v in kv["scale"])
+        return SceneTransform(center=center, scale=scale)
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed transform file ({exc})") from None
-    return SceneTransform(center=center, scale=scale)
 
 
 def save_field(path, net: FieldNet, tf: SceneTransform) -> None:

@@ -35,12 +35,21 @@ mcl_particles = 300
 mcl_runs = 2
 """
 
+
+def with_keys(text, extra):
+    """The config ``text`` with the ``key = value`` lines of ``extra`` set:
+    a key it already holds is replaced in place, a new one appended."""
+    pairs = (line.split("=", 1) for line in (text + extra).splitlines() if line.strip())
+    keys = {key.strip(): val.strip() for key, val in pairs}
+    return "".join(f"{key} = {val}\n" for key, val in keys.items())
+
+
 # enough steps at a hot learning rate that the data term visibly drops
-TRAIN_CFG = TINY_CFG + """
+TRAIN_CFG = with_keys(TINY_CFG, """
 learn_rate = 3e-3
 epochs = 25
 batch_rays = 32
-"""
+""")
 
 CIRCLE_SCENE = "circle 0 0 1\n"
 SPHERE_SCENE = "sphere 0 0 0 1\n"
@@ -97,6 +106,7 @@ def test_trajectory_specs():
         ("orbit:radius=3,steps=2.7", "'steps' must be a whole number"),
         ("line:x0=0,y0=0,x1=nan,y1=4,steps=5", "'x1' must be finite"),
         ("line:x0=0,y0=0,x1=3,y1=4,steps=5.5", "'steps' must be a whole number"),
+        ("orbit:radius=3,radius=2,steps=4", "'radius' is given twice"),
     ]:
         with pytest.raises(ValueError, match=message):
             trajectory_poses(spec)
@@ -221,7 +231,7 @@ def test_train_with_large_weight_gamma(tiny):
 def test_mesh_from_trained_model(tmp_path):
     cfg = tmp_path / "c3.cfg"
     # narrow the cone so every pose sees the sphere
-    cfg.write_text(TINY_CFG + "beams = 32\nfov = 0.8\n")
+    cfg.write_text(with_keys(TINY_CFG, "beams = 32\nfov = 0.8\n"))
     scene = tmp_path / "sphere.txt"
     scene.write_text(SPHERE_SCENE)
     data = tmp_path / "d3"
@@ -398,7 +408,7 @@ def test_localize_grids_the_map_through_sample_grid(tiny, monkeypatch):
 def test_localize_oracle_room(tmp_path, capsys):
     cfg = tmp_path / "loc.cfg"
     cfg.write_text(
-        TINY_CFG + "beams = 32\nscan_noise = 0.05\nmcl_particles = 1500\nfield_grid_res = 64\n"
+        with_keys(TINY_CFG, "beams = 32\nscan_noise = 0.05\nmcl_particles = 1500\nfield_grid_res = 64\n")
     )
     scene = tmp_path / "room.txt"
     scene.write_text(ROOM_SCENE)
@@ -468,6 +478,34 @@ def test_scan_of_four_channel_records_exits_2(tiny, capsys):
     capsys.readouterr()
     assert run("train", "--scans", data, "--out", tmp / "m.bin", "--config", cfg) == 2
     assert str(scan) in capsys.readouterr().err
+
+
+def test_model_saved_beside_its_scans(tiny):
+    # the dataset directory may hold the model trained from it: only the
+    # scan_*.bin files are scans
+    tmp, cfg, scene2 = tiny
+    data = tmp / "data"
+    assert run("synth", "--scene", scene2, "--traj", "orbit:radius=3,steps=4",
+               "--out", data, "--config", cfg) == 0
+    model = data / "model.bin"
+    assert run("train", "--scans", data, "--out", model, "--config", cfg) == 0
+    assert len(load_scans(data)) == 4
+    assert run("localize", "--model", model, "--data", data, "--config", cfg) == 0
+    assert run("train", "--scans", data, "--out", tmp / "m2.bin", "--config", cfg) == 0
+
+
+def test_localize_rejects_a_loose_transform_sidecar(tiny, capsys):
+    tmp, cfg, scene2 = tiny
+    data = tmp / "data"
+    assert run("synth", "--scene", scene2, "--traj", "orbit:radius=3,steps=4",
+               "--out", data, "--config", cfg) == 0
+    model = tmp / "m.bin"
+    assert run("train", "--scans", data, "--out", model, "--config", cfg) == 0
+    sidecar = tmp / "m.bin.transform"
+    sidecar.write_text(sidecar.read_text() + "scale 3\nbogus 1\n")
+    capsys.readouterr()
+    assert run("localize", "--model", model, "--data", data, "--config", cfg) == 2
+    assert str(sidecar) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("center", [None, "0.5", "0.5 0.5 0.5"])

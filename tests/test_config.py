@@ -39,6 +39,11 @@ def test_parse_rejects_unknown_keys_with_line_numbers():
         parse_config("epochs = 3\nwarp_speed = 11\n")
     with pytest.raises(ValueError, match="line 1"):
         parse_config("this is not an assignment\n")
+    # a repeated key is an error, not an override; it names both lines
+    with pytest.raises(ValueError, match="line 3: config key 'epochs' repeats line 1"):
+        parse_config("epochs = 1\nseed = 2\nepochs = 3\n")
+    # the command-line overrides still replace a file value
+    assert parse_config("epochs = 1\nseed = 2\n", {"seed": 4}).seed == 4
 
 
 def test_parse_rejects_bad_values():

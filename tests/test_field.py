@@ -526,3 +526,88 @@ def test_row_blocks_match_old_chunking(dim, rows, kwargs):
                 # error of the order of the terms, so the bound is relative to
                 # the weight or bias array.
                 np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12 * np.abs(y).max())
+
+
+def _reference_backward_block(net, x, vbar, gbar, out):
+    # The reverse pass as it was with its own forward loop over the layers,
+    # kept as the reference that backprop's single forward walk must match.
+    n = x.shape[0]
+    with_grad = gbar is not None
+    jet = encode_jet(x, net.encoding, 1 if with_grad else 0)
+    a, t = jet.values, None
+    if with_grad:
+        t = (jet.d1.transpose(1, 2, 0) * gbar[:, None, :]).reshape(n, -1)
+    record = []
+    for w, b, fac in zip(net.weights, net.biases, net.sine_factors):
+        a_in, t_in = a, t
+        z = a @ w.T + b
+        tz = t @ w.T if with_grad else None
+        fac_cos = None
+        if fac == 0.0:
+            a, t = z, tz
+        else:
+            a, fac_cos = sincos(fac * z)
+            fac_cos *= fac
+            if with_grad:
+                t = fac_cos * tz
+        record.append((a_in, t_in, fac_cos, tz))
+    zbar = vbar[:, None]
+    tbar = np.ones((n, 1)) if with_grad else None
+    weights = net.weights
+    for li in range(net.layer_count - 1, -1, -1):
+        (gw, gb), (a_in, t_in, _, _), w = out[li], record[li], weights[li]
+        gb += zbar.sum(axis=0)
+        gw += zbar.T @ a_in
+        if with_grad:
+            gw += tbar.T @ t_in
+        if li == 0:
+            break
+        facp = net.sine_factors[li - 1]
+        _, _, fac_cos, tzp = record[li - 1]
+        zbar = fac_cos * (zbar @ w)
+        if with_grad:
+            tabar = tbar @ w
+            zbar += tabar * tzp * (-(facp * facp) * a_in)
+            tbar = fac_cos * tabar
+
+
+@pytest.mark.parametrize(
+    "dim, rows, kwargs",
+    [
+        (3, 2085, {}),  # default 3D net
+        (2, 2309, {"encoding": EncodingConfig(8), "hidden": 64, "hidden_layers": 3}),
+        (2, 300, {}),  # one block that is not a whole BLOCK
+    ],
+)
+def test_backprop_matches_reference_walk_bitwise(dim, rows, kwargs):
+    net = init_field(seed=23, dim=dim, **kwargs)
+    rng = np.random.default_rng(24)
+    pts = rng.uniform(-1, 1, size=(rows, dim))
+    vbar = rng.normal(size=rows)
+    gbar = rng.normal(size=(rows, dim))
+    for g in (gbar, None):
+        ref = np.zeros_like(net.params)
+        for lo, hi in field._blocks(rows):
+            _reference_backward_block(net, pts[lo:hi], vbar[lo:hi], None if g is None else g[lo:hi], net.layers(ref))
+        assert np.array_equal(backprop(net, pts, vbar, g), ref)
+
+
+def test_backprop_walks_forward_once_per_block(monkeypatch):
+    # The reverse sweep reads its activations from _forward's record; it runs
+    # no layer loop of its own.
+    net = init_field(seed=25, dim=2, encoding=EncodingConfig(4), hidden=16, hidden_layers=2)
+    rng = np.random.default_rng(26)
+    rows = 3 * field.BLOCK + 7
+    pts = rng.uniform(-1, 1, size=(rows, 2))
+    calls = []
+    original = field._forward
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(field, "_forward", counting)
+    for g in (rng.normal(size=(rows, 2)), None):
+        calls.clear()
+        backprop(net, pts, rng.normal(size=rows), g)
+        assert calls == [hi - lo for lo, hi in field._blocks(rows)]

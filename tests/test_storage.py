@@ -257,10 +257,27 @@ def test_transform_round_trip(tmp_path):
     back = load_transform(path)
     assert back.scale == tf.scale
     np.testing.assert_array_equal(back.center, tf.center)
-    broken = tmp_path / "nope.transform"
-    broken.write_text("center 1 2\n")  # missing scale
-    with pytest.raises(ValueError, match="malformed"):
-        load_transform(broken)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("center 1 2\n", "malformed"),  # missing scale
+        ("center 1 2\nscale 2\nscale 3\n", "repeated transform key 'scale'"),
+        ("center 1 2\ncenter 1 2\nscale 2\n", "repeated transform key 'center'"),
+        ("center 1 2\nscale 2\nbogus 1\n", "unknown or repeated transform key 'bogus'"),
+        ("center 1 2\nscale 2 9\n", "malformed"),
+        ("center 1 2\nscale\n", "malformed"),
+        ("center nan 2\nscale 2\n", "non-finite"),
+        ("center 1 2\nscale -2\n", "positive"),
+    ],
+)
+def test_transform_is_read_as_strictly_as_written(tmp_path, text, message):
+    path = tmp_path / "net.transform"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message) as info:
+        load_transform(path)
+    assert str(path) in str(info.value)
 
 
 def test_cube_mesh_ply_declarations(tmp_path):
