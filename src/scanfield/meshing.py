@@ -79,13 +79,11 @@ def sample_grid(field, box: Aabb, res: int) -> np.ndarray:
         raise ValueError("need at least 2 cells per axis")
     m = box.dim
     axes = [np.linspace(box.lo[a], box.hi[a], res + 1) for a in range(m)]
-    if m == 2:
-        xg, yg = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.stack([xg.reshape(-1), yg.reshape(-1)], axis=1)
-        return np.asarray(field(pts), dtype=np.float64).reshape(res + 1, res + 1)
-    vals = np.empty((res + 1, res + 1, res + 1), dtype=np.float64)
     xg, yg = np.meshgrid(axes[0], axes[1], indexing="ij")
     flat = np.stack([xg.reshape(-1), yg.reshape(-1)], axis=1)
+    if m == 2:
+        return np.asarray(field(flat), dtype=np.float64).reshape(res + 1, res + 1)
+    vals = np.empty((res + 1, res + 1, res + 1), dtype=np.float64)
     for k in range(res + 1):
         pts = np.concatenate([flat, np.full((flat.shape[0], 1), axes[2][k])], axis=1)
         vals[:, :, k] = np.asarray(field(pts), dtype=np.float64).reshape(res + 1, res + 1)

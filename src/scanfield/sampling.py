@@ -39,7 +39,8 @@ def sample_rays_batch(
 ) -> np.ndarray:
     """Vectorized sampling over (R, m) ray arrays.
 
-    Returns the positions (R*L, m) with L samples per ray, ray-major order.
+    Returns the positions (R*L, m), ray-major: row i*L + l is sample l of ray
+    i, the order in which ``targets.compute_targets`` pairs samples with rays.
     """
     o = np.asarray(origins, dtype=np.float64)
     e = np.asarray(endpoints, dtype=np.float64)

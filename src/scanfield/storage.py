@@ -102,10 +102,15 @@ def save_scans(scan_dir, scans: list[Scan]) -> None:
     """Write ``poses.txt`` and one ``scan_NNNNNN.bin`` per scan, in order.
 
     2D scans are stored in the z = 0 plane: the pose embedded in a 3x4
-    matrix, the points padded with z = 0 and rounded to f32.
+    matrix, the points padded with z = 0 and rounded to f32.  Other
+    ``scan_*.bin`` files, which ``load_scans`` would read, are removed.
     """
     root = Path(scan_dir)
     root.mkdir(parents=True, exist_ok=True)
+    names = {f"scan_{k:06d}.bin" for k in range(len(scans))}
+    for stale in root.glob("scan_*.bin"):
+        if stale.name not in names:
+            stale.unlink()
     rows = []
     for k, scan in enumerate(scans):
         d = scan.pose.dim

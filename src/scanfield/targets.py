@@ -22,13 +22,16 @@ sample:
 Targets are pseudo-ground-truth: no optimizer gradient ever flows through
 them, so everything here is plain (non-differentiable) arithmetic.
 
-A raw estimate can only come out negative when the field's own derivatives
-mislead (the learned normal points away from the measured endpoint, or the
-curvature radius is noise); free-space samples are never actually inside the
-surface.  Such samples are treated exactly like degenerate gradients and fall
-back to the ray distance instead of being clamped to zero — feeding the
-clamped zeros back as targets makes the all-zero field self-consistent, and
-training provably stalls there from a fresh init.
+Inputs are per ray: ``endpoints`` holds one row per ray and ``positions``
+its R·L samples in ray-major order (``sampling.sample_rays_batch``), so
+endpoint i serves sample rows i·L to i·L + L - 1; a row-aligned call is L = 1.
+
+One fallback rule serves the dcn and curvature modes: a sample whose gradient
+vanishes or whose raw estimate is negative is flagged degenerate and takes the
+ray distance.  A negative estimate means the field's own derivatives mislead
+(free-space samples are never inside the surface); clamping it to zero would
+make the all-zero field self-consistent, and training stalls there from a
+fresh init.  The ray mode reads no gradient.
 """
 
 from __future__ import annotations
@@ -79,45 +82,41 @@ def compute_targets(
     set is div n = tr H / |g| - gᵀHg / |g|³, which needs these two
     contractions of the Hessian H and nothing else of it.
 
-    ``endpoints`` holds each sample's parent-ray endpoint, row-aligned with
-    ``positions``.  Samples whose gradient vanishes or whose raw estimate
-    comes out negative fall back to ray distance and are flagged degenerate.
-    d_hat is clamped to [0, tau].  Weights are (d_top - |values|)^gamma with
-    d_top the batch maximum of |values|, divided by their largest value first.
+    ``endpoints`` is (R, m), one row per ray, and ``positions`` the (R·L, m)
+    ray-major samples; an S that R does not divide raises ValueError.
+    Samples whose gradient vanishes or whose raw estimate comes out negative
+    fall back to ray distance and are flagged degenerate.  d_hat is clamped
+    to [0, tau].  Weights are (d_top - |values|)^gamma with d_top the batch
+    maximum of |values|, divided by their largest value first.
     """
     vals = np.asarray(values, dtype=np.float64)
-    g = np.asarray(gradients, dtype=np.float64)
     x = np.asarray(positions, dtype=np.float64)
     e = np.asarray(endpoints, dtype=np.float64)
     s, m = x.shape
     if s == 0:
         raise ValueError("empty target batch")
-    delta = e - x
+    delta = (e[:, None, :] - x.reshape(e.shape[0], -1, m)).reshape(s, m)
     d = np.linalg.norm(delta, axis=1)
-    gnorm = np.linalg.norm(g, axis=1)
-    degenerate = gnorm < GRAD_EPS
-    safe_g = np.maximum(gnorm, GRAD_EPS)
-    normal = -g / safe_g[:, None]
     roc_query = np.full(s, ROC_MAX, dtype=np.float64)
     if mode is SupervisionMode.RAY_DISTANCE:
-        d_raw = d.copy()
+        d_raw = d
         degenerate = np.zeros(s, dtype=bool)
-    elif mode is SupervisionMode.CLOSEST_NORMAL:
-        p = np.sum(normal * delta, axis=1)
-        degenerate = degenerate | (p < 0.0)
-        d_raw = np.where(degenerate, d, p)
     else:
-        tr, ghg = (np.asarray(t, dtype=np.float64) for t in hessian_terms)
-        div = tr / safe_g - ghg / safe_g**3
-        kappa = np.abs(div) / (m - 1)
-        r = np.where(kappa > 1.0 / ROC_MAX, 1.0 / np.maximum(kappa, 1.0 / ROC_MAX), ROC_MAX)
-        r = np.clip(r, ROC_MIN, ROC_MAX)
-        p = np.sum(normal * delta, axis=1)
-        radicand = np.maximum(d * d + r * r - 2.0 * r * p, 0.0)
-        root = np.sqrt(radicand)
-        degenerate = degenerate | (r - root < 0.0)
-        d_raw = np.where(degenerate, d, r - root)
-        roc_query = np.where(degenerate, ROC_MAX, r)
+        g = np.asarray(gradients, dtype=np.float64)
+        gnorm = np.linalg.norm(g, axis=1)
+        safe_g = np.maximum(gnorm, GRAD_EPS)
+        p = np.sum(-g / safe_g[:, None] * delta, axis=1)  # normal . (e - x)
+        if mode is SupervisionMode.CLOSEST_NORMAL:
+            estimate = p
+        else:
+            tr, ghg = (np.asarray(t, dtype=np.float64) for t in hessian_terms)
+            kappa = np.abs(tr / safe_g - ghg / safe_g**3) / (m - 1)
+            r = np.where(kappa > 1.0 / ROC_MAX, 1.0 / np.maximum(kappa, 1.0 / ROC_MAX), ROC_MAX)
+            roc_query = r = np.clip(r, ROC_MIN, ROC_MAX)
+            estimate = r - np.sqrt(np.maximum(d * d + r * r - 2.0 * r * p, 0.0))
+        degenerate = (gnorm < GRAD_EPS) | (estimate < 0.0)
+        d_raw = np.where(degenerate, d, estimate)
+        roc_query = np.where(degenerate, ROC_MAX, roc_query)
     d_hat = np.clip(d_raw, 0.0, tau)
     d_pred_abs = np.abs(vals)
     base = float(np.max(d_pred_abs)) - d_pred_abs  # d_top - |D| >= 0

@@ -101,11 +101,13 @@ class LossBreakdown:
 
 @dataclass
 class RayBatch:
-    """One batch of rays with their placed samples, row-aligned arrays."""
+    """One batch: the (R, m) ray endpoints and their (R·L, m) samples, ray-major.
+
+    ``compute_targets`` pairs sample rows i·L to i·L + L - 1 with endpoint i.
+    """
 
     endpoints: np.ndarray
     positions: np.ndarray
-    sample_endpoints: np.ndarray
 
 
 def make_batch(
@@ -114,11 +116,7 @@ def make_batch(
     samples_per_ray: int = sampling.DEFAULT_SAMPLES,
 ) -> RayBatch:
     e = np.asarray(endpoints, dtype=np.float64)
-    return RayBatch(
-        endpoints=e,
-        positions=sampling.sample_rays_batch(origins, e, samples_per_ray),
-        sample_endpoints=np.repeat(e, samples_per_ray, axis=0),
-    )
+    return RayBatch(endpoints=e, positions=sampling.sample_rays_batch(origins, e, samples_per_ray))
 
 
 def neighbor_pairs(positions: _F, k: int) -> np.ndarray:
@@ -208,8 +206,6 @@ def batch_loss(
     mode: SupervisionMode,
 ) -> tuple[LossBreakdown, np.ndarray]:
     """Loss and exact parameter gradient for one batch, targets held constant."""
-    if batch.positions.shape[0] == 0:
-        raise ValueError("empty batch")
     if mode is SupervisionMode.CURVATURE_CONSTRAINED:
         vals, grads, trace, ghg = field_mod.jet_batch(net, batch.positions)
         hessian_terms = (trace, ghg)
@@ -222,7 +218,7 @@ def batch_loss(
         grads,
         hessian_terms,
         batch.positions,
-        batch.sample_endpoints,
+        batch.endpoints,
         tau=w.tau,
         gamma=w.gamma,
     )

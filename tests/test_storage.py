@@ -90,6 +90,21 @@ def test_load_scans_pairs_files_with_poses(tmp_path):
         load_scans(tmp_path)
 
 
+def test_save_scans_over_a_larger_dataset_removes_its_extra_scans(tmp_path):
+    def scans(n):
+        return [Scan(Pose.from_xytheta(0.1 * k, 0.0, 0.0), np.full((2, 2), float(k))) for k in range(n)]
+
+    save_scans(tmp_path, scans(6))
+    (tmp_path / "model.bin").write_bytes(b"kept")
+    (tmp_path / "model.bin.transform").write_text("kept\n")
+    save_scans(tmp_path, scans(4))
+    _assert_scans_equal(load_scans(tmp_path), scans(4))
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "model.bin", "model.bin.transform", "poses.txt",
+        "scan_000000.bin", "scan_000001.bin", "scan_000002.bin", "scan_000003.bin",
+    ]
+
+
 def _rot3(a: float, b: float) -> np.ndarray:
     """Rotation by ``a`` about z after ``b`` about x."""
     rx = np.array([[1.0, 0.0, 0.0], [0.0, np.cos(b), -np.sin(b)], [0.0, np.sin(b), np.cos(b)]])

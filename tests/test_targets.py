@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scanfield.sampling import sample_rays_batch
 from scanfield.scenes import AnalyticScene, Sphere
 from scanfield.targets import GRAD_EPS, ROC_MAX, ROC_MIN, SupervisionMode, compute_targets
 
@@ -327,6 +328,46 @@ def test_negative_estimates_fall_back_to_ray():
             batch.d_hat[batch.degenerate], np.clip(ray_d[batch.degenerate], 0.0, 0.2)
         )
         assert np.mean(batch.d_hat == 0.0) < 0.05
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_per_ray_endpoints_match_row_aligned_call(m):
+    # One endpoint row per ray serves that ray's L ray-major samples; the
+    # result must equal the call with each endpoint repeated per sample,
+    # bit for bit, on rows that hit every fallback cause.
+    rng = np.random.default_rng(40 + m)
+    r_rays, n = 7, 5
+    origins = rng.normal(size=(r_rays, m))
+    endpoints = origins + rng.uniform(0.5, 2.0, size=(r_rays, 1)) * rng.normal(size=(r_rays, m))
+    x = sample_rays_batch(origins, endpoints, n)
+    e_rows = np.repeat(endpoints, n, axis=0)
+    s = x.shape[0]
+    vals = rng.normal(size=s)
+    delta = e_rows - x
+    g = -delta / np.linalg.norm(delta, axis=1, keepdims=True) + 0.3 * rng.normal(size=(s, m))
+    tr, ghg = rng.normal(size=s), rng.normal(size=s)
+    g[3] = 0.0  # vanishing gradient
+    g[11] = delta[11]  # normal points away from the endpoint: negative projection
+    # A tight level set (r = |g| / 100) with a positive projection: d² > 2rp.
+    g[17] = -(delta[17] + 0.5 * np.linalg.norm(delta[17]) * np.roll(delta[17], 1))
+    gn = np.linalg.norm(g[17])
+    tr[17], ghg[17] = 100.0 * m, 100.0 * gn**2
+    p17 = -g[17] @ delta[17] / gn
+    assert 0.0 < p17 and delta[17] @ delta[17] > 2.0 * (gn / 100.0) * p17
+    causes = {
+        SupervisionMode.RAY_DISTANCE: [],
+        SupervisionMode.CLOSEST_NORMAL: [3, 11],
+        SupervisionMode.CURVATURE_CONSTRAINED: [3, 11, 17],
+    }
+    for mode, rows in causes.items():
+        per_ray = compute_targets(mode, vals, g, (tr, ghg), x, endpoints, tau=0.2, gamma=3.0)
+        aligned = compute_targets(mode, vals, g, (tr, ghg), x, e_rows, tau=0.2, gamma=3.0)
+        for field in ("d_hat", "weight", "roc_query", "degenerate"):
+            assert np.array_equal(getattr(per_ray, field), getattr(aligned, field)), (mode, field)
+        assert np.all(per_ray.degenerate[rows]), mode
+        assert per_ray.degenerate.sum() < s // 2
+    with pytest.raises(ValueError):
+        compute_targets(SupervisionMode.RAY_DISTANCE, vals, g, None, x, endpoints[:4], tau=0.2, gamma=3.0)
 
 
 def test_compute_targets_weights_use_batch_max():

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from scanfield.config import RunConfig, parse_config
 from scanfield.encoding import EncodingConfig
 from scanfield.field import evaluate_batch, grad_batch, init_field
 from scanfield.geom import Pose, normalize_scene, to_world
+from scanfield.sampling import schedule
 from scanfield.scenes import AnalyticScene, ScannerConfig, Sphere, simulate_scan
 from scanfield.targets import SupervisionMode, TargetBatch, compute_targets
 from scanfield.training import (
@@ -14,6 +15,7 @@ from scanfield.training import (
     AdamState,
     LossWeights,
     OptimConfig,
+    RayBatch,
     _adamw_update,
     adamw_step,
     batch_loss,
@@ -52,7 +54,7 @@ def exact_loss(scene, batch, w, mode):
     """Loss breakdown with the scene's exact jet standing in for a trained net."""
     vals, grads, lap, ghg = scene.jet(batch.positions)
     targets = compute_targets(
-        mode, vals, grads, (lap, ghg), batch.positions, batch.sample_endpoints, tau=w.tau, gamma=w.gamma
+        mode, vals, grads, (lap, ghg), batch.positions, batch.endpoints, tau=w.tau, gamma=w.gamma
     )
     pairs = neighbor_pairs(batch.positions, w.knn)
     bd, _, _, _ = loss_terms(vals, grads, scene.sdf(batch.endpoints), targets, pairs, w)
@@ -141,7 +143,7 @@ def test_loss_gradients_match_finite_differences():
 
     vals0, grads0, trace0, ghg0 = jet_batch(net, batch.positions)
     tg = compute_targets(
-        mode, vals0, grads0, (trace0, ghg0), batch.positions, batch.sample_endpoints, tau=w.tau, gamma=w.gamma
+        mode, vals0, grads0, (trace0, ghg0), batch.positions, batch.endpoints, tau=w.tau, gamma=w.gamma
     )
     pairs = neighbor_pairs(batch.positions, w.knn)
 
@@ -283,11 +285,17 @@ def test_curvature_targets_engage_in_training():
     assert hist_curv[0].data != hist_dcn[0].data
 
 
-def test_make_batch_aligns_sample_endpoints():
-    origins, endpoints = toy_rays(3, seed=1)
+def test_make_batch_samples_are_ray_major():
+    # compute_targets pairs sample rows i*L .. i*L + L - 1 with endpoint i.
+    _, endpoints = toy_rays(3, seed=1)
+    origins = -0.5 * endpoints[::-1]
     batch = make_batch(origins, endpoints, samples_per_ray=4)
-    assert batch.positions.shape[0] == 12
-    np.testing.assert_array_equal(batch.sample_endpoints, np.repeat(endpoints, 4, axis=0))
+    assert [f.name for f in fields(RayBatch)] == ["endpoints", "positions"]
+    np.testing.assert_array_equal(batch.endpoints, endpoints)
+    assert batch.positions.shape == (12, 2)
+    t = schedule(4)
+    for i, ray in enumerate(batch.positions.reshape(3, 4, 2)):
+        np.testing.assert_allclose(ray, origins[i] + t[:, None] * (endpoints[i] - origins[i]), atol=1e-15)
 
 
 def parse_overrides(**overrides):
