@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 validation/usage error, 1 other failures.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from pathlib import Path
@@ -75,64 +76,63 @@ def _write_csv(path, header: str, rows: list[str]) -> None:
 # trajectory generation
 
 
-def _parse_traj_spec(spec: str):
-    name, _, rest = spec.partition(":")
-    kv = {}
-    if rest:
-        for part in rest.split(","):
-            key, sep, val = part.partition("=")
-            if not sep:
-                raise ValueError(f"trajectory spec piece {part!r} is not key=val")
-            key = key.strip()
-            if key in kv:
-                raise ValueError(f"trajectory key {key!r} is given twice")
-            kv[key] = float(val)
-            if not np.isfinite(kv[key]):
-                raise ValueError(f"trajectory key {key!r} must be finite, got {val!r}")
-            if key == "steps" and kv[key] != int(kv[key]):
-                raise ValueError(f"trajectory key 'steps' must be a whole number, got {val!r}")
-    return name.strip(), kv
+def orbit(radius: float, steps: int, cx: float = 0.0, cy: float = 0.0,
+          start: float = 0.0) -> np.ndarray:
+    """Counter-clockwise circle from angle ``start``, sensor facing the center."""
+    if radius <= 0 or steps < 1:
+        raise ValueError("orbit needs radius > 0 and steps >= 1")
+    ang = start + 2.0 * np.pi * np.arange(steps) / steps
+    return np.stack([cx + radius * np.cos(ang), cy + radius * np.sin(ang),
+                     mcl_mod.wrap_angle(ang + np.pi)], axis=1)
 
 
-def _require(kv: dict, name: str) -> float:
-    try:
-        return kv.pop(name)
-    except KeyError:
-        raise ValueError(f"trajectory spec is missing {name!r}") from None
+def line(x0: float, y0: float, x1: float, y1: float, steps: int) -> np.ndarray:
+    """Constant heading along the segment, endpoints inclusive."""
+    if steps < 2:
+        raise ValueError("line needs steps >= 2")
+    t = np.linspace(0.0, 1.0, steps)
+    return np.stack([x0 + t * (x1 - x0), y0 + t * (y1 - y0),
+                     np.full(steps, np.arctan2(y1 - y0, x1 - x0))], axis=1)
+
+
+TRAJECTORIES = {"orbit": orbit, "line": line}
 
 
 def trajectory_poses(spec: str) -> np.ndarray:
-    """Planar (x, y, heading) rows from a compact generator spec.
+    """Planar (x, y, heading) rows from a compact generator spec
+    ``name:key=val,...``, e.g. ``orbit:radius=2,steps=8`` or
+    ``line:x0=0,y0=0,x1=3,y1=4,steps=5``.
 
-    orbit:radius=R,steps=N[,cx=0,cy=0,start=0]  counter-clockwise circle,
-        sensor facing the center.
-    line:x0=..,y0=..,x1=..,y1=..,steps=N        constant heading along the
-        segment, endpoints inclusive.
+    A generator's spec keys are its parameters (``TRAJECTORIES``); values are
+    finite floats, ``steps`` a whole number.
     """
-    name, kv = _parse_traj_spec(spec)
-    if name == "orbit":
-        radius = _require(kv, "radius")
-        steps = int(_require(kv, "steps"))
-        cx, cy = kv.pop("cx", 0.0), kv.pop("cy", 0.0)
-        start = kv.pop("start", 0.0)
-        if kv:
-            raise ValueError(f"unknown orbit keys {sorted(kv)}")
-        if radius <= 0 or steps < 1:
-            raise ValueError("orbit needs radius > 0 and steps >= 1")
-        ang = start + 2.0 * np.pi * np.arange(steps) / steps
-        return np.stack([cx + radius * np.cos(ang), cy + radius * np.sin(ang),
-                         mcl_mod.wrap_angle(ang + np.pi)], axis=1)
-    if name == "line":
-        x0, y0, x1, y1 = (_require(kv, k) for k in ("x0", "y0", "x1", "y1"))
-        steps = int(_require(kv, "steps"))
-        if kv:
-            raise ValueError(f"unknown line keys {sorted(kv)}")
-        if steps < 2:
-            raise ValueError("line needs steps >= 2")
-        t = np.linspace(0.0, 1.0, steps)
-        return np.stack([x0 + t * (x1 - x0), y0 + t * (y1 - y0),
-                         np.full(steps, np.arctan2(y1 - y0, x1 - x0))], axis=1)
-    raise ValueError(f"unknown trajectory generator {name!r}")
+    name, _, rest = spec.partition(":")
+    name, kv = name.strip(), {}
+    for part in rest.split(",") if rest else ():
+        key, sep, val = part.partition("=")
+        if not sep:
+            raise ValueError(f"trajectory spec piece {part!r} is not key=val")
+        key = key.strip()
+        if key in kv:
+            raise ValueError(f"trajectory key {key!r} is given twice")
+        kv[key] = float(val)
+        if not np.isfinite(kv[key]):
+            raise ValueError(f"trajectory key {key!r} must be finite, got {val!r}")
+        if key == "steps":
+            if kv[key] != int(kv[key]):
+                raise ValueError(f"trajectory key 'steps' must be a whole number, got {val!r}")
+            kv[key] = int(kv[key])
+    gen = TRAJECTORIES.get(name)
+    if gen is None:
+        raise ValueError(f"unknown trajectory generator {name!r}")
+    params = inspect.signature(gen).parameters
+    unknown = sorted(set(kv) - set(params))
+    if unknown:
+        raise ValueError(f"unknown {name} keys {unknown}")
+    missing = [k for k, p in params.items() if p.default is p.empty and k not in kv]
+    if missing:
+        raise ValueError(f"{name} spec is missing {missing[0]!r}")
+    return gen(**kv)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +315,8 @@ def cmd_localize(args) -> int:
 # compare
 
 
-def _auto_orbit(scene, steps: int) -> str:
-    """Pick a free-space circular trajectory around the scene's content."""
+def _auto_orbit(scene, steps: int) -> np.ndarray:
+    """(x, y, heading) rows of a free-space orbit around the scene's content."""
     bounds = scenes.scene_bounds(scene)
     if bounds is None:
         raise ValueError("scene has no bounded primitive (only planes), so there is no "
@@ -325,18 +325,17 @@ def _auto_orbit(scene, steps: int) -> str:
     reach = float(np.max(bounds.half_extent))
     for frac in (1.8, 1.5, 1.25, 1.0, 0.8, 0.6, 0.45, 0.3):
         radius = frac * reach
-        ang = 2.0 * np.pi * np.arange(64) / 64
         ring = np.zeros((64, scene.dim))  # at z = 0 in 3D, as the poses are
-        ring[:, :2] = c[:2] + radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        ring[:, :2] = orbit(radius, 64, c[0], c[1])[:, :2]
         if np.min(scene.sdf(ring)) > 0.05 * reach:
-            return f"orbit:radius={radius},steps={steps},cx={c[0]},cy={c[1]}"
+            return orbit(radius, steps, c[0], c[1])
     raise ValueError("no free-space orbit found; pass --traj explicitly")
 
 
 def cmd_compare(args) -> int:
     cfg = _load_run_config(args)
     scene = scenes.parse_scene_file(args.scene)
-    traj = trajectory_poses(args.traj if args.traj is not None else _auto_orbit(scene, args.poses))
+    traj = trajectory_poses(args.traj) if args.traj is not None else _auto_orbit(scene, args.poses)
     scans = _synthesize_dataset(scene, traj, cfg)
     canon, tf = _canonical_rays(scans)
     pts = _band_points(scene, tf.cube, EVAL_BAND, args.samples, cfg.seed)

@@ -134,8 +134,10 @@ def marching_cubes(field, box: Aabb, res: int) -> TriangleMesh:
         step = [e[:, 0] == a for a in range(3)]
         va = vals[corner]
         vb = vals[tuple(c + s for c, s in zip(corner, step))]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(va == vb, 0.5, va / (va - vb))
+        # A crossing edge joins v < 0 to v >= 0 or NaN, so va - vb is never 0;
+        # an infinite grid value can still make inf / inf.
+        with np.errstate(invalid="ignore"):
+            t = va / (va - vb)
         v = np.stack([box.lo[a] + (corner[a] + t * step[a]) * spacing[a] for a in range(3)], axis=1)
         # Drop degenerate triangles; their corners lie in this slab or the last,
         # whose first vertex is number n_verts - len(prev_v).

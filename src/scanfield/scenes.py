@@ -7,8 +7,10 @@ comes from the active feature, ties broken by lowest index.  A scene's jet is
 the contract of ``field.jet_batch``: values, gradients, tr H and gᵀHg, the
 last zero because a distance gradient is unit wherever it is smooth (Hg = 0).
 
-A scene file has four primitive lines, ``sphere``, ``circle``, ``box`` and
-``plane``, one primitive per line (``parse_scene_text``).
+A primitive class carries ``dim``, ``sdf``, ``jet`` and ``bounds``.  A scene
+file holds one primitive per line; ``LINE_FORMS`` is the one list of line
+forms (``parse_scene_text``), so a new primitive is one class plus one row per
+form.
 
 The scanner sphere-traces a trajectory's beams in one march to synthesize
 range scans, the training input, with exact geometry as ground truth.
@@ -67,13 +69,13 @@ class Sphere:
         u = rel / safe[:, None]
         # Center singularity: pick a fixed axis direction.
         at_center = dist == 0.0
-        if np.any(at_center):
-            u[at_center] = 0.0
-            u[at_center, 0] = 1.0
-        vals = dist - self.radius
-        grads = u
+        u[at_center] = 0.0
+        u[at_center, 0] = 1.0
         lap = np.where(at_center, 0.0, (m - 1) / safe)
-        return vals, grads, lap
+        return dist - self.radius, u, lap
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.center - self.radius, self.center + self.radius
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,10 @@ class Plane:
         grads = np.broadcast_to(self.normal, (n, m)).copy()
         return vals, grads, np.zeros(n)
 
+    def bounds(self) -> None:
+        """None: a half-space has no bounding box."""
+        return None
+
 
 @dataclass(frozen=True)
 class Box:
@@ -113,8 +119,9 @@ class Box:
     Outside, the closest feature is a face, edge, or corner depending on how
     many coordinates k exceed the half-extents; the level sets bend around it
     as a plane, cylinder or sphere, with Laplacian (k - 1) / D.  Inside, the
-    distance is the largest (negative) face deficit and the field is locally
-    planar.
+    distance is the largest (negative) face deficit q = |x - c| - h and the
+    field is locally planar: the gradient is ±1 on that axis, the lowest index
+    on ties, signed by x - c and +1 where x - c = 0.
     """
 
     center: np.ndarray
@@ -143,32 +150,20 @@ class Box:
         return outside + inside
 
     def jet(self, points: _F):
-        p = _pts(points)
-        n, m = p.shape
-        q, sign = self._q(p)
+        q, sign = self._q(points)
         pos = np.maximum(q, 0.0)
         out_dist = np.linalg.norm(pos, axis=1)
         is_out = out_dist > 0.0
+        safe = np.maximum(out_dist, 1e-300)
+        on_face = np.arange(q.shape[1]) == np.argmax(q, axis=1)[:, None]
         vals = np.where(is_out, out_dist, np.max(q, axis=1))
-        grads = np.zeros((n, m), dtype=np.float64)
-        lap = np.zeros(n)
-        if np.any(is_out):
-            safe = np.maximum(out_dist, 1e-300)
-            g_out = sign * pos / safe[:, None]
-            # H = (diag[q > 0] - g gᵀ) / D on the k active axes: trace (k - 1) / D.
-            lap_out = (np.sum(q > 0.0, axis=1) - 1) / safe
-            grads[is_out] = g_out[is_out]
-            lap[is_out] = lap_out[is_out]
-        ins = ~is_out
-        if np.any(ins):
-            face = np.argmax(q[ins], axis=1)
-            rows = np.arange(np.sum(ins))
-            g_in = np.zeros((rows.size, m), dtype=np.float64)
-            s = sign[ins][rows, face]
-            s = np.where(s == 0.0, 1.0, s)
-            g_in[rows, face] = s
-            grads[ins] = g_in
+        grads = np.where(is_out[:, None], sign * pos / safe[:, None], np.where(on_face, sign, 0.0))
+        # H = (diag[q > 0] - g gᵀ) / D on the k active axes: trace (k - 1) / D.
+        lap = np.where(is_out, (np.sum(q > 0.0, axis=1) - 1) / safe, 0.0)
         return vals, grads, lap
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.center - self.half, self.center + self.half
 
 
 @dataclass(frozen=True)
@@ -211,8 +206,7 @@ class AnalyticScene:
         lap = np.empty(n, dtype=np.float64)
         for i, prim in enumerate(self.primitives):
             sel = active == i
-            if np.any(sel):
-                vals[sel], grads[sel], lap[sel] = prim.jet(p[sel])
+            vals[sel], grads[sel], lap[sel] = prim.jet(p[sel])
         return vals, grads, lap, np.zeros(n)
 
 
@@ -313,15 +307,6 @@ def simulate_scan(scene: AnalyticScene, poses: list[Pose], cfg: ScannerConfig, r
     return scans
 
 
-def _primitive_box(prim):
-    """(lo, hi) corners of a bounded primitive's box; None for a plane."""
-    if isinstance(prim, Sphere):
-        return prim.center - prim.radius, prim.center + prim.radius
-    if isinstance(prim, Box):
-        return prim.center - prim.half, prim.center + prim.half
-    return None
-
-
 def band_sample(scene: AnalyticScene, region: Aabb, band: float, count: int, rng) -> np.ndarray:
     """``count`` points split evenly over the primitives, planes included, in
     primitive order.  Each share is uniform over the points within ``band`` of
@@ -333,7 +318,7 @@ def band_sample(scene: AnalyticScene, region: Aabb, band: float, count: int, rng
         # cut to the primitive's padded box: the same set, found in fewer
         # draws, and a primitive whose box misses the region fails at once
         lo, hi = region.lo - band, region.hi + band
-        own = _primitive_box(prim)
+        own = prim.bounds()
         if own is not None:
             lo, hi = np.maximum(lo, own[0] - band), np.minimum(hi, own[1] + band)
         want = count // len(prims) + (i < count % len(prims))
@@ -355,7 +340,7 @@ def band_sample(scene: AnalyticScene, region: Aabb, band: float, count: int, rng
 
 def scene_bounds(scene: AnalyticScene):
     """Loose bounding box over bounded primitives; None if none are bounded."""
-    boxes = [b for b in map(_primitive_box, scene.primitives) if b is not None]
+    boxes = [b for b in (p.bounds() for p in scene.primitives) if b is not None]
     if not boxes:
         return None
     lo = np.min([b[0] for b in boxes], axis=0)
@@ -363,14 +348,26 @@ def scene_bounds(scene: AnalyticScene):
     return Aabb(lo, hi)
 
 
+# The one list of scene-file line forms: (keyword, argument count) to the
+# primitive built from the line's floats.
+LINE_FORMS = {
+    ("sphere", 4): lambda v: Sphere(np.array(v[:3]), v[3]),  # sphere cx cy cz r
+    ("circle", 3): lambda v: Sphere(np.array(v[:2]), v[2]),  # circle cx cy r
+    ("box", 6): lambda v: Box(np.array(v[:3]), np.array(v[3:])),  # box cx cy cz hx hy hz
+    ("box", 4): lambda v: Box(np.array(v[:2]), np.array(v[2:])),  # box cx cy hx hy
+    ("plane", 4): lambda v: Plane(np.array(v[:3]), v[3]),  # plane nx ny nz d
+    ("plane", 3): lambda v: Plane(np.array(v[:2]), v[2]),  # plane nx ny d
+}
+
+
 def parse_scene_text(text: str) -> AnalyticScene:
     """Build a scene from one primitive per line, implicit union.
 
-    Grammar (floats whitespace-separated, '#' comments), four primitive lines:
-        sphere cx cy cz r        (3D)
-        circle cx cy r           (2D)
-        box cx cy cz hx hy hz    box cx cy hx hy
-        plane nx ny nz d         plane nx ny d
+    A line is a keyword and whitespace-separated floats ('#' starts a
+    comment); ``LINE_FORMS`` is the one list of line forms.  Errors name
+    their line: an
+    unknown form, a bad number, a value the primitive rejects, or a dimension
+    other than the first primitive's.
     """
     prims = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -385,20 +382,19 @@ def parse_scene_text(text: str) -> AnalyticScene:
             raise ValueError(f"line {lineno}: non-numeric argument in {line!r}") from exc
         if not all(math.isfinite(v) for v in vals):
             raise ValueError(f"line {lineno}: non-finite argument in {line!r}")
-        if kind == "sphere" and len(vals) == 4:
-            prims.append(Sphere(np.array(vals[:3]), vals[3]))
-        elif kind == "circle" and len(vals) == 3:
-            prims.append(Sphere(np.array(vals[:2]), vals[2]))
-        elif kind == "box" and len(vals) == 6:
-            prims.append(Box(np.array(vals[:3]), np.array(vals[3:])))
-        elif kind == "box" and len(vals) == 4:
-            prims.append(Box(np.array(vals[:2]), np.array(vals[2:])))
-        elif kind == "plane" and len(vals) == 4:
-            prims.append(Plane(np.array(vals[:3]), vals[3]))
-        elif kind == "plane" and len(vals) == 3:
-            prims.append(Plane(np.array(vals[:2]), vals[2]))
-        else:
+        build = LINE_FORMS.get((kind, len(vals)))
+        if build is None:
             raise ValueError(f"line {lineno}: unrecognized primitive {line!r}")
+        try:
+            prim = build(vals)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc} in {line!r}") from exc
+        if not prims:
+            first = lineno
+        elif prim.dim != prims[0].dim:
+            raise ValueError(f"line {lineno}: {line!r} is {prim.dim}D but line {first} is "
+                             f"{prims[0].dim}D")
+        prims.append(prim)
     return AnalyticScene(tuple(prims))
 
 

@@ -112,6 +112,54 @@ def test_trajectory_specs():
             trajectory_poses(spec)
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("orbit:steps=4", "orbit spec is missing 'radius'"),
+    ("line:x0=0,y0=0,x1=3,steps=5", "line spec is missing 'y1'"),
+    ("orbit:radius=2,steps=4,x0=1", r"unknown orbit keys \['x0'\]"),
+    ("line:x0=0,y0=0,x1=3,y1=4,steps=5,start=1", r"unknown line keys \['start'\]"),
+])
+def test_trajectory_key_errors_name_generator_and_key(spec, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        trajectory_poses(spec)
+
+
+def test_trajectory_spec_keys_are_generator_parameters():
+    assert np.array_equal(trajectory_poses("orbit:radius=2,steps=5,start=0.5,cy=1"),
+                          cli.orbit(2.0, 5, cy=1.0, start=0.5))
+    assert np.array_equal(trajectory_poses("line:steps=3,y1=4,x1=3,y0=0,x0=0"),
+                          cli.line(0.0, 0.0, 3.0, 4.0, 3))
+
+
+@pytest.mark.parametrize("text", [ROOM_SCENE, ROOM3D_SCENE], ids=["2d", "3d"])
+def test_auto_orbit_circles_the_scene_in_free_space(text):
+    scene = scenes.parse_scene_text(text)
+    traj = cli._auto_orbit(scene, 12)
+    assert traj.shape == (12, 3)
+    center = scenes.scene_bounds(scene).center[:2]
+    radius = np.linalg.norm(traj[:, :2] - center, axis=1)
+    np.testing.assert_allclose(radius, radius[0], rtol=1e-12)
+    to_center = np.arctan2(*(center - traj[:, :2]).T[::-1])
+    np.testing.assert_allclose(mcl.wrap_angle(traj[:, 2] - to_center), 0.0, atol=1e-12)
+    ring = np.zeros((12, scene.dim))  # at z = 0 in 3D, as the poses are
+    ring[:, :2] = traj[:, :2]
+    assert np.all(scene.sdf(ring) > 0.0)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("circle 0 0 -1\n", "line 1: radius must be positive"),
+    ("box 0 0 0 1\n", "line 1: box half-extents must be positive"),
+    ("plane 0 0 5\n", "line 1: plane normal must be nonzero"),
+    ("sphere 0 0 0 1\ncircle 3 0 1\n", "line 2: 'circle 3 0 1' is 2D but line 1 is 3D"),
+])
+def test_synth_names_the_bad_scene_line(tiny, capsys, text, message):
+    tmp, cfg, _ = tiny
+    scene = tmp / "bad.txt"
+    scene.write_text(text)
+    assert run("synth", "--scene", scene, "--traj", "orbit:radius=3,steps=4",
+               "--out", tmp / "data", "--config", cfg) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_synth_rejects_infinite_steps(tiny, capsys):
     tmp, cfg, scene2 = tiny
     assert run("synth", "--scene", scene2, "--traj", "orbit:radius=3,steps=inf",

@@ -5,6 +5,7 @@ import pytest
 
 from scanfield.geom import Aabb, Pose
 from scanfield.scenes import (
+    LINE_FORMS,
     AnalyticScene,
     Box,
     Plane,
@@ -294,6 +295,99 @@ def test_parse_scene_errors_carry_line_numbers():
     for bad in ("circle 0 0 nan", "box 0 0 1 inf"):
         with pytest.raises(ValueError, match="line 2: non-finite"):
             parse_scene_text(f"circle 0 0 1\n{bad}")
+
+
+LINE_CASES = [
+    ("sphere 1 2 3 0.5", Sphere, {"center": [1.0, 2.0, 3.0], "radius": 0.5}),
+    ("circle 1 2 0.5", Sphere, {"center": [1.0, 2.0], "radius": 0.5}),
+    ("box 1 2 3 0.1 0.2 0.3", Box, {"center": [1.0, 2.0, 3.0], "half": [0.1, 0.2, 0.3]}),
+    ("box 1 2 0.1 0.2", Box, {"center": [1.0, 2.0], "half": [0.1, 0.2]}),
+    ("plane 0 0 2 -4", Plane, {"normal": [0.0, 0.0, 1.0], "offset": -2.0}),
+    ("plane 0 2 -4", Plane, {"normal": [0.0, 1.0], "offset": -2.0}),
+]
+
+
+@pytest.mark.parametrize("line, cls, fields", LINE_CASES)
+def test_each_line_form_builds_its_primitive(line, cls, fields):
+    (prim,) = parse_scene_text(line).primitives
+    assert type(prim) is cls
+    for name, want in fields.items():
+        assert np.array_equal(getattr(prim, name), want), name
+
+
+def test_every_line_form_is_tested():
+    forms = {(line.split()[0], len(line.split()) - 1) for line, _, _ in LINE_CASES}
+    assert forms == set(LINE_FORMS)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("circle 0 0 1\nbox 0 0 1", "line 2: unrecognized primitive 'box 0 0 1'"),
+    ("sphere 0 0 0 1\n# c\nsphere 0 0 1", "line 3: unrecognized primitive 'sphere 0 0 1'"),
+    ("circle 0 0 1\n\ncylinder 0 0 1", "line 3: unrecognized primitive 'cylinder 0 0 1'"),
+])
+def test_unknown_line_form_names_its_line(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_scene_text(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# c\ncircle 0 0 -1", "line 2: radius must be positive in 'circle 0 0 -1'"),
+    ("circle 0 0 1\nbox 0 0 0 1",
+     r"line 2: box half-extents must be positive and match the center in 'box 0 0 0 1'"),
+    ("plane 0 0 5", "line 1: plane normal must be nonzero in 'plane 0 0 5'"),
+    ("sphere 0 0 0 1\ncircle 3 0 1", "line 2: 'circle 3 0 1' is 2D but line 1 is 3D"),
+    ("\nplane 1 0 -4\nplane 0 1 -4\nbox 0 0 0 1 1 1",
+     "line 4: 'box 0 0 0 1 1 1' is 3D but line 2 is 2D"),
+])
+def test_primitive_value_errors_name_their_line(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_scene_text(text)
+
+
+@pytest.mark.parametrize("prim", [
+    Sphere(np.zeros(2), 1.0), Sphere(np.zeros(3), 1.0),
+    Box(np.zeros(2), np.ones(2)), Box(np.zeros(3), np.ones(3)),
+    Plane(np.array([0.0, 1.0]), 1.0), Plane(np.array([0.0, 0.0, 1.0]), 1.0),
+], ids=lambda p: f"{type(p).__name__}{p.dim}")
+def test_primitive_jet_of_no_points(prim):
+    vals, grads, lap = prim.jet(np.empty((0, prim.dim)))
+    assert vals.shape == (0,) and grads.shape == (0, prim.dim) and lap.shape == (0,)
+
+
+def test_scene_jet_with_a_primitive_that_wins_no_point():
+    far = Box(np.array([50.0, 0.0]), np.ones(2))
+    scene = AnalyticScene((Sphere(np.zeros(2), 1.0), far, Plane(np.array([0.0, 1.0]), -5.0)))
+    pts = np.array([[2.0, 0.0], [0.0, -4.5], [0.5, 0.0]])
+    assert 1 not in scene.active_index(pts)
+    vals, grads, lap, ghg = scene.jet(pts)
+    np.testing.assert_array_equal(vals, [1.0, 0.5, -0.5])
+    np.testing.assert_array_equal(grads, [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(lap, [1.0 / 2.0, 0.0, 2.0])
+    np.testing.assert_array_equal(ghg, 0.0)
+
+
+def test_box_jet_tie_break_inside_and_on_the_surface():
+    # the lowest-index face of largest q = |x - c| - h wins, with sign +1
+    # where x - c is zero
+    box = Box(np.array([1.0, -1.0, 2.0]), np.array([1.0, 2.0, 1.0]))
+    rel = np.array([
+        [0.0, 0.0, 0.0],  # center: faces 0 and 2 tie
+        [-0.5, 0.0, -0.5],  # inside, faces 0 and 2 tie on the negative side
+        [1.0, 0.0, 0.0],  # face +x
+        [-1.0, 0.0, 0.0],  # face -x
+        [0.0, -2.0, 0.0],  # face -y
+        [1.0, 2.0, 0.0],  # edge of faces 0 and 1
+        [0.0, -2.0, -1.0],  # edge of faces 1 and 2
+        [-1.0, -2.0, -1.0],  # corner
+    ])
+    vals, grads, lap = box.jet(box.center + rel)
+    np.testing.assert_array_equal(vals, [-1.0, -0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(grads, [
+        [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+        [0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [-1.0, 0.0, 0.0],
+    ])
+    assert not np.any(np.signbit(grads[grads == 0.0]))
+    np.testing.assert_array_equal(lap, 0.0)
 
 
 def test_scene_bounds():
