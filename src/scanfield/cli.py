@@ -1,9 +1,10 @@
 """Command-line pipeline: synth, train, mesh, eval-sdf, localize, compare.
 
-Every command is deterministic for a fixed --seed with --threads 1; outputs
-are CSV tables (stdout and/or --out), binary PLY meshes, datasets and
-models.  A dataset is a directory of ``poses.txt`` plus ``scan_*.bin`` files;
-a model is a checkpoint plus its ``<checkpoint>.transform`` sidecar.
+Every command is deterministic for a fixed --seed, and writes the same bytes
+at any --threads; outputs are CSV tables (stdout and/or --out), binary PLY
+meshes, datasets and models.  A dataset is a directory of ``poses.txt`` plus
+``scan_*.bin`` files; a model is a checkpoint plus its
+``<checkpoint>.transform`` sidecar.
 ``storage`` reads and writes datasets, models and meshes.
 Every scored field is one map over one region: world-frame values and
 gradients over the scanned cube that ``normalize_scene`` fit around the scans.
@@ -43,19 +44,20 @@ MODE_LABELS = {
 }
 
 
-def _limit_threads(n: int) -> None:
+def _pin_blas_threads(n: int) -> None:
     # BLAS and OpenMP pools start when numpy is imported, which this module
-    # has done; ``python -m scanfield`` caps them through the environment
-    # before that (see __main__).  Here, only threadpoolctl can still act.
+    # has done; ``python -m scanfield`` pins them to one thread through the
+    # environment before that (see __main__).  Here, only threadpoolctl can
+    # still act.  Unpinned, BLAS may add its own threads to each of the n.
     try:
         import threadpoolctl
     except ImportError:
-        if any(os.environ.get(var) != str(n) for var in THREAD_VARS):
+        if any(os.environ.get(var) != "1" for var in THREAD_VARS):
             print(f"warning: --threads {n} not applied: numpy was imported before the thread "
                   "variables were set and threadpoolctl is not installed; "
                   "run through 'python -m scanfield' instead", file=sys.stderr)
         return
-    threadpoolctl.threadpool_limits(n)
+    threadpoolctl.threadpool_limits(1)
 
 
 def _load_run_config(args) -> RunConfig:
@@ -368,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None,
                        help="key=value run configuration file (keys: scanfield.config.KEYS)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None, help="cap worker threads")
+        p.add_argument("--threads", type=int, default=None,
+                       help="threads that run field passes, this one included "
+                            "(default: one per available CPU); outputs do not depend on it")
         if mode_flag:
             p.add_argument("--mode", choices=[m.value for m in SupervisionMode], default=None,
                            help="supervision target construction")
@@ -432,7 +436,8 @@ def main(argv=None) -> int:
         if args.threads < 1:
             print("error: --threads must be >= 1", file=sys.stderr)
             return 2
-        _limit_threads(args.threads)
+        _pin_blas_threads(args.threads)
+    field_mod.set_threads(args.threads)
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

@@ -59,21 +59,54 @@ position, so regrouping rows can move a value by tens of ulp.  The reverse
 sweep's record and the gᵀHg sweep's ``(fac_cos, dz, c2)`` list live for one
 block.  The parameter gradient is summed per block and then over blocks, so
 its rounding, and only its rounding, depends on ``BLOCK``.
+
+Parallel blocks: up to ``set_threads`` threads run a pass's blocks, the
+caller and the others of a ``ThreadPoolExecutor`` that the first pass to
+need it starts.  numpy releases the interpreter lock inside BLAS calls and
+ufuncs, so blocks overlap there.  The outputs are bitwise those of one
+thread.  A walk's block writes its own rows, computed as they would be
+alone.  A ``backprop`` block returns its per-layer terms (the bias term
+Σ zbar, the weight terms zbarᵀ a_in and tbarᵀ t_in) instead of adding them.
+They are added to the gradient in block order, and in that order within a
+block, as one thread adds them.  A pass uses the pool only with two blocks
+or more and ``hidden >= POOL_MIN_HIDDEN``.  Narrower layers spend their time
+in per-operation interpreter work that holds the lock: on 2 vCPUs the
+passes of the room2d benchmark's 64-wide net ran from 24 % slower to 24 %
+faster pooled, most of them slower, while 96- and 128-wide nets ran
+1.1-1.8x faster (``BENCH_threads.json``).  Before its first thread starts,
+the pool caps glibc's malloc arenas at one (``M_ARENA_MAX``).  glibc
+otherwise gives each new thread an arena of its own, whose freed blocks no
+other thread reuses: without the cap the room3d benchmark's peak RSS read
+114.6-115.0 MB, with it 103.8-106.0 MB.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
 
+from .__main__ import M_ARENA_MAX, available_cpus, mallopt
 from .encoding import EncodingConfig, encode_jet, sincos
 
 _F = npt.NDArray[np.floating]
 
 # Rows per block in every pass; see the module docstring.
 BLOCK = 256
+# Narrowest hidden layer whose passes run their blocks on the thread pool;
+# see "Parallel blocks" in the module docstring.
+POOL_MIN_HIDDEN = 96
+
+# Threads that may run a pass's blocks, the caller's included (``set_threads``),
+# and the pool of the others, started by the first pass that uses it.
+_threads = available_cpus()
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
 
 DEFAULT_HIDDEN = 128
 DEFAULT_LAYERS = 4
@@ -302,15 +335,110 @@ def _blocks(n: int):
         lo = hi
 
 
+def set_threads(n: int | None = None) -> None:
+    """Let at most ``n`` threads, the caller's included, run a pass's blocks;
+    ``None`` means one per CPU this process may run on."""
+    global _threads, _pool
+    n = available_cpus() if n is None else n
+    if n < 1:
+        raise ValueError(f"need at least one thread, got {n}")
+    with _pool_lock:
+        if _pool is not None and n != _threads:
+            _pool.shutdown()
+            _pool = None
+        _threads = n
+
+
+def _pool_for(net: FieldNet, n_blocks: int, threads: int) -> ThreadPoolExecutor | None:
+    # The pool that runs the blocks of this pass beside the caller, or None
+    # for the sequential loop; see "Parallel blocks" in the module docstring.
+    global _pool
+    if threads < 2 or n_blocks < 2 or net.hidden < POOL_MIN_HIDDEN:
+        return None
+    with _pool_lock:
+        if _pool is None:
+            mallopt((M_ARENA_MAX, 1))
+            _pool = ThreadPoolExecutor(threads - 1, thread_name_prefix="scanfield-field")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child has none of the pool's threads, and the lock may have
+    # been held by one; the child's first pooled pass starts a pool of its own.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _each_block(net: FieldNet, n: int, work, add=lambda result: None) -> None:
+    # ``work(lo, hi)`` over ``_blocks(n)``, then ``add`` of each result in
+    # block order.  Pooled, every thread, this one included, takes the next
+    # block, and whichever finishes the oldest outstanding block adds it and
+    # any finished ones after it.  No block is taken while ``threads`` + 1
+    # are taken and not added: the oldest of them is still running, so at
+    # most ``threads`` results wait.  The first error stops the others taking
+    # blocks and is raised here once every thread has stopped.
+    blocks = list(_blocks(n))
+    threads = _threads
+    pool = _pool_for(net, len(blocks), threads)
+    if pool is None:
+        for lo, hi in blocks:
+            add(work(lo, hi))
+        return
+    cond = threading.Condition()
+    done = {}
+    taken = added = 0
+    failed = False
+
+    def lane():
+        nonlocal taken, added, failed
+        try:
+            while True:
+                with cond:
+                    cond.wait_for(lambda: failed or taken == len(blocks) or taken - added <= threads)
+                    if failed or taken == len(blocks):
+                        return
+                    k = taken
+                    taken += 1
+                result = work(*blocks[k])
+                with cond:
+                    done[k] = result
+                    while added in done:
+                        add(done.pop(added))
+                        added += 1
+                    cond.notify_all()
+        except BaseException:
+            with cond:
+                failed = True
+                cond.notify_all()
+            raise
+
+    # Each worker runs in a copy of this thread's context, so that numpy's
+    # error state (np.errstate) holds in the workers too.
+    futures = [pool.submit(contextvars.copy_context().run, lane) for _ in range(threads - 1)]
+    try:
+        lane()
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+
+
 def _walk(net: FieldNet, points: _F, order: int) -> list[np.ndarray]:
-    # ``_forward``'s outputs at ``order``, block by block.
+    # ``_forward``'s outputs at ``order``; each block writes its own rows.
     x = np.asarray(points, dtype=np.float64)
     n, m = x.shape
     w0 = _first_layer_blocks(net)
     outs = [np.empty(shape) for shape in [[(n,)], [(n,), (n, m)], [(n,), (n, m), (n,), (n,)]][order]]
-    for lo, hi in _blocks(n):
+
+    def work(lo, hi):
         for out, part in zip(outs, _forward(net, x[lo:hi], order, w0)):
             out[lo:hi] = part
+
+    _each_block(net, n, work)
     return outs
 
 
@@ -331,11 +459,10 @@ def jet_batch(net: FieldNet, points: _F) -> tuple[np.ndarray, np.ndarray, np.nda
     return tuple(_walk(net, points, 2))
 
 
-def _backward_block(
-    net: FieldNet, x: np.ndarray, vbar: np.ndarray, gbar: np.ndarray | None, out: list
-) -> None:
-    # One block's recorded forward pass, then the reverse sweep into ``out``
-    # (``net.layers`` of the gradient); see the module docstring.  The tangent
+def _backward_block(net: FieldNet, x: np.ndarray, vbar: np.ndarray, gbar: np.ndarray | None) -> list:
+    # One block's recorded forward pass, then the reverse sweep.  Returns, for
+    # each layer from the last to the first, its bias term and weight terms in
+    # the order ``backprop`` adds them; see the module docstring.  The tangent
     # track runs only with ``gbar``.
     with_grad = gbar is not None
     record = []
@@ -344,12 +471,10 @@ def _backward_block(
     zbar = vbar[:, None]
     tbar = np.ones((x.shape[0], 1)) if with_grad else None
     weights = net.weights
+    terms = []
     for li in range(net.layer_count - 1, -1, -1):
-        (gw, gb), (a_in, t_in, _, _), w = out[li], record[li], weights[li]
-        gb += zbar.sum(axis=0)
-        gw += zbar.T @ a_in
-        if with_grad:
-            gw += tbar.T @ t_in[:, 0]
+        (a_in, t_in, _, _), w = record[li], weights[li]
+        terms.append((zbar.sum(axis=0), zbar.T @ a_in) + ((tbar.T @ t_in[:, 0],) if with_grad else ()))
         if li == 0:
             break
         # Through the previous sine: a_in = sin(f z), t_in = f cos(f z) tz.
@@ -360,6 +485,7 @@ def _backward_block(
             tabar = tbar @ w
             zbar += tabar * tzp[:, 0] * (-(facp * facp) * a_in)
             tbar = fac_cos * tabar
+    return terms
 
 
 def backprop(
@@ -378,7 +504,18 @@ def backprop(
     vbar = np.asarray(value_bar, dtype=np.float64)
     gbar = None if grad_bar is None else np.asarray(grad_bar, dtype=np.float64)
     grad = np.zeros_like(net.params)
-    out = net.layers(grad)
-    for lo, hi in _blocks(x.shape[0]):
-        _backward_block(net, x[lo:hi], vbar[lo:hi], None if gbar is None else gbar[lo:hi], out)
+    out = net.layers(grad)[::-1]
+
+    def work(lo, hi):
+        return _backward_block(net, x[lo:hi], vbar[lo:hi], None if gbar is None else gbar[lo:hi])
+
+    def add(terms):
+        # In block order, and in the sweep's order within a block, whichever
+        # thread ran the block: the same sums as one thread's.
+        for (gw, gb), (bias_term, *weight_terms) in zip(out, terms):
+            gb += bias_term
+            for term in weight_terms:
+                gw += term
+
+    _each_block(net, x.shape[0], work, add)
     return grad

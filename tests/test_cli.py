@@ -699,6 +699,56 @@ def test_threads_flag_caps_blas_threads(tiny):
     assert proc.stdout.splitlines()[-1] == "1"
 
 
+# TINY_CFG with hidden layers wide enough that train runs its passes on the
+# field's thread pool (field.POOL_MIN_HIDDEN), and beams enough that a batch
+# of 128 rays x 6 samples, three row blocks, fits in four scans of the room.
+WIDE_CFG = with_keys(TINY_CFG, f"hidden_width = {field.POOL_MIN_HIDDEN}\nbeams = 64\n")
+
+
+@pytest.fixture
+def wide(tmp_path):
+    """A 128-wide config, and a dataset of four room scans taken with it."""
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(WIDE_CFG)
+    scene = tmp_path / "room.txt"
+    scene.write_text(ROOM_SCENE)
+    assert run("synth", "--scene", scene, "--traj", "orbit:radius=2,steps=4",
+               "--out", tmp_path / "data", "--config", cfg) == 0
+    return tmp_path, cfg
+
+
+def test_train_writes_the_same_bytes_at_any_thread_count(wide):
+    tmp, cfg = wide
+    for threads in (1, 2):
+        assert run("train", "--scans", tmp / "data", "--out", tmp / f"t{threads}.bin",
+                   "--config", cfg, "--threads", threads) == 0
+    for suffix in ("", ".loss.csv", ".transform"):
+        assert (tmp / f"t1.bin{suffix}").read_bytes() == (tmp / f"t2.bin{suffix}").read_bytes()
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs /proc and at least two CPUs",
+)
+def test_threads_flag_caps_field_threads(wide):
+    # The field pool's threads outlive the passes, so the count at exit is
+    # the most the run had: the caller plus threads - 1 pool threads, and no
+    # BLAS threads, which the launcher pins to one.
+    tmp, cfg = wide
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", THREAD_PROBE, "train", "--scans", str(tmp / "data"),
+             "--out", str(tmp / f"t{threads}.bin"), "--config", str(cfg), "--threads", threads],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == threads
+    assert (tmp / "t1.bin").read_bytes() == (tmp / "t2.bin").read_bytes()
+
+
 def test_launcher_sets_malloc_thresholds(monkeypatch):
     calls = []
 

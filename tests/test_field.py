@@ -1,4 +1,12 @@
+import ctypes
+import multiprocessing
+import os
+import sys
+import threading
+import time
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -611,3 +619,229 @@ def test_backprop_walks_forward_once_per_block(monkeypatch):
         calls.clear()
         backprop(net, pts, rng.normal(size=rows), g)
         assert calls == [hi - lo for lo, hi in field._blocks(rows)]
+
+
+@pytest.fixture
+def threads():
+    """``field.set_threads``, with the thread count put back afterwards."""
+    before = field._threads
+    yield field.set_threads
+    field.set_threads(before)
+
+
+def _passes(net, pts, vbar, gbar):
+    return [evaluate_batch(net, pts), *grad_batch(net, pts), *jet_batch(net, pts),
+            backprop(net, pts, vbar, gbar), backprop(net, pts, vbar)]
+
+
+@pytest.mark.parametrize("rows", [1, 255, 511, 512, 3000])
+def test_pooled_passes_match_sequential_bitwise(rows, threads, monkeypatch):
+    # Each block writes its own rows, and backprop adds the blocks' terms in
+    # block order, so the thread count cannot move a bit.
+    net = init_field(seed=27, dim=3)
+    assert net.hidden >= field.POOL_MIN_HIDDEN
+    rng = np.random.default_rng(28)
+    pts = rng.uniform(-1, 1, size=(rows, 3))
+    vbar = rng.normal(size=rows)
+    gbar = rng.normal(size=(rows, 3))
+    ran_on = set()
+    forward = field._forward
+
+    def recording(*args, **kwargs):
+        ran_on.add(threading.get_ident())
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(field, "_forward", recording)
+    threads(1)
+    ref = _passes(net, pts, vbar, gbar)
+    assert ran_on == {threading.get_ident()}
+    for workers in (2, 3):
+        threads(workers)
+        ran_on.clear()
+        for new, old in zip(_passes(net, pts, vbar, gbar), ref):
+            assert np.array_equal(new, old)
+        if len(list(field._blocks(rows))) == 1:
+            assert ran_on == {threading.get_ident()}
+        else:
+            assert 1 < len(ran_on) <= workers
+
+
+def test_pooled_backprop_under_frequent_thread_switches(threads):
+    # More threads than cores, switching every microsecond: a lost update of
+    # the shared block counters would skip, repeat or reorder a block's terms.
+    net = init_field(seed=41, dim=2, hidden=field.POOL_MIN_HIDDEN, hidden_layers=2,
+                     encoding=EncodingConfig(4))
+    rows = 40 * field.BLOCK
+    rng = np.random.default_rng(42)
+    pts = rng.uniform(-1, 1, size=(rows, 2))
+    vbar = rng.normal(size=rows)
+    gbar = rng.normal(size=(rows, 2))
+    threads(1)
+    expected = backprop(net, pts, vbar, gbar)
+    threads(4)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(
+            target=lambda: results.extend(backprop(net, pts, vbar, gbar) for _ in range(3)))
+        caller.start()
+        caller.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert len(results) == 3
+    for got in results:
+        assert np.array_equal(got, expected)
+
+
+def test_narrow_nets_stay_sequential(threads, monkeypatch):
+    net = init_field(seed=29, dim=2, hidden=field.POOL_MIN_HIDDEN - 1, hidden_layers=2,
+                     encoding=EncodingConfig(4))
+    ran_on = set()
+    forward = field._forward
+    monkeypatch.setattr(field, "_forward",
+                        lambda *a, **k: ran_on.add(threading.get_ident()) or forward(*a, **k))
+    threads(2)
+    pts = np.random.default_rng(30).uniform(-1, 1, size=(4 * field.BLOCK, 2))
+    jet_batch(net, pts)
+    backprop(net, pts, np.ones(len(pts)), pts)
+    assert ran_on == {threading.get_ident()}
+
+
+def test_worker_error_reaches_the_caller(threads, monkeypatch):
+    net = init_field(seed=31, dim=2)
+    pts = np.random.default_rng(32).uniform(-1, 1, size=(3 * field.BLOCK, 2))
+    err = FloatingPointError("non-finite block")
+    forward = field._forward
+    main = threading.get_ident()
+
+    def failing(*args, **kwargs):
+        if threading.get_ident() != main:
+            raise err
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(field, "_forward", failing)
+    threads(2)
+    for call in (lambda: jet_batch(net, pts), lambda: backprop(net, pts, np.ones(len(pts)))):
+        with pytest.raises(FloatingPointError) as caught:
+            call()
+        assert caught.value is err
+
+
+def test_workers_run_under_the_callers_error_state(threads, monkeypatch):
+    net = init_field(seed=33, dim=2)
+    pts = np.random.default_rng(34).uniform(-1, 1, size=(4 * field.BLOCK, 2))
+    seen = {}
+    forward = field._forward
+
+    def recording(*args, **kwargs):
+        seen[threading.get_ident()] = np.geterr()["over"]
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(field, "_forward", recording)
+    threads(2)
+    with np.errstate(over="raise"):
+        grad_batch(net, pts)
+    assert len(seen) == 2 and set(seen.values()) == {"raise"}
+
+
+def test_pool_caps_malloc_arenas_before_its_first_thread(threads, monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value, threading.active_count()))
+        return 1
+
+    threads(1)  # shuts down any pool, so the next pooled pass starts one
+    idle = threading.active_count()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    threads(2)
+    net = init_field(seed=35, dim=2)
+    evaluate_batch(net, np.zeros((2 * field.BLOCK, 2)))
+    assert calls == [(-8, 1, idle)]
+    assert threading.active_count() == idle + 1
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_backprop_holds_at_most_one_result_per_thread(workers, threads, monkeypatch):
+    # While the first block stalls, the others may run ahead only until
+    # ``workers`` finished blocks wait to be added; with no bound they would
+    # all finish.
+    net = init_field(seed=39, dim=2)
+    rows = 12 * field.BLOCK
+    pts = np.random.default_rng(40).uniform(-1, 1, size=(rows, 2))
+    vbar = np.arange(rows, dtype=np.float64)
+    finished, ahead = [], []
+    original = field._backward_block
+
+    def stall_first(net, x, vbar, gbar):
+        if vbar[0] == 0.0:
+            time.sleep(0.5)
+            ahead.append(len(finished))
+        terms = original(net, x, vbar, gbar)
+        finished.append(vbar[0])
+        return terms
+
+    threads(1)
+    expected = backprop(net, pts, vbar)
+    monkeypatch.setattr(field, "_backward_block", stall_first)
+    threads(workers)
+    assert np.array_equal(backprop(net, pts, vbar), expected)
+    assert ahead == [workers]
+
+
+def test_pooled_passes_hold_one_block_per_thread(threads):
+    # Each extra thread holds one more block's working set; backprop keeps
+    # at most one block's gradient terms per thread.
+    net = init_field(seed=36, dim=3)
+    rng = np.random.default_rng(37)
+    rows = 4096
+    pts = rng.uniform(-1, 1, size=(rows, 3))
+    vbar = rng.normal(size=rows)
+    gbar = rng.normal(size=(rows, 3))
+
+    def peak(workers, n):
+        threads(workers)
+        evaluate_batch(net, pts[: 2 * field.BLOCK])  # start the pool outside the trace
+        tracemalloc.start()
+        try:
+            jet_batch(net, pts[:n])
+            backprop(net, pts[:n], vbar[:n], gbar[:n])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    block = peak(1, field.BLOCK)
+    sequential = peak(1, rows)
+    for workers in (2, 3):
+        assert peak(workers, rows) <= sequential + workers * block
+
+
+def _pooled_pass_in_child(conn):
+    net = init_field(seed=38, dim=2)
+    conn.send(evaluate_batch(net, np.zeros((3 * field.BLOCK, 2))).tolist())
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+# Python 3.12 warns on every fork of a process with threads; the pool's
+# threads are what this test forks with.
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_starts_its_own_pool(threads):
+    # The child inherits the parent's pool object but none of its threads.
+    threads(2)
+    net = init_field(seed=38, dim=2)
+    expected = evaluate_batch(net, np.zeros((3 * field.BLOCK, 2)))
+    assert field._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    parent, child = ctx.Pipe()
+    proc = ctx.Process(target=_pooled_pass_in_child, args=(child,))
+    proc.start()
+    try:
+        assert parent.poll(60), "the child's pooled pass did not finish"
+        assert np.array_equal(parent.recv(), expected)
+    finally:
+        proc.join(10)
+        if proc.is_alive():
+            proc.kill()
+    assert proc.exitcode == 0
