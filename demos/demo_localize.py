@@ -11,10 +11,9 @@ import time
 import numpy as np
 
 from scanfield import mcl, meshing
-from scanfield.cli import trajectory_poses
+from scanfield.cli import canonical_rays, init_net, trajectory_poses, world_map
 from scanfield.config import RunConfig
-from scanfield.field import evaluate_batch, init_field
-from scanfield.geom import Pose, normalize_scene, to_world
+from scanfield.geom import Pose
 from scanfield.scenes import parse_scene_text, simulate_scan
 from scanfield.training import train
 
@@ -37,21 +36,13 @@ def main():
 
     rng = np.random.default_rng(cfg.seed)
     scans = simulate_scan(scene, [Pose.from_xytheta(x, y, th) for x, y, th in traj], scanner, rng)
-    endpoints = np.concatenate([to_world(s) for s in scans])
-    origins = np.concatenate([np.broadcast_to(s.pose.translation, s.points.shape) for s in scans])
-    canon, tf = normalize_scene(origins, endpoints)
+    canon, tf = canonical_rays(scans)
 
-    net = init_field(cfg.seed, 2, cfg.encoding(),
-                     hidden=cfg.hidden_width, hidden_layers=cfg.hidden_layers,
-                     first_factor=cfg.first_layer_factor)
     t0 = time.time()
-    net, _ = train(net, canon, cfg.optim(), cfg.loss_weights(), cfg.supervision_mode())
+    net, _ = train(init_net(cfg, 2), canon, cfg.optim(), cfg.loss_weights(), cfg.supervision_mode())
     print(f"trained 2D field in {time.time() - t0:.1f}s")
 
-    def world_field(p):
-        return tf.scale * evaluate_batch(net, tf.to_canonical(p))
-
-    box = tf.cube
+    world_field, _, box = world_map(net, tf)
     grid = mcl.SampledField2D(meshing.sample_grid(world_field, box, cfg.field_grid_res), box)
 
     deltas = mcl.relative_deltas(traj)

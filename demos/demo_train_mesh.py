@@ -12,9 +12,9 @@ import time
 import numpy as np
 
 from scanfield import meshing, storage
+from scanfield.cli import canonical_rays, init_net, world_map
 from scanfield.config import RunConfig
-from scanfield.field import evaluate_batch, init_field
-from scanfield.geom import Aabb, Pose, normalize_scene, to_world
+from scanfield.geom import Aabb, Pose
 from scanfield.scenes import AnalyticScene, Sphere, simulate_scan
 from scanfield.training import train
 
@@ -47,24 +47,17 @@ def main():
 
     rng = np.random.default_rng(cfg.seed)
     scans = simulate_scan(scene, aimed_poses(20, 1.5), scanner, rng)
-    endpoints = np.concatenate([to_world(s) for s in scans])
-    origins = np.concatenate([np.broadcast_to(s.pose.translation, s.points.shape) for s in scans])
-    print(f"{len(endpoints)} rays from 20 poses")
+    canon, tf = canonical_rays(scans)
+    print(f"{len(canon[1])} rays from 20 poses")
 
-    canon, tf = normalize_scene(origins, endpoints)
-
-    net = init_field(cfg.seed, 3, cfg.encoding(),
-                     hidden=cfg.hidden_width, hidden_layers=cfg.hidden_layers,
-                     first_factor=cfg.first_layer_factor)
     t0 = time.time()
-    net, history = train(net, canon, cfg.optim(), cfg.loss_weights(), cfg.supervision_mode())
+    net, history = train(init_net(cfg, 3), canon, cfg.optim(), cfg.loss_weights(),
+                         cfg.supervision_mode())
     for epoch, terms in enumerate(history):
         print(f"  epoch {epoch}: data {terms.data:.4f}  eikonal {terms.eikonal:.4f}")
     print(f"trained in {time.time() - t0:.1f}s")
 
-    def world_field(p):
-        return tf.scale * evaluate_batch(net, tf.to_canonical(p))
-
+    world_field, _, _ = world_map(net, tf)
     mesh = meshing.marching_cubes(world_field, Aabb.cube(np.zeros(3), 1.1), 48)
     radii = np.linalg.norm(mesh.vertices, axis=1)
     print(f"mesh: {len(mesh.vertices)} vertices, {len(mesh.triangles)} triangles, "

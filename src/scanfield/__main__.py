@@ -3,21 +3,24 @@
 The field runs a pass's row blocks on a pool of up to ``--threads`` threads
 (``field.set_threads``), so BLAS and OpenMP must not add threads of their
 own inside each block.  They size their pools once, when numpy is first
-imported, so this module pins them to one thread through the environment
-before ``scanfield.cli`` (which imports numpy) is imported, and then hands the
-argument list to ``cli.main``, which validates it as usual.
+imported, so this module, the only code that pins them, sets them to one
+thread through the environment before ``scanfield.cli`` (which imports numpy)
+is imported, and then hands the argument list to ``cli.main``, which
+validates it as usual.
 
 Before that it fixes glibc's malloc thresholds.  By default glibc serves
 each allocation above its dynamic mmap threshold with a fresh ``mmap`` and
 trims the heap top when it frees, so every row block of a field pass faults
 its block-sized temporaries back in page by page.  Fixed thresholds keep
-freed blocks in the heap for the next block to reuse: on the room3d benchmark
-data (2-vCPU x86-64 VM, one BLAS thread) a ``train`` run drops from 0.45-1.13
-million minor page faults to 17 thousand, and from 0.6-1.7 s of system time
-to under 0.1 s.
+freed blocks in the heap for the next block to reuse.  In eight alternating
+pairs of ``python -m scanfield train --seed 0`` on the room3d benchmark's
+scene and config, orbit start 0 (2-vCPU x86-64 VM, one BLAS thread, the
+default two field threads), a run took 61-130 thousand minor page faults and
+0.33-0.57 s of system time without the thresholds, and 18 thousand and
+0.17-0.29 s with them; the wall-time ranges overlapped.
 
 This module imports nothing beyond the standard library, so that ``field``
-can take ``mallopt`` and ``available_cpus`` from it as well.
+can take ``mallopt`` from it as well.
 """
 
 import ctypes
@@ -51,13 +54,6 @@ def mallopt(*settings: tuple[int, int]) -> None:
 def keep_freed_memory() -> None:
     """Set glibc's mmap and trim thresholds; a no-op where ``mallopt`` is missing."""
     mallopt((M_MMAP_THRESHOLD, MMAP_THRESHOLD), (M_TRIM_THRESHOLD, TRIM_THRESHOLD))
-
-
-def available_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def main(argv=None) -> int:

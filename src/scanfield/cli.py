@@ -1,10 +1,11 @@
 """Command-line pipeline: synth, train, mesh, eval-sdf, localize, compare.
 
 Every command is deterministic for a fixed --seed, and writes the same bytes
-at any --threads; outputs are CSV tables (stdout and/or --out), binary PLY
-meshes, datasets and models.  A dataset is a directory of ``poses.txt`` plus
-``scan_*.bin`` files; a model is a checkpoint plus its
-``<checkpoint>.transform`` sidecar.
+at any --threads, the count of threads that run field passes, which
+``field.set_threads`` checks and defaults.  Outputs are CSV tables (stdout
+and/or --out), binary PLY meshes, datasets and models.  A dataset is a
+directory of ``poses.txt`` plus ``scan_*.bin`` files; a model is a checkpoint
+plus its ``<checkpoint>.transform`` sidecar.
 ``storage`` reads and writes datasets, models and meshes.
 Every scored field is one map over one region: world-frame values and
 gradients over the scanned cube that ``normalize_scene`` fit around the scans.
@@ -42,22 +43,6 @@ MODE_LABELS = {
     SupervisionMode.CLOSEST_NORMAL: "ClosestNormal",
     SupervisionMode.CURVATURE_CONSTRAINED: "CurvatureConstrained",
 }
-
-
-def _pin_blas_threads(n: int) -> None:
-    # BLAS and OpenMP pools start when numpy is imported, which this module
-    # has done; ``python -m scanfield`` pins them to one thread through the
-    # environment before that (see __main__).  Here, only threadpoolctl can
-    # still act.  Unpinned, BLAS may add its own threads to each of the n.
-    try:
-        import threadpoolctl
-    except ImportError:
-        if any(os.environ.get(var) != "1" for var in THREAD_VARS):
-            print(f"warning: --threads {n} not applied: numpy was imported before the thread "
-                  "variables were set and threadpoolctl is not installed; "
-                  "run through 'python -m scanfield' instead", file=sys.stderr)
-        return
-    threadpoolctl.threadpool_limits(1)
 
 
 def _load_run_config(args) -> RunConfig:
@@ -160,7 +145,7 @@ def cmd_synth(args) -> int:
 # train
 
 
-def _canonical_rays(scans: list[Scan]):
+def canonical_rays(scans: list[Scan]):
     """Every scan's rays as canonical (origins, endpoints) arrays, plus the transform."""
     ends = [to_world(s) for s in scans]
     origins = np.concatenate(
@@ -169,7 +154,8 @@ def _canonical_rays(scans: list[Scan]):
     return normalize_scene(origins, np.concatenate(ends))
 
 
-def _init_net(cfg: RunConfig, dim: int) -> field_mod.FieldNet:
+def init_net(cfg: RunConfig, dim: int) -> field_mod.FieldNet:
+    """The seeded network of ``cfg``'s shape over ``dim`` coordinates."""
     return field_mod.init_field(
         cfg.seed, dim, cfg.encoding(),
         hidden=cfg.hidden_width, hidden_layers=cfg.hidden_layers,
@@ -180,8 +166,8 @@ def _init_net(cfg: RunConfig, dim: int) -> field_mod.FieldNet:
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     scans = storage.load_scans(args.scans)
-    canon, tf = _canonical_rays(scans)
-    net, history = train(_init_net(cfg, scans[0].pose.dim), canon, cfg.optim(),
+    canon, tf = canonical_rays(scans)
+    net, history = train(init_net(cfg, scans[0].pose.dim), canon, cfg.optim(),
                          cfg.loss_weights(), cfg.supervision_mode())
     storage.save_field(args.out, net, tf)
     rows = [
@@ -198,7 +184,7 @@ def cmd_train(args) -> int:
 # scoring: one map and one region per scored field
 
 
-def _world_map(net, tf: SceneTransform):
+def world_map(net, tf: SceneTransform):
     """World-frame ``values`` and ``gradients`` of a model, and its scanned cube."""
 
     def values(points):
@@ -270,7 +256,7 @@ def cmd_eval_sdf(args) -> int:
     net, tf = storage.load_field(args.model)
     if net.dim != scene.dim:
         raise ValueError(f"model is {net.dim}D but scene is {scene.dim}D")
-    values, gradients, box = _world_map(net, tf)
+    values, gradients, box = world_map(net, tf)
     pts = _band_points(scene, box, args.band, args.samples, cfg.seed)
     mae, rmse = _sdf_errors(values, scene, pts)
     eik = float(np.mean(np.abs(np.linalg.norm(gradients(pts), axis=1) - 1.0)))
@@ -300,12 +286,12 @@ def cmd_localize(args) -> int:
         net, tf = storage.load_field(args.model)
         if net.dim != 2:
             raise ValueError("localization needs a 2D model")
-        values, _, box = _world_map(net, tf)
+        values, _, box = world_map(net, tf)
     else:
         scene = scenes.parse_scene_file(args.scene)
         if scene.dim != 2:
             raise ValueError("localization needs a 2D scene")
-        values, box = scene.sdf, _canonical_rays(scans)[1].cube
+        values, box = scene.sdf, canonical_rays(scans)[1].cube
     results, metrics = _mcl_score(values, box, _planar_trajectory(scans), scans, cfg)
     conv = 0 if metrics is None else metrics.converged_runs
     _write_csv(args.out, "runs,converged,rmse,mae",
@@ -339,13 +325,13 @@ def cmd_compare(args) -> int:
     scene = scenes.parse_scene_file(args.scene)
     traj = trajectory_poses(args.traj) if args.traj is not None else _auto_orbit(scene, args.poses)
     scans = _synthesize_dataset(scene, traj, cfg)
-    canon, tf = _canonical_rays(scans)
+    canon, tf = canonical_rays(scans)
     pts = _band_points(scene, tf.cube, EVAL_BAND, args.samples, cfg.seed)
 
     rows = []
     for mode in SupervisionMode:
-        net, _ = train(_init_net(cfg, scene.dim), canon, cfg.optim(), cfg.loss_weights(), mode)
-        values, _, box = _world_map(net, tf)
+        net, _ = train(init_net(cfg, scene.dim), canon, cfg.optim(), cfg.loss_weights(), mode)
+        values, _, box = world_map(net, tf)
         mae, rmse = _sdf_errors(values, scene, pts)
         mcl = "-,-"
         if scene.dim == 2:
@@ -371,8 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="key=value run configuration file (keys: scanfield.config.KEYS)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="threads that run field passes, this one included "
-                            "(default: one per available CPU); outputs do not depend on it")
+                       help="threads that run field passes, this one included; "
+                            "scanfield.field.set_threads checks it and defaults it to one "
+                            "per available CPU; outputs do not depend on it")
         if mode_flag:
             p.add_argument("--mode", choices=[m.value for m in SupervisionMode], default=None,
                            help="supervision target construction")
@@ -432,18 +419,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return 2
-        _pin_blas_threads(args.threads)
-    field_mod.set_threads(args.threads)
     try:
+        field_mod.set_threads(args.threads)
+        # BLAS sized its pools when numpy was imported; only the launcher pins them (__main__).
+        if args.threads is not None and any(os.environ.get(var) != "1" for var in THREAD_VARS):
+            print(f"warning: --threads {args.threads} not applied: numpy was imported before "
+                  "the thread variables were set; run through 'python -m scanfield' instead",
+                  file=sys.stderr)
         return args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -91,7 +91,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .__main__ import M_ARENA_MAX, available_cpus, mallopt
+from .__main__ import M_ARENA_MAX, mallopt
 from .encoding import EncodingConfig, encode_jet, sincos
 
 _F = npt.NDArray[np.floating]
@@ -102,15 +102,20 @@ BLOCK = 256
 # see "Parallel blocks" in the module docstring.
 POOL_MIN_HIDDEN = 96
 
-# Threads that may run a pass's blocks, the caller's included (``set_threads``),
-# and the pool of the others, started by the first pass that uses it.
-_threads = available_cpus()
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
 DEFAULT_HIDDEN = 128
 DEFAULT_LAYERS = 4
 DEFAULT_FIRST_FACTOR = 30.0
+
+
+def _layer_shapes(encoding: EncodingConfig, dim: int, hidden: int, hidden_layers: int):
+    # Each layer's (width, fan-in), first to last, for ``FieldNet`` and ``init_field``.
+    if min(dim, hidden, hidden_layers) < 1:
+        raise ValueError(f"need a dimension, a hidden layer and a unit, got dim {dim}, "
+                         f"{hidden_layers} layers of {hidden}")
+    fan_in = encoding.feature_count(dim)
+    for width in (hidden,) * hidden_layers + (1,):
+        yield width, fan_in
+        fan_in = width
 
 
 @dataclass
@@ -138,14 +143,11 @@ class FieldNet:
     params: np.ndarray
 
     def __post_init__(self):
-        if min(self.dim, self.hidden, self.hidden_layers) < 1:
-            raise ValueError(f"need a dimension, a hidden layer and a unit, got dim {self.dim}, "
-                             f"{self.hidden_layers} layers of {self.hidden}")
+        size = sum(width * (fan_in + 1) for width, fan_in in self._shapes())
         if not np.isfinite(self.first_factor):
             raise ValueError(f"non-finite first-layer factor {self.first_factor}")
         if self.first_factor <= 0.0:  # a factor of 0 marks the affine output layer
             raise ValueError(f"first-layer factor must be positive, got {self.first_factor}")
-        size = sum(width * (fan_in + 1) for width, fan_in in self._shapes())
         if self.params.shape != (size,):
             raise ValueError(f"widths {self.widths} take {size} parameters, got shape {self.params.shape}")
         if not np.all(np.isfinite(self.params)):
@@ -153,17 +155,14 @@ class FieldNet:
 
     @property
     def widths(self) -> tuple[int, ...]:
-        return (self.hidden,) * self.hidden_layers + (1,)
+        return tuple(width for width, _ in self._shapes())
 
     @property
     def sine_factors(self) -> tuple[float, ...]:
         return (self.first_factor,) + (1.0,) * (self.hidden_layers - 1) + (0.0,)
 
     def _shapes(self):
-        fan_in = self.encoding.feature_count(self.dim)
-        for width in self.widths:
-            yield width, fan_in
-            fan_in = width
+        return _layer_shapes(self.encoding, self.dim, self.hidden, self.hidden_layers)
 
     def layers(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-layer (weight, bias) views into ``flat``, laid out like ``params``."""
@@ -203,18 +202,14 @@ def init_field(
     and the affine output alike, uses U(+-sqrt(6/fan_in)), which keeps
     pre-activations in the arcsine-friendly regime.  Biases are drawn from
     the same interval as their layer's weights.  Identical seeds give bitwise
-    identical parameters.
+    identical parameters; ``FieldNet`` checks the shapes.
     """
-    if hidden_layers < 1 or hidden < 1:
-        raise ValueError("need at least one hidden layer and one unit")
     rng = np.random.default_rng(seed)
-    fan_in = encoding.feature_count(dim)
     draws = []
-    for i, width in enumerate((hidden,) * hidden_layers + (1,)):
+    for i, (width, fan_in) in enumerate(_layer_shapes(encoding, dim, hidden, hidden_layers)):
         bound = 1.0 / fan_in if i == 0 else np.sqrt(6.0 / fan_in)
         # The weight, then the bias: one draw gives the same numbers as two.
         draws.append(rng.uniform(-bound, bound, size=width * (fan_in + 1)))
-        fan_in = width
     return FieldNet(encoding, dim, hidden, hidden_layers, first_factor, np.concatenate(draws))
 
 
@@ -335,9 +330,24 @@ def _blocks(n: int):
         lo = hi
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Threads that may run a pass's blocks, the caller's included (``set_threads``),
+# and the pool of the others, started by the first pass that uses it.
+_threads = available_cpus()
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
 def set_threads(n: int | None = None) -> None:
     """Let at most ``n`` threads, the caller's included, run a pass's blocks;
-    ``None`` means one per CPU this process may run on."""
+    ``None`` means one per CPU this process may run on.  The one check and
+    default of the thread count: the CLI passes ``--threads`` here as given."""
     global _threads, _pool
     n = available_cpus() if n is None else n
     if n < 1:
@@ -417,8 +427,9 @@ def _each_block(net: FieldNet, n: int, work, add=lambda result: None) -> None:
             raise
 
     # Each worker runs in a copy of this thread's context, so that numpy's
-    # error state (np.errstate) holds in the workers too.
-    futures = [pool.submit(contextvars.copy_context().run, lane) for _ in range(threads - 1)]
+    # error state (np.errstate) holds in the workers too.  One lane per block
+    # at most: the pool starts a thread on each submit while none is idle.
+    futures = [pool.submit(contextvars.copy_context().run, lane) for _ in blocks[1:threads]]
     try:
         lane()
     finally:

@@ -10,6 +10,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -640,7 +641,7 @@ def test_compare_computes_no_spatial_gradient(tiny, monkeypatch, capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 4
 
 
-def test_exit_codes(tiny, tiny_model, tmp_path):
+def test_exit_codes(tiny, tiny_model, tmp_path, capsys):
     tmp, cfg, scene2 = tiny
     bad = tmp_path / "bad.cfg"
     bad.write_text("warp_speed = 9\n")
@@ -653,6 +654,18 @@ def test_exit_codes(tiny, tiny_model, tmp_path):
     planes = tmp_path / "planes.txt"
     planes.write_text("\n".join(ROOM_SCENE.strip().splitlines()[:4]) + "\n")
     assert run("compare", "--scene", planes, "--config", cfg) == 2
+    # A valid, finite learning rate at which the loss overflows within 20
+    # epochs: numpy warns of the overflow, then training stops on the
+    # non-finite loss.
+    hot = tmp_path / "hot.cfg"
+    hot.write_text(with_keys(TINY_CFG, "learn_rate = 1e8\nepochs = 20\n"))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run("train", "--scans", tmp / "data", "--out", tmp_path / "hot.bin",
+                   "--config", hot) == 1
+    err = capsys.readouterr().err
+    assert "error: non-finite loss" in err and "Traceback" not in err
 
 
 def test_compare_scores_planes_only_scene(tiny, tmp_path, capsys):
@@ -781,18 +794,17 @@ def test_launcher_runs_without_mallopt(tiny, monkeypatch, cdll):
 
 def test_threads_flag_warns_when_it_cannot_act(tiny, monkeypatch, capsys):
     # In-process, numpy is loaded before the flag is read; without the thread
-    # variables and without threadpoolctl, the flag says it was not applied.
+    # variables, which only the launcher sets, the flag says it was not applied.
     tmp, cfg, scene2 = tiny
     for var in THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
     argv = ["synth", "--scene", scene2, "--traj", "orbit:radius=2,steps=2", "--config", cfg,
             "--threads", "1"]
     assert run(*argv, "--out", tmp / "warn") == 0
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if line.startswith("warning:")] == [
         "warning: --threads 1 not applied: numpy was imported before the thread variables "
-        "were set and threadpoolctl is not installed; run through 'python -m scanfield' instead"
+        "were set; run through 'python -m scanfield' instead"
     ]
     for var in THREAD_VARS:
         monkeypatch.setenv(var, "1")

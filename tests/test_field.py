@@ -85,6 +85,8 @@ def test_shape_validation():
     for change in ({"dim": 0}, {"hidden": 0}, {"hidden_layers": 0}):
         with pytest.raises(ValueError, match="need a dimension"):
             replace(net, **change)
+        with pytest.raises(ValueError, match="need a dimension"):
+            init_field(seed=0, **{"dim": 2, **change})
     bad = net.params.copy()
     bad[100] = np.nan
     with pytest.raises(ValueError, match="non-finite parameters"):
@@ -763,6 +765,18 @@ def test_pool_caps_malloc_arenas_before_its_first_thread(threads, monkeypatch):
     assert threading.active_count() == idle + 1
 
 
+def test_pooled_pass_starts_no_more_lanes_than_blocks(threads):
+    # The pool starts a thread on each submit while none is idle, so a lane
+    # with no block to take would still cost a thread.
+    threads(1)  # shuts down any pool, so the next pooled pass starts one
+    idle = threading.active_count()
+    threads(8)
+    net = init_field(seed=43, dim=2, hidden=field.POOL_MIN_HIDDEN, hidden_layers=2,
+                     encoding=EncodingConfig(4))
+    evaluate_batch(net, np.zeros((2 * field.BLOCK, 2)))
+    assert threading.active_count() == idle + 1
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 def test_backprop_holds_at_most_one_result_per_thread(workers, threads, monkeypatch):
     # While the first block stalls, the others may run ahead only until
@@ -803,7 +817,7 @@ def test_pooled_passes_hold_one_block_per_thread(threads):
 
     def peak(workers, n):
         threads(workers)
-        evaluate_batch(net, pts[: 2 * field.BLOCK])  # start the pool outside the trace
+        evaluate_batch(net, pts)  # start the pool's threads outside the trace
         tracemalloc.start()
         try:
             jet_batch(net, pts[:n])

@@ -3,10 +3,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from scanfield.cli import canonical_rays
 from scanfield.config import RunConfig, parse_config
 from scanfield.encoding import EncodingConfig
 from scanfield.field import evaluate_batch, grad_batch, init_field
-from scanfield.geom import Pose, normalize_scene, to_world
+from scanfield.geom import Pose
 from scanfield.sampling import schedule
 from scanfield.scenes import AnalyticScene, ScannerConfig, Sphere, simulate_scan
 from scanfield.targets import SupervisionMode, TargetBatch, compute_targets
@@ -263,9 +264,7 @@ def test_train_reduces_loss():
     cfg = ScannerConfig(beams=24, fov=2 * np.pi, max_range=10.0)
     poses = [Pose.from_xytheta(2.0 * np.cos(ang), 2.0 * np.sin(ang), 0.0)
              for ang in np.linspace(0, 2 * np.pi, 8, endpoint=False)]
-    scans = simulate_scan(scene, poses, cfg, np.random.default_rng(0))
-    origins = [np.broadcast_to(s.pose.translation, s.points.shape) for s in scans]
-    canon, tf = normalize_scene(np.concatenate(origins), np.concatenate([to_world(s) for s in scans]))
+    canon, _ = canonical_rays(simulate_scan(scene, poses, cfg, np.random.default_rng(0)))
     optim = OptimConfig(epochs=2, batch_rays=64, samples_per_ray=8, seed=0)
     w = LossWeights()
     net = init_field(seed=3, dim=2, hidden=16, hidden_layers=2, encoding=EncodingConfig(6))
