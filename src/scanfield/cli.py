@@ -423,9 +423,9 @@ def main(argv=None) -> int:
         field_mod.set_threads(args.threads)
         # BLAS sized its pools when numpy was imported; only the launcher pins them (__main__).
         if args.threads is not None and any(os.environ.get(var) != "1" for var in THREAD_VARS):
-            print(f"warning: --threads {args.threads} not applied: numpy was imported before "
-                  "the thread variables were set; run through 'python -m scanfield' instead",
-                  file=sys.stderr)
+            print(f"warning: --threads {args.threads} sets the field's threads, but BLAS was not "
+                  "pinned to one thread: numpy was imported before the thread variables were "
+                  "set; run through 'python -m scanfield' instead", file=sys.stderr)
         return args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

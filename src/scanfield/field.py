@@ -49,35 +49,37 @@ Every sine and cosine, in the encoder and in the sine layers, comes from
 the same whether or not the cosine is asked for (an order-0 pass without a
 record skips it), so the value track stays bitwise independent of the order.
 
-Every pass walks the points in blocks of ``BLOCK`` rows, so that one
-block's derivative slabs stay in a core's L2 cache instead of streaming
-through memory (the default 3D net's gradient slab is 0.75 MB per 256-row
-block); the last block also takes the remainder.  Each output row is a
+Every pass walks the points in row blocks of ``BLOCK_WORK // hidden`` rows,
+so that a block's work, rows times hidden width, is the same for every net:
+256 rows of the default 128-wide net, 512 of the room2d benchmark's 64-wide
+one; the last block also takes the remainder.  Each output row is a
 function of its own input row alone, but its rounding is not: the width-1
 output layer's matrix-vector product rounds the last block's rows by their
 position, so regrouping rows can move a value by tens of ulp.  The reverse
 sweep's record and the gᵀHg sweep's ``(fac_cos, dz, c2)`` list live for one
 block.  The parameter gradient is summed per block and then over blocks, so
-its rounding, and only its rounding, depends on ``BLOCK``.
+its rounding, and only its rounding, depends on the block rows.
 
-Parallel blocks: up to ``set_threads`` threads run a pass's blocks, the
-caller and the others of a ``ThreadPoolExecutor`` that the first pass to
-need it starts.  numpy releases the interpreter lock inside BLAS calls and
-ufuncs, so blocks overlap there.  The outputs are bitwise those of one
-thread.  A walk's block writes its own rows, computed as they would be
-alone.  A ``backprop`` block returns its per-layer terms (the bias term
-Σ zbar, the weight terms zbarᵀ a_in and tbarᵀ t_in) instead of adding them.
-They are added to the gradient in block order, and in that order within a
-block, as one thread adds them.  A pass uses the pool only with two blocks
-or more and ``hidden >= POOL_MIN_HIDDEN``.  Narrower layers spend their time
-in per-operation interpreter work that holds the lock: on 2 vCPUs the
-passes of the room2d benchmark's 64-wide net ran from 24 % slower to 24 %
-faster pooled, most of them slower, while 96- and 128-wide nets ran
-1.1-1.8x faster (``BENCH_threads.json``).  Before its first thread starts,
-the pool caps glibc's malloc arenas at one (``M_ARENA_MAX``).  glibc
-otherwise gives each new thread an arena of its own, whose freed blocks no
-other thread reuses: without the cap the room3d benchmark's peak RSS read
-114.6-115.0 MB, with it 103.8-106.0 MB.
+Parallel blocks: up to ``set_threads`` threads run the blocks of any pass
+of two blocks or more, the caller and the others of a ``ThreadPoolExecutor``
+that the first such pass starts.  numpy releases the interpreter lock inside
+BLAS calls and ufuncs, so blocks overlap there.  The outputs are bitwise
+those of one thread: a walk's block writes its own rows, computed as they
+would be alone, and a ``backprop`` block returns its per-layer terms (the
+bias term Σ zbar, the weight terms zbarᵀ a_in and tbarᵀ t_in), which are
+added to the gradient in block order, and in that order within a block, as
+one thread adds them.  The block rule reads no thread count.  In a sweep of
+one training step's passes (``BENCH_blocks_by_work.json``: widths 32-256,
+2D and 3D, 2 vCPUs), 256-row blocks ran the room2d net 16 % slower pooled
+than on one thread, and 512-row blocks 11 % faster: a narrow layer spends a
+short block in interpreter work that holds the lock.  At 2 threads the
+rule's blocks were the fastest swept, or within the spread, at every width.
+One thread favours short blocks at every width, so narrow nets pay there:
++4 % a step for the room2d net, up to +21 % for other 32- to 96-wide nets.
+Before its first thread starts, the pool caps glibc's malloc arenas at one
+(``M_ARENA_MAX``).  glibc otherwise gives each new thread an arena of its
+own, whose freed blocks no other thread reuses: without the cap the room3d
+benchmark's peak RSS read 114.6-115.0 MB, with it 103.8-106.0 MB.
 """
 
 from __future__ import annotations
@@ -96,15 +98,12 @@ from .encoding import EncodingConfig, encode_jet, sincos
 
 _F = npt.NDArray[np.floating]
 
-# Rows per block in every pass; see the module docstring.
-BLOCK = 256
-# Narrowest hidden layer whose passes run their blocks on the thread pool;
-# see "Parallel blocks" in the module docstring.
-POOL_MIN_HIDDEN = 96
-
 DEFAULT_HIDDEN = 128
 DEFAULT_LAYERS = 4
 DEFAULT_FIRST_FACTOR = 30.0
+
+# Rows times hidden width per block in every pass; see the module docstring.
+BLOCK_WORK = 256 * 128
 
 
 def _layer_shapes(encoding: EncodingConfig, dim: int, hidden: int, hidden_layers: int):
@@ -319,13 +318,14 @@ def _directional(net: FieldNet, sweep: list, d2z0: list[np.ndarray], v: np.ndarr
     return q[:, 0]
 
 
-def _blocks(n: int):
-    # The last block takes the remainder (up to 2 * BLOCK - 1 rows): BLAS
-    # rounds a matmul of only a few rows differently from a longer one, so a
-    # short tail block would change those rows' values.
+def _blocks(net: FieldNet, n: int):
+    # Blocks of BLOCK_WORK // hidden rows.  The last also takes the remainder:
+    # BLAS rounds a matmul of only a few rows differently from a longer one,
+    # so a short tail block would change those rows' values.
+    rows = max(1, BLOCK_WORK // net.hidden)
     lo = 0
     while lo < n:
-        hi = n if n - lo < 2 * BLOCK else lo + BLOCK
+        hi = n if n - lo < 2 * rows else lo + rows
         yield lo, hi
         lo = hi
 
@@ -359,11 +359,11 @@ def set_threads(n: int | None = None) -> None:
         _threads = n
 
 
-def _pool_for(net: FieldNet, n_blocks: int, threads: int) -> ThreadPoolExecutor | None:
+def _pool_for(n_blocks: int, threads: int) -> ThreadPoolExecutor | None:
     # The pool that runs the blocks of this pass beside the caller, or None
     # for the sequential loop; see "Parallel blocks" in the module docstring.
     global _pool
-    if threads < 2 or n_blocks < 2 or net.hidden < POOL_MIN_HIDDEN:
+    if threads < 2 or n_blocks < 2:
         return None
     with _pool_lock:
         if _pool is None:
@@ -384,16 +384,16 @@ if hasattr(os, "register_at_fork"):
 
 
 def _each_block(net: FieldNet, n: int, work, add=lambda result: None) -> None:
-    # ``work(lo, hi)`` over ``_blocks(n)``, then ``add`` of each result in
+    # ``work(lo, hi)`` over ``_blocks(net, n)``, then ``add`` of each result in
     # block order.  Pooled, every thread, this one included, takes the next
     # block, and whichever finishes the oldest outstanding block adds it and
     # any finished ones after it.  No block is taken while ``threads`` + 1
     # are taken and not added: the oldest of them is still running, so at
     # most ``threads`` results wait.  The first error stops the others taking
     # blocks and is raised here once every thread has stopped.
-    blocks = list(_blocks(n))
+    blocks = list(_blocks(net, n))
     threads = _threads
-    pool = _pool_for(net, len(blocks), threads)
+    pool = _pool_for(len(blocks), threads)
     if pool is None:
         for lo, hi in blocks:
             add(work(lo, hi))

@@ -712,17 +712,18 @@ def test_threads_flag_caps_blas_threads(tiny):
     assert proc.stdout.splitlines()[-1] == "1"
 
 
-# TINY_CFG with hidden layers wide enough that train runs its passes on the
-# field's thread pool (field.POOL_MIN_HIDDEN), and beams enough that a batch
-# of 128 rays x 6 samples, three row blocks, fits in four scans of the room.
-WIDE_CFG = with_keys(TINY_CFG, f"hidden_width = {field.POOL_MIN_HIDDEN}\nbeams = 64\n")
+# TINY_CFG with the room2d benchmark's net (8 bands, 3 layers of 64), and
+# rays enough that a batch of 256 rays x 6 samples, more than one row block
+# of that net, fits in four scans of the room.
+POOLED_CFG = with_keys(TINY_CFG, "encoding_bands = 8\nhidden_width = 64\nhidden_layers = 3\n"
+                                 "batch_rays = 256\nbeams = 64\n")
 
 
 @pytest.fixture
-def wide(tmp_path):
-    """A 128-wide config, and a dataset of four room scans taken with it."""
-    cfg = tmp_path / "wide.cfg"
-    cfg.write_text(WIDE_CFG)
+def pooled(tmp_path):
+    """The room2d net's config, and a dataset of four room scans taken with it."""
+    cfg = tmp_path / "pooled.cfg"
+    cfg.write_text(POOLED_CFG)
     scene = tmp_path / "room.txt"
     scene.write_text(ROOM_SCENE)
     assert run("synth", "--scene", scene, "--traj", "orbit:radius=2,steps=4",
@@ -730,8 +731,7 @@ def wide(tmp_path):
     return tmp_path, cfg
 
 
-def test_train_writes_the_same_bytes_at_any_thread_count(wide):
-    tmp, cfg = wide
+def _assert_train_bytes_do_not_depend_on_threads(tmp, cfg):
     for threads in (1, 2):
         assert run("train", "--scans", tmp / "data", "--out", tmp / f"t{threads}.bin",
                    "--config", cfg, "--threads", threads) == 0
@@ -739,15 +739,31 @@ def test_train_writes_the_same_bytes_at_any_thread_count(wide):
         assert (tmp / f"t1.bin{suffix}").read_bytes() == (tmp / f"t2.bin{suffix}").read_bytes()
 
 
+def test_train_writes_the_same_bytes_at_any_thread_count(pooled):
+    _assert_train_bytes_do_not_depend_on_threads(*pooled)
+
+
+def test_3d_train_writes_the_same_bytes_at_any_thread_count(tmp_path):
+    # A 128-wide net, three row blocks a batch, over a sphere seen through a
+    # narrow cone.
+    cfg = tmp_path / "wide3.cfg"
+    cfg.write_text(with_keys(TINY_CFG, "hidden_width = 128\nbeams = 32\nfov = 0.8\n"))
+    scene = tmp_path / "sphere.txt"
+    scene.write_text(SPHERE_SCENE)
+    assert run("synth", "--scene", scene, "--traj", "orbit:radius=3,steps=4",
+               "--out", tmp_path / "data", "--config", cfg) == 0
+    _assert_train_bytes_do_not_depend_on_threads(tmp_path, cfg)
+
+
 @pytest.mark.skipif(
     not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
     reason="needs /proc and at least two CPUs",
 )
-def test_threads_flag_caps_field_threads(wide):
+def test_threads_flag_caps_field_threads(pooled):
     # The field pool's threads outlive the passes, so the count at exit is
     # the most the run had: the caller plus threads - 1 pool threads, and no
     # BLAS threads, which the launcher pins to one.
-    tmp, cfg = wide
+    tmp, cfg = pooled
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -794,7 +810,7 @@ def test_launcher_runs_without_mallopt(tiny, monkeypatch, cdll):
 
 def test_threads_flag_warns_when_it_cannot_act(tiny, monkeypatch, capsys):
     # In-process, numpy is loaded before the flag is read; without the thread
-    # variables, which only the launcher sets, the flag says it was not applied.
+    # variables, which only the launcher sets, BLAS keeps its own threads.
     tmp, cfg, scene2 = tiny
     for var in THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
@@ -803,8 +819,9 @@ def test_threads_flag_warns_when_it_cannot_act(tiny, monkeypatch, capsys):
     assert run(*argv, "--out", tmp / "warn") == 0
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if line.startswith("warning:")] == [
-        "warning: --threads 1 not applied: numpy was imported before the thread variables "
-        "were set; run through 'python -m scanfield' instead"
+        "warning: --threads 1 sets the field's threads, but BLAS was not pinned to one thread: "
+        "numpy was imported before the thread variables were set; run through "
+        "'python -m scanfield' instead"
     ]
     for var in THREAD_VARS:
         monkeypatch.setenv(var, "1")

@@ -23,6 +23,11 @@ from scanfield.field import (
 from scanfield.targets import SupervisionMode, compute_targets
 
 
+def _block_rows(net):
+    # The rows of one block of the net's passes: BLOCK_WORK is rows x width.
+    return field.BLOCK_WORK // net.hidden
+
+
 def test_default_parameter_count():
     net = init_field(seed=0, dim=3)
     # 183 features -> 128 -> 128 -> 128 -> 128 -> 1
@@ -131,7 +136,7 @@ def test_chunking_is_invisible(monkeypatch):
     vb, gb, tb, qb = jet_batch(net, pts)
     ref_p = [backprop(net, pts, vbar, g) for g in (gbar, None)]
     for block in (5, 7):
-        monkeypatch.setattr(field, "BLOCK", block)
+        monkeypatch.setattr(field, "BLOCK_WORK", block * net.hidden)
         np.testing.assert_allclose(evaluate_batch(net, pts), ref_v, rtol=1e-13, atol=1e-14)
         va, ga, ta, qa = jet_batch(net, pts)
         np.testing.assert_allclose(va, vb, rtol=1e-13, atol=1e-14)
@@ -586,7 +591,7 @@ def _reference_backward_block(net, x, vbar, gbar, out):
     [
         (3, 2085, {}),  # default 3D net
         (2, 2309, {"encoding": EncodingConfig(8), "hidden": 64, "hidden_layers": 3}),
-        (2, 300, {}),  # one block that is not a whole BLOCK
+        (2, 300, {}),  # one block that is not a whole block
     ],
 )
 def test_backprop_matches_reference_walk_bitwise(dim, rows, kwargs):
@@ -597,7 +602,7 @@ def test_backprop_matches_reference_walk_bitwise(dim, rows, kwargs):
     gbar = rng.normal(size=(rows, dim))
     for g in (gbar, None):
         ref = np.zeros_like(net.params)
-        for lo, hi in field._blocks(rows):
+        for lo, hi in field._blocks(net, rows):
             _reference_backward_block(net, pts[lo:hi], vbar[lo:hi], None if g is None else g[lo:hi], net.layers(ref))
         assert np.array_equal(backprop(net, pts, vbar, g), ref)
 
@@ -607,7 +612,7 @@ def test_backprop_walks_forward_once_per_block(monkeypatch):
     # no layer loop of its own.
     net = init_field(seed=25, dim=2, encoding=EncodingConfig(4), hidden=16, hidden_layers=2)
     rng = np.random.default_rng(26)
-    rows = 3 * field.BLOCK + 7
+    rows = 3 * _block_rows(net) + 7
     pts = rng.uniform(-1, 1, size=(rows, 2))
     calls = []
     original = field._forward
@@ -620,7 +625,7 @@ def test_backprop_walks_forward_once_per_block(monkeypatch):
     for g in (rng.normal(size=(rows, 2)), None):
         calls.clear()
         backprop(net, pts, rng.normal(size=rows), g)
-        assert calls == [hi - lo for lo, hi in field._blocks(rows)]
+        assert calls == [hi - lo for lo, hi in field._blocks(net, rows)]
 
 
 @pytest.fixture
@@ -636,16 +641,13 @@ def _passes(net, pts, vbar, gbar):
             backprop(net, pts, vbar, gbar), backprop(net, pts, vbar)]
 
 
-@pytest.mark.parametrize("rows", [1, 255, 511, 512, 3000])
-def test_pooled_passes_match_sequential_bitwise(rows, threads, monkeypatch):
+def _assert_pooled_passes_match_sequential(net, rows, threads, monkeypatch):
     # Each block writes its own rows, and backprop adds the blocks' terms in
     # block order, so the thread count cannot move a bit.
-    net = init_field(seed=27, dim=3)
-    assert net.hidden >= field.POOL_MIN_HIDDEN
     rng = np.random.default_rng(28)
-    pts = rng.uniform(-1, 1, size=(rows, 3))
+    pts = rng.uniform(-1, 1, size=(rows, net.dim))
     vbar = rng.normal(size=rows)
-    gbar = rng.normal(size=(rows, 3))
+    gbar = rng.normal(size=(rows, net.dim))
     ran_on = set()
     forward = field._forward
 
@@ -662,18 +664,34 @@ def test_pooled_passes_match_sequential_bitwise(rows, threads, monkeypatch):
         ran_on.clear()
         for new, old in zip(_passes(net, pts, vbar, gbar), ref):
             assert np.array_equal(new, old)
-        if len(list(field._blocks(rows))) == 1:
+        if len(list(field._blocks(net, rows))) == 1:
             assert ran_on == {threading.get_ident()}
         else:
             assert 1 < len(ran_on) <= workers
 
 
+@pytest.mark.parametrize("rows", [1, 255, 511, 512, 3000])
+def test_pooled_passes_match_sequential_bitwise(rows, threads, monkeypatch):
+    net = init_field(seed=27, dim=3)
+    assert _block_rows(net) == 256
+    _assert_pooled_passes_match_sequential(net, rows, threads, monkeypatch)
+
+
+@pytest.mark.parametrize("rows", ["1", "r-1", "r", "2r-1", "2r", "3000"])
+def test_64_wide_passes_pool_and_match_sequential_bitwise(rows, threads, monkeypatch):
+    # The room2d benchmark's net: r-row blocks twice as tall as the default
+    # net's, on the pool like any other width.
+    net = init_field(seed=27, dim=2, encoding=EncodingConfig(8), hidden=64, hidden_layers=3)
+    r = _block_rows(net)
+    rows = {"1": 1, "r-1": r - 1, "r": r, "2r-1": 2 * r - 1, "2r": 2 * r, "3000": 3000}[rows]
+    _assert_pooled_passes_match_sequential(net, rows, threads, monkeypatch)
+
+
 def test_pooled_backprop_under_frequent_thread_switches(threads):
     # More threads than cores, switching every microsecond: a lost update of
     # the shared block counters would skip, repeat or reorder a block's terms.
-    net = init_field(seed=41, dim=2, hidden=field.POOL_MIN_HIDDEN, hidden_layers=2,
-                     encoding=EncodingConfig(4))
-    rows = 40 * field.BLOCK
+    net = init_field(seed=41, dim=2, hidden=96, hidden_layers=2, encoding=EncodingConfig(4))
+    rows = 40 * _block_rows(net)
     rng = np.random.default_rng(42)
     pts = rng.uniform(-1, 1, size=(rows, 2))
     vbar = rng.normal(size=rows)
@@ -697,23 +715,9 @@ def test_pooled_backprop_under_frequent_thread_switches(threads):
         assert np.array_equal(got, expected)
 
 
-def test_narrow_nets_stay_sequential(threads, monkeypatch):
-    net = init_field(seed=29, dim=2, hidden=field.POOL_MIN_HIDDEN - 1, hidden_layers=2,
-                     encoding=EncodingConfig(4))
-    ran_on = set()
-    forward = field._forward
-    monkeypatch.setattr(field, "_forward",
-                        lambda *a, **k: ran_on.add(threading.get_ident()) or forward(*a, **k))
-    threads(2)
-    pts = np.random.default_rng(30).uniform(-1, 1, size=(4 * field.BLOCK, 2))
-    jet_batch(net, pts)
-    backprop(net, pts, np.ones(len(pts)), pts)
-    assert ran_on == {threading.get_ident()}
-
-
 def test_worker_error_reaches_the_caller(threads, monkeypatch):
     net = init_field(seed=31, dim=2)
-    pts = np.random.default_rng(32).uniform(-1, 1, size=(3 * field.BLOCK, 2))
+    pts = np.random.default_rng(32).uniform(-1, 1, size=(3 * _block_rows(net), 2))
     err = FloatingPointError("non-finite block")
     forward = field._forward
     main = threading.get_ident()
@@ -733,7 +737,7 @@ def test_worker_error_reaches_the_caller(threads, monkeypatch):
 
 def test_workers_run_under_the_callers_error_state(threads, monkeypatch):
     net = init_field(seed=33, dim=2)
-    pts = np.random.default_rng(34).uniform(-1, 1, size=(4 * field.BLOCK, 2))
+    pts = np.random.default_rng(34).uniform(-1, 1, size=(4 * _block_rows(net), 2))
     seen = {}
     forward = field._forward
 
@@ -760,7 +764,7 @@ def test_pool_caps_malloc_arenas_before_its_first_thread(threads, monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
     threads(2)
     net = init_field(seed=35, dim=2)
-    evaluate_batch(net, np.zeros((2 * field.BLOCK, 2)))
+    evaluate_batch(net, np.zeros((2 * _block_rows(net), 2)))
     assert calls == [(-8, 1, idle)]
     assert threading.active_count() == idle + 1
 
@@ -771,9 +775,8 @@ def test_pooled_pass_starts_no_more_lanes_than_blocks(threads):
     threads(1)  # shuts down any pool, so the next pooled pass starts one
     idle = threading.active_count()
     threads(8)
-    net = init_field(seed=43, dim=2, hidden=field.POOL_MIN_HIDDEN, hidden_layers=2,
-                     encoding=EncodingConfig(4))
-    evaluate_batch(net, np.zeros((2 * field.BLOCK, 2)))
+    net = init_field(seed=43, dim=2, hidden=96, hidden_layers=2, encoding=EncodingConfig(4))
+    evaluate_batch(net, np.zeros((2 * _block_rows(net), 2)))
     assert threading.active_count() == idle + 1
 
 
@@ -783,7 +786,7 @@ def test_backprop_holds_at_most_one_result_per_thread(workers, threads, monkeypa
     # ``workers`` finished blocks wait to be added; with no bound they would
     # all finish.
     net = init_field(seed=39, dim=2)
-    rows = 12 * field.BLOCK
+    rows = 12 * _block_rows(net)
     pts = np.random.default_rng(40).uniform(-1, 1, size=(rows, 2))
     vbar = np.arange(rows, dtype=np.float64)
     finished, ahead = [], []
@@ -826,7 +829,7 @@ def test_pooled_passes_hold_one_block_per_thread(threads):
         finally:
             tracemalloc.stop()
 
-    block = peak(1, field.BLOCK)
+    block = peak(1, _block_rows(net))
     sequential = peak(1, rows)
     for workers in (2, 3):
         assert peak(workers, rows) <= sequential + workers * block
@@ -834,7 +837,7 @@ def test_pooled_passes_hold_one_block_per_thread(threads):
 
 def _pooled_pass_in_child(conn):
     net = init_field(seed=38, dim=2)
-    conn.send(evaluate_batch(net, np.zeros((3 * field.BLOCK, 2))).tolist())
+    conn.send(evaluate_batch(net, np.zeros((3 * _block_rows(net), 2))).tolist())
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -845,7 +848,7 @@ def test_forked_child_starts_its_own_pool(threads):
     # The child inherits the parent's pool object but none of its threads.
     threads(2)
     net = init_field(seed=38, dim=2)
-    expected = evaluate_batch(net, np.zeros((3 * field.BLOCK, 2)))
+    expected = evaluate_batch(net, np.zeros((3 * _block_rows(net), 2)))
     assert field._pool is not None
     ctx = multiprocessing.get_context("fork")
     parent, child = ctx.Pipe()
