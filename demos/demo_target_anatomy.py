@@ -11,7 +11,7 @@ away from the line of sight.
 import numpy as np
 
 from scanfield.sampling import sample_rays_batch
-from scanfield.scenes import AnalyticScene, Sphere, sphere_trace
+from scanfield.scenes import AnalyticScene, Sphere
 from scanfield.targets import SupervisionMode, compute_targets
 from scanfield.training import LossWeights
 
@@ -23,28 +23,31 @@ def run_mode(scene, positions, endpoints, mode):
                            tau=LossWeights.tau, gamma=LossWeights.gamma)
 
 
-def main():
+def oblique_beam():
+    """Distances to the endpoint, true SDF and the ray, normal-projection and
+    curvature targets of 12 samples on one oblique beam at a unit sphere."""
     scene = AnalyticScene([Sphere(np.zeros(3), 1.0)])
     # An oblique beam: aim at a surface point 40 degrees off the line of
     # sight, so the endpoint normal and the beam direction disagree by ~67.
     origin = np.array([2.0, 0.0, 0.0])
     aim = np.array([np.cos(0.7), np.sin(0.7), 0.0])
     d = (aim - origin) / np.linalg.norm(aim - origin)
-    hit, t = sphere_trace(scene, origin[None], d[None], 10.0)
-    assert hit[0]
-    endpoint = origin + t[0] * d
+    (t,) = scene.hit(origin[None], d[None])
+    endpoint = origin + t * d
 
     positions = sample_rays_batch(origin[None], endpoint[None], n=12)
     dists = np.linalg.norm(endpoint - positions, axis=1)
     endpoints = np.broadcast_to(endpoint, positions.shape)
-    truth = scene.sdf(positions)
+    modes = (SupervisionMode.RAY_DISTANCE, SupervisionMode.CLOSEST_NORMAL,
+             SupervisionMode.CURVATURE_CONSTRAINED)
+    return dists, scene.sdf(positions), *(run_mode(scene, positions, endpoints, m) for m in modes)
 
-    ray_b = run_mode(scene, positions, endpoints, SupervisionMode.RAY_DISTANCE)
-    dcn_b = run_mode(scene, positions, endpoints, SupervisionMode.CLOSEST_NORMAL)
-    cc_b = run_mode(scene, positions, endpoints, SupervisionMode.CURVATURE_CONSTRAINED)
+
+def main():
+    dists, truth, ray_b, dcn_b, cc_b = oblique_beam()
 
     print("dist-to-endpoint   truth     ray      normal-proj  curvature")
-    for i in range(len(positions)):
+    for i in range(len(dists)):
         print(f"{dists[i]:14.4f} {truth[i]:+9.4f} {ray_b.d_hat[i]:+9.4f} "
               f"{dcn_b.d_hat[i]:+12.4f} {cc_b.d_hat[i]:+10.4f}")
     print("\n(the curvature column matches the truth column up to the 0.2 cap;")

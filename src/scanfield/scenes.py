@@ -7,13 +7,14 @@ comes from the active feature, ties broken by lowest index.  A scene's jet is
 the contract of ``field.jet_batch``: values, gradients, tr H and gᵀHg, the
 last zero because a distance gradient is unit wherever it is smooth (Hg = 0).
 
-A primitive class carries ``dim``, ``sdf``, ``jet`` and ``bounds``.  A scene
-file holds one primitive per line; ``LINE_FORMS`` is the one list of line
-forms (``parse_scene_text``), so a new primitive is one class plus one row per
-form.
+A primitive class carries ``dim``, ``sdf``, ``jet``, ``bounds`` and ``hit``.
+A scene file holds one primitive per line; ``LINE_FORMS`` is the one list of
+line forms (``parse_scene_text``), so a new primitive is one class plus one
+row per form.
 
-The scanner sphere-traces a trajectory's beams in one march to synthesize
-range scans, the training input, with exact geometry as ground truth.
+The scanner casts a trajectory's beams in one call of the closed-form first
+hits to synthesize range scans, the training input, with exact geometry as
+ground truth: every endpoint is on the surface to rounding.
 """
 
 from __future__ import annotations
@@ -28,15 +29,18 @@ from .geom import Aabb, Pose, Scan
 
 _F = npt.NDArray[np.floating]
 
-TRACE_EPS = 1e-6
-TRACE_SAFETY = 0.99
-TRACE_MAX_STEPS = 10_000
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
 def _pts(points) -> np.ndarray:
     p = np.asarray(points, dtype=np.float64)
     return p[None, :] if p.ndim == 1 else p
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of (N, m) rows with one m-vector or with N rows,
+    summed column by column, so each row is rounded alone (no BLAS across rows)."""
+    return sum(a[:, k] * b[..., k] for k in range(a.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,16 @@ class Sphere:
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return self.center - self.radius, self.center + self.radius
 
+    def hit(self, origins: _F, directions: _F) -> np.ndarray:
+        """Distance along each unit beam from an outside origin to the surface;
+        inf for a miss.  A tangent beam hits.  The near root is c / (-b + √disc),
+        the product of the roots over the far one, so nothing cancels."""
+        rel, u = _pts(origins) - self.center, _pts(directions)
+        b, c = _dot(rel, u), _dot(rel, rel) - self.radius**2
+        disc = b * b - c
+        return np.divide(c, np.sqrt(np.maximum(disc, 0.0)) - b, out=np.full(b.shape, np.inf),
+                         where=(b < 0.0) & (disc >= 0.0))
+
 
 @dataclass(frozen=True)
 class Plane:
@@ -110,6 +124,13 @@ class Plane:
     def bounds(self) -> None:
         """None: a half-space has no bounding box."""
         return None
+
+    def hit(self, origins: _F, directions: _F) -> np.ndarray:
+        """Distance along each unit beam from an outside origin to the plane;
+        inf for a beam parallel to it or leaving it."""
+        height = _dot(_pts(origins), self.normal) - self.offset
+        rate = _dot(_pts(directions), self.normal)
+        return np.divide(height, -rate, out=np.full(height.shape, np.inf), where=rate < 0.0)
 
 
 @dataclass(frozen=True)
@@ -165,6 +186,22 @@ class Box:
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return self.center - self.half, self.center + self.half
 
+    def hit(self, origins: _F, directions: _F) -> np.ndarray:
+        """Distance along each unit beam from an outside origin to the box;
+        inf for a miss.  Closed slabs: touching a face, edge or corner hits.
+        An axis the beam runs parallel to admits all t or none, by where the
+        origin lies, so no 0 / 0 is formed."""
+        rel, u = _pts(origins) - self.center, _pts(directions)
+        near, far = 0.0, np.inf  # the forward t-interval inside every slab so far
+        for x, v, h in zip(rel.T, u.T, self.half):
+            flat = v == 0.0
+            step = np.where(flat, 1.0, v)
+            a, b = (-h - x) / step, (h - x) / step
+            within = np.where(np.abs(x) <= h, np.inf, -np.inf)
+            near = np.maximum(near, np.where(flat, -within, np.minimum(a, b)))
+            far = np.minimum(far, np.where(flat, within, np.maximum(a, b)))
+        return np.where(near <= far, near, np.inf)
+
 
 @dataclass(frozen=True)
 class AnalyticScene:
@@ -209,6 +246,11 @@ class AnalyticScene:
             vals[sel], grads[sel], lap[sel] = prim.jet(p[sel])
         return vals, grads, lap, np.zeros(n)
 
+    def hit(self, origins: _F, directions: _F) -> np.ndarray:
+        """Distance along each unit beam to the first primitive it enters; inf
+        for none.  Each ray's value depends on that ray alone."""
+        return np.min([p.hit(origins, directions) for p in self.primitives], axis=0)
+
 
 @dataclass(frozen=True)
 class ScannerConfig:
@@ -252,40 +294,22 @@ def beam_directions(cfg: ScannerConfig, dim: int) -> np.ndarray:
 
 
 def sphere_trace(scene: AnalyticScene, origins: _F, directions: _F, max_range: float):
-    """March each ray by the local distance value until it hits or escapes.
-
-    Returns (hit mask, range) arrays.  The 0.99 step safety factor is enough
-    because the scene distances are exact; termination at |D| < 1e-6.  Rays
-    march independently but not bit for bit: an oblique ``Plane.sdf``'s
-    ``p @ normal`` rounds rows by their position in the batch.
-    """
-    o = np.asarray(origins, dtype=np.float64)
-    u = np.asarray(directions, dtype=np.float64)
-    n = o.shape[0]
-    t = np.zeros(n, dtype=np.float64)
-    hit = np.zeros(n, dtype=bool)
-    alive = np.ones(n, dtype=bool)
-    for _ in range(TRACE_MAX_STEPS):
-        if not np.any(alive):
-            break
-        idx = np.where(alive)[0]
-        d = scene.sdf(o[idx] + t[idx, None] * u[idx])
-        close = np.abs(d) < TRACE_EPS
-        hit[idx[close]] = True
-        alive[idx[close]] = False
-        rest = idx[~close]
-        t[rest] += TRACE_SAFETY * d[~close]
-        alive[rest[t[rest] > max_range]] = False
-    return hit, t
+    """(hit mask, range) of each unit beam: its closed-form first hit
+    ``scene.hit``, a hit when no farther than ``max_range``.  Named for the
+    sphere-tracing march it replaced; the benchmark times the scanner's cast
+    under this name (``scenes.sphere_trace.s``)."""
+    t = scene.hit(origins, directions)
+    return t <= max_range, t
 
 
 def simulate_scan(scene: AnalyticScene, poses: list[Pose], cfg: ScannerConfig, rng) -> list[Scan]:
-    """One scan per pose of the sequence ``poses``, from one march of all beams.
+    """One scan per pose of the sequence ``poses``, from one cast of all beams.
 
     Each origin must be in free space (the error names the first that is not)
-    and each pose must hit something; misses past max range are dropped.
-    Gaussian range noise is drawn from ``rng`` pose by pose.  Memory grows with
-    poses × beams; ranges may differ in last bits from one-pose calls.
+    and each pose must hit something; misses and hits beyond max range are
+    dropped.  Gaussian range noise is drawn from ``rng`` pose by pose.  A scan's
+    points are its ranges times its sensor-frame beams.  Memory grows with
+    poses × beams; each range is the same as in a one-pose call.
     """
     origins = np.array([pose.translation for pose in poses]).reshape(-1, scene.dim)
     blocked = np.flatnonzero(scene.sdf(origins) <= 0.0)
@@ -302,8 +326,7 @@ def simulate_scan(scene: AnalyticScene, poses: list[Pose], cfg: ScannerConfig, r
         ranges = t[k, hit[k]]
         if cfg.noise_sigma > 0.0:
             ranges = ranges + cfg.noise_sigma * rng.standard_normal(ranges.shape)
-        endpoints = pose.translation + ranges[:, None] * dirs[k, hit[k]]
-        scans.append(Scan(pose=pose, points=pose.inverse_apply(endpoints)))
+        scans.append(Scan(pose=pose, points=ranges[:, None] * beams[hit[k]]))
     return scans
 
 

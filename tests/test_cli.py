@@ -169,18 +169,17 @@ def test_synth_rejects_infinite_steps(tiny, capsys):
 
 
 @pytest.mark.parametrize("command", ["synth", "compare"])
-def test_one_sphere_trace_march_per_dataset(tiny, monkeypatch, command):
-    # every pose of the trajectory is traced in one call, through a call-time
-    # lookup of scenes.sphere_trace
+def test_one_cast_per_dataset(tiny, monkeypatch, command):
+    # every beam of every pose of the trajectory is cast in one call
     tmp, cfg, scene2 = tiny
     calls = []
-    real = scenes.sphere_trace
+    real = scenes.AnalyticScene.hit
 
-    def counting(scene, origins, directions, max_range):
+    def counting(scene, origins, directions):
         calls.append(origins.shape[0])
-        return real(scene, origins, directions, max_range)
+        return real(scene, origins, directions)
 
-    monkeypatch.setattr(scenes, "sphere_trace", counting)
+    monkeypatch.setattr(scenes.AnalyticScene, "hit", counting)
     args = {"synth": ["--out", tmp / "data"], "compare": ["--samples", "300"]}[command]
     assert run(command, "--scene", scene2, "--traj", "orbit:radius=3,steps=5",
                "--config", cfg, *args) == 0

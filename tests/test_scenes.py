@@ -135,8 +135,8 @@ def test_sphere_trace_lands_on_surface():
     hit, t = sphere_trace(scene, origins, dirs, max_range=10.0)
     assert np.all(hit)
     landed = origins + t[:, None] * dirs
-    assert np.max(np.abs(scene.sdf(landed))) < 1e-6
-    np.testing.assert_allclose(t, 2.0, atol=1e-5)
+    assert np.max(np.abs(scene.sdf(landed))) <= 1e-12
+    np.testing.assert_allclose(t, 2.0, rtol=0.0, atol=1e-12)
 
 
 def test_beam_directions_2d_headings():
@@ -197,7 +197,8 @@ def test_scan_noise_is_seed_deterministic():
 
 
 # A 3D room with a sphere and a box, and a 2D room with a cut corner: an
-# oblique plane, whose ``p @ normal`` rounds rows by their batch position.
+# oblique plane, whose ``sdf`` (``p @ normal``) rounds rows by their batch
+# position but whose ``hit`` does not.
 ROOM3D = """
 plane 1 0 0 -4
 plane -1 0 0 -4
@@ -219,8 +220,8 @@ circle -1.5 -1 0.8
 """
 
 
-def orbit_poses(dim, radius, steps):
-    ang = 0.3 + 2.0 * math.pi * np.arange(steps) / steps
+def orbit_poses(dim, radius, steps, start=0.3):
+    ang = start + 2.0 * math.pi * np.arange(steps) / steps
     return [Pose.from_xytheta(radius * math.cos(a), radius * math.sin(a), a + math.pi, dim)
             for a in ang]
 
@@ -234,9 +235,7 @@ def test_one_call_scans_like_one_call_per_pose(text, radius, beams):
     assert len(batched) == len(poses) and all(s.pose is p for s, p in zip(batched, poses))
     for pose, got in zip(poses, batched):
         (alone,) = simulate_scan(scene, [pose], cfg, np.random.default_rng(0))
-        assert got.points.shape == alone.points.shape  # the same beams hit
-        np.testing.assert_allclose(got.points, alone.points, rtol=0.0, atol=1e-12)
-        assert got.points.astype("<f4").tobytes() == alone.points.astype("<f4").tobytes()
+        assert np.array_equal(got.points, alone.points)
 
 
 def test_one_call_draws_noise_like_consecutive_calls():
@@ -247,7 +246,139 @@ def test_one_call_draws_noise_like_consecutive_calls():
     shared = np.random.default_rng(3)
     for pose, got in zip(poses, batched):
         (alone,) = simulate_scan(scene, [pose], cfg, shared)
-        np.testing.assert_allclose(got.points, alone.points, rtol=0.0, atol=1e-12)
+        assert np.array_equal(got.points, alone.points)
+
+
+# The sphere-tracing march that the scanner ran before its closed-form cast,
+# kept as an independent oracle: step along each ray by TRACE_SAFETY times the
+# scene distance until it is below TRACE_EPS or the ray passes max range.
+TRACE_EPS = 1e-6
+TRACE_SAFETY = 0.99
+TRACE_MAX_STEPS = 10_000
+
+
+def march(scene, origins, directions, max_range):
+    """(hit mask, range) of each ray by marching; stops up to TRACE_EPS short."""
+    n = origins.shape[0]
+    t = np.zeros(n)
+    hit = np.zeros(n, dtype=bool)
+    alive = np.ones(n, dtype=bool)
+    for _ in range(TRACE_MAX_STEPS):
+        if not np.any(alive):
+            break
+        idx = np.flatnonzero(alive)
+        d = scene.sdf(origins[idx] + t[idx, None] * directions[idx])
+        close = np.abs(d) < TRACE_EPS
+        hit[idx[close]] = True
+        alive[idx[close]] = False
+        rest = idx[~close]
+        t[rest] += TRACE_SAFETY * d[~close]
+        alive[rest[t[rest] > max_range]] = False
+    assert not np.any(alive), "the march did not finish"
+    return hit, t
+
+
+def assert_cast_matches_march(scene, origins, dirs, max_range):
+    """Same hits as the march, ranges within 1e-4 m, endpoints on the surface."""
+    t = scene.hit(origins, dirs)
+    hit = t <= max_range
+    march_hit, march_t = march(scene, origins, dirs, max_range)
+    assert np.array_equal(hit, march_hit)
+    np.testing.assert_allclose(t[hit], march_t[hit], rtol=0.0, atol=1e-4)
+    landed = origins[hit] + t[hit, None] * dirs[hit]
+    assert np.max(np.abs(scene.sdf(landed))) <= 1e-12
+    return hit
+
+
+@pytest.mark.parametrize("start", [0.0, 0.3, 1.9, 4.4])
+@pytest.mark.parametrize("text, radius, beams", [(ROOM3D, 2.5, 128), (ROOM2D, 3.2, 64)],
+                         ids=["room3d", "room2d"])
+def test_cast_matches_the_march_on_room_orbits(text, radius, beams, start):
+    scene = parse_scene_text(text)
+    poses = orbit_poses(scene.dim, radius, 8, start)
+    fan = beam_directions(ScannerConfig(beams=beams), scene.dim)
+    origins = np.repeat([p.translation for p in poses], beams, axis=0)
+    dirs = np.concatenate([fan @ p.rotation.T for p in poses])
+    assert np.all(assert_cast_matches_march(scene, origins, dirs, max_range=100.0))
+
+
+def random_scene(dim, rng):
+    """A floor, one oblique wall, two boxes and two circles or spheres, open
+    on the other sides so that some beams escape."""
+    floor = Plane(-np.eye(dim)[dim - 1], -2.0)  # solid where the last coordinate > 2
+    wall = Plane(np.r_[1.0, 0.5, np.zeros(dim - 2)], -3.0)  # oblique
+    boxes = [Box(rng.uniform(-1.5, 1.5, dim), rng.uniform(0.2, 0.6, dim)) for _ in range(2)]
+    balls = [Sphere(rng.uniform(-1.5, 1.5, dim), rng.uniform(0.2, 0.6)) for _ in range(2)]
+    return AnalyticScene((floor, wall, *boxes, *balls))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cast_matches_the_march_on_random_scenes(dim, seed):
+    rng = np.random.default_rng(seed)
+    scene = random_scene(dim, rng)
+    origins = rng.uniform(-2.5, 2.0, size=(4000, dim))
+    origins = origins[scene.sdf(origins) > 0.25][:1500]
+    dirs = rng.normal(size=origins.shape)
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    hit = assert_cast_matches_march(scene, origins, dirs, max_range=6.0)
+    assert 0 < hit.sum() < hit.size  # hits and misses are both checked
+
+
+def test_beam_parallel_to_a_plane_misses():
+    for dim in (2, 3):
+        plane = Plane(np.eye(dim)[1], 0.0)  # the solid is y < 0
+        origins = np.eye(dim)[[1, 1]]  # one metre above it
+        dirs = np.eye(dim)[[0, 0]] * [[1.0], [-1.0]]
+        assert np.array_equal(plane.hit(origins, dirs), [np.inf, np.inf])
+
+
+def test_beam_along_a_box_face_touches_it():
+    # the origin lies on the plane of the face y = 1 that the beam runs along:
+    # that slab's entry is 0 / 0, decided by where the origin lies instead
+    for dim in (2, 3):
+        box = Box(np.zeros(dim), np.ones(dim))
+        x, y = np.eye(dim)[0], np.eye(dim)[1]
+        origins = np.array([-3.0 * x + y, -3.0 * x + y, -3.0 * x + (1.0 + 1e-9) * y, 3.0 * y])
+        dirs = np.array([x, -x, x, -y])
+        assert np.array_equal(box.hit(origins, dirs), [2.0, np.inf, np.inf, 2.0])
+    # along an edge of a 3D box, and along its face plane beside it
+    box = Box(np.zeros(3), np.ones(3))
+    assert np.array_equal(box.hit(np.array([[-3.0, 1.0, 1.0], [-3.0, 1.0, 1.5]]),
+                                  np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])), [2.0, np.inf])
+
+
+def test_tangent_beams_touch_a_circle_and_a_sphere():
+    circle = Sphere(np.zeros(2), 1.0)
+    t = circle.hit(np.array([[-3.0, 1.0], [-3.0, 1.0 + 1e-9]]), np.array([[1.0, 0.0]] * 2))
+    assert np.array_equal(t, [3.0, np.inf])
+    sphere = Sphere(np.zeros(3), 1.0)
+    t = sphere.hit(np.array([[-3.0, 0.0, 1.0], [-3.0, 0.0, 1.0]]),
+                   np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
+    assert np.array_equal(t, [3.0, np.inf])
+
+
+def test_beams_pointing_away_from_everything_are_dropped():
+    scene = AnalyticScene((Plane(np.array([-1.0, 0.0]), -5.0),  # solid x > 5
+                           Sphere(np.array([2.0, 0.0]), 1.0),
+                           Box(np.array([3.0, 0.0]), np.array([0.5, 3.0]))))
+    away = np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [-0.6, 0.8]])
+    assert np.array_equal(scene.hit(np.zeros((4, 2)), away), np.full(4, np.inf))
+    cfg = ScannerConfig(beams=16, max_range=10.0)
+    (scan,) = simulate_scan(scene, [Pose(np.eye(2), np.zeros(2))], cfg, np.random.default_rng(0))
+    assert 0 < scan.points.shape[0] < 16
+    assert np.all(scan.points[:, 0] > 0.0)  # only forward beams come back
+
+
+def test_hit_at_max_range_is_kept_and_beyond_it_dropped():
+    scene = AnalyticScene((Plane(np.array([-1.0, 0.0]), -5.0),))  # solid x > 5
+    pose = [Pose(np.eye(2), np.zeros(2))]
+    cfg = ScannerConfig(beams=1, fov=0.1, max_range=5.0)
+    (scan,) = simulate_scan(scene, pose, cfg, np.random.default_rng(0))
+    assert np.array_equal(scan.points, [[5.0, 0.0]])
+    short = ScannerConfig(beams=1, fov=0.1, max_range=math.nextafter(5.0, 0.0))
+    with pytest.raises(ValueError, match="missed"):
+        simulate_scan(scene, pose, short, np.random.default_rng(0))
 
 
 def test_free_space_error_names_the_blocked_pose():
