@@ -50,7 +50,7 @@ class Pose:
         m = r.shape[0]
         if t.shape != (m,):
             raise ValueError(f"translation shape {t.shape} does not match rotation {r.shape}")
-        if not np.allclose(r.T @ r, np.eye(m), atol=ROT_TOL, rtol=0.0):
+        if np.abs(r.T @ r - np.eye(m)).max() > ROT_TOL:
             raise ValueError("rotation is not orthonormal")
         if abs(np.linalg.det(r) - 1.0) > 1e-6:
             raise ValueError("rotation determinant is not +1 (reflection or scale)")

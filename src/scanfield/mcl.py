@@ -9,7 +9,11 @@ pose: log-likelihood sum_k -D(T_p(z_k))^2 / (2 sigma_z^2).
 The field argument everywhere is a vectorized callable (N, 2) -> (N,); wrap
 an expensive field in a bilinear-interpolated grid with
 ``SampledField2D(sample_grid(field, box, res), box)`` (``meshing.sample_grid``),
-whose lookups clamp to the box.
+whose lookups clamp to the box.  A measurement update calls the field once,
+with the world endpoints of every particle and beam as an (n*k, 2) view of
+one (2, n*k) array, so each coordinate is a contiguous column.  The grid
+interpolates in numpy, bitwise as ``scipy.ndimage.map_coordinates`` at order
+1 with clamped edges.
 """
 
 from __future__ import annotations
@@ -133,7 +137,8 @@ def log_likelihoods(pset: ParticleSet, scan_points, field, sigma_z: float) -> np
     # world endpoints per particle: rotate scan by heading, then translate
     wx = pset.poses[:, 0:1] + np.outer(c, z[:, 0]) - np.outer(s, z[:, 1])
     wy = pset.poses[:, 1:2] + np.outer(s, z[:, 0]) + np.outer(c, z[:, 1])
-    pts = np.stack([wx.reshape(-1), wy.reshape(-1)], axis=1)
+    # (n*k, 2) points as a view of two rows: each coordinate is contiguous.
+    pts = np.stack([wx.reshape(-1), wy.reshape(-1)]).T
     d = np.asarray(field(pts), dtype=np.float64).reshape(n, k)
     return -np.sum(d * d, axis=1) / (2.0 * sigma_z * sigma_z)
 
@@ -232,7 +237,17 @@ class SampledField2D:
     """Bilinear interpolation over a precomputed value grid.
 
     Trades exactness for speed so a 10k-particle filter can score hundreds of
-    thousands of endpoint lookups per step.  Queries clamp to the box.
+    thousands of endpoint lookups per step.  Queries clamp to the box: a grid
+    coordinate u = (x - lo) / spacing reads the corners floor(u) and
+    floor(u) + 1 of its cell, each index clamped to the grid, so a query
+    beyond an edge reads that edge.  With s = 1 - (u - floor(u)) the low
+    corner weighs s and the high one 1 - s, and the four products
+    (V * wx) * wy are summed in corner order (i, j), (i, j+1), (i+1, j),
+    (i+1, j+1).  That is bitwise ``scipy.ndimage.map_coordinates`` at
+    ``order=1, mode="nearest", prefilter=False`` wherever its integer cast
+    of u holds (|u| < 2**63); a non-finite query reads NaN.  The clamp lives
+    in the grid itself, a copy with one more row and column of edge values on
+    every side, so one flat index and three offsets find the four corners.
     """
 
     def __init__(self, values: np.ndarray, box: Aabb):
@@ -242,11 +257,43 @@ class SampledField2D:
         self.values = v
         self.box = box
         self._spacing = (box.hi - box.lo) / (np.array(v.shape) - 1)
+        self._edged = np.pad(v, 1, mode="edge").ravel()
 
     def __call__(self, points) -> np.ndarray:
-        # Imported here, so that commands that look nothing up do not load it.
-        from scipy import ndimage
-
         p = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-        u = (p - self.box.lo) / self._spacing
-        return ndimage.map_coordinates(self.values, u.T, order=1, mode="nearest", prefilter=False)
+        n0, n1 = self.values.shape
+        row = n1 + 2  # the edged grid's row length
+        cells, weights = [], []
+        # An infinite coordinate gives t = inf - inf: NaN, and no warning.
+        with np.errstate(invalid="ignore"):
+            for a, size in enumerate((n0, n1)):
+                t = p[:, a] - self.box.lo[a]
+                t /= self._spacing[a]
+                cell = np.floor(t)
+                t -= cell
+                # The cell, clamped to -1 .. size - 1; fmin turns NaN into
+                # size - 1, so the cast below meets none.
+                np.fmin(cell, size - 1, out=cell)
+                np.fmax(cell, -1, out=cell)
+                cells.append(cell)
+                # The low and high corners weigh s = 1 - t and 1 - s, as
+                # scipy's order-1 spline weighs them; 1 - s need not be t.
+                s = np.subtract(1.0, t, out=t)
+                weights.append((s, 1.0 - s))
+        (sx, tx), (sy, ty) = weights
+        flat = cells[0]
+        flat *= row
+        flat += cells[1]
+        k = flat.astype(np.intp)
+        k += row + 1  # the edged grid's (i + 1, j + 1) is the grid's clamped (i, j)
+        out = np.take(self._edged, k, mode="clip")
+        out *= sx
+        out *= sy
+        term = np.empty_like(out)
+        for step, wx, wy in ((1, sx, ty), (row - 1, tx, sy), (1, tx, ty)):
+            k += step  # corners (i, j+1), (i+1, j), (i+1, j+1)
+            np.take(self._edged, k, out=term, mode="clip")
+            term *= wx
+            term *= wy
+            out += term
+        return out

@@ -223,14 +223,16 @@ class AnalyticScene:
         return self.primitives[0].dim
 
     def _all_sdf(self, points: _F) -> np.ndarray:
-        return np.stack([p.sdf(points) for p in self.primitives], axis=1)
+        # (primitives, N): the reductions below run over rows, not over a
+        # short last axis, which numpy reduces slowly.
+        return np.stack([p.sdf(points) for p in self.primitives])
 
     def sdf(self, points: _F) -> np.ndarray:
-        return np.min(self._all_sdf(points), axis=1)
+        return np.min(self._all_sdf(points), axis=0)
 
     def active_index(self, points: _F) -> np.ndarray:
         """Index of the winning primitive; argmin takes the lowest on ties."""
-        return np.argmin(self._all_sdf(points), axis=1)
+        return np.argmin(self._all_sdf(points), axis=0)
 
     def jet(self, points: _F):
         """Values (N,), gradients (N, m), tr H (N,) and gᵀHg (N,), as

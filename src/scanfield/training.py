@@ -30,7 +30,6 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 import numpy.typing as npt
-from scipy.spatial import cKDTree
 
 from . import field as field_mod
 from . import sampling
@@ -126,6 +125,9 @@ def neighbor_pairs(positions: _F, k: int) -> np.ndarray:
     k_eff = min(k, s - 1)
     if k_eff < 1:
         return np.empty((0, 2), dtype=np.intp)
+    # Imported here, so that the commands that train nothing do not load it.
+    from scipy.spatial import cKDTree
+
     _, idx = cKDTree(x).query(x, k=k_eff + 1)
     idx = np.atleast_2d(idx)[:, 1:]
     src = np.repeat(np.arange(s, dtype=np.intp), k_eff)

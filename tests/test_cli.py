@@ -587,12 +587,16 @@ def test_mesh_rejects_bad_checkpoint(tiny, capsys):
 
 
 def test_cli_import_leaves_ndimage_unloaded():
-    # Only the localization grid's lookups need scipy.ndimage.
-    code = "import sys, scanfield.cli; print('scipy.ndimage' in sys.modules)"
+    # No command needs scipy.ndimage, and only training's neighbour pairs
+    # need scipy.spatial: importing the CLI loads neither, nor any other
+    # part of scipy.
+    code = ("import sys, scanfield.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
                           timeout=120)
-    assert proc.stdout.strip() == "False", proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", proc.stderr
 
 
 def test_localize_requires_exactly_one_map_source(tiny):
@@ -740,6 +744,17 @@ def _assert_train_bytes_do_not_depend_on_threads(tmp, cfg):
 
 def test_train_writes_the_same_bytes_at_any_thread_count(pooled):
     _assert_train_bytes_do_not_depend_on_threads(*pooled)
+
+
+def test_localize_writes_the_same_table_at_any_thread_count(tiny, tiny_model, monkeypatch):
+    # In 64-row blocks, the 16-wide net samples the 25 x 25 localization grid
+    # in nine of them, so --threads 2 runs that pass on the pool.
+    tmp, cfg, _ = tiny
+    monkeypatch.setattr(field, "BLOCK_WORK", 64 * 16)
+    for threads in (1, 2):
+        assert run("localize", "--model", tiny_model, "--data", tmp / "data", "--config", cfg,
+                   "--out", tmp / f"loc{threads}.csv", "--threads", threads) == 0
+    assert (tmp / "loc1.csv").read_bytes() == (tmp / "loc2.csv").read_bytes()
 
 
 def test_3d_train_writes_the_same_bytes_at_any_thread_count(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scanfield.geom import Aabb, Pose, Scan, SceneTransform, normalize_scene, to_world
+from scanfield.geom import ROT_TOL, Aabb, Pose, Scan, SceneTransform, normalize_scene, to_world
 
 
 def test_pose_identity_roundtrip():
@@ -14,6 +14,19 @@ def test_pose_identity_roundtrip():
 def test_pose_rejects_non_orthonormal():
     with pytest.raises(ValueError):
         Pose(np.array([[1.0, 0.1], [0.0, 1.0]]), np.zeros(2))
+
+
+def test_pose_orthonormality_tolerance_is_inclusive():
+    # [[1, e], [0, 1]] has the Gram matrix [[1, e], [e, 1 + e*e]], and 1 + e*e
+    # rounds to 1, so it is off the identity by exactly e: e = ROT_TOL passes
+    # and the next float up fails, as under np.allclose(atol=ROT_TOL, rtol=0),
+    # the rule this check replaced.  The determinant is 1 either way.
+    at, above = (np.array([[1.0, e], [0.0, 1.0]]) for e in (ROT_TOL, np.nextafter(ROT_TOL, 1.0)))
+    assert np.allclose(at.T @ at, np.eye(2), atol=ROT_TOL, rtol=0.0)
+    assert not np.allclose(above.T @ above, np.eye(2), atol=ROT_TOL, rtol=0.0)
+    Pose(at, np.zeros(2))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Pose(above, np.zeros(2))
 
 
 def test_pose_rejects_reflection():

@@ -257,6 +257,60 @@ def test_sampled_field_matches_bilinear_values():
     np.testing.assert_array_equal(sf(np.array([[-3.0, -7.0]])), [values[0, 0]])
 
 
+def _query_points(shape, box, rng, count):
+    """Grid coordinates u of every kind, as world points over ``box``:
+    random interior and edge-cell points, every node and half-node, points
+    far outside (within scipy's exact range |u| < 2**63), and non-finite ones."""
+    n = np.array(shape)
+    nodes = np.stack(np.meshgrid(*[np.arange(-2.0, k + 2.0, 0.5) for k in shape],
+                                 indexing="ij"), axis=-1).reshape(-1, 2)
+    u = np.concatenate([
+        rng.uniform(-1.0, n, size=(count, 2)),
+        rng.uniform(0.0, 0.5, size=(count // 4, 2)),  # t with low bits that 1 - t rounds off
+        nodes,
+        rng.uniform(-1e15, 1e15, size=(count // 4, 2)),
+        [[np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.5], [np.inf, -np.inf]],
+    ])
+    spacing = (box.hi - box.lo) / (n - 1)
+    return box.lo + u * spacing, spacing
+
+
+@pytest.mark.parametrize("shape", [(129, 129), (7, 11)])
+def test_sampled_field_equals_map_coordinates_bitwise(shape):
+    # scipy is the oracle only: the lookup is its own numpy kernel.
+    from scipy import ndimage
+
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=shape)
+    box = Aabb(np.array([-4.2, -1.3]), np.array([4.2, 2.9]))
+    pts, spacing = _query_points(shape, box, rng, 100_000)
+    u = (pts - box.lo) / spacing
+    expected = ndimage.map_coordinates(values, u.T, order=1, mode="nearest", prefilter=False)
+    got = SampledField2D(values, box)(pts)
+    finite = np.all(np.isfinite(pts), axis=1)
+    assert np.array_equal(got[finite].view(np.int64), expected[finite].view(np.int64))
+    assert np.all(np.isnan(got[~finite])) and np.all(np.isnan(expected[~finite]))
+
+
+def test_likelihood_field_reads_each_endpoint_once():
+    # One field call per update, over n * k points laid out particle-major,
+    # with the arithmetic of a per-particle rotate-then-translate.
+    pset = ParticleSet(np.array([[0.5, -1.0, 0.3], [2.0, 0.25, -2.5]]), np.ones(2))
+    scan = np.array([[1.0, 0.0], [0.5, -0.75], [-2.0, 1.5]])
+    calls = []
+
+    def field(points):
+        calls.append(np.array(points))
+        return np.zeros(len(points))
+
+    log_likelihoods(pset, scan, field, 0.1)
+    (pts,) = calls
+    expected = [pose[:2] + np.array([np.cos(pose[2]) * zx - np.sin(pose[2]) * zy,
+                                     np.sin(pose[2]) * zx + np.cos(pose[2]) * zy])
+                for pose in pset.poses for zx, zy in scan]
+    np.testing.assert_allclose(pts, expected, rtol=0, atol=1e-15)
+
+
 def test_localization_converges_on_room(tmp_path):
     # End-to-end filter property: against the exact room SDF, most seeded runs
     # converge and track the truth to within a few observation sigmas.

@@ -220,6 +220,22 @@ circle -1.5 -1 0.8
 """
 
 
+@pytest.mark.parametrize("text", [ROOM3D, ROOM2D])
+def test_union_reduces_like_the_per_point_table(text):
+    # The union reduces a (primitives, N) table over its rows; reduced per
+    # point over an (N, primitives) table instead, min and argmin give the
+    # same bits and the same first index on ties, which the lattice points
+    # make: a point on a diagonal between two walls is as far from each.
+    scene = parse_scene_text(text)
+    rng = np.random.default_rng(12)
+    lattice = np.stack(np.meshgrid(*[np.arange(-5.0, 5.5, 0.5)] * scene.dim, indexing="ij"), axis=-1)
+    pts = np.concatenate([rng.uniform(-5, 5, size=(5000, scene.dim)), lattice.reshape(-1, scene.dim)])
+    table = np.stack([p.sdf(pts) for p in scene.primitives], axis=1)
+    assert np.array_equal(scene.sdf(pts), np.min(table, axis=1))
+    assert np.array_equal(scene.active_index(pts), np.argmin(table, axis=1))
+    assert np.sum(table == np.min(table, axis=1)[:, None], axis=1).max() >= 2
+
+
 def orbit_poses(dim, radius, steps, start=0.3):
     ang = start + 2.0 * math.pi * np.arange(steps) / steps
     return [Pose.from_xytheta(radius * math.cos(a), radius * math.sin(a), a + math.pi, dim)
