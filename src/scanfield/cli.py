@@ -1,8 +1,9 @@
 """Command-line pipeline: synth, train, mesh, eval-sdf, localize, compare.
 
 Every command is deterministic for a fixed --seed, and writes the same bytes
-at any --threads, the count of threads that run field passes, which
-``field.set_threads`` checks and defaults.  Outputs are CSV tables (stdout
+at any --threads, the count of threads that run field passes and, beside a
+training step's passes, its kNN query; ``field.set_threads`` checks and
+defaults it.  Outputs are CSV tables (stdout
 and/or --out), binary PLY meshes, datasets and models.  A dataset is a
 directory of ``poses.txt`` plus ``scan_*.bin`` files; a model is a checkpoint
 plus its ``<checkpoint>.transform`` sidecar.
@@ -357,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="key=value run configuration file (keys: scanfield.config.KEYS)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="threads that run field passes, this one included; "
+                       help="threads that run field passes, and a training step's kNN "
+                            "query beside them, this one included; "
                             "scanfield.field.set_threads checks it and defaults it to one "
                             "per available CPU; outputs do not depend on it")
         if mode_flag:

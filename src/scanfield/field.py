@@ -60,20 +60,28 @@ sweep's record and the gᵀHg sweep's ``(fac_cos, dz, c2)`` list live for one
 block.  The parameter gradient is summed per block and then over blocks, so
 its rounding, and only its rounding, depends on the block rows.
 
-Parallel blocks: up to ``set_threads`` threads run the blocks of any pass
-of two blocks or more, the caller and the others of a ``ThreadPoolExecutor``
-that the first such pass starts.  numpy releases the interpreter lock inside
-BLAS calls and ufuncs, so blocks overlap there.  The outputs are bitwise
-those of one thread: a walk's block writes its own rows, computed as they
-would be alone, and a ``backprop`` block returns its per-layer terms (the
-bias term Σ zbar, the weight terms zbarᵀ a_in and tbarᵀ t_in), which are
-added to the gradient in block order, and in that order within a block, as
-one thread adds them.  The block rule reads no thread count.  In a sweep of
-one training step's passes (``BENCH_blocks_by_work.json``: widths 32-256,
-2D and 3D, 2 vCPUs), 256-row blocks ran the room2d net 16 % slower pooled
-than on one thread, and 512-row blocks 11 % faster: a narrow layer spends a
-short block in interpreter work that holds the lock.  At 2 threads the
-rule's blocks were the fastest swept, or within the spread, at every width.
+Parallel blocks: one dispatch, ``forward_sets`` or ``backprop_sets``, runs
+the blocks of several row sets, and ``forward_sets`` side tasks beside them
+(a training step hands it its kNN query), on up to ``set_threads`` threads:
+the caller and the others of a ``ThreadPoolExecutor`` that the first
+dispatch of two tasks or more starts.  ``evaluate_batch``, ``grad_batch``,
+``jet_batch`` and ``backprop`` are its one-set case.  A side task is a plain
+callable that starts no field pass, so no dispatch nests.  numpy releases the
+interpreter lock inside BLAS calls and ufuncs, and scipy's kNN query
+releases it too, so tasks overlap there.  The outputs are bitwise those of
+one thread: each set is cut into blocks as it would be alone, a walk's block
+writes its own rows, computed as they would be alone, and a ``backprop``
+block returns its per-layer terms (the bias term Σ zbar, the weight terms
+zbarᵀ a_in and tbarᵀ t_in), which are added to its set's gradient in block
+order, and in that order within a block, as one thread adds them.  At 2
+threads, a room2d training step ran 7-11 % faster in its two dispatches than
+with its four passes and kNN query one after another
+(``BENCH_step_queue.json``).  The block rule reads no thread count.  In a
+sweep of one training step's passes (``BENCH_blocks_by_work.json``: widths
+32-256, 2D and 3D, 2 vCPUs), 256-row blocks ran the room2d net 16 % slower
+pooled than on one thread, and 512-row blocks 11 % faster: a narrow layer
+spends a short block in interpreter work that holds the lock.  At 2 threads
+the rule's blocks were the fastest swept, or within the spread, at every width.
 One thread favours short blocks at every width, so narrow nets pay there:
 +4 % a step for the room2d net, up to +21 % for other 32- to 96-wide nets.
 Before its first thread starts, the pool caps glibc's malloc arenas at one
@@ -89,6 +97,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import numpy.typing as npt
@@ -359,11 +368,11 @@ def set_threads(n: int | None = None) -> None:
         _threads = n
 
 
-def _pool_for(n_blocks: int, threads: int) -> ThreadPoolExecutor | None:
-    # The pool that runs the blocks of this pass beside the caller, or None
+def _pool_for(n_tasks: int, threads: int) -> ThreadPoolExecutor | None:
+    # The pool that runs the tasks of this dispatch beside the caller, or None
     # for the sequential loop; see "Parallel blocks" in the module docstring.
     global _pool
-    if threads < 2 or n_blocks < 2:
+    if threads < 2 or n_tasks < 2:
         return None
     with _pool_lock:
         if _pool is None:
@@ -383,20 +392,19 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _each_block(net: FieldNet, n: int, work, add=lambda result: None) -> None:
-    # ``work(lo, hi)`` over ``_blocks(net, n)``, then ``add`` of each result in
-    # block order.  Pooled, every thread, this one included, takes the next
-    # block, and whichever finishes the oldest outstanding block adds it and
-    # any finished ones after it.  No block is taken while ``threads`` + 1
-    # are taken and not added: the oldest of them is still running, so at
-    # most ``threads`` results wait.  The first error stops the others taking
-    # blocks and is raised here once every thread has stopped.
-    blocks = list(_blocks(net, n))
+def _run(tasks: list) -> None:
+    # ``work()`` of each ``(work, add)`` task, then ``add`` of its result, in
+    # task order.  Pooled, every thread, this one included, takes the next
+    # task, and whichever finishes the oldest outstanding task adds it and any
+    # finished ones after it.  No task is taken while ``threads`` + 1 are
+    # taken and not added: the oldest of them is still running, so at most
+    # ``threads`` results wait.  The first error stops the others taking
+    # tasks and is raised here once every thread has stopped.
     threads = _threads
-    pool = _pool_for(len(blocks), threads)
+    pool = _pool_for(len(tasks), threads)
     if pool is None:
-        for lo, hi in blocks:
-            add(work(lo, hi))
+        for work, add in tasks:
+            add(work())
         return
     cond = threading.Condition()
     done = {}
@@ -408,16 +416,16 @@ def _each_block(net: FieldNet, n: int, work, add=lambda result: None) -> None:
         try:
             while True:
                 with cond:
-                    cond.wait_for(lambda: failed or taken == len(blocks) or taken - added <= threads)
-                    if failed or taken == len(blocks):
+                    cond.wait_for(lambda: failed or taken == len(tasks) or taken - added <= threads)
+                    if failed or taken == len(tasks):
                         return
                     k = taken
                     taken += 1
-                result = work(*blocks[k])
+                result = tasks[k][0]()
                 with cond:
                     done[k] = result
                     while added in done:
-                        add(done.pop(added))
+                        tasks[added][1](done.pop(added))
                         added += 1
                     cond.notify_all()
         except BaseException:
@@ -427,9 +435,9 @@ def _each_block(net: FieldNet, n: int, work, add=lambda result: None) -> None:
             raise
 
     # Each worker runs in a copy of this thread's context, so that numpy's
-    # error state (np.errstate) holds in the workers too.  One lane per block
+    # error state (np.errstate) holds in the workers too.  One lane per task
     # at most: the pool starts a thread on each submit while none is idle.
-    futures = [pool.submit(contextvars.copy_context().run, lane) for _ in blocks[1:threads]]
+    futures = [pool.submit(contextvars.copy_context().run, lane) for _ in tasks[1:threads]]
     try:
         lane()
     finally:
@@ -438,36 +446,63 @@ def _each_block(net: FieldNet, n: int, work, add=lambda result: None) -> None:
         f.result()
 
 
-def _walk(net: FieldNet, points: _F, order: int) -> list[np.ndarray]:
-    # ``_forward``'s outputs at ``order``; each block writes its own rows.
+def _block_tasks(net: FieldNet, n: int, work, add=lambda result: None) -> list:
+    # ``(work(lo, hi), add)`` tasks over ``_blocks(net, n)``.
+    return [(partial(work, lo, hi), add) for lo, hi in _blocks(net, n)]
+
+
+def _run_sets(parts: list, side=()) -> list:
+    # One ``_run`` over the side tasks, first so that they overlap the
+    # blocks, then each part's block tasks in part order; a part is a set's
+    # ``(result, tasks)``.  Returns the sets' results, then the side tasks'.
+    side_out = []
+    _run([(fn, side_out.append) for fn in side] + [task for _, tasks in parts for task in tasks])
+    return [result for result, _ in parts] + side_out
+
+
+def _walk(net: FieldNet, points: _F, order: int, w0: list[np.ndarray]) -> tuple:
+    # ``_forward``'s outputs at ``order`` and the tasks that fill them: each
+    # block writes its own rows.
     x = np.asarray(points, dtype=np.float64)
     n, m = x.shape
-    w0 = _first_layer_blocks(net)
-    outs = [np.empty(shape) for shape in [[(n,)], [(n,), (n, m)], [(n,), (n, m), (n,), (n,)]][order]]
+    outs = tuple(np.empty(shape) for shape in [[(n,)], [(n,), (n, m)], [(n,), (n, m), (n,), (n,)]][order])
 
     def work(lo, hi):
         for out, part in zip(outs, _forward(net, x[lo:hi], order, w0)):
             out[lo:hi] = part
 
-    _each_block(net, n, work)
-    return outs
+    return outs, _block_tasks(net, n, work)
+
+
+def forward_sets(net: FieldNet, sets: list[tuple[_F, int]], side=()) -> list:
+    """One pass over several row sets, and side tasks beside it.
+
+    ``sets`` holds ``(points, order)`` pairs.  Each set's entry of the result
+    is ``(values,)`` at order 0, ``(values, gradients)`` at order 1 and
+    ``(values, gradients, tr H, gᵀHg)`` at order 2, bitwise what
+    ``evaluate_batch``, ``grad_batch`` and ``jet_batch`` return for it
+    alone.  ``side`` holds callables that take no argument; their results
+    follow the sets' in the list.  A side task must start no field pass.
+    """
+    w0 = _first_layer_blocks(net)
+    return _run_sets([_walk(net, points, order, w0) for points, order in sets], side)
 
 
 def evaluate_batch(net: FieldNet, points: _F) -> np.ndarray:
     """Field values at (N, m) points."""
-    return _walk(net, points, 0)[0]
+    return forward_sets(net, [(points, 0)])[0][0]
 
 
 def grad_batch(net: FieldNet, points: _F) -> tuple[np.ndarray, np.ndarray]:
     """Values (N,) and spatial gradients (N, m): the order-1 pass alone."""
-    return tuple(_walk(net, points, 1))
+    return forward_sets(net, [(points, 1)])[0]
 
 
 def jet_batch(net: FieldNet, points: _F) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Values (N,), gradients g (N, m), and the Hessian's trace tr H (N,) and
     gᵀHg (N,) at the given points: the two contractions the mean curvature
     of the level set needs, without forming any Hessian."""
-    return tuple(_walk(net, points, 2))
+    return forward_sets(net, [(points, 2)])[0]
 
 
 def _backward_block(net: FieldNet, x: np.ndarray, vbar: np.ndarray, gbar: np.ndarray | None) -> list:
@@ -499,18 +534,8 @@ def _backward_block(net: FieldNet, x: np.ndarray, vbar: np.ndarray, gbar: np.nda
     return terms
 
 
-def backprop(
-    net: FieldNet,
-    points: _F,
-    value_bar: _F,
-    grad_bar: _F | None = None,
-) -> np.ndarray:
-    """Parameter gradient of sum(vbar * D) + sum(gbar . grad D), laid out like ``net.params``.
-
-    ``value_bar`` is (N,), ``grad_bar`` is (N, m) or None when no term touches
-    the spatial gradient.  Inputs and adjoint coefficients are treated as
-    constants.
-    """
+def _backprop(net: FieldNet, points: _F, value_bar: _F, grad_bar: _F | None) -> tuple:
+    # One set's parameter gradient and the tasks that sum it.
     x = np.asarray(points, dtype=np.float64)
     vbar = np.asarray(value_bar, dtype=np.float64)
     gbar = None if grad_bar is None else np.asarray(grad_bar, dtype=np.float64)
@@ -528,5 +553,26 @@ def backprop(
             for term in weight_terms:
                 gw += term
 
-    _each_block(net, x.shape[0], work, add)
-    return grad
+    return grad, _block_tasks(net, x.shape[0], work, add)
+
+
+def backprop_sets(net: FieldNet, sets: list[tuple[_F, _F, _F | None]]) -> list:
+    """One reverse pass over several row sets: for each ``(points, value_bar,
+    grad_bar)`` triple, its own parameter gradient, bitwise what ``backprop``
+    returns for it alone."""
+    return _run_sets([_backprop(net, *s) for s in sets])
+
+
+def backprop(
+    net: FieldNet,
+    points: _F,
+    value_bar: _F,
+    grad_bar: _F | None = None,
+) -> np.ndarray:
+    """Parameter gradient of sum(vbar * D) + sum(gbar . grad D), laid out like ``net.params``.
+
+    ``value_bar`` is (N,), ``grad_bar`` is (N, m) or None when no term touches
+    the spatial gradient.  Inputs and adjoint coefficients are treated as
+    constants.
+    """
+    return backprop_sets(net, [(points, value_bar, grad_bar)])[0]

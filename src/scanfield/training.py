@@ -11,7 +11,10 @@ emphasis weights w is
 with n the unit negated gradient and (l, j) running over each sample's k
 nearest neighbors inside the batch.  Targets and weights never receive
 gradient; the field's value and spatial gradient do, and the hand-derived
-adjoints are pushed through ``field.backprop``.  The optimizer is AdamW with
+adjoints are pushed through the field's reverse pass.  A step makes two field
+dispatches (``batch_loss``): the forward passes with the kNN query beside
+them, then the reverse passes, each spread over the field's threads.  The
+optimizer is AdamW with
 decoupled weight decay and the fixed moment decays ``ADAM_BETAS``, applied
 elementwise to the flat parameter vector.
 
@@ -207,28 +210,32 @@ def batch_loss(
     w: LossWeights,
     mode: SupervisionMode,
 ) -> tuple[LossBreakdown, np.ndarray]:
-    """Loss and exact parameter gradient for one batch, targets held constant."""
-    if mode is SupervisionMode.CURVATURE_CONSTRAINED:
-        vals, grads, trace, ghg = field_mod.jet_batch(net, batch.positions)
-        hessian_terms = (trace, ghg)
-    else:
-        vals, grads = field_mod.grad_batch(net, batch.positions)
-        hessian_terms = None
+    """Loss and exact parameter gradient for one batch, targets held constant.
+
+    Two field dispatches, each over the step's independent work: the sample
+    pass (order 2 in curvature mode, else 1), the endpoint values and, as a
+    side task, the kNN pairs; then the samples' and the endpoints' reverse
+    passes.  Each set's blocks round as they would alone, so the gradient is
+    bitwise that of the passes run one after another.
+    """
+    curvature = mode is SupervisionMode.CURVATURE_CONSTRAINED
+    (vals, grads, *hessian_terms), (ev,), pairs = field_mod.forward_sets(
+        net, [(batch.positions, 2 if curvature else 1), (batch.endpoints, 0)],
+        [lambda: neighbor_pairs(batch.positions, w.knn)])
     targets = compute_targets(
         mode,
         vals,
         grads,
-        hessian_terms,
+        tuple(hessian_terms) or None,
         batch.positions,
         batch.endpoints,
         tau=w.tau,
         gamma=w.gamma,
     )
-    ev = field_mod.evaluate_batch(net, batch.endpoints)
-    pairs = neighbor_pairs(batch.positions, w.knn)
     breakdown, val_bar, grad_bar, end_bar = loss_terms(vals, grads, ev, targets, pairs, w)
-    pg = field_mod.backprop(net, batch.positions, val_bar, grad_bar)
-    pg += field_mod.backprop(net, batch.endpoints, end_bar)
+    pg, pe = field_mod.backprop_sets(
+        net, [(batch.positions, val_bar, grad_bar), (batch.endpoints, end_bar, None)])
+    pg += pe
     return breakdown, pg
 
 

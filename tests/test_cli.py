@@ -22,6 +22,7 @@ from scanfield import cli, field, mcl, meshing, scenes
 from scanfield.__main__ import THREAD_VARS
 from scanfield.cli import main, trajectory_poses
 from scanfield.storage import load_model, load_scan_points, load_scans, read_mesh_ply
+from scanfield.targets import SupervisionMode
 
 TINY_CFG = """
 encoding_bands = 4
@@ -734,16 +735,20 @@ def pooled(tmp_path):
     return tmp_path, cfg
 
 
-def _assert_train_bytes_do_not_depend_on_threads(tmp, cfg):
-    for threads in (1, 2):
+def _assert_train_bytes_do_not_depend_on_threads(tmp, cfg, *flags):
+    for threads in (1, 2, 3):
         assert run("train", "--scans", tmp / "data", "--out", tmp / f"t{threads}.bin",
-                   "--config", cfg, "--threads", threads) == 0
+                   "--config", cfg, "--threads", threads, *flags) == 0
     for suffix in ("", ".loss.csv", ".transform"):
-        assert (tmp / f"t1.bin{suffix}").read_bytes() == (tmp / f"t2.bin{suffix}").read_bytes()
+        expected = (tmp / f"t1.bin{suffix}").read_bytes()
+        for threads in (2, 3):
+            assert (tmp / f"t{threads}.bin{suffix}").read_bytes() == expected
 
 
-def test_train_writes_the_same_bytes_at_any_thread_count(pooled):
-    _assert_train_bytes_do_not_depend_on_threads(*pooled)
+@pytest.mark.parametrize("mode", [m.value for m in SupervisionMode])
+def test_train_writes_the_same_bytes_at_any_thread_count(pooled, mode):
+    # ray and dcn run the order-1 sample pass, curvature the order-2 one.
+    _assert_train_bytes_do_not_depend_on_threads(*pooled, "--mode", mode)
 
 
 def test_localize_writes_the_same_table_at_any_thread_count(tiny, tiny_model, monkeypatch):

@@ -628,83 +628,113 @@ def test_backprop_walks_forward_once_per_block(monkeypatch):
         assert calls == [hi - lo for lo, hi in field._blocks(net, rows)]
 
 
-@pytest.fixture
-def threads():
-    """``field.set_threads``, with the thread count put back afterwards."""
-    before = field._threads
-    yield field.set_threads
-    field.set_threads(before)
-
-
 def _passes(net, pts, vbar, gbar):
     return [evaluate_batch(net, pts), *grad_batch(net, pts), *jet_batch(net, pts),
             backprop(net, pts, vbar, gbar), backprop(net, pts, vbar)]
 
 
-def _assert_pooled_passes_match_sequential(net, rows, threads, monkeypatch):
+def _assert_pooled_passes_match_sequential(net, rows, threads, meeting, monkeypatch):
     # Each block writes its own rows, and backprop adds the blocks' terms in
-    # block order, so the thread count cannot move a bit.
+    # block order, so the thread count cannot move a bit.  A pooled pass
+    # holds its first two threads' first blocks until both have come, so it
+    # runs on two threads for certain.
     rng = np.random.default_rng(28)
     pts = rng.uniform(-1, 1, size=(rows, net.dim))
     vbar = rng.normal(size=rows)
     gbar = rng.normal(size=(rows, net.dim))
     ran_on = set()
+    meet = None
     forward = field._forward
 
     def recording(*args, **kwargs):
         ran_on.add(threading.get_ident())
+        if meet is not None:
+            meet()
         return forward(*args, **kwargs)
 
     monkeypatch.setattr(field, "_forward", recording)
+    pooled = len(list(field._blocks(net, rows))) > 1
     threads(1)
     ref = _passes(net, pts, vbar, gbar)
     assert ran_on == {threading.get_ident()}
     for workers in (2, 3):
         threads(workers)
         ran_on.clear()
+        meet = meeting() if pooled else None
         for new, old in zip(_passes(net, pts, vbar, gbar), ref):
             assert np.array_equal(new, old)
-        if len(list(field._blocks(net, rows))) == 1:
-            assert ran_on == {threading.get_ident()}
-        else:
+        if pooled:
             assert 1 < len(ran_on) <= workers
+        else:
+            assert ran_on == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("rows", [1, 255, 511, 512, 3000])
-def test_pooled_passes_match_sequential_bitwise(rows, threads, monkeypatch):
+def test_pooled_passes_match_sequential_bitwise(rows, threads, meeting, monkeypatch):
     net = init_field(seed=27, dim=3)
     assert _block_rows(net) == 256
-    _assert_pooled_passes_match_sequential(net, rows, threads, monkeypatch)
+    _assert_pooled_passes_match_sequential(net, rows, threads, meeting, monkeypatch)
 
 
 @pytest.mark.parametrize("rows", ["1", "r-1", "r", "2r-1", "2r", "3000"])
-def test_64_wide_passes_pool_and_match_sequential_bitwise(rows, threads, monkeypatch):
+def test_64_wide_passes_pool_and_match_sequential_bitwise(rows, threads, meeting, monkeypatch):
     # The room2d benchmark's net: r-row blocks twice as tall as the default
     # net's, on the pool like any other width.
     net = init_field(seed=27, dim=2, encoding=EncodingConfig(8), hidden=64, hidden_layers=3)
     r = _block_rows(net)
     rows = {"1": 1, "r-1": r - 1, "r": r, "2r-1": 2 * r - 1, "2r": 2 * r, "3000": 3000}[rows]
-    _assert_pooled_passes_match_sequential(net, rows, threads, monkeypatch)
+    _assert_pooled_passes_match_sequential(net, rows, threads, meeting, monkeypatch)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sets_in_one_dispatch_equal_each_set_alone(workers, threads):
+    # Each set is cut into blocks as it would be alone, whatever runs beside
+    # it; side results follow the sets' in order.
+    net = init_field(seed=44, dim=2, encoding=EncodingConfig(8), hidden=64, hidden_layers=3)
+    rng = np.random.default_rng(45)
+    r = _block_rows(net)
+    pts = [rng.uniform(-1, 1, size=(rows, 2)) for rows in (2 * r + 3, r - 5, 3 * r)]
+    vbar = [rng.normal(size=len(x)) for x in pts]
+    gbar = [rng.normal(size=x.shape) for x in pts]
+    threads(1)
+    alone = [jet_batch(net, pts[0]), grad_batch(net, pts[1]), (evaluate_batch(net, pts[2]),)]
+    grads = [backprop(net, pts[0], vbar[0], gbar[0]), backprop(net, pts[1], vbar[1]),
+             backprop(net, pts[2], vbar[2], gbar[2])]
+    threads(workers)
+    *outs, first, second = field.forward_sets(net, [(pts[0], 2), (pts[1], 1), (pts[2], 0)],
+                                              [lambda: "first", lambda: "second"])
+    assert (first, second) == ("first", "second")
+    assert [len(out) for out in outs] == [4, 2, 1]
+    for out, ref in zip(outs, alone):
+        for a, b in zip(out, ref):
+            assert np.array_equal(a, b)
+    got = field.backprop_sets(net, [(pts[0], vbar[0], gbar[0]), (pts[1], vbar[1], None),
+                                    (pts[2], vbar[2], gbar[2])])
+    assert len(got) == 3
+    for a, b in zip(got, grads):
+        assert np.array_equal(a, b)
 
 
 def test_pooled_backprop_under_frequent_thread_switches(threads):
     # More threads than cores, switching every microsecond: a lost update of
-    # the shared block counters would skip, repeat or reorder a block's terms.
+    # the shared task counters would skip, repeat or reorder a block's terms,
+    # or add them to the other set's gradient.
     net = init_field(seed=41, dim=2, hidden=96, hidden_layers=2, encoding=EncodingConfig(4))
     rows = 40 * _block_rows(net)
     rng = np.random.default_rng(42)
     pts = rng.uniform(-1, 1, size=(rows, 2))
     vbar = rng.normal(size=rows)
     gbar = rng.normal(size=(rows, 2))
+    sets = [(pts, vbar, gbar), (pts[::4], vbar[::4], None)]
     threads(1)
-    expected = backprop(net, pts, vbar, gbar)
+    expected = field.backprop_sets(net, sets)
     threads(4)
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         caller = threading.Thread(
-            target=lambda: results.extend(backprop(net, pts, vbar, gbar) for _ in range(3)))
+            target=lambda: results.extend(field.backprop_sets(net, sets) for _ in range(3)))
         caller.start()
         caller.join(120)
     finally:
@@ -712,17 +742,21 @@ def test_pooled_backprop_under_frequent_thread_switches(threads):
     assert not caller.is_alive()
     assert len(results) == 3
     for got in results:
-        assert np.array_equal(got, expected)
+        assert len(got) == 2
+        for grad, ref in zip(got, expected):
+            assert np.array_equal(grad, ref)
 
 
-def test_worker_error_reaches_the_caller(threads, monkeypatch):
+def test_worker_error_reaches_the_caller(threads, meeting, monkeypatch):
     net = init_field(seed=31, dim=2)
     pts = np.random.default_rng(32).uniform(-1, 1, size=(3 * _block_rows(net), 2))
     err = FloatingPointError("non-finite block")
     forward = field._forward
     main = threading.get_ident()
+    meet = None
 
     def failing(*args, **kwargs):
+        meet()
         if threading.get_ident() != main:
             raise err
         return forward(*args, **kwargs)
@@ -730,18 +764,22 @@ def test_worker_error_reaches_the_caller(threads, monkeypatch):
     monkeypatch.setattr(field, "_forward", failing)
     threads(2)
     for call in (lambda: jet_batch(net, pts), lambda: backprop(net, pts, np.ones(len(pts)))):
+        meet = meeting()
         with pytest.raises(FloatingPointError) as caught:
             call()
         assert caught.value is err
+        assert len(meet.threads) == 2
 
 
-def test_workers_run_under_the_callers_error_state(threads, monkeypatch):
+def test_workers_run_under_the_callers_error_state(threads, meeting, monkeypatch):
     net = init_field(seed=33, dim=2)
     pts = np.random.default_rng(34).uniform(-1, 1, size=(4 * _block_rows(net), 2))
     seen = {}
     forward = field._forward
+    meet = meeting()
 
     def recording(*args, **kwargs):
+        meet()
         seen[threading.get_ident()] = np.geterr()["over"]
         return forward(*args, **kwargs)
 

@@ -1,3 +1,5 @@
+import threading
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 from scanfield.cli import canonical_rays
 from scanfield.config import RunConfig, parse_config
 from scanfield.encoding import EncodingConfig
-from scanfield.field import evaluate_batch, grad_batch, init_field
+from scanfield import field, training
+from scanfield.field import backprop, evaluate_batch, grad_batch, init_field, jet_batch
 from scanfield.geom import Pose
 from scanfield.sampling import schedule
 from scanfield.scenes import AnalyticScene, ScannerConfig, Sphere, simulate_scan
@@ -140,8 +143,6 @@ def test_loss_gradients_match_finite_differences():
     # batch_loss recomputes targets from whatever net it is handed, which
     # would contaminate a perturbed-parameter objective.  Freeze the targets
     # from the unperturbed net and differentiate only the loss pieces.
-    from scanfield.field import jet_batch
-
     vals0, grads0, trace0, ghg0 = jet_batch(net, batch.positions)
     tg = compute_targets(
         mode, vals0, grads0, (trace0, ghg0), batch.positions, batch.endpoints, tau=w.tau, gamma=w.gamma
@@ -180,6 +181,117 @@ def test_loss_gradients_match_finite_differences():
             assert abs(an - fd) < 1e-3 * max(0.01, abs(fd)), (li, r, c, an, fd)
             checked += 1
     assert checked == 12
+
+
+def _step_batch(dim, rays, samples, seed):
+    # Rays from random origins to random endpoints inside the canonical cube.
+    rng = np.random.default_rng(seed)
+    return make_batch(rng.uniform(-0.9, 0.9, size=(rays, dim)), rng.uniform(-0.9, 0.9, size=(rays, dim)),
+                      samples_per_ray=samples)
+
+
+STEP_CASES = {
+    # The room2d benchmark's net and batch: five 512-row sample blocks and
+    # one endpoint block.
+    "2d": (lambda: init_field(seed=44, dim=2, encoding=EncodingConfig(8), hidden=64, hidden_layers=3),
+           lambda: _step_batch(2, 256, 10, 45)),
+    # Row counts off the BLAS kernels' stride: cutting the two sets as one
+    # would move the endpoint values by an ulp.
+    "2d-odd": (lambda: init_field(seed=44, dim=2, encoding=EncodingConfig(8), hidden=64, hidden_layers=3),
+               lambda: _step_batch(2, 203, 7, 48)),
+    # 512 rays through a 128-wide net: eight 256-row sample blocks and two
+    # endpoint blocks.
+    "3d": (lambda: init_field(seed=46, dim=3, encoding=EncodingConfig(4), hidden=128, hidden_layers=2),
+           lambda: _step_batch(3, 512, 4, 47)),
+}
+
+
+def _sequential_step(net, batch, w, mode):
+    # batch_loss's passes one after another, each in its own dispatch.
+    if mode is SupervisionMode.CURVATURE_CONSTRAINED:
+        vals, grads, trace, ghg = jet_batch(net, batch.positions)
+        hessian_terms = (trace, ghg)
+    else:
+        vals, grads = grad_batch(net, batch.positions)
+        hessian_terms = None
+    ev = evaluate_batch(net, batch.endpoints)
+    pairs = neighbor_pairs(batch.positions, w.knn)
+    targets = compute_targets(mode, vals, grads, hessian_terms, batch.positions, batch.endpoints,
+                              tau=w.tau, gamma=w.gamma)
+    bd, val_bar, grad_bar, end_bar = loss_terms(vals, grads, ev, targets, pairs, w)
+    pg = backprop(net, batch.positions, val_bar, grad_bar)
+    pe = backprop(net, batch.endpoints, end_bar)
+    pg += pe
+    return bd, pg
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+@pytest.mark.parametrize("mode", list(SupervisionMode), ids=lambda m: m.value)
+def test_step_equals_its_passes_in_sequence_at_any_thread_count(case, mode, threads, meeting, monkeypatch):
+    # The step's two dispatches run the sample, endpoint and kNN work side by
+    # side; every set's blocks still round as they would alone.
+    make_net, make = STEP_CASES[case]
+    net, batch, w = make_net(), make(), LossWeights()
+    threads(1)
+    ref_bd, ref_pg = _sequential_step(net, batch, w, mode)
+    meet = None
+    forward = field._forward
+
+    def meeting_forward(*args, **kwargs):
+        if meet is not None:
+            meet()
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(field, "_forward", meeting_forward)
+    for workers in (1, 2, 3):
+        threads(workers)
+        meet = meeting() if workers > 1 else None
+        bd, pg = batch_loss(net, batch, w, mode)
+        assert bd == ref_bd
+        assert np.array_equal(pg, ref_pg)
+        if meet is not None:
+            assert 1 < len(meet.threads) <= workers
+
+
+def test_knn_error_reaches_the_caller_after_every_lane_stops(threads, monkeypatch):
+    # The kNN query fails while a block is running on another lane; the
+    # error is raised once that block has finished.
+    net = STEP_CASES["2d"][0]()
+    batch = STEP_CASES["2d"][1]()
+    started = threading.Event()
+    lock = threading.Lock()
+    running = [0]
+    forward = field._forward
+
+    def slow_forward(*args, **kwargs):
+        with lock:
+            running[0] += 1
+        started.set()
+        time.sleep(0.2)
+        try:
+            return forward(*args, **kwargs)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    err = RuntimeError("kNN query failed")
+
+    def failing_pairs(positions, k):
+        assert started.wait(60)
+        raise err
+
+    threads(2)
+    # A step first, so that the pool's thread is idle: the caller then mostly
+    # takes the first task, the kNN query, and its own lane fails.
+    batch_loss(net, batch, LossWeights(), SupervisionMode.RAY_DISTANCE)
+    monkeypatch.setattr(field, "_forward", slow_forward)
+    monkeypatch.setattr(training, "neighbor_pairs", failing_pairs)
+    for _ in range(3):
+        started.clear()
+        with pytest.raises(RuntimeError) as caught:
+            batch_loss(net, batch, LossWeights(), SupervisionMode.RAY_DISTANCE)
+        assert caught.value is err
+        assert running[0] == 0
 
 
 def test_adamw_drives_quadratic_to_zero():
