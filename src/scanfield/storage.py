@@ -62,9 +62,11 @@ def load_poses(path) -> list[Pose]:
 
 def load_scan_points(path) -> np.ndarray:
     """Read one binary scan as ``save_scans`` writes it: 12-byte records of
-    little-endian f32 xyz, the only record read.  A size that is not a
-    multiple of 12 raises ValueError naming the path."""
+    little-endian f32 xyz, the only record read.  An empty file or a size
+    that is not a multiple of 12 raises ValueError naming the path."""
     raw = Path(path).read_bytes()
+    if not raw:
+        raise ValueError(f"{path}: no {_XYZ_BYTES}-byte f32 xyz records")
     if len(raw) % _XYZ_BYTES != 0:
         raise ValueError(f"{path}: size {len(raw)} is not a multiple of the "
                          f"{_XYZ_BYTES}-byte f32 xyz record")

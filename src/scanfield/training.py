@@ -264,11 +264,15 @@ def _adamw_update(theta, grad, m, v, t, cfg: OptimConfig):
 
 
 def adamw_step(net: FieldNet, grads: np.ndarray, cfg: OptimConfig, state: AdamState) -> tuple[FieldNet, AdamState]:
-    """One decoupled-weight-decay Adam step; returns fresh net and state."""
+    """One decoupled-weight-decay Adam step; returns fresh net and state.
+    A non-finite gradient or parameter update raises FloatingPointError."""
     if not np.all(np.isfinite(grads)):
         raise FloatingPointError("non-finite parameter gradient")
     t = state.t + 1
-    params, m, v = _adamw_update(net.params, grads, state.m, state.v, t, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        params, m, v = _adamw_update(net.params, grads, state.m, state.v, t, cfg)
+    if not np.all(np.isfinite(params)):
+        raise FloatingPointError("non-finite parameter update")
     return replace(net, params=params), AdamState(m=m, v=v, t=t)
 
 

@@ -529,6 +529,19 @@ def test_scan_of_four_channel_records_exits_2(tiny, capsys):
     assert str(scan) in capsys.readouterr().err
 
 
+
+def test_empty_scan_file_is_named(tiny, capsys):
+    tmp, cfg, scene2 = tiny
+    data = tmp / "data"
+    assert run("synth", "--scene", scene2, "--traj", "orbit:radius=3,steps=4",
+               "--out", data, "--config", cfg) == 0
+    scan = data / "scan_000000.bin"
+    scan.write_bytes(b"")
+    capsys.readouterr()
+    assert run("train", "--scans", data, "--out", tmp / "m.bin", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(scan) in err
+
 def test_model_saved_beside_its_scans(tiny):
     # the dataset directory may hold the model trained from it: only the
     # scan_*.bin files are scans
@@ -671,6 +684,35 @@ def test_exit_codes(tiny, tiny_model, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: non-finite loss" in err and "Traceback" not in err
 
+
+
+def test_diverging_update_exits_1_without_a_warning(tiny, tmp_path, capsys):
+    # A finite learning rate so large that the first AdamW step overflows the
+    # parameters: a failed run (1) that names the fault, not a usage error
+    # (2), and no numpy overflow warning on the way.
+    tmp, cfg, scene2 = tiny
+    assert run("synth", "--scene", scene2, "--traj", "orbit:radius=3,steps=4",
+               "--out", tmp / "data", "--config", cfg) == 0
+    hot = tmp_path / "hot.cfg"
+    hot.write_text(with_keys(TINY_CFG, "learn_rate = 1e308\n"))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("train", "--scans", tmp / "data", "--out", tmp_path / "hot.bin",
+                   "--config", hot) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite") and "Traceback" not in err
+
+
+def test_out_of_memory_request_exits_1(tiny, tiny_model, capsys):
+    # About 2**62 bytes of samples: more than any address space holds, and
+    # below the 2**63 at which numpy refuses the shape with a ValueError.
+    tmp, cfg, scene2 = tiny
+    capsys.readouterr()
+    assert run("eval-sdf", "--model", tiny_model, "--scene", scene2, "--config", cfg,
+               "--samples", "100000000000000000") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 def test_compare_scores_planes_only_scene(tiny, tmp_path, capsys):
     # with a trajectory, a scene of walls alone has a scanned region to score

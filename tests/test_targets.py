@@ -1,13 +1,17 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
 from scanfield.sampling import sample_rays_batch
 from scanfield.scenes import AnalyticScene, Sphere
-from scanfield.targets import GRAD_EPS, ROC_MAX, ROC_MIN, SupervisionMode, compute_targets
+from scanfield.targets import GRAD_EPS, ROC_MIN, SupervisionMode, compute_targets
 
 # ---------------------------------------------------------------------------
 # Scalar reference: one sample at a time, the reference that the batched
-# compute_targets is checked against.
+# compute_targets is checked against.  It keeps the radius form
+# R - sqrt(d^2 + R^2 - 2Rp), which compute_targets multiplies through by its
+# conjugate, so the two agree only to rounding at large R.
 
 
 class DegenerateGradient(ValueError):
@@ -33,13 +37,12 @@ def principal_curvature_sum(gradient, hessian, eps=GRAD_EPS):
     return float(np.trace(h) / n - g @ h @ g / n**3)
 
 
-def iso_curvature(gradient, hessian, r_min=ROC_MIN, r_max=ROC_MAX, eps=GRAD_EPS):
-    """kappa = |principal sum| / (m - 1) and its radius, clamped to [r_min, r_max]."""
+def iso_curvature(gradient, hessian, r_min=ROC_MIN, eps=GRAD_EPS):
+    """kappa = |principal sum| / (m - 1) and its radius, at least r_min
+    (infinite for a flat level set)."""
     m = np.asarray(gradient).shape[0]
     kappa = abs(principal_curvature_sum(gradient, hessian, eps)) / (m - 1)
-    if kappa <= 1.0 / r_max:
-        return kappa, r_max
-    return kappa, float(np.clip(1.0 / kappa, r_min, r_max))
+    return kappa, (max(1.0 / kappa, r_min) if kappa > 0.0 else np.inf)
 
 
 def dcn_distance(n_unit, endpoint, x):
@@ -48,10 +51,13 @@ def dcn_distance(n_unit, endpoint, x):
 
 
 def curvature_distance(r, endpoint, x, n_unit):
-    """Signed distance to the curvature-matched sphere through the endpoint."""
+    """Signed distance to the curvature-matched sphere through the endpoint;
+    an infinite radius gives the tangent plane, the dcn distance."""
     delta = endpoint - np.asarray(x, dtype=np.float64)
     d2 = float(delta @ delta)
     p = float(np.asarray(n_unit) @ delta)
+    if r == np.inf:
+        return p
     radicand = d2 + r * r - 2.0 * r * p
     return float(r - np.sqrt(max(radicand, 0.0)))
 
@@ -72,8 +78,8 @@ def sample_weight(d_pred_abs, d_max, d_min, gamma):
 
 
 def estimate_sample(mode, value, gradient, hessian, endpoint, x, d_max, d_min=0.0,
-                    tau=0.2, gamma=3.0, r_min=ROC_MIN, r_max=ROC_MAX):
-    """One sample's (d_hat, weight, roc_query).
+                    tau=0.2, gamma=3.0, r_min=ROC_MIN):
+    """One sample's (d_hat, weight).
 
     Degenerate gradients and negative raw estimates both fall back to the ray
     distance.
@@ -87,17 +93,17 @@ def estimate_sample(mode, value, gradient, hessian, endpoint, x, d_max, d_min=0.
         try:
             n = normal_dir(gradient)
             if mode is SupervisionMode.CLOSEST_NORMAL:
-                d_raw, roc_q = dcn_distance(n, endpoint, xq), r_max
+                d_raw = dcn_distance(n, endpoint, xq)
             else:
-                _, r = iso_curvature(gradient, hessian, r_min, r_max)
-                d_raw, roc_q = curvature_distance(r, endpoint, xq, n), r
+                _, r = iso_curvature(gradient, hessian, r_min)
+                d_raw = curvature_distance(r, endpoint, xq, n)
             if d_raw < 0.0:
                 ray_fallback = True
         except DegenerateGradient:
             ray_fallback = True
     if ray_fallback:
-        d_raw, roc_q = d, r_max
-    return float(np.clip(d_raw, 0.0, tau)), weight, roc_q
+        d_raw = d
+    return float(np.clip(d_raw, 0.0, tau)), weight
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +143,11 @@ def test_curvature_at_distance_two_from_sphere_center():
     for m in (2, 3):
         g, h = _sphere_level_jet(2.0, m)
         x = 2.0 * g
-        tb = _one(SupervisionMode.CURVATURE_CONSTRAINED, g, h, x, x - 0.5 * g)
+        e = x - 0.5 * g + 0.4 * np.roll(g, 1)  # oblique: the target depends on the radius
+        tb = _one(SupervisionMode.CURVATURE_CONSTRAINED, g, h, x, e, tau=np.inf)
         assert not tb.degenerate[0]
-        assert abs(tb.roc_query[0] - 2.0) < 1e-12
+        assert abs(tb.d_hat[0] - curvature_distance(2.0, e, x, -g)) < 1e-12
+        assert abs(tb.d_hat[0] - (2.0 - np.linalg.norm(e))) < 1e-12  # true distance
         kappa, r = iso_curvature(g, h)
         assert abs(kappa - 0.5) < 1e-12
         assert abs(r - 2.0) < 1e-12
@@ -154,29 +162,39 @@ def test_principal_sum_and_mean():
     h_cyl = np.diag([0.0, 0.5, 0.0])
     assert abs(principal_curvature_sum(g, h_cyl) - 0.5) < 1e-12
     x = 2.0 * g
+    e = x - 0.5 * g + 0.4 * np.roll(g, 1)
+    targets = []
     for hess, radius in ((h, 2.0), (h_cyl, 4.0)):
-        tb = _one(SupervisionMode.CURVATURE_CONSTRAINED, g, hess, x, x - 0.5 * g)
-        assert abs(tb.roc_query[0] - radius) < 1e-12
+        tb = _one(SupervisionMode.CURVATURE_CONSTRAINED, g, hess, x, e, tau=np.inf)
+        assert abs(tb.d_hat[0] - curvature_distance(radius, e, x, -g)) < 1e-12
+        targets.append(tb.d_hat[0])
+    assert targets[0] < targets[1]  # the flatter level set is farther away
 
 
 def test_flat_region_radius_saturates():
+    # Zero curvature is an infinite radius: the tangent line, the dcn target.
     g = np.array([0.0, 1.0])
     h = np.zeros((2, 2))
     kappa, r = iso_curvature(g, h)
     assert kappa == 0.0
-    assert r == 1e6
-    tb = _one(SupervisionMode.CURVATURE_CONSTRAINED, g, h, np.zeros(2), np.array([0.0, -0.1]))
+    assert r == np.inf
+    x, e = np.zeros(2), np.array([0.05, -0.1])
+    tb = _one(SupervisionMode.CURVATURE_CONSTRAINED, g, h, x, e, tau=np.inf)
     assert not tb.degenerate[0]
-    assert tb.roc_query[0] == 1e6
+    assert tb.d_hat[0] == curvature_distance(r, e, x, -g) == 0.1
 
 
 def test_radius_clamped_below():
     g, h = _sphere_level_jet(1e-5, 3)  # curvature 1e5 -> radius 1e-5 < floor
     _, r = iso_curvature(g, h)
     assert r == 1e-3
-    tb = _one(SupervisionMode.CURVATURE_CONSTRAINED, g, h, np.zeros(3), -5e-4 * g)
+    # Oblique, so d^2 > 2rp at the true radius: unclamped, the estimate
+    # would be negative and fall back to the ray distance.
+    x, e = np.zeros(3), -5e-4 * g + 3e-4 * np.roll(g, 1)
+    tb = _one(SupervisionMode.CURVATURE_CONSTRAINED, g, h, x, e, tau=np.inf)
     assert not tb.degenerate[0]
-    assert tb.roc_query[0] == 1e-3
+    assert abs(tb.d_hat[0] - curvature_distance(1e-3, e, x, -g)) < 1e-15
+    assert tb.d_hat[0] < np.linalg.norm(e)
 
 
 def test_dcn_projection():
@@ -196,7 +214,6 @@ def test_curvature_distance_radicand_anchor():
     assert abs(curvature_distance(2.0, e, x, n) - 1.0) < 1e-12
     h = np.diag([0.0, 0.5])  # level-set curvature 1/2 across the normal
     tb = _one(SupervisionMode.CURVATURE_CONSTRAINED, -n, h, x, e, tau=np.inf)
-    assert abs(tb.roc_query[0] - 2.0) < 1e-12
     assert abs(tb.d_hat[0] - 1.0) < 1e-12
 
 
@@ -223,8 +240,8 @@ def test_curvature_distance_exact_on_concentric_levels():
 
 
 def test_curvature_matches_projection_in_flat_limit():
-    # With the radius saturated at 1e6 the curvature target collapses to the
-    # normal projection up to d^2 / (2 r).
+    # With zero curvature the curvature target is the normal projection, bit
+    # for bit: the conjugate form needs no radius.
     rng = np.random.default_rng(7)
     x = rng.normal(size=(200, 3))
     e = x + rng.uniform(0.1, 1.0, size=(200, 1)) * rng.normal(size=(200, 3))
@@ -235,7 +252,8 @@ def test_curvature_matches_projection_in_flat_limit():
     cd = compute_targets(SupervisionMode.CURVATURE_CONSTRAINED, vals, g, flat, x, e, tau=np.inf, gamma=3.0)
     dcn = compute_targets(SupervisionMode.CLOSEST_NORMAL, vals, g, None, x, e, tau=np.inf, gamma=3.0)
     np.testing.assert_array_equal(cd.degenerate, dcn.degenerate)
-    assert np.all(np.abs(cd.d_hat - dcn.d_hat) < 1e-3 * d)
+    np.testing.assert_array_equal(cd.d_hat, dcn.d_hat)
+    assert np.all(cd.d_hat <= d)
 
 
 def test_sample_weight_anchor():
@@ -251,13 +269,13 @@ def test_estimate_sample_clamps_to_band():
     e = np.array([1.0, 0.0])
     g = np.array([-1.0, 0.0])  # surface ahead along +x
     h = np.zeros((2, 2))
-    d_hat, _, _ = estimate_sample(
+    d_hat, _ = estimate_sample(
         SupervisionMode.RAY_DISTANCE, 0.0, g, h, e, x, d_max=1.0, tau=0.2
     )
     assert d_hat == 0.2  # raw distance 1.0 clipped to the band
     # A normal pointing away from the endpoint would give a negative raw
     # target; the sample falls back to ray distance (1.0) and band-clamps.
-    d_hat2, _, _ = estimate_sample(
+    d_hat2, _ = estimate_sample(
         SupervisionMode.CLOSEST_NORMAL, 0.0, np.array([1.0, 0.0]), h, e, x, d_max=1.0
     )
     assert d_hat2 == 0.2
@@ -270,7 +288,7 @@ def test_estimate_sample_degenerate_falls_back_to_ray():
     x = np.zeros(2)
     e = np.array([0.1, 0.0])
     mode = SupervisionMode.CURVATURE_CONSTRAINED
-    d_hat, _, _ = estimate_sample(mode, 0.0, np.zeros(2), np.zeros((2, 2)), e, x, d_max=1.0)
+    d_hat, _ = estimate_sample(mode, 0.0, np.zeros(2), np.zeros((2, 2)), e, x, d_max=1.0)
     assert abs(d_hat - 0.1) < 1e-15
     tb = _one(mode, np.zeros(2), np.zeros((2, 2)), x, e)
     assert tb.degenerate[0]
@@ -293,12 +311,11 @@ def test_compute_targets_matches_scalar_loop():
     for mode in SupervisionMode:
         batch = compute_targets(mode, vals, g, hessian_terms(g, h), x, e, tau=0.2, gamma=3.0)
         for i in range(s):
-            d_hat, weight, roc_query = estimate_sample(
+            d_hat, weight = estimate_sample(
                 mode, vals[i], g[i], h[i], e[i], x[i], d_max, d_min
             )
             assert abs(batch.d_hat[i] - d_hat) < 1e-12, (mode, i)
             assert abs(batch.weight[i] - weight) < 1e-9
-            assert abs(batch.roc_query[i] - roc_query) < 1e-6 * roc_query
         if mode is not SupervisionMode.RAY_DISTANCE:
             assert batch.degenerate[3]
             # fallback rows carry the band-clamped ray distance
@@ -362,12 +379,59 @@ def test_per_ray_endpoints_match_row_aligned_call(m):
     for mode, rows in causes.items():
         per_ray = compute_targets(mode, vals, g, (tr, ghg), x, endpoints, tau=0.2, gamma=3.0)
         aligned = compute_targets(mode, vals, g, (tr, ghg), x, e_rows, tau=0.2, gamma=3.0)
-        for field in ("d_hat", "weight", "roc_query", "degenerate"):
+        for field in ("d_hat", "weight", "degenerate"):
             assert np.array_equal(getattr(per_ray, field), getattr(aligned, field)), (mode, field)
         assert np.all(per_ray.degenerate[rows]), mode
         assert per_ray.degenerate.sum() < s // 2
     with pytest.raises(ValueError):
         compute_targets(SupervisionMode.RAY_DISTANCE, vals, g, None, x, endpoints[:4], tau=0.2, gamma=3.0)
+
+
+def test_ray_and_dcn_targets_are_the_clipped_distance_and_projection():
+    # κ = 0 in the one construction returns d and p bit for bit, on rows
+    # with vanishing gradients and negative projections too.
+    rng = np.random.default_rng(23)
+    s, m, tau = 512, 3, 0.2
+    x = rng.normal(size=(s, m))
+    e = x + rng.uniform(0.01, 0.5, size=(s, 1)) * rng.normal(size=(s, m))
+    vals = rng.normal(size=s)
+    g = rng.normal(size=(s, m))
+    g[::17] = 0.0
+    g[5::17] = 1e-12
+    delta = e - x
+    d = np.linalg.norm(delta, axis=1)
+    ray = compute_targets(SupervisionMode.RAY_DISTANCE, vals, g, None, x, e, tau=tau, gamma=3.0)
+    assert np.array_equal(ray.d_hat, np.clip(d, 0.0, tau))
+    assert not np.any(ray.degenerate)
+    gnorm = np.linalg.norm(g, axis=1)
+    safe_g = np.maximum(gnorm, GRAD_EPS)
+    p = np.sum(-g / safe_g[:, None] * delta, axis=1)
+    dcn = compute_targets(SupervisionMode.CLOSEST_NORMAL, vals, g, None, x, e, tau=tau, gamma=3.0)
+    fallback = (gnorm < GRAD_EPS) | (p < 0.0)
+    assert np.any(p < 0.0) and np.any(gnorm < GRAD_EPS)
+    np.testing.assert_array_equal(dcn.degenerate, fallback)
+    assert np.array_equal(dcn.d_hat[~fallback], np.clip(p[~fallback], 0.0, tau))
+    assert np.array_equal(dcn.d_hat[fallback], np.clip(d[fallback], 0.0, tau))
+
+
+def test_curvature_target_at_a_large_radius_matches_exact_arithmetic():
+    # At R = 1e6 the radius form R - sqrt(d^2 + R^2 - 2Rp) loses about 1e-10
+    # to cancellation; the conjugate form keeps the target to rounding.
+    rng = np.random.default_rng(3)
+    s, kappa = 64, 1e-6
+    x = np.zeros((s, 2))
+    e = np.column_stack([rng.uniform(-1.0, 1.0, s), rng.uniform(0.05, 1.0, s)])
+    g = np.tile([0.0, -1.0], (s, 1))  # unit gradient: n = +y, p = e_y
+    tb = compute_targets(SupervisionMode.CURVATURE_CONSTRAINED, np.zeros(s), g,
+                         (np.full(s, kappa), np.zeros(s)), x, e, tau=np.inf, gamma=3.0)
+    assert not np.any(tb.degenerate)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        r = 1 / Decimal(kappa)
+        for (ex, ey), got in zip(e, tb.d_hat):
+            ex, ey = Decimal(ex), Decimal(ey)
+            exact = r - (ex * ex + ey * ey + r * r - 2 * r * ey).sqrt()
+            assert abs(Decimal(got) - exact) < Decimal(1e-14)
 
 
 def test_compute_targets_weights_use_batch_max():

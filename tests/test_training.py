@@ -113,7 +113,7 @@ def test_smoothness_scatter_matches_add_at(dim):
     grads[7] = 0.0  # below GRAD_EPS: its pairs contribute nothing
     pairs = rng.integers(0, s, size=(600, 2))
     targets = TargetBatch(d_hat=rng.normal(size=s), weight=np.ones(s),
-                          roc_query=np.zeros(s), degenerate=np.zeros(s, dtype=bool))
+                          degenerate=np.zeros(s, dtype=bool))
     w = LossWeights()
     ev = rng.normal(size=4)
     _, _, grad_bar, _ = loss_terms(vals, grads, ev, targets, pairs, w)
