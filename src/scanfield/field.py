@@ -84,15 +84,33 @@ spends a short block in interpreter work that holds the lock.  At 2 threads
 the rule's blocks were the fastest swept, or within the spread, at every width.
 One thread favours short blocks at every width, so narrow nets pay there:
 +4 % a step for the room2d net, up to +21 % for other 32- to 96-wide nets.
-Before its first thread starts, the pool caps glibc's malloc arenas at one
-(``M_ARENA_MAX``).  glibc otherwise gives each new thread an arena of its
-own, whose freed blocks no other thread reuses: without the cap the room3d
-benchmark's peak RSS read 114.6-115.0 MB, with it 103.8-106.0 MB.
+
+Allocator: loading this module sets three of glibc's malloc parameters, once
+for the process (``_tune_malloc``; a no-op where ``mallopt`` is missing), so
+the ``scanfield`` script, ``python -m scanfield``, an in-process
+``cli.main`` and library use all run one allocator.  Fixed mmap and trim
+thresholds (32 MiB and 256 MiB) keep freed blocks in the heap for the next
+block to reuse: by default glibc serves each allocation above its dynamic
+mmap threshold with a fresh ``mmap`` and trims the heap top when it frees,
+so every row block faults its block-sized temporaries back in page by page.
+In eight alternating pairs of ``python -m scanfield train --seed 0`` on the
+room3d benchmark's scene and config (2-vCPU x86-64 VM, one BLAS thread, two
+field threads), a run took 61-130 thousand minor page faults and 0.33-0.57 s
+of system time without the thresholds, and 18 thousand and 0.17-0.29 s with
+them.  ``demos/demo_localize.py``, run as a plain ``python3`` process (same
+VM, BLAS pinned through the environment), took 3.35-3.45 s and 401-498
+thousand minor faults at glibc's defaults, and 2.77-2.89 s and 29-30
+thousand with the thresholds (3 runs each).  One malloc
+arena (``M_ARENA_MAX``): glibc otherwise gives each new thread, the pool's
+included, an arena of its own, whose freed blocks no other thread reuses;
+without the cap the room3d benchmark's peak RSS read 114.6-115.0 MB, with it
+103.8-106.0 MB.
 """
 
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -102,7 +120,6 @@ from functools import partial
 import numpy as np
 import numpy.typing as npt
 
-from .__main__ import M_ARENA_MAX, mallopt
 from .encoding import EncodingConfig, encode_jet, sincos
 
 _F = npt.NDArray[np.floating]
@@ -113,6 +130,26 @@ DEFAULT_FIRST_FACTOR = 30.0
 
 # Rows times hidden width per block in every pass; see the module docstring.
 BLOCK_WORK = 256 * 128
+
+# glibc's mallopt (parameter, value) pairs, in the order set: M_MMAP_THRESHOLD
+# at 32 MiB, the largest glibc accepts on 64-bit hosts, M_TRIM_THRESHOLD at
+# 256 MiB and M_ARENA_MAX at 1; see "Allocator" in the module docstring.
+_MALLOPT = ((-3, 32 << 20), (-1, 256 << 20), (-8, 1))
+
+
+def _tune_malloc() -> None:
+    # Set ``_MALLOPT`` in order; a no-op where ``mallopt`` is missing.
+    try:
+        fn = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    fn.argtypes = (ctypes.c_int, ctypes.c_int)
+    fn.restype = ctypes.c_int
+    for param, value in _MALLOPT:
+        fn(param, value)
+
+
+_tune_malloc()
 
 
 def _layer_shapes(encoding: EncodingConfig, dim: int, hidden: int, hidden_layers: int):
@@ -131,13 +168,12 @@ class FieldNet:
     """A sine network over ``encoding``'s features of ``dim`` coordinates.
 
     ``hidden_layers`` sine layers of ``hidden`` units, the first with the
-    factor ``first_factor`` and the rest with 1, feed one affine output unit;
-    ``widths`` and ``sine_factors`` spell that out per layer, a factor of 0
-    marking the affine layer.  ``params`` is one flat float64 vector,
-    layer-major: each layer's (width, fan-in) weight matrix in row-major
-    order, then its bias.  ``layers`` views any vector in that layout (the
-    parameters, a gradient) as per-layer (weight, bias) pairs, so this class
-    is the only place that knows the layout.
+    factor ``first_factor`` and the rest with 1, feed one affine output unit.
+    ``params`` is one flat float64 vector, layer-major: each layer's (width,
+    fan-in) weight matrix in row-major order, then its bias.  ``layers``
+    views any vector in that layout (the parameters, a gradient) as
+    per-layer (weight, bias, factor) triples, a factor of 0 marking the
+    affine layer, so this class is the only place that knows the layout.
 
     Treated as immutable after construction; the optimizer returns a fresh
     parameter vector rather than mutating in place.
@@ -151,48 +187,32 @@ class FieldNet:
     params: np.ndarray
 
     def __post_init__(self):
-        size = sum(width * (fan_in + 1) for width, fan_in in self._shapes())
+        size = sum(width * (fan_in + 1) for width, fan_in in
+                   _layer_shapes(self.encoding, self.dim, self.hidden, self.hidden_layers))
         if not np.isfinite(self.first_factor):
             raise ValueError(f"non-finite first-layer factor {self.first_factor}")
         if self.first_factor <= 0.0:  # a factor of 0 marks the affine output layer
             raise ValueError(f"first-layer factor must be positive, got {self.first_factor}")
         if self.params.shape != (size,):
-            raise ValueError(f"widths {self.widths} take {size} parameters, got shape {self.params.shape}")
+            raise ValueError(f"{self.hidden_layers} layers of {self.hidden} take {size} parameters, "
+                             f"got shape {self.params.shape}")
         if not np.all(np.isfinite(self.params)):
             raise ValueError("non-finite parameters")
 
-    @property
-    def widths(self) -> tuple[int, ...]:
-        return tuple(width for width, _ in self._shapes())
-
-    @property
-    def sine_factors(self) -> tuple[float, ...]:
-        return (self.first_factor,) + (1.0,) * (self.hidden_layers - 1) + (0.0,)
-
-    def _shapes(self):
-        return _layer_shapes(self.encoding, self.dim, self.hidden, self.hidden_layers)
-
-    def layers(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-layer (weight, bias) views into ``flat``, laid out like ``params``."""
+    def layers(self, flat: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray, float]]:
+        """Per-layer (weight, bias, factor), first to last: (width, fan-in)
+        and (width,) views into ``flat`` (``params`` by default), laid out
+        like ``params``, and the layer's sine factor, 0 for the affine output."""
+        flat = self.params if flat is None else flat
+        factors = (self.first_factor,) + (1.0,) * (self.hidden_layers - 1) + (0.0,)
         out = []
         lo = 0
-        for width, fan_in in self._shapes():
+        for (width, fan_in), fac in zip(
+                _layer_shapes(self.encoding, self.dim, self.hidden, self.hidden_layers), factors):
             hi = lo + width * fan_in
-            out.append((flat[lo:hi].reshape(width, fan_in), flat[hi : hi + width]))
+            out.append((flat[lo:hi].reshape(width, fan_in), flat[hi : hi + width], fac))
             lo = hi + width
         return out
-
-    @property
-    def weights(self) -> list[np.ndarray]:
-        return [w for w, _ in self.layers(self.params)]
-
-    @property
-    def biases(self) -> list[np.ndarray]:
-        return [b for _, b in self.layers(self.params)]
-
-    @property
-    def layer_count(self) -> int:
-        return self.hidden_layers + 1
 
 
 def init_field(
@@ -227,7 +247,8 @@ def _first_layer_blocks(net: FieldNet) -> list[np.ndarray]:
     shared by its blocks."""
     m = net.dim
     blocks = 2 * net.encoding.bands + 1
-    return [net.weights[0][:, np.arange(blocks) * m + j] for j in range(m)]
+    w = net.layers()[0][0]
+    return [w[:, np.arange(blocks) * m + j] for j in range(m)]
 
 
 def _forward(net: FieldNet, x: np.ndarray, order: int, w0: list[np.ndarray] | None,
@@ -255,7 +276,7 @@ def _forward(net: FieldNet, x: np.ndarray, order: int, w0: list[np.ndarray] | No
         da, k = (jet.d1.transpose(1, 2, 0) * gbar[:, None, :]).reshape(n, 1, -1), 1
     lap = d2z0 = None
     sweep = []
-    for li, (w, b, fac) in enumerate(zip(net.weights, net.biases, net.sine_factors)):
+    for li, (w, b, fac) in enumerate(net.layers()):
         width = w.shape[0]
         if record is not None:
             # The input now, the rest below: an unrecorded pass frees it sooner.
@@ -315,7 +336,7 @@ def _directional(net: FieldNet, sweep: list, d2z0: list[np.ndarray], v: np.ndarr
     """
     v2 = v * v
     q = sum(v2[:, j, None] * part for j, part in enumerate(d2z0))
-    for li, (w, (fac_cos, dz, c2)) in enumerate(zip(net.weights, sweep)):
+    for li, ((w, _, _), (fac_cos, dz, c2)) in enumerate(zip(net.layers(), sweep)):
         if li > 0:
             q = q @ w.T
         if fac_cos is not None:
@@ -376,7 +397,6 @@ def _pool_for(n_tasks: int, threads: int) -> ThreadPoolExecutor | None:
         return None
     with _pool_lock:
         if _pool is None:
-            mallopt((M_ARENA_MAX, 1))
             _pool = ThreadPoolExecutor(threads - 1, thread_name_prefix="scanfield-field")
         return _pool
 
@@ -516,15 +536,15 @@ def _backward_block(net: FieldNet, x: np.ndarray, vbar: np.ndarray, gbar: np.nda
     # Adjoints of the final layer's affine output (width 1) and its tangent.
     zbar = vbar[:, None]
     tbar = np.ones((x.shape[0], 1)) if with_grad else None
-    weights = net.weights
+    layers = net.layers()
     terms = []
-    for li in range(net.layer_count - 1, -1, -1):
-        (a_in, t_in, _, _), w = record[li], weights[li]
+    for li in range(len(layers) - 1, -1, -1):
+        (a_in, t_in, _, _), (w, _, _) = record[li], layers[li]
         terms.append((zbar.sum(axis=0), zbar.T @ a_in) + ((tbar.T @ t_in[:, 0],) if with_grad else ()))
         if li == 0:
             break
         # Through the previous sine: a_in = sin(f z), t_in = f cos(f z) tz.
-        facp = net.sine_factors[li - 1]
+        facp = layers[li - 1][2]
         _, _, fac_cos, tzp = record[li - 1]
         zbar = fac_cos * (zbar @ w)
         if with_grad:
@@ -548,7 +568,7 @@ def _backprop(net: FieldNet, points: _F, value_bar: _F, grad_bar: _F | None) -> 
     def add(terms):
         # In block order, and in the sweep's order within a block, whichever
         # thread ran the block: the same sums as one thread's.
-        for (gw, gb), (bias_term, *weight_terms) in zip(out, terms):
+        for (gw, gb, _), (bias_term, *weight_terms) in zip(out, terms):
             gb += bias_term
             for term in weight_terms:
                 gw += term

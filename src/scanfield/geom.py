@@ -66,11 +66,6 @@ class Pose:
         p = np.asarray(points, dtype=np.float64)
         return p @ self.rotation.T + self.translation
 
-    def inverse_apply(self, points: _F) -> np.ndarray:
-        """Map world-frame points (..., m) into the sensor frame."""
-        p = np.asarray(points, dtype=np.float64)
-        return (p - self.translation) @ self.rotation
-
     @staticmethod
     def from_xytheta(x: float, y: float, theta: float, dim: int = 2) -> "Pose":
         """Planar pose at (x, y) heading ``theta``; in 3D, a heading about z at z = 0."""

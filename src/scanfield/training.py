@@ -216,26 +216,21 @@ def batch_loss(
     pass (order 2 in curvature mode, else 1), the endpoint values and, as a
     side task, the kNN pairs; then the samples' and the endpoints' reverse
     passes.  Each set's blocks round as they would alone, so the gradient is
-    bitwise that of the passes run one after another.
+    bitwise that of the passes run one after another.  A diverging net
+    overflows silently here, pool workers included; the non-finite loss or
+    gradient it yields ends the run (``loss_terms``, ``adamw_step``).
     """
     curvature = mode is SupervisionMode.CURVATURE_CONSTRAINED
-    (vals, grads, *hessian_terms), (ev,), pairs = field_mod.forward_sets(
-        net, [(batch.positions, 2 if curvature else 1), (batch.endpoints, 0)],
-        [lambda: neighbor_pairs(batch.positions, w.knn)])
-    targets = compute_targets(
-        mode,
-        vals,
-        grads,
-        tuple(hessian_terms) or None,
-        batch.positions,
-        batch.endpoints,
-        tau=w.tau,
-        gamma=w.gamma,
-    )
-    breakdown, val_bar, grad_bar, end_bar = loss_terms(vals, grads, ev, targets, pairs, w)
-    pg, pe = field_mod.backprop_sets(
-        net, [(batch.positions, val_bar, grad_bar), (batch.endpoints, end_bar, None)])
-    pg += pe
+    with np.errstate(over="ignore", invalid="ignore"):
+        (vals, grads, *hessian_terms), (ev,), pairs = field_mod.forward_sets(
+            net, [(batch.positions, 2 if curvature else 1), (batch.endpoints, 0)],
+            [lambda: neighbor_pairs(batch.positions, w.knn)])
+        targets = compute_targets(mode, vals, grads, tuple(hessian_terms) or None,
+                                  batch.positions, batch.endpoints, tau=w.tau, gamma=w.gamma)
+        breakdown, val_bar, grad_bar, end_bar = loss_terms(vals, grads, ev, targets, pairs, w)
+        pg, pe = field_mod.backprop_sets(
+            net, [(batch.positions, val_bar, grad_bar), (batch.endpoints, end_bar, None)])
+        pg += pe
     return breakdown, pg
 
 

@@ -12,7 +12,6 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -672,17 +671,18 @@ def test_exit_codes(tiny, tiny_model, tmp_path, capsys):
     planes.write_text("\n".join(ROOM_SCENE.strip().splitlines()[:4]) + "\n")
     assert run("compare", "--scene", planes, "--config", cfg) == 2
     # A valid, finite learning rate at which the loss overflows within 20
-    # epochs: numpy warns of the overflow, then training stops on the
-    # non-finite loss.
+    # epochs: in every mode, training stops on the non-finite loss without
+    # a numpy warning on the way.
     hot = tmp_path / "hot.cfg"
     hot.write_text(with_keys(TINY_CFG, "learn_rate = 1e8\nepochs = 20\n"))
-    capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert run("train", "--scans", tmp / "data", "--out", tmp_path / "hot.bin",
-                   "--config", hot) == 1
-    err = capsys.readouterr().err
-    assert "error: non-finite loss" in err and "Traceback" not in err
+    for mode in SupervisionMode:
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("train", "--scans", tmp / "data", "--out", tmp_path / "hot.bin",
+                       "--config", hot, "--mode", mode.value) == 1, mode
+        err = capsys.readouterr().err
+        assert "error: non-finite loss" in err and "Traceback" not in err, (mode, err)
 
 
 
@@ -839,34 +839,23 @@ def test_threads_flag_caps_field_threads(pooled):
     assert (tmp / "t1.bin").read_bytes() == (tmp / "t2.bin").read_bytes()
 
 
-def test_launcher_sets_malloc_thresholds(monkeypatch):
-    calls = []
-
-    def mallopt(param, value):
-        calls.append((param, value))
-        return 1
-
-    monkeypatch.setattr(launcher.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
-    launcher.keep_freed_memory()
-    assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
-    assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
-
-
-def _no_c_library(name):
-    raise OSError("no C library")
-
-
-@pytest.mark.parametrize("cdll", [_no_c_library, lambda name: SimpleNamespace()],
-                         ids=["no-library", "no-mallopt"])
-def test_launcher_runs_without_mallopt(tiny, monkeypatch, cdll):
-    # The allocator setting is best effort: a C library that cannot be
-    # loaded, or one without mallopt, leaves the command to run as before.
+def test_launcher_only_pins_blas(tiny, monkeypatch):
+    # The launcher sets the thread variables and runs the command; the
+    # allocator is ``field``'s, set when it loads, so ctypes is never called.
     tmp, cfg, scene2 = tiny
-    monkeypatch.setattr(launcher.ctypes, "CDLL", cdll)
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+
+    def touched(*args, **kwargs):
+        raise AssertionError("the launcher called ctypes")
+
+    monkeypatch.setattr(ctypes, "CDLL", touched)
     argv = ["synth", "--scene", scene2, "--traj", "orbit:radius=2,steps=2", "--config", cfg,
             "--out", tmp / "d"]
     assert launcher.main([str(a) for a in argv]) == 0
     assert len(load_scans(tmp / "d")) == 2
+    assert all(os.environ[var] == "1" for var in THREAD_VARS)
+    assert not hasattr(launcher, "ctypes")
 
 
 def test_threads_flag_warns_when_it_cannot_act(tiny, monkeypatch, capsys):

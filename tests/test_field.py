@@ -1,11 +1,13 @@
 import ctypes
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,26 +38,26 @@ def test_default_parameter_count():
 
 def test_layer_factors():
     net = init_field(seed=0, dim=3)
-    assert net.sine_factors == (30.0, 1.0, 1.0, 1.0, 0.0)
-    assert net.layer_count == 5
-    assert net.weights[0].shape == (128, 183)
-    assert net.weights[-1].shape == (1, 128)
+    layers = net.layers()
+    assert [fac for _, _, fac in layers] == [30.0, 1.0, 1.0, 1.0, 0.0]
+    assert layers[0][0].shape == (128, 183)
+    assert layers[-1][0].shape == (1, 128)
 
 
 def test_init_is_seed_deterministic():
     a = init_field(seed=7, dim=2)
     b = init_field(seed=7, dim=2)
     c = init_field(seed=8, dim=2)
-    for wa, wb in zip(a.weights, b.weights):
+    for (wa, _, _), (wb, _, _) in zip(a.layers(), b.layers()):
         assert np.array_equal(wa, wb)
-    assert any(not np.array_equal(wa, wc) for wa, wc in zip(a.weights, c.weights))
+    assert any(not np.array_equal(wa, wc) for (wa, _, _), (wc, _, _) in zip(a.layers(), c.layers()))
 
 
 def test_first_layer_bound_scales_with_fan_in():
     net = init_field(seed=0, dim=3)
-    assert np.max(np.abs(net.weights[0])) <= 1.0 / 183
+    assert np.max(np.abs(net.layers()[0][0])) <= 1.0 / 183
     # deeper sine layers shrink their init by the frequency factor 1 (none here)
-    assert np.max(np.abs(net.weights[1])) <= np.sqrt(6.0 / 128)
+    assert np.max(np.abs(net.layers()[1][0])) <= np.sqrt(6.0 / 128)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -72,17 +74,15 @@ def test_init_matches_per_layer_draws(dim):
             bound /= factor
         w = rng.uniform(-bound, bound, size=(width, fan_in))
         b = rng.uniform(-bound, bound, size=width)
-        assert np.array_equal(net.weights[li], w)
-        assert np.array_equal(net.biases[li], b)
+        assert np.array_equal(net.layers()[li][0], w)
+        assert np.array_equal(net.layers()[li][1], b)
         fan_in = width
-    assert net.widths == (24, 24, 24, 1)
-    assert net.sine_factors == (12.0, 1.0, 1.0, 0.0)
+    assert [(w.shape[0], fac) for w, _, fac in net.layers()] == [(24, 12.0), (24, 1.0), (24, 1.0), (1, 0.0)]
 
 
 def test_shape_validation():
     net = init_field(seed=0, dim=2, hidden=8, hidden_layers=2, encoding=EncodingConfig(2))
-    assert net.widths == (8, 8, 1)
-    assert net.sine_factors == (30.0, 1.0, 0.0)
+    assert [(w.shape[0], fac) for w, _, fac in net.layers()] == [(8, 30.0), (8, 1.0), (1, 0.0)]
     for change in ({"params": net.params[:-1]}, {"hidden": 9}, {"hidden_layers": 3},
                    {"dim": 3}, {"encoding": EncodingConfig(3)}):
         with pytest.raises(ValueError, match="parameters"):
@@ -217,7 +217,7 @@ def test_backprop_matches_parameter_finite_differences():
     index = net.layers(np.arange(net.params.size))
     h = 1e-6
     for li in (0, 1, 2):
-        w, b = index[li]
+        w, b, _ = index[li]
         for _ in range(5):
             k = w[rng.integers(w.shape[0]), rng.integers(w.shape[1])]
             fd = (objective(_perturbed(net, k, h)) - objective(_perturbed(net, k, -h))) / (2 * h)
@@ -243,7 +243,7 @@ def test_backprop_3d_matches_parameter_finite_differences():
     grads = backprop(net, pts, vbar, gbar)
     h = 1e-6
     # Every entry of layer 0, which holds the tangent layout, and samples of the rest.
-    w0, b0 = net.layers(np.arange(net.params.size))[0]
+    w0, b0, _ = net.layers(np.arange(net.params.size))[0]
     keys = list(w0.ravel()) + list(b0) + list(rng.choice(np.arange(b0[-1] + 1, net.params.size), 12))
     for k in keys:
         fd = (objective(_perturbed(net, k, h)) - objective(_perturbed(net, k, -h))) / (2 * h)
@@ -289,9 +289,9 @@ def _full_square_forward(net, x):
     jet = encode_jet(x, net.encoding)
     blocks = 2 * net.encoding.bands + 1
     cols = [np.arange(blocks) * m + j for j in range(m)]
-    w0 = [net.weights[0][:, c] for c in cols]
+    w0 = [net.layers()[0][0][:, c] for c in cols]
     a, da, d2a = jet.values, None, None
-    for w, b, fac in zip(net.weights, net.biases, net.sine_factors):
+    for w, b, fac in net.layers():
         z = a @ w.T + b
         if da is None:
             dz = np.empty((n, m, w.shape[0]))
@@ -407,8 +407,7 @@ def _old_forward(net, x, order, record=None):
     iu, ju = np.triu_indices(m)
     diag = np.flatnonzero(iu == ju)
     a, da, d2a = values, d1, None
-    for li in range(net.layer_count):
-        w, b, fac = net.weights[li], net.biases[li], net.sine_factors[li]
+    for li, (w, b, fac) in enumerate(net.layers()):
         a_in, da_in = a, da
         z = a @ w.T + b
         dz = d2z = fac_cos = None
@@ -463,9 +462,10 @@ def _old_backward_chunk(net, x, vbar, gbar, out):
     cols = _old_cols(net)
     zbar = vbar[:, None].copy()
     dzbar = gbar[:, :, None].copy() if with_grad else None
-    for li in range(net.layer_count - 1, -1, -1):
-        w = net.weights[li]
-        gw, gb = out[li]
+    layers = net.layers()
+    for li in range(len(layers) - 1, -1, -1):
+        w = layers[li][0]
+        gw, gb, _ = out[li]
         a_in, da_in = record[li][:2]
         gb += zbar.sum(axis=0)
         gw += zbar.T @ a_in
@@ -480,7 +480,7 @@ def _old_backward_chunk(net, x, vbar, gbar, out):
             break
         abar = zbar @ w
         dabar = flat_dzbar @ w if with_grad else None
-        facp = net.sine_factors[li - 1]
+        facp = layers[li - 1][2]
         _, _, fac_cos, dzp = record[li - 1]
         zbar = fac_cos * abar
         if with_grad:
@@ -536,7 +536,7 @@ def test_row_blocks_match_old_chunking(dim, rows, kwargs):
     for g, old in zip((gbar, None), grads):
         new = backprop(net, pts, vbar, g)
         for new_layer, old_layer in zip(net.layers(new), net.layers(old)):
-            for x, y in zip(new_layer, old_layer):
+            for x, y in zip(new_layer[:2], old_layer[:2]):
                 # Entries that are sums of cancelling terms keep an absolute
                 # error of the order of the terms, so the bound is relative to
                 # the weight or bias array.
@@ -553,7 +553,7 @@ def _reference_backward_block(net, x, vbar, gbar, out):
     if with_grad:
         t = (jet.d1.transpose(1, 2, 0) * gbar[:, None, :]).reshape(n, -1)
     record = []
-    for w, b, fac in zip(net.weights, net.biases, net.sine_factors):
+    for w, b, fac in net.layers():
         a_in, t_in = a, t
         z = a @ w.T + b
         tz = t @ w.T if with_grad else None
@@ -568,16 +568,16 @@ def _reference_backward_block(net, x, vbar, gbar, out):
         record.append((a_in, t_in, fac_cos, tz))
     zbar = vbar[:, None]
     tbar = np.ones((n, 1)) if with_grad else None
-    weights = net.weights
-    for li in range(net.layer_count - 1, -1, -1):
-        (gw, gb), (a_in, t_in, _, _), w = out[li], record[li], weights[li]
+    layers = net.layers()
+    for li in range(len(layers) - 1, -1, -1):
+        (gw, gb, _), (a_in, t_in, _, _), (w, _, _) = out[li], record[li], layers[li]
         gb += zbar.sum(axis=0)
         gw += zbar.T @ a_in
         if with_grad:
             gw += tbar.T @ t_in
         if li == 0:
             break
-        facp = net.sine_factors[li - 1]
+        facp = layers[li - 1][2]
         _, _, fac_cos, tzp = record[li - 1]
         zbar = fac_cos * (zbar @ w)
         if with_grad:
@@ -790,21 +790,57 @@ def test_workers_run_under_the_callers_error_state(threads, meeting, monkeypatch
     assert len(seen) == 2 and set(seen.values()) == {"raise"}
 
 
-def test_pool_caps_malloc_arenas_before_its_first_thread(threads, monkeypatch):
+def test_tune_malloc_sets_thresholds_then_arena_cap(monkeypatch):
     calls = []
 
     def mallopt(param, value):
-        calls.append((param, value, threading.active_count()))
+        calls.append((param, value))
         return 1
 
-    threads(1)  # shuts down any pool, so the next pooled pass starts one
-    idle = threading.active_count()
     monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
-    threads(2)
-    net = init_field(seed=35, dim=2)
-    evaluate_batch(net, np.zeros((2 * _block_rows(net), 2)))
-    assert calls == [(-8, 1, idle)]
-    assert threading.active_count() == idle + 1
+    field._tune_malloc()
+    # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, M_ARENA_MAX
+    assert calls == [(-3, 32 << 20), (-1, 256 << 20), (-8, 1)]
+    assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_c_library, lambda name: SimpleNamespace()],
+                         ids=["no-library", "no-mallopt"])
+def test_tune_malloc_is_a_no_op_without_mallopt(monkeypatch, cdll):
+    # The allocator setting is best effort: a C library that cannot be
+    # loaded, or one without mallopt, leaves the process as it was.
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert field._tune_malloc() is None
+
+
+MALLOPT_PROBE = """
+import ctypes, sys, threading, types
+calls = []
+def mallopt(param, value):
+    calls.append((param, value, threading.active_count()))
+    return 1
+cdll = ctypes.CDLL
+ctypes.CDLL = lambda name, *a, **k: types.SimpleNamespace(mallopt=mallopt) if name is None else cdll(name, *a, **k)
+import scanfield.field
+assert "scanfield.__main__" not in sys.modules
+print(calls)
+"""
+
+
+def test_loading_field_tunes_malloc_before_any_thread():
+    # Library use, without the launcher: importing ``field`` sets all three
+    # parameters once, before any pool thread can start.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", MALLOPT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str([(-3, 32 << 20, 1), (-1, 256 << 20, 1), (-8, 1, 1)])
 
 
 def test_pooled_pass_starts_no_more_lanes_than_blocks(threads):

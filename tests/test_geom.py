@@ -8,7 +8,6 @@ def test_pose_identity_roundtrip():
     p = Pose(np.eye(3), np.zeros(3))
     pts = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
     np.testing.assert_array_equal(p.apply(pts), pts)
-    np.testing.assert_array_equal(p.inverse_apply(pts), pts)
 
 
 def test_pose_rejects_non_orthonormal():
@@ -33,13 +32,6 @@ def test_pose_rejects_reflection():
     # det = -1 is a valid orthogonal matrix but not a rotation
     with pytest.raises(ValueError):
         Pose(np.diag([1.0, -1.0]), np.zeros(2))
-
-
-def test_pose_apply_inverse_apply_roundtrip():
-    rng = np.random.default_rng(3)
-    p = Pose.from_xytheta(0.3, -1.2, 0.7)
-    pts = rng.normal(size=(17, 2))
-    np.testing.assert_allclose(p.inverse_apply(p.apply(pts)), pts, atol=1e-12)
 
 
 def test_from_xytheta_matches_manual_rotation():

@@ -327,7 +327,7 @@ def test_localization_converges_on_room(tmp_path):
     scans = [s.points for s in simulate_scan(scene, poses, scan_cfg, np.random.default_rng(1))]
     deltas = [np.zeros(3)]
     for i in range(1, steps):
-        rel = poses[i - 1].inverse_apply(poses[i].translation[None, :])[0]
+        rel = (poses[i].translation - poses[i - 1].translation) @ poses[i - 1].rotation
         deltas.append([rel[0], rel[1], wrap_angle(headings[i] - headings[i - 1])])
     cfg = MclConfig(n_particles=4000, sigma_z=0.1)
     results = []

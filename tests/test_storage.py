@@ -187,7 +187,7 @@ def _per_layer_checkpoint(net):
     """The documented checkpoint layout, written one layer at a time."""
     parts = [_header(2, net.dim, net.encoding.bands, net.encoding.base, net.hidden,
                      net.hidden_layers, net.first_factor)]
-    for w, b in zip(net.weights, net.biases):
+    for w, b, _ in net.layers():
         parts += [w.astype("<f8").tobytes(), b.astype("<f8").tobytes()]
     return b"".join(parts)
 
@@ -204,7 +204,7 @@ def test_model_file_size_is_header_plus_params(tmp_path):
     net = init_field(seed=1, dim=2, hidden=8, hidden_layers=2, encoding=EncodingConfig(3))
     path = tmp_path / "net.bin"
     save_model(path, net)
-    params = sum(w.size + b.size for w, b in zip(net.weights, net.biases))
+    params = sum(w.size + b.size for w, b, _ in net.layers())
     assert path.stat().st_size == 33 + 8 * params
 
 

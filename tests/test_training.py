@@ -162,8 +162,8 @@ def test_loss_gradients_match_finite_differences():
     h = 1e-6
     checked = 0
     # Each layer's weight entries, as indices into the flat vector.
-    index = [w for w, _ in net.layers(np.arange(net.params.size))]
-    for li in range(net.layer_count):
+    index = [w for w, _, _ in net.layers(np.arange(net.params.size))]
+    for li in range(len(index)):
         for _ in range(4):
             r = rng.integers(index[li].shape[0])
             c = rng.integers(index[li].shape[1])
@@ -336,7 +336,7 @@ def test_adamw_step_matches_per_layer_updates(dim):
     net = init_field(seed=dim, dim=dim, hidden=12, hidden_layers=3, encoding=EncodingConfig(4))
     cfg = OptimConfig(lr=1e-2, weight_decay=0.1)
     rng = np.random.default_rng(5)
-    ref = [[w.copy(), b.copy()] for w, b in zip(net.weights, net.biases)]
+    ref = [[w.copy(), b.copy()] for w, b, _ in net.layers()]
     moments = [[np.zeros_like(a) for a in layer] for layer in ref]
     second = [[np.zeros_like(a) for a in layer] for layer in ref]
     state = AdamState.zeros_like(net)
@@ -350,11 +350,11 @@ def test_adamw_step_matches_per_layer_updates(dim):
                     layer[j], grads[li][j], moments[li][j], second[li][j], t, cfg)
     assert state.t == 3
     for li, (w, b) in enumerate(ref):
-        assert np.array_equal(net.weights[li], w)
-        assert np.array_equal(net.biases[li], b)
+        assert np.array_equal(net.layers()[li][0], w)
+        assert np.array_equal(net.layers()[li][1], b)
     index = net.layers(np.arange(net.params.size))
     for li, layer in enumerate(index):
-        for j, k in enumerate(layer):
+        for j, k in enumerate(layer[:2]):
             assert np.array_equal(state.m[k], moments[li][j])
             assert np.array_equal(state.v[k], second[li][j])
 
@@ -367,7 +367,7 @@ def test_train_history_and_determinism():
     net2, hist2 = train(small_net(1), (origins, endpoints), optim, w, SupervisionMode.RAY_DISTANCE)
     assert len(hist1) == 3
     assert [h.total for h in hist1] == [h.total for h in hist2]
-    for wa, wb in zip(net1.weights, net2.weights):
+    for (wa, _, _), (wb, _, _) in zip(net1.layers(), net2.layers()):
         assert np.array_equal(wa, wb)
 
 
