@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from scanfield import mcl, meshing
-from scanfield.cli import canonical_rays, init_net, trajectory_poses, world_map
+from scanfield.cli import canonical_rays, init_net, trajectory_poses, world_grid
 from scanfield.config import RunConfig
 from scanfield.geom import Pose
 from scanfield.scenes import parse_scene_text, simulate_scan
@@ -42,8 +42,8 @@ def main():
     net, _ = train(init_net(cfg, 2), canon, cfg.optim(), cfg.loss_weights(), cfg.supervision_mode())
     print(f"trained 2D field in {time.time() - t0:.1f}s")
 
-    world_field, _, box = world_map(net, tf)
-    grid = mcl.SampledField2D(meshing.sample_grid(world_field, box, cfg.field_grid_res), box)
+    box = tf.cube
+    grid = mcl.SampledField2D(meshing.sample_grid(world_grid(net, tf), box, cfg.field_grid_res), box)
 
     deltas = mcl.relative_deltas(traj)
     scans_xy = [s.points for s in scans]

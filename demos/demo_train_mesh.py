@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from scanfield import meshing, storage
-from scanfield.cli import canonical_rays, init_net, world_map
+from scanfield.cli import canonical_rays, init_net, world_grid
 from scanfield.config import RunConfig
 from scanfield.geom import Aabb, Pose
 from scanfield.scenes import AnalyticScene, Sphere, simulate_scan
@@ -57,8 +57,7 @@ def main():
         print(f"  epoch {epoch}: data {terms.data:.4f}  eikonal {terms.eikonal:.4f}")
     print(f"trained in {time.time() - t0:.1f}s")
 
-    world_field, _, _ = world_map(net, tf)
-    mesh = meshing.marching_cubes(world_field, Aabb.cube(np.zeros(3), 1.1), 48)
+    mesh = meshing.marching_cubes(world_grid(net, tf), Aabb.cube(np.zeros(3), 1.1), 48)
     radii = np.linalg.norm(mesh.vertices, axis=1)
     print(f"mesh: {len(mesh.vertices)} vertices, {len(mesh.triangles)} triangles, "
           f"radius {radii.mean():.3f} +/- {radii.std():.3f}")

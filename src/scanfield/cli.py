@@ -12,15 +12,20 @@ Every scored field is one map over one region: world-frame values and
 gradients over the scanned cube that ``normalize_scene`` fit around the scans.
 ``eval-sdf`` and ``compare`` score a band around every primitive inside it;
 ``localize`` spreads its particles over it, for a model and a ``--scene`` alike.
-Exit codes: 0 success, 2 validation/usage error, 1 other failures.
+``mesh`` and the MCL map read a model on a grid (``world_grid``,
+``field.evaluate_grid``).
+Exit codes: 0 success, 2 validation/usage error, 1 other failures, among
+them an ``--out`` file whose directory is missing, found before any work.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import inspect
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +56,12 @@ def _load_run_config(args) -> RunConfig:
                  if getattr(args, key, None) is not None}
     text = Path(args.config).read_text() if args.config is not None else ""
     return parse_config(text, overrides)
+
+
+def _check_out_dir(path) -> None:
+    """Fail before any work when the directory of an output file is missing."""
+    if path is not None and path != "-" and not Path(path).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, "no directory for --out", str(path))
 
 
 def _write_csv(path, header: str, rows: list[str]) -> None:
@@ -198,6 +209,18 @@ def world_map(net, tf: SceneTransform):
     return values, gradients, tf.cube
 
 
+def world_grid(net, tf: SceneTransform):
+    """The grid function of a model's world-frame values, for
+    ``meshing.sample_grid``: per axis the same canonical coordinates as
+    ``world_map``'s ``tf.to_canonical``, bit for bit."""
+
+    def grid(axes):
+        return tf.scale * field_mod.evaluate_grid(
+            net, [(a - c) / tf.scale for a, c in zip(axes, tf.center)])
+
+    return grid
+
+
 def _band_points(scene, box: Aabb, band: float, count: int, seed: int) -> np.ndarray:
     if count < 1:
         raise ValueError(f"--samples must be >= 1, got {count}")
@@ -212,10 +235,11 @@ def _sdf_errors(values, scene, pts: np.ndarray) -> tuple[float, float]:
     return float(np.mean(np.abs(err))), float(np.sqrt(np.mean(err * err)))
 
 
-def _mcl_score(values, box: Aabb, traj: np.ndarray, scans: list[Scan], cfg: RunConfig):
-    """Seeded MCL runs on a ``field_grid_res`` grid of ``values`` over ``box``,
-    and their metrics against the planar poses ``traj`` of ``scans``."""
-    grid = mcl_mod.SampledField2D(meshing.sample_grid(values, box, cfg.field_grid_res), box)
+def _mcl_score(grid_fn, box: Aabb, traj: np.ndarray, scans: list[Scan], cfg: RunConfig):
+    """Seeded MCL runs on a ``field_grid_res`` grid of the grid function
+    ``grid_fn`` over ``box``, and their metrics against the planar poses
+    ``traj`` of ``scans``."""
+    grid = mcl_mod.SampledField2D(meshing.sample_grid(grid_fn, box, cfg.field_grid_res), box)
     mcl_cfg = cfg.mcl()
     deltas = mcl_mod.relative_deltas(traj)
     scans_xy = [s.points for s in scans]
@@ -239,9 +263,12 @@ def cmd_mesh(args) -> int:
     net, tf = storage.load_field(args.model)
     if net.dim != 3:
         raise ValueError("mesh extraction needs a 3D model")
-    canon_field = lambda pts: field_mod.evaluate_batch(net, pts)
-    mesh = meshing.marching_cubes(canon_field, Aabb.cube(np.zeros(3), 1.0), args.res)
-    mesh = meshing.TriangleMesh(tf.to_world(mesh.vertices), mesh.triangles)
+    mesh = meshing.marching_cubes(partial(field_mod.evaluate_grid, net),
+                                  Aabb.cube(np.zeros(3), 1.0), args.res)
+    # To world in place: the operations of ``tf.to_world``, without a copy.
+    v = mesh.vertices
+    v *= tf.scale
+    v += tf.center
     storage.export_mesh_ply(args.out, mesh)
     print(f"wrote {mesh.vertices.shape[0]} vertices, {mesh.triangles.shape[0]} faces to {args.out}")
     return 0
@@ -287,13 +314,13 @@ def cmd_localize(args) -> int:
         net, tf = storage.load_field(args.model)
         if net.dim != 2:
             raise ValueError("localization needs a 2D model")
-        values, _, box = world_map(net, tf)
+        grid_fn, box = world_grid(net, tf), tf.cube
     else:
         scene = scenes.parse_scene_file(args.scene)
         if scene.dim != 2:
             raise ValueError("localization needs a 2D scene")
-        values, box = scene.sdf, canonical_rays(scans)[1].cube
-    results, metrics = _mcl_score(values, box, _planar_trajectory(scans), scans, cfg)
+        grid_fn, box = meshing.pointwise(scene.sdf), canonical_rays(scans)[1].cube
+    results, metrics = _mcl_score(grid_fn, box, _planar_trajectory(scans), scans, cfg)
     conv = 0 if metrics is None else metrics.converged_runs
     _write_csv(args.out, "runs,converged,rmse,mae",
                [f"{len(results)},{conv},{_mcl_columns(metrics)}"])
@@ -336,7 +363,7 @@ def cmd_compare(args) -> int:
         mae, rmse = _sdf_errors(values, scene, pts)
         mcl = "-,-"
         if scene.dim == 2:
-            mcl = _mcl_columns(_mcl_score(values, box, traj, scans, cfg)[1])
+            mcl = _mcl_columns(_mcl_score(world_grid(net, tf), box, traj, scans, cfg)[1])
         rows.append(f"{MODE_LABELS[mode]},{mae!r},{rmse!r},{mcl}")
     _write_csv(args.out, "mode,sdf_mae,sdf_rmse,mcl_rmse,mcl_mae", rows)
     return 0
@@ -428,6 +455,8 @@ def main(argv=None) -> int:
             print(f"warning: --threads {args.threads} sets the field's threads, but BLAS was not "
                   "pinned to one thread: numpy was imported before the thread variables were "
                   "set; run through 'python -m scanfield' instead", file=sys.stderr)
+        if args.command != "synth":  # synth's --out is a directory that it makes
+            _check_out_dir(args.out)
         return args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

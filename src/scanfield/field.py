@@ -65,7 +65,8 @@ the blocks of several row sets, and ``forward_sets`` side tasks beside them
 (a training step hands it its kNN query), on up to ``set_threads`` threads:
 the caller and the others of a ``ThreadPoolExecutor`` that the first
 dispatch of two tasks or more starts.  ``evaluate_batch``, ``grad_batch``,
-``jet_batch`` and ``backprop`` are its one-set case.  A side task is a plain
+``jet_batch`` and ``backprop`` are its one-set case; ``evaluate_grid`` runs
+a grid's blocks in one dispatch of its own.  A side task is a plain
 callable that starts no field pass, so no dispatch nests.  numpy releases the
 interpreter lock inside BLAS calls and ufuncs, and scipy's kNN query
 releases it too, so tasks overlap there.  The outputs are bitwise those of
@@ -84,6 +85,29 @@ spends a short block in interpreter work that holds the lock.  At 2 threads
 the rule's blocks were the fastest swept, or within the spread, at every width.
 One thread favours short blocks at every width, so narrow nets pay there:
 +4 % a step for the room2d net, up to +21 % for other 32- to 96-wide nets.
+
+Grids: a mesh and a localization map read the field on a tensor grid, and
+every encoder feature depends on one coordinate, so ``evaluate_grid`` builds
+layer 0 from per-axis tables instead of encoding each node.  T_j, the
+encoding of axis j's coordinates times layer 0's weight columns for x_j, is
+(n_j, hidden); the bias is folded into T_0.  A line, one index on axes 1..,
+shares E = Σ_{j≥1} T_j and one ``sincos`` of f E over its n_0 nodes, and
+angle addition gives layer 0's sine, sin(f T_0) cos(f E) + cos(f T_0)
+sin(f E).  That is more accurate than the point path, which rounds the
+argument f z₀ (up to about 100) before its sine.  Layers 1 onward run
+through ``_forward`` on blocks of whole lines, all of a grid's blocks in one
+dispatch; a block gathers its own E rows, so no table of all n^(m-1) lines
+is formed (67 MB at ``mesh``'s default res 256).  A grid row skips the
+encoder and layer 0, so it counts as half a row of ``BLOCK_WORK``: on the
+room3d benchmark's res-48 grid at 2 threads, 490-row blocks took a median
+0.50 s against 0.59 s for 245-row ones, and 0.86 s against 0.81 s on one
+thread (8 alternating runs each); at res 64 and 96, 2 threads, 20 % and 25 %
+less.  Block bounds depend on the grid and the net alone, so the bytes do
+not depend on the thread count.  On the default 3D net at res 48 (117,649
+nodes; 2-vCPU x86-64 VM, one BLAS thread, 3 runs each) a grid took
+0.89-0.91 s on one thread and 0.50-0.55 s on two, against 1.38-1.66 s and
+1.01-1.65 s for ``evaluate_batch`` over the same nodes in z-slices, and its
+values stayed within 4.7e-15 of those.
 
 Allocator: loading this module sets three of glibc's malloc parameters, once
 for the process (``_tune_malloc``; a no-op where ``mallopt`` is missing), so
@@ -113,6 +137,7 @@ import contextvars
 import ctypes
 import os
 import threading
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
@@ -251,8 +276,9 @@ def _first_layer_blocks(net: FieldNet) -> list[np.ndarray]:
     return [w[:, np.arange(blocks) * m + j] for j in range(m)]
 
 
-def _forward(net: FieldNet, x: np.ndarray, order: int, w0: list[np.ndarray] | None,
-             gbar: np.ndarray | None = None, record: list | None = None) -> tuple[np.ndarray, ...]:
+def _forward(net: FieldNet, x: np.ndarray | None, order: int, w0: list[np.ndarray] | None,
+             gbar: np.ndarray | None = None, record: list | None = None,
+             a1: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """One block's forward pass: ``(val,)``, ``(val, grad)`` or ``(val, grad, lap, ghg)``.
 
     ``w0`` is ``_first_layer_blocks(net)``, read by the gradient alone.  The
@@ -267,16 +293,24 @@ def _forward(net: FieldNet, x: np.ndarray, order: int, w0: list[np.ndarray] | No
     layout, t0[:, b*m + j] = d1[j][:, b] gbar_j, and mapped by the gradient's
     own lines.  ``record`` receives each layer's ``(a_in, da_in, fac_cos,
     dz)`` for ``backprop``; it asks for the cosine at order 0 too.
+
+    ``a1``, layer 0's output (N, hidden), stands in for ``x``'s encoding and
+    layer 0, at order 0 and with no record: ``evaluate_grid`` builds it from
+    per-axis tables.
     """
-    n, m = x.shape
-    jet = encode_jet(x, net.encoding, order)
-    a, da, k = jet.values, jet.d1, m
-    if gbar is not None:
-        # Feature b*m + j depends on x_j alone: its tangent is d1[j][:, b] * gbar_j.
-        da, k = (jet.d1.transpose(1, 2, 0) * gbar[:, None, :]).reshape(n, 1, -1), 1
+    first = 0
+    if a1 is None:
+        n, m = x.shape
+        jet = encode_jet(x, net.encoding, order)
+        a, da, k = jet.values, jet.d1, m
+        if gbar is not None:
+            # Feature b*m + j depends on x_j alone: its tangent is d1[j][:, b] * gbar_j.
+            da, k = (jet.d1.transpose(1, 2, 0) * gbar[:, None, :]).reshape(n, 1, -1), 1
+    else:
+        a, first = a1, 1
     lap = d2z0 = None
     sweep = []
-    for li, (w, b, fac) in enumerate(net.layers()):
+    for li, (w, b, fac) in enumerate(net.layers()[first:], first):
         width = w.shape[0]
         if record is not None:
             # The input now, the rest below: an unrecorded pass frees it sooner.
@@ -348,16 +382,32 @@ def _directional(net: FieldNet, sweep: list, d2z0: list[np.ndarray], v: np.ndarr
     return q[:, 0]
 
 
-def _blocks(net: FieldNet, n: int):
-    # Blocks of BLOCK_WORK // hidden rows.  The last also takes the remainder:
-    # BLAS rounds a matmul of only a few rows differently from a longer one,
-    # so a short tail block would change those rows' values.
-    rows = max(1, BLOCK_WORK // net.hidden)
-    lo = 0
-    while lo < n:
-        hi = n if n - lo < 2 * rows else lo + rows
-        yield lo, hi
-        lo = hi
+class _Lazy(Sequence):
+    # ``item(k)`` for k in range(count), made when indexed, so that a pass of
+    # many blocks holds no object per block: a list of a res-256 grid's 66,049
+    # block tasks took 19.6 MB.
+
+    def __init__(self, count: int, item):
+        self._count, self._item = count, item
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, k: int):
+        if not 0 <= k < self._count:
+            raise IndexError(k)
+        return self._item(k)
+
+
+def _blocks(net: FieldNet, n: int, per: int = 1) -> _Lazy:
+    # The (lo, hi) rows of a pass's blocks: BLOCK_WORK // hidden rows, cut in
+    # whole items of ``per`` rows (a grid's lines), at least one item a block.
+    # The last also takes the remainder: BLAS rounds a matmul of only a few
+    # rows differently from a longer one, so a short tail block would change
+    # those rows' values.
+    step = max(1, BLOCK_WORK // net.hidden // per)
+    count = n // step if n >= 2 * step else min(n, 1)
+    return _Lazy(count, lambda k: (k * step, n if k == count - 1 else (k + 1) * step))
 
 
 def available_cpus() -> int:
@@ -412,7 +462,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _run(tasks: list) -> None:
+def _run(tasks: Sequence) -> None:
     # ``work()`` of each ``(work, add)`` task, then ``add`` of its result, in
     # task order.  Pooled, every thread, this one included, takes the next
     # task, and whichever finishes the oldest outstanding task adds it and any
@@ -457,7 +507,8 @@ def _run(tasks: list) -> None:
     # Each worker runs in a copy of this thread's context, so that numpy's
     # error state (np.errstate) holds in the workers too.  One lane per task
     # at most: the pool starts a thread on each submit while none is idle.
-    futures = [pool.submit(contextvars.copy_context().run, lane) for _ in tasks[1:threads]]
+    futures = [pool.submit(contextvars.copy_context().run, lane)
+               for _ in range(1, min(threads, len(tasks)))]
     try:
         lane()
     finally:
@@ -466,9 +517,10 @@ def _run(tasks: list) -> None:
         f.result()
 
 
-def _block_tasks(net: FieldNet, n: int, work, add=lambda result: None) -> list:
-    # ``(work(lo, hi), add)`` tasks over ``_blocks(net, n)``.
-    return [(partial(work, lo, hi), add) for lo, hi in _blocks(net, n)]
+def _block_tasks(net: FieldNet, n: int, work, add=lambda result: None, per: int = 1) -> _Lazy:
+    # ``(work(lo, hi), add)`` tasks over ``_blocks(net, n, per)``, made when taken.
+    blocks = _blocks(net, n, per)
+    return _Lazy(len(blocks), lambda k: (partial(work, *blocks[k]), add))
 
 
 def _run_sets(parts: list, side=()) -> list:
@@ -523,6 +575,45 @@ def jet_batch(net: FieldNet, points: _F) -> tuple[np.ndarray, np.ndarray, np.nda
     gᵀHg (N,) at the given points: the two contractions the mean curvature
     of the level set needs, without forming any Hessian."""
     return forward_sets(net, [(points, 2)])[0]
+
+
+def evaluate_grid(net: FieldNet, axes) -> np.ndarray:
+    """Field values on the tensor grid of ``net.dim`` 1D coordinate arrays,
+    index order x, y[, z]: ``out[i, j, k] = D(axes[0][i], axes[1][j], axes[2][k])``,
+    within rounding of ``evaluate_batch`` at those nodes.  Layer 0 comes
+    from per-axis tables; see "Grids" in the module docstring.
+    """
+    axes = [np.asarray(a, dtype=np.float64) for a in axes]
+    if len(axes) != net.dim or any(a.ndim != 1 for a in axes):
+        raise ValueError(f"a {net.dim}D field's grid takes {net.dim} 1D axes, "
+                         f"got shapes {[a.shape for a in axes]}")
+    out = np.empty([a.size for a in axes])
+    if out.size == 0:
+        return out
+    w, b, fac = net.layers()[0]
+    tables = [encode_jet(a[:, None], net.encoding, 0).values @ wj.T
+              for a, wj in zip(axes, _first_layer_blocks(net))]
+    tables[0] += b
+    s0, c0 = sincos(fac * tables[0])
+    n0 = axes[0].size
+    lines = out.reshape(n0, -1)  # a view: column l is line l, the last axis fastest
+
+    def work(lo, hi):
+        # This block's E rows, gathered from the tables; never all lines' at once.
+        e = np.zeros((hi - lo, w.shape[0]))
+        idx = np.arange(lo, hi)
+        for t in tables[:0:-1]:
+            e += t[idx % len(t)]
+            idx //= len(t)
+        se, ce = sincos(fac * e)
+        a1 = s0[:, None, :] * ce
+        a1 += c0[:, None, :] * se
+        lines[:, lo:hi] = _forward(net, None, 0, None, a1=a1.reshape(-1, w.shape[0]))[0].reshape(n0, -1)
+
+    # A grid row skips the encoder and layer 0, so it counts as half a row of
+    # block work; see "Grids" in the module docstring.
+    _run(_block_tasks(net, lines.shape[1], work, per=(n0 + 1) // 2))
+    return out
 
 
 def _backward_block(net: FieldNet, x: np.ndarray, vbar: np.ndarray, gbar: np.ndarray | None) -> list:

@@ -8,8 +8,10 @@ pose: log-likelihood sum_k -D(T_p(z_k))^2 / (2 sigma_z^2).
 
 The field argument everywhere is a vectorized callable (N, 2) -> (N,); wrap
 an expensive field in a bilinear-interpolated grid with
-``SampledField2D(sample_grid(field, box, res), box)`` (``meshing.sample_grid``),
-whose lookups clamp to the box.  A measurement update calls the field once,
+``SampledField2D(sample_grid(grid_fn, box, res), box)``, whose lookups clamp
+to the box.  ``meshing.sample_grid`` takes a grid function of the grid's
+axes: ``cli.world_grid`` for a model, ``meshing.pointwise(f)`` for a points
+function ``f`` such as an analytic scene's ``sdf``.  A measurement update calls the field once,
 with the world endpoints of every particle and beam as an (n*k, 2) view of
 one (2, n*k) array, so each coordinate is a contiguous column.  The grid
 interpolates in numpy, bitwise as ``scipy.ndimage.map_coordinates`` at order

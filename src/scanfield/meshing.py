@@ -9,8 +9,16 @@ edge id, and only the edges on the face a slab shares with the next one are
 carried over, so the output is indexed and watertight.  Vertices are
 numbered in order of first use over the cells in index order, making the
 numbering deterministic.  Working memory is the value grid, one slab's table
-rows and the output mesh.  ``sample_grid`` also grids 2D fields, for the
-localization maps.
+rows and the output mesh, held once: a pass over the grid's faces first
+counts the crossing edges (one vertex each) and the table's triangles, and
+each slab writes its part into arrays of that size.
+
+``sample_grid`` grids 3D fields for the walk and 2D fields for the
+localization maps.  It hands its field the grid's axes, one 1D array per
+coordinate, in one call, and the field returns its values on their tensor
+grid: ``field.evaluate_grid`` does that at separable cost.  ``pointwise``
+adapts a function of (N, m) points, such as an analytic scene's ``sdf``,
+calling it once per first-axis slice.
 """
 
 from __future__ import annotations
@@ -49,6 +57,8 @@ _CUBE_EDGES = np.array((
 _CUBE_TABLE = _padded(
     [sum(((a, c, b) for a, b, c in zip(r[0::3], r[1::3], r[2::3])), ()) for r in CUBE_TRIANGLES]
 )
+# Triangles per case.
+_TRI_COUNT = np.array([len(r) // 3 for r in CUBE_TRIANGLES], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -70,28 +80,69 @@ class TriangleMesh:
 def sample_grid(field, box: Aabb, res: int) -> np.ndarray:
     """Field values on the (res+1)^m grid over the box, index order x, y[, z].
 
-    ``field`` is any vectorized callable mapping (N, m) points to (N,) values.
-    In 3D the field sees one z-slice of (res+1)^2 points per call, so the
-    evaluation's scratch memory stays one slice; the returned grid is whole,
-    and ``marching_cubes`` walks it one x-slab at a time.
+    ``field`` is a grid function: called once, with the grid's m axes as one
+    tuple argument of 1D arrays, it returns the values on their tensor grid
+    in that index order, as ``field.evaluate_grid`` does.  ``pointwise``
+    makes one of a function of (N, m) points.
     """
     if res < 2:
         raise ValueError("need at least 2 cells per axis")
-    m = box.dim
-    axes = [np.linspace(box.lo[a], box.hi[a], res + 1) for a in range(m)]
-    xg, yg = np.meshgrid(axes[0], axes[1], indexing="ij")
-    flat = np.stack([xg.reshape(-1), yg.reshape(-1)], axis=1)
-    if m == 2:
-        return np.asarray(field(flat), dtype=np.float64).reshape(res + 1, res + 1)
-    vals = np.empty((res + 1, res + 1, res + 1), dtype=np.float64)
-    for k in range(res + 1):
-        pts = np.concatenate([flat, np.full((flat.shape[0], 1), axes[2][k])], axis=1)
-        vals[:, :, k] = np.asarray(field(pts), dtype=np.float64).reshape(res + 1, res + 1)
-    return vals
+    axes = tuple(np.linspace(box.lo[a], box.hi[a], res + 1) for a in range(box.dim))
+    return np.asarray(field(axes), dtype=np.float64).reshape((res + 1,) * box.dim)
+
+
+def pointwise(f):
+    """The grid function of ``f``, a vectorized callable mapping (N, m)
+    points to (N,) values, for ``sample_grid``.  It calls ``f`` once per
+    first-axis slice, with that slice's nodes in index order, so its scratch
+    memory stays one slice."""
+
+    def grid(axes):
+        rest = np.meshgrid(*axes[1:], indexing="ij")
+        pts = np.empty((rest[0].size, len(axes)))
+        for j, r in enumerate(rest, 1):
+            pts[:, j] = r.reshape(-1)
+        out = np.empty([len(a) for a in axes])
+        for i, x in enumerate(axes[0]):
+            pts[:, 0] = x
+            out[i] = np.asarray(f(pts), dtype=np.float64).reshape(out.shape[1:])
+        return out
+
+    return grid
+
+
+def _cases(below: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """The (res, res) case codes of one slab of cells, from the inside flags
+    of its two faces, in (j, k) C order."""
+    inside = (below, above)
+    res = below.shape[0] - 1
+    case = np.zeros((res, res), dtype=np.uint8)
+    for c, (dx, dy, dz) in enumerate(_CORNERS):
+        case |= inside[dx][dy : dy + res, dz : dz + res].astype(np.uint8) << c
+    return case
+
+
+def _sizes(vals: np.ndarray) -> tuple[int, int]:
+    """Bounds on the walk's output: the grid edges whose ends differ in sign,
+    each the home of at most one vertex, and the table's triangles over all
+    cells, degenerate ones included.  One face of inside flags at a time."""
+    n_edges = n_tris = 0
+    below = None
+    for plane in vals:
+        above = plane < 0.0
+        n_edges += np.count_nonzero(above[1:] != above[:-1])
+        n_edges += np.count_nonzero(above[:, 1:] != above[:, :-1])
+        if below is not None:
+            n_edges += np.count_nonzero(above != below)
+            n_tris += int(_TRI_COUNT[_cases(below, above)].sum())
+        below = above
+    return n_edges, n_tris
 
 
 def marching_cubes(field, box: Aabb, res: int) -> TriangleMesh:
-    """Triangulate the field's zero level set over the box at res cells/axis."""
+    """Triangulate the field's zero level set over the box at res cells/axis.
+
+    ``field`` is a grid function, as ``sample_grid`` takes."""
     if box.dim != 3:
         raise ValueError("marching_cubes needs a 3D box")
     vals = sample_grid(field, box, res)
@@ -100,17 +151,18 @@ def marching_cubes(field, box: Aabb, res: int) -> TriangleMesh:
     # Global edge id: the axis, then the flat grid index of the low corner.
     edge_off = _CUBE_EDGES[:, 0] * n**3 + _CUBE_EDGES[:, 1:] @ strides
     spacing = (box.hi - box.lo) / res
+    # Each slab writes its part of the mesh in place; the sizes are bounds.
+    max_verts, max_tris = _sizes(vals)
+    verts = np.empty((max_verts, 3))
+    tris = np.empty((max_tris, 3), dtype=np.intp)
+    n_verts = n_tris = 0
     # Sorted ids and vertex numbers of the previous slab's edges on face x = i.
     face_gid, face_id = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    prev_v = np.empty((0, 3))
-    # Empty first parts keep the concatenations valid when no cell is active.
-    v_parts, t_parts = [prev_v], [np.empty((0, 3), dtype=np.intp)]
-    n_verts = 0
+    below = vals[0] < 0.0
     for i in range(res):
-        inside = vals[i : i + 2] < 0.0
-        case = np.zeros((res, res), dtype=np.uint8)
-        for c, (dx, dy, dz) in enumerate(_CORNERS):
-            case |= inside[dx, dy : dy + res, dz : dz + res].astype(np.uint8) << c
+        above = vals[i + 1] < 0.0
+        case = _cases(below, above)
+        below = above
         active = np.nonzero((case != 0) & (case != 255))
         local = _CUBE_TABLE[case[active]]
         cell, slot = np.nonzero(local >= 0)
@@ -138,21 +190,22 @@ def marching_cubes(field, box: Aabb, res: int) -> TriangleMesh:
         # an infinite grid value can still make inf / inf.
         with np.errstate(invalid="ignore"):
             t = va / (va - vb)
-        v = np.stack([box.lo[a] + (corner[a] + t * step[a]) * spacing[a] for a in range(3)], axis=1)
-        # Drop degenerate triangles; their corners lie in this slab or the last,
-        # whose first vertex is number n_verts - len(prev_v).
+        for a in range(3):
+            verts[n_verts : n_verts + new.size, a] = box.lo[a] + (corner[a] + t * step[a]) * spacing[a]
+        n_verts += new.size
+        # Drop degenerate triangles.
         tri = uid[inverse].reshape(-1, 3)
-        near = np.concatenate([prev_v, v])[tri - (n_verts - len(prev_v))]
+        near = verts[tri]
         area2 = np.linalg.norm(np.cross(near[:, 1] - near[:, 0], near[:, 2] - near[:, 0]), axis=1)
-        v_parts.append(v)
-        t_parts.append(tri[area2 > 2.0 * MIN_TRI_AREA])
-        prev_v, n_verts = v, n_verts + new.size
-    verts = np.concatenate(v_parts)
-    del v_parts
-    tris = np.concatenate(t_parts)
-    del t_parts
-    # Drop unused vertices, keeping the order of the rest.
-    used = np.zeros(verts.shape[0], dtype=bool)
+        kept = tri[area2 > 2.0 * MIN_TRI_AREA]
+        tris[n_tris : n_tris + kept.shape[0]] = kept
+        n_tris += kept.shape[0]
+    verts, tris = verts[:n_verts], tris[:n_tris]
+    # Drop unused vertices, keeping the order of the rest; only a degenerate
+    # triangle leaves one, so the mesh is usually returned as written.
+    used = np.zeros(n_verts, dtype=bool)
     used[tris] = True
-    np.take(np.cumsum(used) - 1, tris, out=tris)
-    return TriangleMesh(verts[used], tris)
+    if not used.all():
+        np.take(np.cumsum(used) - 1, tris, out=tris)
+        verts = verts[used]
+    return TriangleMesh(verts, tris)

@@ -794,14 +794,34 @@ def test_train_writes_the_same_bytes_at_any_thread_count(pooled, mode):
 
 
 def test_localize_writes_the_same_table_at_any_thread_count(tiny, tiny_model, monkeypatch):
-    # In 64-row blocks, the 16-wide net samples the 25 x 25 localization grid
-    # in nine of them, so --threads 2 runs that pass on the pool.
+    # In 64-row blocks of whole 25-node lines, a grid row counting as half a
+    # row, the 16-wide net samples the 25 x 25 localization grid in six of
+    # them, so --threads 2 runs that grid on the pool.
     tmp, cfg, _ = tiny
     monkeypatch.setattr(field, "BLOCK_WORK", 64 * 16)
     for threads in (1, 2):
         assert run("localize", "--model", tiny_model, "--data", tmp / "data", "--config", cfg,
                    "--out", tmp / f"loc{threads}.csv", "--threads", threads) == 0
     assert (tmp / "loc1.csv").read_bytes() == (tmp / "loc2.csv").read_bytes()
+
+
+def test_mesh_writes_the_same_bytes_at_any_thread_count(tmp_path, monkeypatch):
+    # In 64-row blocks of whole 11-node lines, a grid row counting as half a
+    # row, the 16-wide net samples the 11^3 grid in twelve of them, so
+    # --threads 2 runs that grid on the pool.
+    cfg = tmp_path / "c3.cfg"
+    cfg.write_text(with_keys(TINY_CFG, "beams = 32\nfov = 0.8\n"))
+    scene = tmp_path / "sphere.txt"
+    scene.write_text(SPHERE_SCENE)
+    assert run("synth", "--scene", scene, "--traj", "orbit:radius=3,steps=4",
+               "--out", tmp_path / "data", "--config", cfg) == 0
+    assert run("train", "--scans", tmp_path / "data", "--out", tmp_path / "m.bin",
+               "--config", cfg) == 0
+    monkeypatch.setattr(field, "BLOCK_WORK", 64 * 16)
+    for threads in (1, 2):
+        assert run("mesh", "--model", tmp_path / "m.bin", "--config", cfg, "--res", 10,
+                   "--out", tmp_path / f"m{threads}.ply", "--threads", threads) == 0
+    assert (tmp_path / "m1.ply").read_bytes() == (tmp_path / "m2.ply").read_bytes()
 
 
 def test_3d_train_writes_the_same_bytes_at_any_thread_count(tmp_path):
@@ -893,3 +913,56 @@ def test_non_finite_config_value_exits_2(tiny, capsys):
         assert run("train", "--scans", data, "--out", tmp / "m.bin", "--config", bad) == 2
         assert run("localize", "--scene", scene2, "--data", data, "--config", bad) == 2
         assert capsys.readouterr().err.count(f"{line.split()[0]} must be finite") == 3
+
+
+@pytest.mark.parametrize("command", ["train", "mesh", "eval-sdf", "localize", "compare"])
+def test_missing_out_directory_fails_before_the_work(tiny, tiny_model, monkeypatch, capsys, command):
+    tmp, cfg, scene2 = tiny
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "train", never)
+    monkeypatch.setattr(meshing, "marching_cubes", never)
+    monkeypatch.setattr(meshing, "sample_grid", never)
+    monkeypatch.setattr(cli.storage, "load_field", never)
+    monkeypatch.setattr(cli.storage, "load_scans", never)
+    out = tmp / "missing" / "out.file"
+    args = {
+        "train": ["--scans", tmp / "data"],
+        "mesh": ["--model", tiny_model],
+        "eval-sdf": ["--model", tiny_model, "--scene", scene2],
+        "localize": ["--model", tiny_model, "--data", tmp / "data"],
+        "compare": ["--scene", scene2],
+    }[command]
+    capsys.readouterr()
+    assert run(command, *args, "--config", cfg, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_world_grid_reads_the_canonical_points_of_world_map(dim, monkeypatch):
+    # The grid's canonical axes are (a - c) / scale per axis, which are
+    # tf.to_canonical's coordinates of the grid's nodes, bit for bit.
+    from scanfield.geom import Aabb, SceneTransform
+
+    tf = SceneTransform(np.array([0.31, -1.7, 2.05])[:dim], 2.93)
+    box = Aabb(np.array([-3.1, -0.4, 0.7])[:dim], np.array([2.3, 1.9, 4.4])[:dim])
+    net = field.init_field(seed=3, dim=dim, hidden=16, hidden_layers=2)
+    seen = []
+    evaluate_grid = field.evaluate_grid
+
+    def recording(net, axes):
+        seen.append(axes)
+        return evaluate_grid(net, axes)
+
+    monkeypatch.setattr(field, "evaluate_grid", recording)
+    got = meshing.sample_grid(cli.world_grid(net, tf), box, 13)
+    world_axes = [np.linspace(box.lo[a], box.hi[a], 14) for a in range(dim)]
+    nodes = np.stack([g.reshape(-1) for g in np.meshgrid(*world_axes, indexing="ij")], axis=1)
+    canon = np.stack([g.reshape(-1) for g in np.meshgrid(*seen[0], indexing="ij")], axis=1)
+    assert canon.tobytes() == tf.to_canonical(nodes).tobytes()
+    values, _, _ = cli.world_map(net, tf)
+    np.testing.assert_allclose(got.reshape(-1), values(nodes), rtol=0,
+                               atol=1e-13 * max(1.0, np.max(np.abs(got))))

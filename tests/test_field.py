@@ -936,3 +936,115 @@ def test_forked_child_starts_its_own_pool(threads):
         if proc.is_alive():
             proc.kill()
     assert proc.exitcode == 0
+
+
+# ---------------------------------------------------------------------------
+# Grids: layer 0 from per-axis tables, layers 1 onward through _forward.
+
+
+def _grid_points(axes):
+    return np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("hidden", [16, 64, 128])
+def test_grid_matches_point_values(dim, hidden):
+    # Angle addition rounds differently from sin(f z0), and more accurately:
+    # the point path rounds an argument f z0 of up to about 100.
+    net = init_field(seed=50 + hidden, dim=dim, encoding=EncodingConfig(8 if dim == 2 else 30),
+                     hidden=hidden, hidden_layers=3)
+    lo, hi = np.array([-0.9, -0.4, -1.0]), np.array([0.7, 1.0, 0.2])  # not a cube
+    axes = [np.linspace(lo[j], hi[j], 9 + 4 * j) for j in range(dim)]  # unequal lengths
+    got = field.evaluate_grid(net, axes)
+    assert got.shape == tuple(a.size for a in axes)
+    want = evaluate_batch(net, _grid_points(axes)).reshape(got.shape)
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("hidden", [64, 128])
+def test_grid_bytes_do_not_depend_on_threads(hidden, threads, meeting, monkeypatch):
+    # Block bounds depend on the grid and the net alone, and each block
+    # writes its own lines.  A pooled grid holds its first two threads'
+    # first blocks until both have come, so two threads run for certain.
+    net = init_field(seed=60, dim=3, encoding=EncodingConfig(8), hidden=hidden, hidden_layers=3)
+    axes = [np.linspace(-1.0, 1.0, n) for n in (23, 17, 12)]
+    ran_on = set()
+    meet = None
+    forward = field._forward
+
+    def recording(*args, **kwargs):
+        ran_on.add(threading.get_ident())
+        if meet is not None:
+            meet()
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(field, "_forward", recording)
+    threads(1)
+    ref = field.evaluate_grid(net, axes)
+    for workers in (2, 3):
+        threads(workers)
+        ran_on.clear()
+        meet = meeting()
+        assert field.evaluate_grid(net, axes).tobytes() == ref.tobytes()
+        assert 1 < len(ran_on) <= workers
+
+
+def test_grid_is_one_dispatch(threads, monkeypatch):
+    threads(2)
+    net = init_field(seed=61, dim=3, encoding=EncodingConfig(4), hidden=32, hidden_layers=2)
+    axes = [np.linspace(-1.0, 1.0, n) for n in (40, 30, 20)]
+    calls = []
+    run = field._run
+
+    def counting(tasks):
+        calls.append(len(tasks))
+        return run(tasks)
+
+    monkeypatch.setattr(field, "_run", counting)
+    field.evaluate_grid(net, axes)
+    assert len(calls) == 1 and calls[0] > 1
+
+
+def test_grid_blocks_are_whole_lines_of_block_work(threads, monkeypatch):
+    # Each block is whole lines of the first axis, a grid row counting as half
+    # a row of BLOCK_WORK: about 2 * BLOCK_WORK // hidden rows.  The last
+    # block also takes the remainder.
+    threads(1)
+    net = init_field(seed=62, dim=3, encoding=EncodingConfig(4), hidden=128, hidden_layers=2)
+    rows = []
+    forward = field._forward
+
+    def recording(*args, **kwargs):
+        rows.append(kwargs["a1"].shape[0])
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(field, "_forward", recording)
+    field.evaluate_grid(net, [np.linspace(-1.0, 1.0, n) for n in (49, 49, 49)])
+    # 2,401 lines of 49 nodes, counted as 25 rows each: 256 // 25 = 10 lines a block.
+    assert rows == [10 * 49] * 239 + [11 * 49]
+
+
+def test_grid_holds_no_table_of_all_lines(threads, monkeypatch):
+    # Beyond the output, a grid holds per-axis tables and one block's working
+    # set per thread, never an n^(m-1) x width table of every line's E.  With
+    # blocks of one 65-node line, the table would dwarf the block.
+    threads(1)
+    net = init_field(seed=63, dim=3, hidden=256, hidden_layers=2)
+    monkeypatch.setattr(field, "BLOCK_WORK", 33 * net.hidden)
+    axes = [np.linspace(-1.0, 1.0, 65)] * 3
+    tracemalloc.start()
+    try:
+        out = field.evaluate_grid(net, axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = 65 * 65 * net.hidden * 8
+    assert peak - out.nbytes < table / 2
+
+
+def test_grid_rejects_axes_of_another_dimension():
+    net = init_field(seed=64, dim=3, encoding=EncodingConfig(4), hidden=16, hidden_layers=2)
+    with pytest.raises(ValueError, match="3 1D axes"):
+        field.evaluate_grid(net, [np.zeros(4)] * 2)
+    with pytest.raises(ValueError, match="3 1D axes"):
+        field.evaluate_grid(net, [np.zeros((4, 1))] * 3)

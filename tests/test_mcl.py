@@ -242,7 +242,7 @@ def test_sampled_field_matches_bilinear_values():
     box = Aabb.cube(np.zeros(2), 1.0)
     # a bilinear function is reproduced exactly by bilinear interpolation
     f = lambda p: 2.0 + 3.0 * p[:, 0] - 1.5 * p[:, 1] + 0.5 * p[:, 0] * p[:, 1]
-    values = meshing.sample_grid(f, box, 8)
+    values = meshing.sample_grid(meshing.pointwise(f), box, 8)
     sf = SampledField2D(values, box)
     rng = np.random.default_rng(6)
     pts = rng.uniform(-1, 1, size=(200, 2))

@@ -8,7 +8,7 @@ from scanfield._mc_tables import CUBE_TRIANGLES
 from scanfield.encoding import EncodingConfig
 from scanfield.field import evaluate_batch, init_field
 from scanfield.geom import Aabb
-from scanfield.meshing import MIN_TRI_AREA, TriangleMesh, marching_cubes, sample_grid
+from scanfield.meshing import MIN_TRI_AREA, TriangleMesh, marching_cubes, pointwise, sample_grid
 
 # ---------------------------------------------------------------------------
 # Per-cell reference: one cell at a time with an edge-id dict, the reference
@@ -78,7 +78,7 @@ def _flips(case, fi, verdict, center_inside):
 
 def reference_cubes(field, box, res):
     """Per-cell marching cubes; returns the mesh and the face-center count."""
-    vals = sample_grid(field, box, res)
+    vals = sample_grid(pointwise(field), box, res)
     inside = vals < 0.0
     case = np.zeros((res, res, res), dtype=np.int32)
     for c, (dx, dy, dz) in enumerate(_CORNERS):
@@ -178,17 +178,17 @@ def edge_counts(triangles):
 
 def test_sample_grid_layout():
     box = Aabb.cube(np.zeros(2), 1.0)
-    vals = sample_grid(lambda p: p[:, 0] + 10.0 * p[:, 1], box, 4)
+    vals = sample_grid(pointwise(lambda p: p[:, 0] + 10.0 * p[:, 1]), box, 4)
     assert vals.shape == (5, 5)
     # index order (x, y): first axis advances x
     assert vals[4, 0] == pytest.approx(1.0 + 10.0 * -1.0)
     assert vals[0, 4] == pytest.approx(-1.0 + 10.0)
-    vals3 = sample_grid(lambda p: p[:, 2], Aabb.cube(np.zeros(3), 1.0), 2)
+    vals3 = sample_grid(pointwise(lambda p: p[:, 2]), Aabb.cube(np.zeros(3), 1.0), 2)
     assert vals3.shape == (3, 3, 3)
     np.testing.assert_allclose(vals3[:, :, 0], -1.0)
     np.testing.assert_allclose(vals3[:, :, 2], 1.0)
     with pytest.raises(ValueError):
-        sample_grid(lambda p: p[:, 0], box, 1)
+        sample_grid(pointwise(lambda p: p[:, 0]), box, 1)
 
 
 def test_mesh_validation():
@@ -198,14 +198,14 @@ def test_mesh_validation():
 
 def test_empty_mesh_when_level_set_absent():
     box = Aabb.cube(np.zeros(3), 1.0)
-    mesh = marching_cubes(lambda p: np.full(p.shape[0], 2.0), box, 8)
+    mesh = marching_cubes(pointwise(lambda p: np.full(p.shape[0], 2.0)), box, 8)
     assert mesh.vertices.shape == (0, 3)
     assert mesh.triangles.shape == (0, 3)
 
 
 def test_sphere_mesh_accuracy_and_topology():
     box = Aabb.cube(np.zeros(3), 2.0)
-    mesh = marching_cubes(sphere_field, box, 64)
+    mesh = marching_cubes(pointwise(sphere_field), box, 64)
     r = np.linalg.norm(mesh.vertices, axis=1)
     # error bound: one cell diagonal (4/64 * sqrt(3)/2 ~ 0.054); spec-level
     # slack is half the cell diagonal of the 2-unit box at res 64
@@ -226,7 +226,7 @@ def test_vertices_interpolate_between_corners():
     # sign, so its field magnitude is below the larger corner magnitude.
     box = Aabb.cube(np.zeros(3), 2.0)
     res = 16
-    mesh = marching_cubes(sphere_field, box, res)
+    mesh = marching_cubes(pointwise(sphere_field), box, res)
     h = 4.0 / res
     d = np.abs(sphere_field(mesh.vertices))
     # |D| at an interpolated vertex can't exceed the field change across one cell
@@ -237,7 +237,7 @@ def test_resolution_doubling_halves_error():
     box = Aabb.cube(np.zeros(3), 2.0)
     errs = []
     for res in (16, 32, 64):
-        mesh = marching_cubes(sphere_field, box, res)
+        mesh = marching_cubes(pointwise(sphere_field), box, res)
         errs.append(np.max(np.abs(np.linalg.norm(mesh.vertices, axis=1) - 1.0)))
     assert errs[1] < 0.6 * errs[0]
     assert errs[2] < 0.6 * errs[1]
@@ -247,7 +247,7 @@ def test_triangles_wind_outward():
     # With distance increasing outward, right-hand-rule normals must point
     # along the gradient (away from the interior).
     box = Aabb.cube(np.zeros(3), 2.0)
-    mesh = marching_cubes(sphere_field, box, 24)
+    mesh = marching_cubes(pointwise(sphere_field), box, 24)
     a = mesh.vertices[mesh.triangles[:, 0]]
     b = mesh.vertices[mesh.triangles[:, 1]]
     c = mesh.vertices[mesh.triangles[:, 2]]
@@ -268,14 +268,14 @@ def test_two_blob_mesh_is_manifold():
     # cell has an ambiguous face, so this checks stitching, not saddles.
     box = Aabb.cube(np.zeros(3), 1.5)
     for res in (6, 7, 9, 11):
-        mesh = marching_cubes(blobs, box, res)
+        mesh = marching_cubes(pointwise(blobs), box, res)
         counts = edge_counts(mesh.triangles)
         assert set(counts.values()) == {2}, res
 
 
 def test_marching_cubes_rejects_2d_box():
     with pytest.raises(ValueError):
-        marching_cubes(sphere_field, Aabb.cube(np.zeros(2), 1.0), 8)
+        marching_cubes(pointwise(sphere_field), Aabb.cube(np.zeros(2), 1.0), 8)
 
 
 def quadric(seed):
@@ -295,7 +295,7 @@ def quadric(seed):
 def test_cubes_match_per_cell_reference(field, half, res):
     box = Aabb.cube(np.zeros(3), half)
     want, _ = reference_cubes(field, box, res)
-    got = marching_cubes(field, box, res)
+    got = marching_cubes(pointwise(field), box, res)
     assert_bitwise(got.vertices, want.vertices)
     assert_bitwise(got.triangles, want.triangles)
 
@@ -306,7 +306,7 @@ def test_cubes_match_reference_on_ambiguous_faces():
     for seed in range(20):
         want, samples = reference_cubes(quadric(seed), box, 7)
         face_samples += samples
-        got = marching_cubes(quadric(seed), box, 7)
+        got = marching_cubes(pointwise(quadric(seed)), box, 7)
         assert_bitwise(got.vertices, want.vertices)
         assert_bitwise(got.triangles, want.triangles)
     assert face_samples > 0
@@ -317,7 +317,7 @@ def test_cubes_match_reference_on_a_network():
     box = Aabb.cube(np.zeros(3), 1.0)
     field = lambda p: evaluate_batch(net, p)  # noqa: E731
     want, _ = reference_cubes(field, box, 16)
-    got = marching_cubes(field, box, 16)
+    got = marching_cubes(pointwise(field), box, 16)
     assert got.triangles.shape[0] > 0
     assert_bitwise(got.vertices, want.vertices)
     assert_bitwise(got.triangles, want.triangles)
@@ -363,21 +363,21 @@ def x_cylinder(p):
 def test_slab_boundaries_match_reference(field, res):
     box = Aabb.cube(np.zeros(3), 1.0 if field is not sphere_field else 2.0)
     want, _ = reference_cubes(field, box, res)
-    got = marching_cubes(field, box, res)
+    got = marching_cubes(pointwise(field), box, res)
     assert got.triangles.shape[0] > 0
     assert_bitwise(got.vertices, want.vertices)
     assert_bitwise(got.triangles, want.triangles)
 
 
 def test_far_shells_leave_middle_slabs_empty():
-    mesh = marching_cubes(far_shells, Aabb.cube(np.zeros(3), 1.0), 16)
+    mesh = marching_cubes(pointwise(far_shells), Aabb.cube(np.zeros(3), 1.0), 16)
     assert not np.any(np.abs(mesh.vertices[:, 0]) < 0.4)
     assert set(edge_counts(mesh.triangles).values()) == {2}
 
 
 def test_x_cylinder_crossings_lie_on_slab_faces():
     res = 8
-    mesh = marching_cubes(x_cylinder, Aabb.cube(np.zeros(3), 1.0), res)
+    mesh = marching_cubes(pointwise(x_cylinder), Aabb.cube(np.zeros(3), 1.0), res)
     grid_x = np.linspace(-1.0, 1.0, res + 1)
     assert np.all(np.isin(mesh.vertices[:, 0], grid_x))
     # Every slab face carries vertices, and faces shared by two slabs are
@@ -402,7 +402,7 @@ def test_level_set_on_a_grid_plane(sign):
     box = Aabb.cube(np.zeros(3), 1.0)
     field = lambda p: sign * (p[:, 0] - 0.25)  # noqa: E731
     want, _ = reference_cubes(field, box, 8)
-    got = marching_cubes(field, box, 8)
+    got = marching_cubes(pointwise(field), box, 8)
     assert got.triangles.shape[0] == 2 * 8 * 8
     assert np.all(got.vertices[:, 0] == 0.25)
     assert_bitwise(got.vertices, want.vertices)
@@ -415,18 +415,20 @@ def waves(p):
 
 def test_walk_memory_is_one_slab_beyond_grid_and_mesh():
     # A surface in nearly every slab: 37k faces at res 40.  Beyond the value
-    # grid and the returned mesh, the traced peak was 1.37 MB for the slab
-    # walk and 6.79 MB when every active cell's table slots were held at once.
+    # grid and the returned mesh, the traced peak is 0.70 MB: the slab walk,
+    # which writes its vertices and faces into arrays sized before it starts.
+    # It was 1.37 MB while the per-slab parts were concatenated at the end,
+    # and 6.79 MB when every active cell's table slots were held at once.
     res = 40
     tracemalloc.start()
     try:
-        mesh = marching_cubes(waves, Aabb.cube(np.zeros(3), 1.0), res)
+        mesh = marching_cubes(pointwise(waves), Aabb.cube(np.zeros(3), 1.0), res)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert mesh.triangles.shape[0] > 30_000
     extra = peak - (res + 1) ** 3 * 8 - mesh.vertices.nbytes - mesh.triangles.nbytes
-    assert extra < 2.5e6
+    assert extra < 1.0e6
 
 
 def test_marching_cubes_samples_the_grid_once(monkeypatch):
@@ -437,6 +439,49 @@ def test_marching_cubes_samples_the_grid_once(monkeypatch):
         return sample_grid(field, box, res)
 
     monkeypatch.setattr(meshing, "sample_grid", counting)
-    mesh = marching_cubes(sphere_field, Aabb.cube(np.zeros(3), 2.0), 12)
+    mesh = marching_cubes(pointwise(sphere_field), Aabb.cube(np.zeros(3), 2.0), 12)
     assert calls == [12]
     assert mesh.triangles.shape[0] > 0
+
+
+def _slice_grid(field, box, res):
+    """The grid of a point function as the per-slice ``sample_grid`` built it:
+    one call of all nodes in 2D, one call per z-slice in 3D."""
+    m = box.dim
+    axes = [np.linspace(box.lo[a], box.hi[a], res + 1) for a in range(m)]
+    xg, yg = np.meshgrid(axes[0], axes[1], indexing="ij")
+    flat = np.stack([xg.reshape(-1), yg.reshape(-1)], axis=1)
+    if m == 2:
+        return np.asarray(field(flat), dtype=np.float64).reshape(res + 1, res + 1)
+    vals = np.empty((res + 1, res + 1, res + 1), dtype=np.float64)
+    for k in range(res + 1):
+        pts = np.concatenate([flat, np.full((flat.shape[0], 1), axes[2][k])], axis=1)
+        vals[:, :, k] = np.asarray(field(pts), dtype=np.float64).reshape(res + 1, res + 1)
+    return vals
+
+
+@pytest.mark.parametrize("field, box, res", [
+    (sphere_field, Aabb.cube(np.zeros(3), 2.0), 24),
+    (blobs, Aabb(np.array([-1.5, -0.7, -1.1]), np.array([1.4, 0.9, 1.3])), 11),
+    (waves, Aabb.cube(np.zeros(3), 1.0), 17),
+    (quadric(3), Aabb.cube(np.array([0.1, -0.2, 0.3]), 0.8), 9),
+    (lambda p: np.hypot(p[:, 0] - 0.2, p[:, 1]) - 0.5, Aabb(np.array([-1.0, -0.6]), np.array([0.9, 1.2])), 30),
+], ids=["sphere", "blobs", "waves", "quadric", "circle-2d"])
+def test_pointwise_grid_equals_per_slice_grid_bitwise(field, box, res):
+    assert_bitwise(sample_grid(pointwise(field), box, res), _slice_grid(field, box, res))
+
+
+def test_sample_grid_hands_the_field_its_axes_once():
+    calls = []
+
+    def grid(axes):
+        calls.append(axes)
+        return np.add.outer(np.add.outer(axes[0], 10.0 * axes[1]), 100.0 * axes[2])
+
+    box = Aabb(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.5, 3.0]))
+    vals = sample_grid(grid, box, 4)
+    assert len(calls) == 1 and isinstance(calls[0], tuple) and len(calls[0]) == 3
+    for a in range(3):
+        np.testing.assert_array_equal(calls[0][a], np.linspace(box.lo[a], box.hi[a], 5))
+    assert vals.shape == (5, 5, 5)
+    assert vals[4, 0, 0] == 1.0 + 200.0 and vals[0, 4, 4] == -1.0 + 5.0 + 300.0

@@ -7,7 +7,7 @@ import pytest
 from scanfield.encoding import EncodingConfig
 from scanfield.field import init_field
 from scanfield.geom import Aabb, Pose, Scan, SceneTransform, rot2d
-from scanfield.meshing import TriangleMesh, marching_cubes
+from scanfield.meshing import TriangleMesh, marching_cubes, pointwise
 from scanfield.scenes import AnalyticScene, Box, Sphere
 from scanfield.storage import (
     MODEL_MAGIC,
@@ -299,7 +299,7 @@ def test_cube_mesh_ply_declarations(tmp_path):
     box = Aabb.cube(np.zeros(3), 1.0)
     # cube surface: aligned box field meshes into the full boundary
     mesh = marching_cubes(
-        lambda p: np.max(np.abs(p), axis=1) - 0.5, box, 8
+        pointwise(lambda p: np.max(np.abs(p), axis=1) - 0.5), box, 8
     )
     path = tmp_path / "cube.ply"
     export_mesh_ply(path, mesh)
@@ -325,7 +325,7 @@ def test_cube_mesh_ply_declarations(tmp_path):
 def test_scene_mesh_ply_round_trip(tmp_path):
     scene = AnalyticScene((Sphere(np.array([0.2, 0.0, 0.1]), 0.5),
                            Box(np.array([-0.4, 0.1, -0.2]), np.array([0.3, 0.2, 0.4]))))
-    mesh = marching_cubes(scene.sdf, Aabb.cube(np.zeros(3), 1.0), 40)
+    mesh = marching_cubes(pointwise(scene.sdf), Aabb.cube(np.zeros(3), 1.0), 40)
     assert mesh.triangles.shape[0] > 1000
     path = tmp_path / "scene.ply"
     export_mesh_ply(path, mesh)
